@@ -333,16 +333,13 @@ def cmd_sweep(config: ExperimentConfig) -> int:
             for alpha in alphas:
                 if not 0.0 <= alpha <= 1.0:
                     raise ConfigError(f"alpha grid value {alpha} outside [0, 1]")
-                if abs(alpha - 0.5) < 1e-6:
-                    writer.writerow([label, _fmt(alpha), "singular", "", "", "", "", ""])
-                    continue
                 try:
                     limits = limit_q_moments(ms, alpha)
-                except SingularParameterError:
-                    writer.writerow([label, _fmt(alpha), "singular", "", "", "", "", ""])
-                    continue
-                except RegimeError:
-                    writer.writerow([label, _fmt(alpha), "subdiffusive", "", "", "", "", ""])
+                except (SingularParameterError, RegimeError) as exc:
+                    # alpha = 1/2 itself is outside the regime and singular
+                    singular = isinstance(exc, SingularParameterError) or alpha == 0.5
+                    status = "singular" if singular else "subdiffusive"
+                    writer.writerow([label, _fmt(alpha), status, "", "", "", "", ""])
                     continue
                 writer.writerow(
                     [

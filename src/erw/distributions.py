@@ -265,9 +265,10 @@ _PPND_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612
 
 
 def _poly(coeffs, r):
-    acc = np.zeros_like(r) + coeffs[-1]
+    acc = np.full_like(r, coeffs[-1])
     for c in coeffs[-2::-1]:
-        acc = acc * r + c
+        acc *= r
+        acc += c
     return acc
 
 
@@ -279,8 +280,9 @@ def _norm_inv_cdf(u: np.ndarray) -> np.ndarray:
 
     central = np.abs(q) <= 0.425
     if np.any(central):
-        r = 0.180625 - q[central] * q[central]
-        out[central] = q[central] * _poly(_PPND_A, r) / _poly(_PPND_B, r)
+        qc = q[central]
+        r = 0.180625 - qc * qc
+        out[central] = qc * _poly(_PPND_A, r) / _poly(_PPND_B, r)
 
     tails = ~central
     if np.any(tails):
@@ -295,7 +297,7 @@ def _norm_inv_cdf(u: np.ndarray) -> np.ndarray:
 
 
 def inverse_cdf(dist: StepDistribution, u):
-    """Map uniforms in (0, 1) to samples of `dist` (quantile transform).
+    """Map uniforms in (0, 1] to samples of `dist` (quantile transform).
 
     Vectorised; `u` may be a scalar or an ndarray.  Exactly one uniform is
     consumed per sample for every kind.
@@ -311,10 +313,14 @@ def inverse_cdf(dist: StepDistribution, u):
     elif dist.kind == "gaussian":
         out = dist.mean + dist.stddev * _norm_inv_cdf(u)
     else:
-        cum = np.cumsum(dist.weights)
-        cum[-1] = 1.0  # guard against fsum != cumsum rounding at the top
+        weights = np.asarray(dist.weights, dtype=np.float64)
+        top = np.flatnonzero(weights)[-1]  # the last atom with positive weight
+        cum = np.cumsum(weights)
+        # the rounded cumsum can stop short of 1 and u can round up to 1, so
+        # the CDF is 1 from `top` on and no u lands on a trailing zero weight
+        cum[top:] = 1.0
         idx = np.searchsorted(cum, u, side="right")
-        out = np.asarray(dist.points)[np.minimum(idx, len(dist.points) - 1)]
+        out = np.asarray(dist.points)[np.minimum(idx, top)]
     return float(out[0]) if scalar else out
 
 

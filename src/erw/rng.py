@@ -29,8 +29,9 @@ _UC1 = np.uint64(_C1)
 _UC2 = np.uint64(_C2)
 _UGOLDEN = np.uint64(GOLDEN)
 
-# (v >> 11) is a 53-bit integer; +0.5 keeps the result strictly inside (0, 1),
-# which protects inverse-CDF transforms from hitting 0 or 1 exactly.
+# (v >> 11) is a 53-bit integer; +0.5 keeps the result above 0.  Above 2^52
+# the +0.5 rounds to even, so the top integer 2^53 - 1 gives exactly 1.0
+# (probability 2^-53): samplers and index maps must accept u = 1.
 _TO_UNIT = 2.0 ** -53
 
 
@@ -43,8 +44,8 @@ def mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 array arithmetic wraps mod 2^64, which is exactly what we want
-    z = z.copy()
+    # mixes in place: every caller passes a fresh temporary.  uint64 array
+    # arithmetic wraps mod 2^64, which is exactly what we want
     z ^= z >> _U30
     z *= _UC1
     z ^= z >> _U27
@@ -65,16 +66,30 @@ def replicate_keys(master_seed: int, start: int, count: int) -> np.ndarray:
 
 
 def uniform_draw(key: int, counter: int) -> float:
-    """Uniform in (0, 1) for draw number `counter` of stream `key`."""
+    """Uniform in (0, 1] for draw number `counter` of stream `key`."""
     v = mix64(key + (counter + 1) * GOLDEN)
     return ((v >> 11) + 0.5) * _TO_UNIT
 
 
-def uniform_draws(keys: np.ndarray, counter: int) -> np.ndarray:
-    """Vectorised `uniform_draw` across many streams at one counter."""
-    offset = np.uint64(((counter + 1) * GOLDEN) & MASK64)
-    v = _mix64_array(keys + offset)
-    return ((v >> _U11).astype(np.float64) + 0.5) * _TO_UNIT
+def uniform_draws(keys: np.ndarray, counter) -> np.ndarray:
+    """Vectorised `uniform_draw` across many streams.
+
+    A scalar `counter` gives one draw per key, shape (keys.size,).  A 1-D
+    integer array of counters gives shape (len(counter), keys.size), row i
+    being the draws at counter[i]; the offsets (c+1)*GOLDEN wrap mod 2^64 in
+    uint64 arithmetic, exactly as the scalar path's mask does.
+    """
+    if np.ndim(counter) == 0:
+        offset = np.uint64(((counter + 1) * GOLDEN) & MASK64)
+        v = _mix64_array(keys + offset)
+    else:
+        offsets = (np.asarray(counter, dtype=np.uint64) + np.uint64(1)) * _UGOLDEN
+        v = _mix64_array(offsets[:, None] + keys)
+    v >>= _U11
+    u = v.astype(np.float64)
+    u += 0.5
+    u *= _TO_UNIT
+    return u
 
 
 def parse_seed(text: str) -> int:

@@ -37,6 +37,12 @@ from .rng import MASK64, replicate_keys, uniform_draws
 #: makes parallel runs bit-identical.
 _CHUNK_TARGET_ELEMENTS = 8_000_000
 
+#: Elements per array of the draws made ahead for a block of steps; a block
+#: is max(1, _BLOCK_ELEMENTS // width) steps.  Sized by elements, not steps,
+#: so the look-ahead memory stays flat (128 kB per float array) for any
+#: chunk width up to _BLOCK_ELEMENTS; wider chunks take one step per block.
+_BLOCK_ELEMENTS = 16_384
+
 
 @dataclass(frozen=True, eq=False)
 class WalkState:
@@ -87,11 +93,16 @@ def _run_paths(
 
     Step t consumes draw counters 2(t-1) for the branch uniform and
     2(t-1)+1 for the index-or-sample uniform; the first step uses only the
-    sample draw.  Returns per-checkpoint power sums of S~ (p = 1..8) and,
-    if requested, the full (n, R) step matrix.
+    sample draw.  The draws, fresh samples and repeat indices depend only on
+    (key, counter), so they are made a block of steps at a time (about
+    _BLOCK_ELEMENTS values per array); only the copy from the walk's own
+    history runs step by step.  The counters, and so the output bytes, are
+    the same as drawing one step at a time.  Returns per-checkpoint power
+    sums of S~ (p = 1..8) and, if requested, the full (n, R) step matrix.
     """
     width = keys.size
     steps = np.empty((n, width), dtype=np.float64)
+    flat = steps.reshape(-1)
     cols = np.arange(width)
     s_run = np.zeros(width, dtype=np.float64)
     power_sums = (
@@ -102,30 +113,38 @@ def _run_paths(
     collectors = tuple(collectors)
     s_tilde_prev = None
     m1 = ms.m1
+    rows = max(1, _BLOCK_ELEMENTS // max(width, 1))
 
-    for t in range(1, n + 1):
-        u_val = uniform_draws(keys, 2 * (t - 1) + 1)
+    for first in range(1, n + 1, rows):
+        t_block = np.arange(first, min(first + rows, n + 1))
+        u_val = uniform_draws(keys, 2 * t_block - 1)
         fresh = inverse_cdf(dist, u_val)
-        if t == 1:
-            x = fresh
-        else:
-            u_branch = uniform_draws(keys, 2 * (t - 1))
-            idx = (u_val * (t - 1)).astype(np.int64)
-            np.minimum(idx, t - 2, out=idx)
-            x = np.where(u_branch < alpha, steps[idx, cols], fresh)
-        steps[t - 1] = x
-        s_run += x
-        s_tilde = s_run - t * m1
-        for collector in collectors:
-            collector.collect(t, x, s_tilde_prev, s_tilde)
-        if checkpoint_index is not None and t in checkpoint_index:
-            row = power_sums[checkpoint_index[t]]
-            p = s_tilde.copy()
-            for k in range(8):
-                row[k] += p.sum()
-                if k < 7:
-                    p *= s_tilde
-        s_tilde_prev = s_tilde
+        repeat = uniform_draws(keys, 2 * t_block - 2) < alpha
+        # source row of a repeat, already flattened to a position in `steps`
+        prev = (t_block - 1)[:, None]
+        idx = (u_val * prev).astype(np.int64)
+        np.minimum(idx, prev - 1, out=idx)
+        idx *= width
+        idx += cols
+
+        for i, t in enumerate(range(first, first + t_block.size)):
+            if t == 1:
+                x = fresh[0]  # the first step is always fresh
+            else:
+                x = np.where(repeat[i], flat.take(idx[i]), fresh[i])
+            steps[t - 1] = x
+            s_run += x
+            s_tilde = s_run - t * m1
+            for collector in collectors:
+                collector.collect(t, x, s_tilde_prev, s_tilde)
+            if checkpoint_index is not None and t in checkpoint_index:
+                row = power_sums[checkpoint_index[t]]
+                p = s_tilde.copy()
+                for k in range(8):
+                    row[k] += p.sum()
+                    if k < 7:
+                        p *= s_tilde
+            s_tilde_prev = s_tilde
 
     return power_sums, (steps if keep_steps else None)
 

@@ -183,6 +183,22 @@ class TestSweep:
         assert rows[0.5]["status"] == "singular"
         assert rows[0.75]["status"] == "ok"
 
+    def test_singular_guard_agrees_with_limits(self, capsys):
+        # one guard radius (moments.ALPHA_TOL): sweep gives values exactly
+        # where `limits` does, and the same values
+        cases = (("0.5", "singular"), ("0.500000005", "singular"), ("0.5000001", "ok"))
+        for alpha, status in cases:
+            code, out, _ = run_cli(capsys, "limits", "--dist", "rademacher", "--alpha", alpha)
+            _, swept, _ = run_cli(capsys, "sweep", "--dist", "rademacher", "--alphas", alpha)
+            (row,) = csv.DictReader(io.StringIO(swept))
+            assert row["status"] == status
+            assert code == (0 if status == "ok" else 2)
+            if code == 0:
+                limits = json.loads(out)["limits"]
+                assert {q: float(row[q]) for q in limits} == limits
+            else:
+                assert row["q2"] == ""
+
     def test_missing_grid(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--dist", "rademacher")
         assert code == 2 and "alpha grid" in err

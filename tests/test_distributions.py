@@ -58,6 +58,18 @@ def discrete_laws(draw):
     return StepDistribution.discrete(points, [w / total for w in raw])
 
 
+@st.composite
+def discrete_laws_with_zeros(draw):
+    size = draw(st.integers(2, 6))
+    points = draw(st.lists(finite_floats, min_size=size, max_size=size, unique=True))
+    raw = draw(
+        st.lists(st.sampled_from([0.0]) | st.floats(0.01, 1.0), min_size=size, max_size=size)
+        .filter(lambda ws: any(ws))
+    )
+    total = math.fsum(raw)
+    return StepDistribution.discrete(points, [w / total for w in raw])
+
+
 class TestRawMoments:
     def test_rademacher(self):
         assert raw_moments(StepDistribution.rademacher()) == (0.0, 1.0, 0.0, 1.0)
@@ -283,6 +295,19 @@ class TestSampling:
         for u, g in zip(grid, got):
             exact = float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(u) - 1))
             assert g == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(discrete_laws_with_zeros())
+    def test_zero_weight_atoms_never_drawn(self, dist):
+        # 1 - 2**-54 rounds to 1.0, the largest value uniform_draws returns
+        weight = dict(zip(dist.points, dist.weights))
+        for u in (2.0 ** -54, 0.5, 1.0 - 2.0 ** -54):
+            assert weight[inverse_cdf(dist, u)] > 0.0
+        assert weight[float(inverse_cdf(dist, np.array([1.0 - 2.0 ** -54]))[0])] > 0.0
+
+    def test_trailing_zero_weight_at_top(self):
+        dist = StepDistribution.discrete((1.0, 2.0, 3.0, 99.0), (0.1, 0.2, 0.7, 0.0))
+        assert inverse_cdf(dist, 1.0 - 2.0 ** -54) == 3.0
 
     def test_empirical_moments_match(self):
         # four standard errors at one million draws, every builtin kind

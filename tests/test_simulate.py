@@ -17,8 +17,65 @@ from erw import (
     simulate_batch,
     simulate_path,
 )
+import erw.simulate as sim
+from erw.distributions import inverse_cdf
 from erw.rng import mix64, parse_seed, replicate_key, replicate_keys, uniform_draw, uniform_draws
-from erw.simulate import ExactSum, WalkState
+from erw.simulate import ExactSum, WalkState, _EpsilonCollector, _MarginalCollector
+
+LAWS = (
+    StepDistribution.rademacher(),
+    StepDistribution.bernoulli(0.3),
+    StepDistribution.uniform(-1.0, 2.0),
+    StepDistribution.gaussian(0.5, 2.0),
+    StepDistribution.discrete((-1.0, 2.0, 5.0), (0.6, 0.4, 0.0)),
+)
+
+
+def _reference_run_paths(dist, ms, alpha, n, keys, checkpoint_index=None,
+                         collectors=(), keep_steps=False):
+    """Test oracle: the simulator loop that draws one step at a time.
+
+    `_run_paths` draws a block of steps at a time and must reproduce this
+    loop's output bit for bit.
+    """
+    width = keys.size
+    steps = np.empty((n, width), dtype=np.float64)
+    cols = np.arange(width)
+    s_run = np.zeros(width, dtype=np.float64)
+    power_sums = (
+        np.zeros((len(checkpoint_index), 8), dtype=np.float64)
+        if checkpoint_index
+        else None
+    )
+    collectors = tuple(collectors)
+    s_tilde_prev = None
+    m1 = ms.m1
+
+    for t in range(1, n + 1):
+        u_val = uniform_draws(keys, 2 * (t - 1) + 1)
+        fresh = inverse_cdf(dist, u_val)
+        if t == 1:
+            x = fresh
+        else:
+            u_branch = uniform_draws(keys, 2 * (t - 1))
+            idx = (u_val * (t - 1)).astype(np.int64)
+            np.minimum(idx, t - 2, out=idx)
+            x = np.where(u_branch < alpha, steps[idx, cols], fresh)
+        steps[t - 1] = x
+        s_run += x
+        s_tilde = s_run - t * m1
+        for collector in collectors:
+            collector.collect(t, x, s_tilde_prev, s_tilde)
+        if checkpoint_index is not None and t in checkpoint_index:
+            row = power_sums[checkpoint_index[t]]
+            p = s_tilde.copy()
+            for k in range(8):
+                row[k] += p.sum()
+                if k < 7:
+                    p *= s_tilde
+        s_tilde_prev = s_tilde
+
+    return power_sums, (steps if keep_steps else None)
 
 
 class TestRng:
@@ -38,6 +95,15 @@ class TestRng:
         vec = uniform_draws(keys, 11)
         for offset, key in enumerate(keys):
             assert vec[offset] == uniform_draw(int(key), 11)
+
+    def test_counter_array_stacks_scalar_calls(self):
+        keys = replicate_keys(977, 3, 5)
+        big = [0, 1, 11, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 12345, 2 ** 64 - 1]
+        for counters in (np.array(big, dtype=np.uint64), np.arange(2, 9)):
+            block = uniform_draws(keys, counters)
+            expected = np.stack([uniform_draws(keys, int(c)) for c in counters])
+            assert block.shape == (len(counters), keys.size)
+            assert block.tobytes() == expected.tobytes()
 
     def test_uniforms_open_interval(self):
         keys = replicate_keys(5, 0, 10_000)
@@ -88,6 +154,34 @@ class TestSimulatePath:
             simulate_path(rademacher, 0.5, 0, 1)
 
 
+class TestBlockedDraws:
+    """`_run_paths` against the step-at-a-time oracle, byte for byte."""
+
+    # (width, block budget): a small budget puts the block edges of the
+    # narrow widths at n in the hundreds; None keeps the module's budget
+    @pytest.mark.parametrize("width,budget", [(1, 600), (7, 600), (300, 600), (300, None)])
+    @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
+    def test_matches_step_at_a_time_oracle(self, dist, width, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", budget)
+        ms = moment_set(dist)
+        alpha = 0.6
+        keys = replicate_keys(2718, 40, width)
+        rows = max(1, sim._BLOCK_ELEMENTS // width)
+        for n in (1, 2, rows - 1, rows, rows + 1, 2 * rows + 3):
+            cps = sorted({1, 2, rows - 1, rows, rows + 1, n} & set(range(1, n + 1)))
+            cpi = {c: i for i, c in enumerate(cps)}
+            runs = []
+            for run_paths in (sim._run_paths, _reference_run_paths):
+                eps = _EpsilonCollector(alpha, ms.m1, n)
+                marginal = _MarginalCollector(n)
+                sums, steps = run_paths(dist, ms, alpha, n, keys, checkpoint_index=cpi,
+                                        collectors=(eps, marginal), keep_steps=True)
+                runs.append([a.tobytes() for a in
+                             (steps, sums, eps.sum1, eps.sum2, eps.sum4, marginal.sums)])
+            assert runs[0] == runs[1], (dist.kind, width, n)
+
+
 class TestExactSum:
     def test_exactness_vs_fsum(self):
         values = [1e16, 1.0, -1e16, 1e-3, 3.14, -2.5e10, 2.5e10]
@@ -133,8 +227,6 @@ class TestBatch:
         # same replicate streams split at an arbitrary boundary
         left = simulate_batch(bernoulli03, 0.7, 80, 700, 5, [80])
         # rebuild from two accumulators over disjoint index ranges
-        import erw.simulate as sim
-
         ms = moment_set(bernoulli03)
         a = BatchAccumulator([80])
         b = BatchAccumulator([80])
