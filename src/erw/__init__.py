@@ -55,6 +55,7 @@ from .simulate import (
     ContinuationCheck,
     EpsilonMoments,
     ExactSum,
+    MarginalSums,
     MartingaleView,
     ScaledMomentEstimate,
     WalkState,

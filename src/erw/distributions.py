@@ -185,7 +185,10 @@ class MomentSet:
 
 
 def raw_moments(dist: StepDistribution) -> tuple[float, float, float, float]:
-    """Exact raw moments (m1, m2, m3, m4) of a builtin step law."""
+    """Exact raw moments (m1, m2, m3, m4) of a builtin step law.
+
+    A power that leaves the double range raises OverflowError or gives inf.
+    """
     if dist.kind == "rademacher":
         return (0.0, 1.0, 0.0, 1.0)
     if dist.kind == "bernoulli":
@@ -203,7 +206,11 @@ def raw_moments(dist: StepDistribution) -> tuple[float, float, float, float]:
         return (mu, mu * mu + v, mu ** 3 + 3.0 * mu * v, mu ** 4 + 6.0 * mu * mu * v + 3.0 * v * v)
     pts = np.asarray(dist.points)
     wts = np.asarray(dist.weights)
-    return tuple(math.fsum(wts * pts ** k) for k in range(1, 5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = [wts * pts ** k for k in range(1, 5)]
+    if not np.isfinite(terms).all():
+        raise OverflowError("a power of a point overflows")
+    return tuple(math.fsum(t) for t in terms)
 
 
 def derive_moment_set(m1: float, m2: float, m3: float, m4: float) -> MomentSet:
@@ -228,8 +235,14 @@ def derive_moment_set(m1: float, m2: float, m3: float, m4: float) -> MomentSet:
 
 
 def moment_set(dist: StepDistribution) -> MomentSet:
-    """Moment set of a builtin step law."""
-    return derive_moment_set(*raw_moments(dist))
+    """Moment set of a builtin step law; ValueError if a moment is not finite."""
+    try:
+        ms = derive_moment_set(*raw_moments(dist))
+    except OverflowError:
+        ms = None
+    if ms is None or not all(math.isfinite(v) for v in vars(ms).values()):
+        raise ValueError(f"the moments of {dist.to_json()} are not finite in double precision")
+    return ms
 
 
 def as_discrete(dist: StepDistribution) -> StepDistribution:
@@ -310,6 +323,7 @@ def inverse_cdf(dist: StepDistribution, u):
         out = np.where(u > 1.0 - dist.p, 1.0, 0.0)
     elif dist.kind == "uniform":
         out = dist.lo + u * (dist.hi - dist.lo)
+        np.minimum(out, dist.hi, out=out)  # lo + (hi - lo) can round above hi
     elif dist.kind == "gaussian":
         out = dist.mean + dist.stddev * _norm_inv_cdf(u)
     else:

@@ -9,8 +9,10 @@ sample), so a path is a pure function of (distribution, alpha, n, stream
 key) and a batch is a pure function of (.., master seed) regardless of
 chunking or thread count.
 
-Replicates are never stored; per-checkpoint power sums of the centered
-position survive a replicate, held in exactly-mergeable accumulators.
+The engine only builds a chunk's step matrix.  Every statistic (checkpoint
+power sums of the centered position, martingale differences, marginal step
+moments) is reduced from that matrix a row at a time, and only the sums
+outlive the chunk, held in exactly-mergeable accumulators.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -80,16 +82,9 @@ class WalkState:
 
 
 def _run_paths(
-    dist: StepDistribution,
-    ms: MomentSet,
-    alpha: float,
-    n: int,
-    keys: np.ndarray,
-    checkpoint_index: dict[int, int] | None = None,
-    collectors: Iterable = (),
-    keep_steps: bool = False,
-):
-    """Advance len(keys) walks for n steps, vectorised across walks.
+    dist: StepDistribution, alpha: float, n: int, keys: np.ndarray
+) -> np.ndarray:
+    """The (n, len(keys)) step matrix of len(keys) walks, vectorised across walks.
 
     Step t consumes draw counters 2(t-1) for the branch uniform and
     2(t-1)+1 for the index-or-sample uniform; the first step uses only the
@@ -97,22 +92,13 @@ def _run_paths(
     (key, counter), so they are made a block of steps at a time (about
     _BLOCK_ELEMENTS values per array); only the copy from the walk's own
     history runs step by step.  The counters, and so the output bytes, are
-    the same as drawing one step at a time.  Returns per-checkpoint power
-    sums of S~ (p = 1..8) and, if requested, the full (n, R) step matrix.
+    the same as drawing one step at a time.  Every statistic is computed
+    from the returned matrix afterwards, a row at a time.
     """
     width = keys.size
     steps = np.empty((n, width), dtype=np.float64)
     flat = steps.reshape(-1)
     cols = np.arange(width)
-    s_run = np.zeros(width, dtype=np.float64)
-    power_sums = (
-        np.zeros((len(checkpoint_index), 8), dtype=np.float64)
-        if checkpoint_index
-        else None
-    )
-    collectors = tuple(collectors)
-    s_tilde_prev = None
-    m1 = ms.m1
     rows = max(1, _BLOCK_ELEMENTS // max(width, 1))
 
     for first in range(1, n + 1, rows):
@@ -129,24 +115,29 @@ def _run_paths(
 
         for i, t in enumerate(range(first, first + t_block.size)):
             if t == 1:
-                x = fresh[0]  # the first step is always fresh
+                steps[0] = fresh[0]  # the first step is always fresh
             else:
-                x = np.where(repeat[i], flat.take(idx[i]), fresh[i])
-            steps[t - 1] = x
-            s_run += x
-            s_tilde = s_run - t * m1
-            for collector in collectors:
-                collector.collect(t, x, s_tilde_prev, s_tilde)
-            if checkpoint_index is not None and t in checkpoint_index:
-                row = power_sums[checkpoint_index[t]]
-                p = s_tilde.copy()
-                for k in range(8):
-                    row[k] += p.sum()
-                    if k < 7:
-                        p *= s_tilde
-            s_tilde_prev = s_tilde
+                steps[t - 1] = np.where(repeat[i], flat.take(idx[i]), fresh[i])
+    return steps
 
-    return power_sums, (steps if keep_steps else None)
+
+def _centered_sums(steps: np.ndarray, m1: float):
+    """Yield (t, S~_t) for t = 1..n, one row at a time (no matrix-sized temporary)."""
+    s_run = np.zeros(steps.shape[1], dtype=np.float64)
+    for t, x in enumerate(steps, start=1):
+        s_run += x
+        yield t, s_run - t * m1
+
+
+def _power_sums(values: np.ndarray) -> np.ndarray:
+    """sum(values ** p) for p = 1..8, by repeated multiplication."""
+    sums = np.empty(8, dtype=np.float64)
+    p = values.copy()
+    for k in range(8):
+        sums[k] = p.sum()
+        if k < 7:
+            p *= values
+    return sums
 
 
 def simulate_path(
@@ -161,10 +152,9 @@ def simulate_path(
     alpha = as_memory(mp).alpha
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    ms = moment_set(dist)
     keys = np.array([seed & MASK64], dtype=np.uint64)
-    _, steps = _run_paths(dist, ms, alpha, n, keys, keep_steps=True)
-    return WalkState.from_steps(steps[:, 0], ms, mp)
+    steps = _run_paths(dist, alpha, n, keys)
+    return WalkState.from_steps(steps[:, 0], moment_set(dist), mp)
 
 
 class ExactSum:
@@ -261,8 +251,25 @@ class BatchAccumulator:
         return self.power_sum(n, p) / self.n_replicates
 
 
-def _chunk_size(n: int, replicates: int) -> int:
-    return max(1, min(replicates, _CHUNK_TARGET_ELEMENTS // max(n, 1)))
+def _chunk_spans(n: int, replicates: int) -> list[tuple[int, int]]:
+    """Fixed replicate ranges [start, stop) of at most _CHUNK_TARGET_ELEMENTS steps."""
+    chunk = max(1, min(replicates, _CHUNK_TARGET_ELEMENTS // max(n, 1)))
+    return [(start, min(start + chunk, replicates)) for start in range(0, replicates, chunk)]
+
+
+def _chunk_steps(dist, alpha, n, master_seed, span) -> np.ndarray:
+    """Step matrix of the replicates in `span`; replicate i has key replicate_key(master_seed, i)."""
+    start, stop = span
+    return _run_paths(dist, alpha, n, replicate_keys(master_seed, start, stop - start))
+
+
+def _checkpoint_sums(steps: np.ndarray, m1: float, checkpoint_index: dict[int, int]) -> np.ndarray:
+    """(checkpoints x 8) power sums of S~ over the walks of one step matrix."""
+    sums = np.zeros((len(checkpoint_index), BatchAccumulator.POWERS), dtype=np.float64)
+    for t, s_tilde in _centered_sums(steps, m1):
+        if t in checkpoint_index:
+            sums[checkpoint_index[t]] += _power_sums(s_tilde)
+    return sums
 
 
 def simulate_batch(
@@ -290,26 +297,20 @@ def simulate_batch(
         raise ValueError(
             f"checkpoints must lie in [1, n]: got {acc.checkpoints[-1]} > n = {n}"
         )
-    ms = moment_set(dist)
+    m1 = moment_set(dist).m1
     cpi = {c: i for i, c in enumerate(acc.checkpoints)}
-    chunk = _chunk_size(n, replicates)
-    ranges = [
-        (start, min(start + chunk, replicates))
-        for start in range(0, replicates, chunk)
-    ]
 
     def run(span: tuple[int, int]):
-        start, stop = span
-        keys = replicate_keys(master_seed, start, stop - start)
-        sums, _ = _run_paths(dist, ms, alpha, n, keys, checkpoint_index=cpi)
-        return sums, stop - start
+        steps = _chunk_steps(dist, alpha, n, master_seed, span)
+        return _checkpoint_sums(steps, m1, cpi), span[1] - span[0]
 
+    spans = _chunk_spans(n, replicates)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for sums, count in pool.map(run, ranges):
+            for sums, count in pool.map(run, spans):
                 acc.add_chunk(sums, count)
     else:
-        for span in ranges:
+        for span in spans:
             acc.add_chunk(*run(span))
     return acc
 
@@ -411,55 +412,35 @@ def martingale_diagnostics(
     )
 
 
-class _EpsilonCollector:
-    """Accumulates per-step sums of eps, eps^2 and eps^4 across replicates."""
+def _add_epsilon_sums(sums: np.ndarray, steps: np.ndarray, alpha: float, m1: float) -> None:
+    """Add one step matrix's per-step sums of eps, eps^2 and eps^4 to `sums` (3 x n).
 
-    def __init__(self, alpha: float, m1: float, n: int):
-        self.alpha = alpha
-        self.m1 = m1
-        self.count = 0
-        self.sum1 = np.zeros(n)
-        self.sum2 = np.zeros(n)
-        self.sum4 = np.zeros(n)
-
-    def collect(self, t, x, s_tilde_prev, s_tilde):
-        if t == 1:
-            self.count += x.size
-            eps = x - self.m1
-        else:
-            eps = x - self.m1 - (self.alpha / (t - 1)) * s_tilde_prev
+    eps_1 = X_1 - m1 and eps_t = X_t - m1 - (alpha/(t-1)) S~_{t-1}.
+    """
+    s_prev = None
+    for t, s_tilde in _centered_sums(steps, m1):
+        eps = steps[t - 1] - m1
+        if t > 1:
+            eps -= (alpha / (t - 1)) * s_prev
         sq = eps * eps
-        self.sum1[t - 1] += eps.sum()
-        self.sum2[t - 1] += sq.sum()
-        self.sum4[t - 1] += (sq * sq).sum()
+        sums[0, t - 1] += eps.sum()
+        sums[1, t - 1] += sq.sum()
+        sums[2, t - 1] += (sq * sq).sum()
+        s_prev = s_tilde
 
 
-class _MarginalCollector:
-    """Accumulates per-step power sums of the raw step X_t (p = 1..8)."""
-
-    def __init__(self, n: int):
-        self.count = 0
-        self.sums = np.zeros((n, 8))
-
-    def collect(self, t, x, s_tilde_prev, s_tilde):
-        if t == 1:
-            self.count += x.size
-        row = self.sums[t - 1]
-        p = x.copy()
-        for k in range(8):
-            row[k] += p.sum()
-            if k < 7:
-                p *= x
+def _add_marginal_sums(sums: np.ndarray, steps: np.ndarray) -> None:
+    """Add one step matrix's per-step power sums of X_t (p = 1..8) to `sums` (n x 8)."""
+    for t, x in enumerate(steps):
+        sums[t] += _power_sums(x)
 
 
-def _collect_over_batch(dist, mp, n, replicates, master_seed, collectors):
-    alpha = as_memory(mp).alpha
-    ms = moment_set(dist)
-    chunk = _chunk_size(n, replicates)
-    for start in range(0, replicates, chunk):
-        stop = min(start + chunk, replicates)
-        keys = replicate_keys(master_seed, start, stop - start)
-        _run_paths(dist, ms, alpha, n, keys, collectors=collectors)
+@dataclass(frozen=True, eq=False)
+class MarginalSums:
+    """Per-step power sums over `count` walks: sums[t-1, p-1] = sum of X_t^p."""
+
+    count: int
+    sums: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,21 +469,19 @@ def batch_epsilon_moments(
 ) -> EpsilonMoments:
     """Empirical E(eps_t), E(eps_t^2), E(eps_t^4) for t = 1..n over a batch."""
     alpha = as_memory(mp).alpha
-    ms = moment_set(dist)
-    collector = _EpsilonCollector(alpha, ms.m1, n)
-    _collect_over_batch(dist, mp, n, replicates, master_seed, (collector,))
-    count = collector.count
-    mean = collector.sum1 / count
-    abs2 = collector.sum2 / count
-    abs4 = collector.sum4 / count
-    if count > 1:
-        variance = np.maximum(0.0, (abs2 - mean * mean) * (count / (count - 1.0)))
-        stderr = np.sqrt(variance / count)
+    m1 = moment_set(dist).m1
+    sums = np.zeros((3, n), dtype=np.float64)
+    for span in _chunk_spans(n, replicates):
+        _add_epsilon_sums(sums, _chunk_steps(dist, alpha, n, master_seed, span), alpha, m1)
+    mean, abs2, abs4 = sums / replicates
+    if replicates > 1:
+        variance = np.maximum(0.0, (abs2 - mean * mean) * (replicates / (replicates - 1.0)))
+        stderr = np.sqrt(variance / replicates)
     else:
         stderr = np.full(n, np.nan)
     scale_series = np.exp(-log_gamma_ratio(np.arange(1, n + 1, dtype=float), alpha))
     return EpsilonMoments(
-        n_replicates=count,
+        n_replicates=replicates,
         mean=mean,
         stderr=stderr,
         abs2=abs2,
@@ -518,15 +497,17 @@ def marginal_moment_sums(
     n: int,
     replicates: int,
     master_seed: int,
-) -> _MarginalCollector:
+) -> MarginalSums:
     """Per-step power sums of the raw step across a batch (p = 1..8).
 
     The marginal law of every X_t equals the step law, so the per-step
     empirical moments must match the raw moments at Monte Carlo accuracy.
     """
-    collector = _MarginalCollector(n)
-    _collect_over_batch(dist, mp, n, replicates, master_seed, (collector,))
-    return collector
+    alpha = as_memory(mp).alpha
+    sums = np.zeros((n, 8), dtype=np.float64)
+    for span in _chunk_spans(n, replicates):
+        _add_marginal_sums(sums, _chunk_steps(dist, alpha, n, master_seed, span))
+    return MarginalSums(count=replicates, sums=sums)
 
 
 @dataclass(frozen=True)

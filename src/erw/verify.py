@@ -515,12 +515,12 @@ def check_marginal_moments(
     out = []
     for label, dist in dists:
         exact = raw_moments(dist)
-        collector = marginal_moment_sums(dist, alpha, n, replicates, seed)
-        count = collector.count
+        marginal = marginal_moment_sums(dist, alpha, n, replicates, seed)
+        count = marginal.count
         worst = 0.0
         for p in range(1, 5):
-            mean = collector.sums[:, p - 1] / count
-            mean_sq = collector.sums[:, 2 * p - 1] / count
+            mean = marginal.sums[:, p - 1] / count
+            mean_sq = marginal.sums[:, 2 * p - 1] / count
             variance = np.maximum(0.0, (mean_sq - mean * mean) * count / (count - 1.0))
             stderr = np.sqrt(variance / count)
             gap = np.abs(mean - exact[p - 1])

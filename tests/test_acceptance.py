@@ -13,8 +13,6 @@ import pytest
 from erw import (
     StepDistribution,
     batch_epsilon_moments,
-    brute_force_moments,
-    closed_form_moments,
     conditional_continuation_test,
     empirical_q_moments,
     exact_moments_upto,
@@ -36,6 +34,7 @@ from erw.gammatools import RecursionSpec
 from erw.moments import MemoryParameter
 from erw.rng import replicate_keys, uniform_draws
 from erw.simulate import WalkState
+from erw.verify import PASS, check_brute_force, check_closed_form_vs_recursion
 
 RADEMACHER = StepDistribution.rademacher()
 BERNOULLI = StepDistribution.bernoulli(0.3)
@@ -46,12 +45,19 @@ TEST_DISTS = (("rademacher", RADEMACHER), ("bernoulli(0.3)", BERNOULLI), ("unifo
 # of criterion 2 well above double-precision rounding
 TWO_POINT = StepDistribution.discrete((-0.5, 1.0), (0.6, 0.4))
 
-MOMENT_FIELDS = ("s2", "st", "s3", "su", "t2", "s2t")
-
 
 def report(number: int, ok: bool, text: str) -> None:
     print(f"ACCEPTANCE {number} {'PASS' if ok else 'FAIL'}: {text}")
     assert ok, f"criterion {number}: {text}"
+
+
+def _verdict(results) -> tuple[bool, str]:
+    """Whether every verify result passed, and a summary of the worst error."""
+    failed = [r.name for r in results if r.status != PASS]
+    summary = f"worst {max(r.worst_error or 0.0 for r in results):.2e}"
+    if failed:
+        summary += f", not passed: {failed}"
+    return not failed, summary
 
 
 def test_criterion_1_recursion_vs_closed_form():
@@ -61,36 +67,22 @@ def test_criterion_1_recursion_vs_closed_form():
     cell whose exact value is identically zero (third moments of a symmetric
     law) carries recursion rounding noise proportional to its sibling
     moments, so a floor decoupled from that scale is not meaningful in
-    double precision.
+    double precision.  Cells that are not tiny relative to their row must
+    also meet the strict per-cell relative tolerance.
     """
     rel_tol, abs_floor = 1e-8, 1e-12
-    n_max = 10_000
     started = time.monotonic()
-    worst = 0.0
-    for alpha in (0.6, 0.75, 0.9, 1.0):
-        for label, dist in TEST_DISTS:
-            ms = moment_set(dist)
-            table = exact_moments_upto(ms, alpha, n_max)
-            ns = np.arange(1, n_max + 1, dtype=np.float64)
-            cf = closed_form_moments(ms, alpha, ns)
-            rec = np.column_stack([table.column(c) for c in MOMENT_FIELDS])
-            closed = np.column_stack([cf.s2, cf.st, cf.s3, cf.su, cf.t2, cf.s2t])
-            gap = np.abs(rec - closed)
-            cell_scale = np.maximum(np.abs(rec), np.abs(closed))
-            row_scale = cell_scale.max(axis=1, keepdims=True)
-            tolerance = np.maximum(rel_tol * row_scale, abs_floor)
-            assert np.all(gap <= tolerance), (alpha, label)
-            # cells that are not tiny relative to their row must also meet
-            # the strict per-cell relative tolerance
-            strict = cell_scale >= 1e-6 * row_scale
-            assert np.all(gap[strict] <= rel_tol * cell_scale[strict]), (alpha, label)
-            worst = max(worst, float((gap / np.maximum(row_scale, 1e-300)).max()))
+    results = check_closed_form_vs_recursion(
+        alphas=(0.6, 0.75, 0.9, 1.0), dists=TEST_DISTS, n_max=10_000,
+        rel_tol=rel_tol, abs_floor=abs_floor,
+    )
     elapsed = time.monotonic() - started
+    ok, worst = _verdict(results)
     report(
         1,
-        elapsed < 10.0,
-        f"closed forms vs recursions, 4 alphas x 3 laws, n<=1e4: worst "
-        f"row-relative gap {worst:.2e} (tol {rel_tol}), {elapsed:.1f}s (< 10 s)",
+        ok and elapsed < 10.0,
+        f"closed forms vs recursions, 4 alphas x 3 laws, n<=1e4: {worst} "
+        f"scaled gap (tol {rel_tol}), {elapsed:.1f}s (< 10 s)",
     )
 
 
@@ -98,24 +90,18 @@ def test_criterion_2_brute_force_oracle():
     """Enumeration equals the recursions to 1e-12 absolute for n <= 6."""
     atol = 1e-12
     started = time.monotonic()
-    worst = 0.0
-    for alpha in (0.0, 0.3, 0.5, 0.75, 1.0):
-        for dist in (RADEMACHER, TWO_POINT):
-            ms = moment_set(dist)
-            table = exact_moments_upto(ms, alpha, 6)
-            for n in range(1, 7):
-                brute = brute_force_moments(dist, alpha, n)
-                rec = table.row(n)
-                for name in MOMENT_FIELDS + ("s4",):
-                    gap = abs(getattr(brute, name) - getattr(rec, name))
-                    worst = max(worst, gap)
-                    assert gap <= atol, (alpha, dist.kind, n, name, gap)
+    results = check_brute_force(
+        alphas=(0.0, 0.3, 0.5, 0.75, 1.0),
+        dists=(("rademacher", RADEMACHER), ("discrete(-0.5,1)", TWO_POINT)),
+        n_max=6, atol=atol,
+    )
     elapsed = time.monotonic() - started
+    ok, worst = _verdict(results)
     report(
         2,
-        elapsed < 5.0,
-        f"enumeration vs recursion, 5 alphas x 2 laws, n<=6: worst gap "
-        f"{worst:.2e} (tol {atol}), {elapsed:.1f}s (< 5 s)",
+        ok and elapsed < 5.0,
+        f"enumeration vs recursion, 5 alphas x 2 laws, n<=6: {worst} gap "
+        f"(tol {atol}), {elapsed:.1f}s (< 5 s)",
     )
 
 

@@ -1,9 +1,11 @@
 """End-to-end CLI behaviour: schemas, exit codes, determinism, config."""
 
 import csv
+import hashlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -260,3 +262,49 @@ class TestConfigFile:
         )
         assert code == 0
         assert out_path.read_text().splitlines()[0] == "# master_seed=0x00000000deadbeef"
+
+
+class TestNonFiniteMoments:
+    """A law whose moments leave the double range fails fast: exit 2, one line."""
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--dist", '{"kind":"uniform","lo":0,"hi":1e200}',
+         "--alpha", "0.75", "--n", "10", "--replicates", "10"),
+        ("exact", "--dist", '{"kind":"gaussian","mean":0,"stddev":1e100}',
+         "--alpha", "0.75", "--n", "3"),
+        ("limits", "--dist", '{"kind":"discrete","points":[-1e200,1e200],"weights":[0.5,0.5]}',
+         "--alpha", "0.75"),
+    ], ids=["simulate-uniform", "exact-gaussian", "limits-discrete"])
+    def test_config_exit_with_one_line(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would escape as an error
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "not finite" in err
+
+
+class TestGoldenOutput:
+    """Output bytes pinned across versions, not only across reruns.
+
+    The Gaussian is left out: its sampler goes through np.log, whose last
+    bit may differ between numpy builds.
+    """
+
+    SKEWED = '{"kind":"discrete","points":[-1,2],"weights":[0.6,0.4]}'
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("simulate", "--dist", "rademacher", "--alpha", "0.75", "--n", "200",
+          "--replicates", "500", "--checkpoints", "100,200", "--seed", "0xfeed"),
+         "3697b026e1c9ccb83187540806e946bf36c11c4dd96979a1717aa88e475b9181"),
+        (("simulate", "--dist", SKEWED, "--alpha", "0.6", "--n", "200",
+          "--replicates", "500", "--checkpoints", "50,200", "--seed", "7"),
+         "6a26e1857ee84363febf79d94a99762d2e7172dd71ed7c8b2683f491c7ba6e49"),
+        (("exact", "--dist", SKEWED, "--alpha", "0.75", "--n", "200"),
+         "bae94fd1a49b032c568d4f13ae91ca4522d68e1bc7a823fd74a09ed24df9cc86"),
+    ], ids=["simulate-rademacher", "simulate-skewed", "exact-skewed"])
+    def test_sha256(self, argv, digest, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

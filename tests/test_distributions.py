@@ -266,7 +266,45 @@ class TestJson:
             StepDistribution.from_json({"kind": "zeta"})
 
 
+@st.composite
+def builtin_laws(draw):
+    kind = draw(st.sampled_from(("rademacher", "bernoulli", "uniform", "gaussian", "discrete")))
+    if kind == "rademacher":
+        return StepDistribution.rademacher()
+    if kind == "bernoulli":
+        return StepDistribution.bernoulli(draw(st.floats(0.0, 1.0)))
+    if kind == "uniform":
+        lo, hi = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2, unique=True)))
+        return StepDistribution.uniform(lo, hi)
+    if kind == "gaussian":
+        return StepDistribution.gaussian(draw(st.floats(-1e6, 1e6)), draw(st.floats(1e-6, 1e6)))
+    return draw(discrete_laws_with_zeros())
+
+
+def in_closed_support(dist, x) -> bool:
+    if not math.isfinite(x):
+        return False
+    if dist.kind == "rademacher":
+        return x in (-1.0, 1.0)
+    if dist.kind == "bernoulli":
+        return (x == 0.0 and dist.p < 1.0) or (x == 1.0 and dist.p > 0.0)
+    if dist.kind == "uniform":
+        return dist.lo <= x <= dist.hi
+    if dist.kind == "discrete":
+        return dict(zip(dist.points, dist.weights)).get(x, 0.0) > 0.0
+    return True  # a Gaussian's support is the whole line
+
+
 class TestSampling:
+    @settings(max_examples=300, deadline=None)
+    @given(builtin_laws())
+    def test_edge_uniforms_land_in_support(self, dist):
+        # 2**-54 is below the smallest uniform_draws value; 1.0 is its largest
+        edges = (2.0 ** -54, 0.5, 1.0)
+        for u, x in zip(edges, inverse_cdf(dist, np.array(edges))):
+            assert in_closed_support(dist, float(x)), (dist, u, x)
+            assert in_closed_support(dist, inverse_cdf(dist, u)), (dist, u)
+
     def test_rademacher_support(self):
         rng = np.random.default_rng(1)
         values = sample_step(StepDistribution.rademacher(), rng, size=1000)

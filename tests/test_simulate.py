@@ -20,7 +20,7 @@ from erw import (
 import erw.simulate as sim
 from erw.distributions import inverse_cdf
 from erw.rng import mix64, parse_seed, replicate_key, replicate_keys, uniform_draw, uniform_draws
-from erw.simulate import ExactSum, WalkState, _EpsilonCollector, _MarginalCollector
+from erw.simulate import ExactSum, WalkState, marginal_moment_sums
 
 LAWS = (
     StepDistribution.rademacher(),
@@ -31,12 +31,55 @@ LAWS = (
 )
 
 
+class _EpsilonCollector:
+    """Test oracle: per-step sums of eps, eps^2 and eps^4, fed one step at a time."""
+
+    def __init__(self, alpha: float, m1: float, n: int):
+        self.alpha = alpha
+        self.m1 = m1
+        self.count = 0
+        self.sum1 = np.zeros(n)
+        self.sum2 = np.zeros(n)
+        self.sum4 = np.zeros(n)
+
+    def collect(self, t, x, s_tilde_prev, s_tilde):
+        if t == 1:
+            self.count += x.size
+            eps = x - self.m1
+        else:
+            eps = x - self.m1 - (self.alpha / (t - 1)) * s_tilde_prev
+        sq = eps * eps
+        self.sum1[t - 1] += eps.sum()
+        self.sum2[t - 1] += sq.sum()
+        self.sum4[t - 1] += (sq * sq).sum()
+
+
+class _MarginalCollector:
+    """Test oracle: per-step power sums of the raw step X_t (p = 1..8)."""
+
+    def __init__(self, n: int):
+        self.count = 0
+        self.sums = np.zeros((n, 8))
+
+    def collect(self, t, x, s_tilde_prev, s_tilde):
+        if t == 1:
+            self.count += x.size
+        row = self.sums[t - 1]
+        p = x.copy()
+        for k in range(8):
+            row[k] += p.sum()
+            if k < 7:
+                p *= x
+
+
 def _reference_run_paths(dist, ms, alpha, n, keys, checkpoint_index=None,
                          collectors=(), keep_steps=False):
-    """Test oracle: the simulator loop that draws one step at a time.
+    """Test oracle: the simulator loop that draws one step at a time and
+    computes every statistic inside it, through the collectors above.
 
-    `_run_paths` draws a block of steps at a time and must reproduce this
-    loop's output bit for bit.
+    `_run_paths` draws a block of steps at a time and only builds the step
+    matrix; the statistics computed from that matrix afterwards must
+    reproduce this loop's output bit for bit.
     """
     width = keys.size
     steps = np.empty((n, width), dtype=np.float64)
@@ -105,10 +148,13 @@ class TestRng:
             assert block.shape == (len(counters), keys.size)
             assert block.tobytes() == expected.tobytes()
 
-    def test_uniforms_open_interval(self):
+    def test_uniforms_in_half_open_unit_interval(self):
+        # the documented contract is (0, 1]: the top 53-bit integer maps to
+        # exactly 1.0 (the +0.5 rounds to even), with probability 2^-53
+        assert ((2 ** 53 - 1) + 0.5) * 2.0 ** -53 == 1.0
         keys = replicate_keys(5, 0, 10_000)
         u = uniform_draws(keys, 0)
-        assert np.all(u > 0.0) and np.all(u < 1.0)
+        assert np.all(u > 0.0) and np.all(u <= 1.0)
 
     def test_parse_seed(self):
         assert parse_seed("123") == 123
@@ -155,7 +201,8 @@ class TestSimulatePath:
 
 
 class TestBlockedDraws:
-    """`_run_paths` against the step-at-a-time oracle, byte for byte."""
+    """The step matrix and every statistic against the step-at-a-time oracle,
+    byte for byte."""
 
     # (width, block budget): a small budget puts the block edges of the
     # narrow widths at n in the hundreds; None keeps the module's budget
@@ -165,21 +212,45 @@ class TestBlockedDraws:
         if budget is not None:
             monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", budget)
         ms = moment_set(dist)
-        alpha = 0.6
-        keys = replicate_keys(2718, 40, width)
+        alpha, seed = 0.6, 2718
+        keys = replicate_keys(seed, 0, width)
         rows = max(1, sim._BLOCK_ELEMENTS // width)
         for n in (1, 2, rows - 1, rows, rows + 1, 2 * rows + 3):
             cps = sorted({1, 2, rows - 1, rows, rows + 1, n} & set(range(1, n + 1)))
             cpi = {c: i for i, c in enumerate(cps)}
-            runs = []
-            for run_paths in (sim._run_paths, _reference_run_paths):
-                eps = _EpsilonCollector(alpha, ms.m1, n)
-                marginal = _MarginalCollector(n)
-                sums, steps = run_paths(dist, ms, alpha, n, keys, checkpoint_index=cpi,
-                                        collectors=(eps, marginal), keep_steps=True)
-                runs.append([a.tobytes() for a in
-                             (steps, sums, eps.sum1, eps.sum2, eps.sum4, marginal.sums)])
-            assert runs[0] == runs[1], (dist.kind, width, n)
+            eps = _EpsilonCollector(alpha, ms.m1, n)
+            marginal = _MarginalCollector(n)
+            ref_sums, ref_steps = _reference_run_paths(
+                dist, ms, alpha, n, keys, checkpoint_index=cpi,
+                collectors=(eps, marginal), keep_steps=True,
+            )
+            eps_sums = np.stack([eps.sum1, eps.sum2, eps.sum4])
+            where = (dist.kind, width, n)
+
+            steps = sim._run_paths(dist, alpha, n, keys)
+            assert steps.tobytes() == ref_steps.tobytes(), where
+            assert sim._checkpoint_sums(steps, ms.m1, cpi).tobytes() == ref_sums.tobytes(), where
+            acc = simulate_batch(dist, alpha, n, width, seed, cps)
+            batch_sums = np.array([[acc.power_sum(c, p) for p in range(1, 9)] for c in cps])
+            assert batch_sums.tobytes() == ref_sums.tobytes(), where
+
+            sums = np.zeros((3, n))
+            sim._add_epsilon_sums(sums, steps, alpha, ms.m1)
+            assert sums.tobytes() == eps_sums.tobytes(), where
+            stats = batch_epsilon_moments(dist, alpha, n, width, seed)
+            assert stats.n_replicates == eps.count == width
+            for got, ref in zip((stats.mean, stats.abs2, stats.abs4), eps_sums / eps.count):
+                assert got.tobytes() == ref.tobytes(), where
+
+            batch_marginal = marginal_moment_sums(dist, alpha, n, width, seed)
+            assert batch_marginal.count == marginal.count == width
+            assert batch_marginal.sums.tobytes() == marginal.sums.tobytes(), where
+
+    def test_chunk_spans_cover_replicates_in_order(self, monkeypatch):
+        monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 1000)
+        assert sim._chunk_spans(300, 10) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert sim._chunk_spans(5000, 2) == [(0, 1), (1, 2)]
+        assert sim._chunk_spans(10, 7) == [(0, 7)]
 
 
 class TestExactSum:
@@ -233,9 +304,8 @@ class TestBatch:
         for acc, start, stop in ((a, 0, 300), (b, 300, 700)):
             for lo in range(start, stop, 128):
                 hi = min(lo + 128, stop)
-                keys = replicate_keys(5, lo, hi - lo)
-                sums, _ = sim._run_paths(bernoulli03, ms, 0.7, 80, keys, checkpoint_index={80: 0})
-                acc.add_chunk(sums, hi - lo)
+                steps = sim._chunk_steps(bernoulli03, 0.7, 80, 5, (lo, hi))
+                acc.add_chunk(sim._checkpoint_sums(steps, ms.m1, {80: 0}), hi - lo)
         a.merge(b)
         assert a.n_replicates == full.n_replicates
         for p in range(1, 9):
