@@ -8,7 +8,8 @@ Commands:
     sweep     limit moments over an alpha grid (CSV)
 
 Configuration comes from an optional JSON file plus flag overrides; flags
-win.  Exit codes: 0 success, 1 verification failure, 2 configuration error.
+win.  Exit codes: 0 success, 1 verification failure, 2 configuration error,
+3 any other error.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def cmd_exact(config: ExperimentConfig) -> int:
         return 0
 
     cf = closed_form_moments(ms, alpha, np.arange(1, config.n + 1, dtype=np.float64))
-    closed = {name: np.atleast_1d(getattr(cf, name)) for name in _CF_FIELDS}
+    closed = [np.atleast_1d(getattr(cf, name)) for name in _CF_FIELDS]
     with _open_out(config.out) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
@@ -235,20 +236,24 @@ def cmd_exact(config: ExperimentConfig) -> int:
             + [f"cf_{name}" for name in _CF_FIELDS]
             + [f"relerr_{name}" for name in _CF_FIELDS]
         )
-        for row in table:
-            cells = [row.n] + [_fmt(getattr(row, name)) for name in CSV_COLUMNS[1:]]
-            pairs = [
-                (getattr(row, name), float(closed[name][row.n - 1]))
-                for name in _CF_FIELDS
-            ]
-            # deviations are reported relative to the row's largest moment
-            # magnitude; moments that are exactly zero carry recursion noise
-            # proportional to their siblings, not to themselves
-            row_scale = max(max(abs(rec), abs(form)) for rec, form in pairs)
-            row_scale = max(row_scale, 1e-300)
-            cells += [_fmt(form) for _, form in pairs]
-            cells += [_fmt(abs(rec - form) / row_scale) for rec, form in pairs]
-            writer.writerow(cells)
+        # the closed forms cover the table's first six columns, in order;
+        # csv writes every float as its repr
+        for first, rows in table.row_blocks():
+            span = slice(first - 1, first - 1 + len(rows))
+            cf_rows = np.column_stack([column[span] for column in closed]).tolist()
+            cells = []
+            for n, (row, cf_row) in enumerate(zip(rows, cf_rows), first):
+                pairs = list(zip(row, cf_row))
+                # deviations are reported relative to the row's largest moment
+                # magnitude; moments that are exactly zero carry recursion noise
+                # proportional to their siblings, not to themselves
+                row_scale = max(max(abs(rec), abs(form)) for rec, form in pairs)
+                row_scale = max(row_scale, 1e-300)
+                cells.append(
+                    [n, *row, *cf_row]
+                    + [abs(rec - form) / row_scale for rec, form in pairs]
+                )
+            writer.writerows(cells)
     return 0
 
 
@@ -265,7 +270,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         checkpoints, workers=config.workers,
     )
     estimates = empirical_q_moments(acc, alpha)
-    table = exact_moments_upto(ms, alpha, config.n)
+    table = exact_moments_upto(ms, alpha, checkpoints[-1])
     try:
         limits = limit_q_moments(ms, alpha)
         limit_by_p = {1: limits.q1, 2: limits.q2, 3: limits.q3, 4: limits.q4}
@@ -402,6 +407,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 is kept for verification failures
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -38,6 +38,11 @@ from .gammatools import SingularParameterError, log_gamma_ratio, recip_gamma
 #: the respective formulas) are rejected; the recursion path covers them.
 ALPHA_TOL = 1e-8
 
+#: Rows per block when the recursion fills its table and when a table is
+#: written as CSV.  Only one block of rows is ever held as Python floats,
+#: so memory stays flat in n.
+_ROW_BLOCK = 4096
+
 
 class RegimeError(ValueError):
     """An operation that requires the superdiffusive regime got alpha <= 1/2."""
@@ -98,14 +103,17 @@ class ExactMomentTable:
             raise IndexError(f"n must be in 1..{len(self)}, got {n}")
         return ExactMomentRow(n, *(float(v) for v in self._values[n - 1]))
 
-    def __iter__(self) -> Iterator[ExactMomentRow]:
-        return (self.row(n) for n in range(1, len(self) + 1))
-
     def column(self, name: str) -> np.ndarray:
         idx = CSV_COLUMNS.index(name) - 1
         if idx < 0:
             return np.arange(1, len(self) + 1)
         return self._values[:, idx]
+
+    def row_blocks(self) -> Iterator[tuple[int, list[list[float]]]]:
+        """Yield (n of the first row, the rows as lists of seven floats), a
+        block of rows at a time."""
+        for start in range(0, len(self), _ROW_BLOCK):
+            yield start + 1, self._values[start : start + _ROW_BLOCK].tolist()
 
     def write_csv(self, path_or_file) -> None:
         """Write the table as CSV with shortest round-trip decimals."""
@@ -115,8 +123,9 @@ class ExactMomentTable:
             return
         writer = csv.writer(path_or_file, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for n in range(1, len(self) + 1):
-            writer.writerow([n] + [repr(float(v)) for v in self._values[n - 1]])
+        for first, rows in self.row_blocks():
+            # csv writes a float as its repr
+            writer.writerows([n, *row] for n, row in enumerate(rows, first))
 
     @classmethod
     def read_csv(cls, path_or_file) -> "ExactMomentTable":
@@ -134,12 +143,6 @@ class ExactMomentTable:
         buf = io.StringIO()
         self.write_csv(buf)
         return buf.getvalue()
-
-
-def _kahan_add(value: float, comp: float, increment: float) -> tuple[float, float]:
-    y = increment - comp
-    t = value + y
-    return t, (t - value) - y
 
 
 def exact_moments_upto(
@@ -164,33 +167,62 @@ def exact_moments_upto(
     cs2 = cst = cs3 = csu = ct2 = cs2t = cs4 = 0.0
     values[0] = (s2, st, s3, su, t2, s2t, s4)
 
-    for n in range(1, n_max):
-        a = alpha / n
-        a2 = 2.0 * a
-        a3 = 3.0 * a
-        a4 = 4.0 * a
-        inc_s2 = a2 * s2 + M2
-        inc_st = a2 * st + M12
-        inc_s3 = a3 * s3 + a3 * st - 6.0 * a * m1 * s2 + M3
-        inc_su = a2 * su + M13
-        inc_t2 = a2 * t2 + M22
-        inc_s2t = a3 * s2t + a2 * su + a * t2 - a4 * m1 * st - a2 * m2 * s2 + M112
-        inc_s4 = (
-            a4 * s4
-            + 6.0 * a * s2t
-            + a4 * su
-            - 12.0 * a * m1 * (s3 + st)
-            + (12.0 * a * m1 * m1 + 6.0 * M2) * s2
-            + M4
-        )
-        s2, cs2 = _kahan_add(s2, cs2, inc_s2)
-        st, cst = _kahan_add(st, cst, inc_st)
-        s3, cs3 = _kahan_add(s3, cs3, inc_s3)
-        su, csu = _kahan_add(su, csu, inc_su)
-        t2, ct2 = _kahan_add(t2, ct2, inc_t2)
-        s2t, cs2t = _kahan_add(s2t, cs2t, inc_s2t)
-        s4, cs4 = _kahan_add(s4, cs4, inc_s4)
-        values[n] = (s2, st, s3, su, t2, s2t, s4)
+    # the loop runs in the interpreter, so its cost is per bytecode: the
+    # compensated additions are written out in place rather than called,
+    # and rows are kept as tuples and copied into `values` a block at a time
+    for first in range(1, n_max, _ROW_BLOCK):
+        last = min(first + _ROW_BLOCK, n_max)
+        block = []
+        append = block.append
+        for n in range(first, last):
+            a = alpha / n
+            a2 = 2.0 * a
+            a3 = 3.0 * a
+            a4 = 4.0 * a
+            inc_s2 = a2 * s2 + M2
+            inc_st = a2 * st + M12
+            inc_s3 = a3 * s3 + a3 * st - 6.0 * a * m1 * s2 + M3
+            inc_su = a2 * su + M13
+            inc_t2 = a2 * t2 + M22
+            inc_s2t = a3 * s2t + a2 * su + a * t2 - a4 * m1 * st - a2 * m2 * s2 + M112
+            inc_s4 = (
+                a4 * s4
+                + 6.0 * a * s2t
+                + a4 * su
+                - 12.0 * a * m1 * (s3 + st)
+                + (12.0 * a * m1 * m1 + 6.0 * M2) * s2
+                + M4
+            )
+            y = inc_s2 - cs2
+            t = s2 + y
+            cs2 = (t - s2) - y
+            s2 = t
+            y = inc_st - cst
+            t = st + y
+            cst = (t - st) - y
+            st = t
+            y = inc_s3 - cs3
+            t = s3 + y
+            cs3 = (t - s3) - y
+            s3 = t
+            y = inc_su - csu
+            t = su + y
+            csu = (t - su) - y
+            su = t
+            y = inc_t2 - ct2
+            t = t2 + y
+            ct2 = (t - t2) - y
+            t2 = t
+            y = inc_s2t - cs2t
+            t = s2t + y
+            cs2t = (t - s2t) - y
+            s2t = t
+            y = inc_s4 - cs4
+            t = s4 + y
+            cs4 = (t - s4) - y
+            s4 = t
+            append((s2, st, s3, su, t2, s2t, s4))
+        values[first:last] = block
 
     return ExactMomentTable(values)
 

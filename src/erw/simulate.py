@@ -285,7 +285,8 @@ def simulate_batch(
 
     Replicate i uses stream key replicate_key(master_seed, i).  Work is cut
     into fixed-size chunks and partial sums are merged exactly, so the
-    result is bit-identical for any `workers`.
+    result is bit-identical for any `workers`.  Walks are simulated only to
+    the last checkpoint; `n` still sets the chunk layout.
     """
     alpha = as_memory(mp).alpha
     if replicates < 1:
@@ -299,9 +300,10 @@ def simulate_batch(
         )
     m1 = moment_set(dist).m1
     cpi = {c: i for i, c in enumerate(acc.checkpoints)}
+    last = acc.checkpoints[-1]
 
     def run(span: tuple[int, int]):
-        steps = _chunk_steps(dist, alpha, n, master_seed, span)
+        steps = _chunk_steps(dist, alpha, last, master_seed, span)
         return _checkpoint_sums(steps, m1, cpi), span[1] - span[0]
 
     spans = _chunk_spans(n, replicates)

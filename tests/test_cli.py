@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 import erw.cli as cli
+import erw.simulate as sim
 from erw.cli import main
 from erw.verify import CheckResult
 
@@ -132,6 +133,27 @@ class TestSimulate:
         assert float(p2["estimate"]) == 1.0
         assert float(p2["exact"]) == 1.0
         assert float(p2["limit"]) == 1.0
+
+    def test_stops_at_last_checkpoint(self, capsys, monkeypatch):
+        # two chunks of 100 walks at n = 3000; each is simulated to step 1000
+        monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 300_000)
+        rows = []
+        run_paths = sim._run_paths
+
+        def spy(dist, alpha, n, keys):
+            rows.append(n)
+            return run_paths(dist, alpha, n, keys)
+
+        monkeypatch.setattr(sim, "_run_paths", spy)
+        code, out, _ = run_cli(
+            capsys, "simulate", "--dist", "rademacher", "--alpha", "0.75", "--n", "3000",
+            "--replicates", "200", "--checkpoints", "1000", "--seed", "5",
+        )
+        assert code == 0 and rows == [1000, 1000]
+        # the bytes written when all 3000 steps were simulated
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7a1ebc59aaeccf0660d86d5ef15249db403d62cff103f889dabe05e4c9c1fa57"
+        )
 
     def test_checkpoint_bounds(self, capsys):
         code, _, err = run_cli(
@@ -284,6 +306,23 @@ class TestNonFiniteMoments:
         assert err.count("\n") == 1 and err.startswith("error: ") and "not finite" in err
 
 
+class TestUnexpectedErrors:
+    """An error that is neither a configuration error nor a verification
+    failure exits 3 with one line on stderr."""
+
+    @pytest.mark.parametrize("error", [RuntimeError("injected"), MemoryError("injected")],
+                             ids=["runtime", "memory"])
+    def test_exit_three_with_one_line(self, error, capsys, monkeypatch):
+        def fail(config):
+            raise error
+
+        monkeypatch.setitem(cli._COMMANDS, "exact", fail)
+        code, out, err = run_cli(capsys, "exact", "--dist", "rademacher", "--alpha", "0.75")
+        assert code == 3
+        assert out == ""
+        assert err == f"error: unexpected {type(error).__name__}: injected\n"
+
+
 class TestGoldenOutput:
     """Output bytes pinned across versions, not only across reruns.
 
@@ -302,7 +341,13 @@ class TestGoldenOutput:
          "6a26e1857ee84363febf79d94a99762d2e7172dd71ed7c8b2683f491c7ba6e49"),
         (("exact", "--dist", SKEWED, "--alpha", "0.75", "--n", "200"),
          "bae94fd1a49b032c568d4f13ae91ca4522d68e1bc7a823fd74a09ed24df9cc86"),
-    ], ids=["simulate-rademacher", "simulate-skewed", "exact-skewed"])
+        # 10000 rows cross the row blocks of the recursion and the writers
+        (("exact", "--dist", SKEWED, "--alpha", "0.75", "--n", "10000"),
+         "5d8da701ec2afdb041a1e684c735c8651584a2da2985be9c5ef2d40ad6f85dfd"),
+        (("exact", "--dist", SKEWED, "--alpha", "0.75", "--n", "10000", "--compare"),
+         "5dbd978c6dd18045783672c1f57aa3e80e1dd8163991be5fda1f3304488aeabe"),
+    ], ids=["simulate-rademacher", "simulate-skewed", "exact-skewed",
+            "exact-skewed-blocks", "exact-skewed-blocks-compare"])
     def test_sha256(self, argv, digest, tmp_path, capsys):
         path = tmp_path / "out.csv"
         code, _, _ = run_cli(capsys, *argv, "--out", str(path))

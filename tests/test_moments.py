@@ -22,9 +22,64 @@ from erw import (
     moment_set,
     s4_asymptote,
 )
-from erw.moments import ExactMomentTable
+from erw.moments import _ROW_BLOCK, ExactMomentTable
 
 ROW_FIELDS = ("s2", "st", "s3", "su", "t2", "s2t", "s4")
+
+ORACLE_LAWS = {
+    "rademacher": StepDistribution.rademacher(),
+    "bernoulli": StepDistribution.bernoulli(0.3),
+    "uniform": StepDistribution.uniform(0.0, 1.0),
+    "skewed": StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4)),
+    "gaussian": StepDistribution.gaussian(0.5, 2.0),
+}
+
+
+def _kahan_add(value, comp, increment):
+    y = increment - comp
+    t = value + y
+    return t, (t - value) - y
+
+
+def _reference_exact_moments(ms, alpha, n_max):
+    """Test oracle: the seven recursions in their plain form, one call per
+    compensated addition and one numpy row stored per step.
+    `exact_moments_upto` must reproduce its bytes."""
+    m1, m2 = ms.m1, ms.m2
+    M2, M3, M4 = ms.M2, ms.M3, ms.M4
+    M12, M13, M22, M112 = ms.M12, ms.M13, ms.M22, ms.M112
+    values = np.empty((n_max, 7), dtype=np.float64)
+    s2, st, s3, su, t2, s2t, s4 = M2, M12, M3, M13, M22, M112, M4
+    cs2 = cst = cs3 = csu = ct2 = cs2t = cs4 = 0.0
+    values[0] = (s2, st, s3, su, t2, s2t, s4)
+    for n in range(1, n_max):
+        a = alpha / n
+        a2 = 2.0 * a
+        a3 = 3.0 * a
+        a4 = 4.0 * a
+        inc_s2 = a2 * s2 + M2
+        inc_st = a2 * st + M12
+        inc_s3 = a3 * s3 + a3 * st - 6.0 * a * m1 * s2 + M3
+        inc_su = a2 * su + M13
+        inc_t2 = a2 * t2 + M22
+        inc_s2t = a3 * s2t + a2 * su + a * t2 - a4 * m1 * st - a2 * m2 * s2 + M112
+        inc_s4 = (
+            a4 * s4
+            + 6.0 * a * s2t
+            + a4 * su
+            - 12.0 * a * m1 * (s3 + st)
+            + (12.0 * a * m1 * m1 + 6.0 * M2) * s2
+            + M4
+        )
+        s2, cs2 = _kahan_add(s2, cs2, inc_s2)
+        st, cst = _kahan_add(st, cst, inc_st)
+        s3, cs3 = _kahan_add(s3, cs3, inc_s3)
+        su, csu = _kahan_add(su, csu, inc_su)
+        t2, ct2 = _kahan_add(t2, ct2, inc_t2)
+        s2t, cs2t = _kahan_add(s2t, cs2t, inc_s2t)
+        s4, cs4 = _kahan_add(s4, cs4, inc_s4)
+        values[n] = (s2, st, s3, su, t2, s2t, s4)
+    return values
 
 
 class TestMemoryParameter:
@@ -60,6 +115,17 @@ class TestExactRecursion:
     def test_rejects_bad_n(self, standard_moment_sets):
         with pytest.raises(ValueError):
             exact_moments_upto(standard_moment_sets["rademacher"], 0.5, 0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0 / 3.0, 0.5, 0.6, 0.75, 1.0])
+    @pytest.mark.parametrize("law", sorted(ORACLE_LAWS))
+    def test_bytes_match_oracle(self, law, alpha):
+        ms = moment_set(ORACLE_LAWS[law])
+        sizes = (1, 2, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3)
+        # a table is a prefix of every longer table, so one oracle run serves all sizes
+        oracle = _reference_exact_moments(ms, alpha, sizes[-1])
+        for n in sizes:
+            values = exact_moments_upto(ms, alpha, n)._values
+            assert values.tobytes() == oracle[:n].tobytes(), n
 
     def test_rademacher_degeneracy_exact(self, standard_moment_sets):
         # T~ == 0 for steps in {-1, +1}: st, t2, s2t vanish and su == s2
