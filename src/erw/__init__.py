@@ -14,7 +14,6 @@ from .distributions import (
     inverse_cdf,
     moment_set,
     raw_moments,
-    sample_step,
 )
 from .gammatools import (
     GammaRatio,

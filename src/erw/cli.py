@@ -331,7 +331,7 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     dists = config.dists or [config.dist]
     with _open_out(config.out) as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["dist", "alpha", "status", "q1", "q2", "q3", "q4", "k4"])
+        writer.writerow(["dist", "alpha", "status", "q1", "q2", "q3", "q4"])
         for dist in dists:
             label = json.dumps(dist.to_json(), separators=(",", ":"))
             ms = moment_set(dist)
@@ -344,7 +344,7 @@ def cmd_sweep(config: ExperimentConfig) -> int:
                     # alpha = 1/2 itself is outside the regime and singular
                     singular = isinstance(exc, SingularParameterError) or alpha == 0.5
                     status = "singular" if singular else "subdiffusive"
-                    writer.writerow([label, _fmt(alpha), status, "", "", "", "", ""])
+                    writer.writerow([label, _fmt(alpha), status, "", "", "", ""])
                     continue
                 writer.writerow(
                     [
@@ -354,7 +354,6 @@ def cmd_sweep(config: ExperimentConfig) -> int:
                         _fmt(limits.q1),
                         _fmt(limits.q2),
                         _fmt(limits.q3),
-                        _fmt(limits.q4),
                         _fmt(limits.q4),
                     ]
                 )

@@ -336,10 +336,3 @@ def inverse_cdf(dist: StepDistribution, u):
         idx = np.searchsorted(cum, u, side="right")
         out = np.asarray(dist.points)[np.minimum(idx, top)]
     return float(out[0]) if scalar else out
-
-
-def sample_step(dist: StepDistribution, rng: np.random.Generator, size=None):
-    """Draw from `dist` using the caller's generator, one uniform per sample."""
-    if size is None:
-        return inverse_cdf(dist, rng.random())
-    return inverse_cdf(dist, rng.random(size))

@@ -8,7 +8,8 @@ cancels.  On top of that sit two closed-form gamma-ratio sums and the
 generic solver for first-order recursions b_{n+1} = (1 + beta/n) b_n + c_n.
 
 Direct-summation / direct-iteration twins of the closed forms are provided
-as testing oracles; they are O(n) and not meant for production use.
+as testing oracles.  They are O(n): the direct sums evaluate every term in
+one array call and add the terms exactly with math.fsum.
 """
 
 from __future__ import annotations
@@ -228,13 +229,15 @@ def gamma_sum_weighted(a: float, b: float, n: int) -> float:
 def gamma_sum_linear_direct(a: float, b: float, n: int) -> float:
     """Term-by-term evaluation of the linear gamma sum (testing oracle)."""
     _check_sum_domain(a, b, n)
-    return math.fsum(gamma_ratio(j + a, j + b) for j in range(1, n + 1))
+    j = np.arange(1.0, n + 1.0)
+    return math.fsum(np.exp(log_gamma_ratio(j + b, a - b)).tolist())
 
 
 def gamma_sum_weighted_direct(a: float, b: float, n: int) -> float:
     """Term-by-term evaluation of the weighted gamma sum (testing oracle)."""
     _check_sum_domain(a, b, n)
-    return math.fsum(j * gamma_ratio(j + a, j + b) for j in range(1, n + 1))
+    j = np.arange(1.0, n + 1.0)
+    return math.fsum((j * np.exp(log_gamma_ratio(j + b, a - b))).tolist())
 
 
 @dataclass(frozen=True)
@@ -275,11 +278,10 @@ def solve_recursion(spec: RecursionSpec, n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     beta = spec.beta
+    # Gamma(j+1) / Gamma(j+1+beta) for j = 1..n-1
+    factors = np.exp(-log_gamma_ratio(np.arange(2.0, n + 1.0), beta)).tolist()
     terms = [spec.b1 / math.gamma(1.0 + beta)]
-    terms.extend(
-        math.exp(-_log_gamma_ratio_scalar(j + 1.0, beta)) * spec.c_seq(j)
-        for j in range(1, n)
-    )
+    terms.extend(f * spec.c_seq(j) for j, f in enumerate(factors, 1))
     return math.exp(_log_gamma_ratio_scalar(float(n), beta)) * math.fsum(terms)
 
 

@@ -23,7 +23,6 @@ provides a brute-force enumeration oracle for small n.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -126,23 +125,6 @@ class ExactMomentTable:
         for first, rows in self.row_blocks():
             # csv writes a float as its repr
             writer.writerows([n, *row] for n, row in enumerate(rows, first))
-
-    @classmethod
-    def read_csv(cls, path_or_file) -> "ExactMomentTable":
-        if isinstance(path_or_file, (str, os.PathLike)):
-            with open(path_or_file, "r", newline="") as handle:
-                return cls.read_csv(handle)
-        reader = csv.reader(path_or_file)
-        header = next(reader)
-        if tuple(header[: len(CSV_COLUMNS)]) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        rows = [[float(cell) for cell in row[1:8]] for row in reader if row]
-        return cls(np.asarray(rows, dtype=np.float64))
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
 
 
 def exact_moments_upto(

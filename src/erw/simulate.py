@@ -25,7 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .distributions import MomentSet, StepDistribution, inverse_cdf, moment_set
-from .gammatools import log_gamma_ratio, martingale_scale
+from .gammatools import martingale_scale
 from .moments import (
     ConditionalStepMoments,
     MemoryParameter,
@@ -396,7 +396,7 @@ def martingale_diagnostics(
     eps[0] = s_tilde[0]
     if n > 1:
         eps[1:] = s_tilde[1:] - (1.0 + alpha / k[:-1]) * s_tilde[:-1]
-    scale_series = np.exp(-log_gamma_ratio(k, alpha))
+    scale_series = martingale_scale(k, alpha)
     contributions = scale_series * eps
     weighted = np.cumsum(contributions)
     q_direct = float(scale_series[-1] * s_tilde[-1])
@@ -481,7 +481,7 @@ def batch_epsilon_moments(
         stderr = np.sqrt(variance / replicates)
     else:
         stderr = np.full(n, np.nan)
-    scale_series = np.exp(-log_gamma_ratio(np.arange(1, n + 1, dtype=float), alpha))
+    scale_series = martingale_scale(np.arange(1, n + 1, dtype=float), alpha)
     return EpsilonMoments(
         n_replicates=replicates,
         mean=mean,

@@ -13,6 +13,7 @@ import erw.cli as cli
 import erw.simulate as sim
 from erw.cli import main
 from erw.verify import CheckResult
+from table_csv import read_table_csv
 
 
 def run_cli(capsys, *argv):
@@ -84,9 +85,7 @@ class TestExact:
             "--n", "20", "--out", str(out_path),
         )
         assert code == 0
-        from erw.moments import ExactMomentTable
-
-        table = ExactMomentTable.read_csv(out_path)
+        table = read_table_csv(out_path)
         assert len(table) == 20
 
 
@@ -222,6 +221,14 @@ class TestSweep:
                 assert {q: float(row[q]) for q in limits} == limits
             else:
                 assert row["q2"] == ""
+
+    def test_header_and_field_counts(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--dist", "rademacher", "--alphas", "0.5,0.75")
+        assert code == 0
+        header, singular, ok = list(csv.reader(io.StringIO(out)))
+        assert header == ["dist", "alpha", "status", "q1", "q2", "q3", "q4"]
+        assert singular[2] == "singular" and len(singular) == 7
+        assert ok[2] == "ok" and len(ok) == 7
 
     def test_missing_grid(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--dist", "rademacher")

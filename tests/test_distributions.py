@@ -19,7 +19,6 @@ from erw import (
     inverse_cdf,
     moment_set,
     raw_moments,
-    sample_step,
 )
 from erw.rng import replicate_keys, uniform_draws
 
@@ -306,22 +305,22 @@ class TestSampling:
             assert in_closed_support(dist, inverse_cdf(dist, u)), (dist, u)
 
     def test_rademacher_support(self):
-        rng = np.random.default_rng(1)
-        values = sample_step(StepDistribution.rademacher(), rng, size=1000)
+        u = np.random.default_rng(1).random(1000)
+        values = inverse_cdf(StepDistribution.rademacher(), u)
         assert set(np.unique(values)) == {-1.0, 1.0}
 
     def test_bernoulli_degenerate(self):
-        rng = np.random.default_rng(2)
-        assert np.all(sample_step(StepDistribution.bernoulli(0.0), rng, size=500) == 0.0)
+        u = np.random.default_rng(2).random(500)
+        assert np.all(inverse_cdf(StepDistribution.bernoulli(0.0), u) == 0.0)
 
     def test_point_mass(self):
-        rng = np.random.default_rng(3)
-        assert np.all(sample_step(StepDistribution.discrete([2.0], [1.0]), rng, size=64) == 2.0)
+        u = np.random.default_rng(3).random(64)
+        assert np.all(inverse_cdf(StepDistribution.discrete([2.0], [1.0]), u) == 2.0)
 
     def test_scalar_matches_vector(self):
         dist = StepDistribution.gaussian(0.5, 2.0)
         u = 0.371
-        assert sample_step(dist, _FixedUniform(u)) == inverse_cdf(dist, np.array([u]))[0]
+        assert inverse_cdf(dist, u) == inverse_cdf(dist, np.array([u]))[0]
 
     def test_norm_inv_cdf_against_mpmath(self):
         import mpmath as mp
@@ -366,13 +365,3 @@ class TestSampling:
                 se = powers.std(ddof=1) / math.sqrt(n)
                 gap = abs(powers.mean() - exact[k - 1])
                 assert gap <= 4.0 * se + 1e-12, (dist.kind, k, gap, se)
-
-
-class _FixedUniform:
-    """Minimal stand-in for a Generator that returns a preset uniform."""
-
-    def __init__(self, u):
-        self._u = u
-
-    def random(self, size=None):
-        return self._u if size is None else np.full(size, self._u)

@@ -194,6 +194,18 @@ class TestGammaSums:
         weighted = gamma_sum_weighted(a, b, n)
         assert weighted == pytest.approx(gamma_sum_weighted_direct(a, b, n), rel=1e-10)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(0.0, 4.0), st.floats(0.0, 4.0), st.integers(1, 1000))
+    def test_direct_sums_match_scalar_loop(self, a, b, n):
+        # test oracle: the direct sums as one scalar gamma_ratio per term.  Its
+        # shift (j+a) - (j+b) is rounded at each j, by up to ulp(1004) ~ 1.1e-13,
+        # which moves a term by up to ln(1004) times that, ~8e-13 relative;
+        # the array terms shift by the exact a - b
+        terms = [gamma_ratio(j + a, j + b) for j in range(1, n + 1)]
+        assert gamma_sum_linear_direct(a, b, n) == pytest.approx(math.fsum(terms), rel=1e-12)
+        weighted = math.fsum(j * t for j, t in enumerate(terms, 1))
+        assert gamma_sum_weighted_direct(a, b, n) == pytest.approx(weighted, rel=1e-12)
+
     def test_singular_guards(self):
         with pytest.raises(SingularParameterError, match="b - a - 1"):
             gamma_sum_linear(1.0, 2.0, 5)

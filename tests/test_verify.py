@@ -2,8 +2,10 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+import erw.verify
 from erw import StepDistribution, derive_moment_set, moment_set
 from erw.verify import (
     FAIL,
@@ -14,6 +16,7 @@ from erw.verify import (
     check_fourth_moment_asymptote,
     check_gamma_sums,
     check_limit_consistency,
+    check_martingale_scale_recurrence,
     check_moment_identities,
     check_rademacher_degeneracy,
     check_recursion_solver,
@@ -82,3 +85,43 @@ def test_individual_suites_small():
     assert all(r.status == PASS for r in check_rademacher_degeneracy(n_max=500))
     assert all(r.status == PASS for r in check_limit_consistency())
     assert all(r.status == PASS for r in check_fourth_moment_asymptote(n=2000))
+
+
+def test_martingale_scale_recurrence_full_size():
+    (result,) = check_martingale_scale_recurrence()
+    assert result.status == PASS, result
+
+
+def _patch_martingale_scale(monkeypatch, mutate):
+    """Replace verify's a_n so that its array results pass through `mutate`."""
+    real = erw.verify.martingale_scale
+
+    def mutant(n, alpha):
+        a = real(n, alpha)
+        return a if np.isscalar(n) else mutate(np.asarray(n), a)
+
+    monkeypatch.setattr(erw.verify, "martingale_scale", mutant)
+
+
+def test_recurrence_mutant_fails(monkeypatch):
+    # a relative jump of 1e-13 from n = 5000 on breaks one step of the recurrence
+    _patch_martingale_scale(monkeypatch, lambda n, a: np.where(n >= 5000, a * (1.0 + 1e-13), a))
+    (result,) = check_martingale_scale_recurrence(n_max=10_000)
+    assert result.status == FAIL and result.worst_error > 1e-14
+
+
+def test_array_a1_mutant_fails(monkeypatch):
+    # a uniform rescale keeps every ratio a_{n+1}/a_n; only the comparison
+    # of the array a_1 with the scalar a_1 sees it
+    _patch_martingale_scale(monkeypatch, lambda n, a: a * (1.0 + 1e-13))
+    (result,) = check_martingale_scale_recurrence(n_max=10_000)
+    assert result.status == FAIL and "array a_1" in result.detail
+
+
+def test_gamma_sum_mutant_fails(monkeypatch):
+    real = erw.verify.gamma_sum_linear
+    monkeypatch.setattr(
+        erw.verify, "gamma_sum_linear", lambda a, b, n: real(a, b, n) * (1.0 + 1e-9)
+    )
+    (result,) = check_gamma_sums(n_cases=20)
+    assert result.status == FAIL and result.worst_error > 1e-10
