@@ -42,11 +42,11 @@ from .moments import (
     as_memory,
     brute_force_moments,
     closed_form_moments,
+    closed_form_s4,
     conditional_step_moments,
     exact_moments_upto,
     fourth_moment_coefficient,
     limit_q_moments,
-    s4_asymptote,
 )
 from .rng import parse_seed, replicate_key, replicate_keys
 from .simulate import (

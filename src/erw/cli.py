@@ -34,10 +34,14 @@ from .moments import (
     limit_q_moments,
 )
 from .rng import parse_seed
-from .simulate import empirical_q_moments, simulate_batch
+from .simulate import batch_step_bytes, empirical_q_moments, simulate_batch
 from .verify import run_all
 
 DEFAULT_SEED = 0x243F6A8885A308D3
+
+#: Largest array memory, in bytes, that `exact` and `simulate` may request;
+#: larger requests exit 2 before anything is allocated.
+MAX_REQUEST_BYTES = 1 << 30
 
 _CF_FIELDS = ("s2", "st", "s3", "su", "t2", "s2t")
 
@@ -193,6 +197,14 @@ def _open_out(path: str | None):
             yield handle
 
 
+def _check_request_bytes(command: str, nbytes: int) -> None:
+    if nbytes > MAX_REQUEST_BYTES:
+        raise ConfigError(
+            f"{command} would hold about {nbytes:.3g} bytes of arrays, "
+            f"above the cap of {MAX_REQUEST_BYTES} bytes"
+        )
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -220,6 +232,8 @@ def cmd_limits(config: ExperimentConfig) -> int:
 
 def cmd_exact(config: ExperimentConfig) -> int:
     alpha = _require_alpha(config)
+    # the (n, 7) float64 table; --compare adds as many closed-form values
+    _check_request_bytes("exact", 56 * config.n * (2 if config.compare else 1))
     ms = moment_set(config.dist)
     table = exact_moments_upto(ms, alpha, config.n)
     if not config.compare:
@@ -264,6 +278,12 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         raise ConfigError(
             f"checkpoints must lie in [1, n]: {checkpoints[-1]} > {config.n}"
         )
+    # the step matrices, then the (n, 7) exact table to the last checkpoint
+    _check_request_bytes(
+        "simulate",
+        batch_step_bytes(config.n, config.replicates, checkpoints[-1], config.workers)
+        + 56 * checkpoints[-1],
+    )
     ms = moment_set(config.dist)
     acc = simulate_batch(
         config.dist, alpha, config.n, config.replicates, config.seed,

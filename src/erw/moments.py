@@ -15,7 +15,8 @@ the seven mixed expectations
 
 satisfy coupled first-order recursions in n whose coefficients involve only
 alpha and the step law's moment set.  This module iterates those recursions
-exactly, evaluates the gamma-ratio closed forms they solve to, computes the
+exactly, evaluates the gamma-ratio closed forms they solve to (all seven:
+the six of `closed_form_moments` and s4 in `closed_form_s4`), computes the
 first four moments of the superdiffusive limit Q = lim S~_n / n^alpha, and
 provides a brute-force enumeration oracle for small n.
 """
@@ -258,8 +259,8 @@ def fourth_moment_coefficient(ms: MomentSet, mp: Union[MemoryParameter, float]) 
 
 @dataclass(frozen=True)
 class ClosedFormMoments:
-    """The six gamma-ratio closed forms at one n, plus the fourth-moment
-    asymptotic coefficient k4 (there is no finite-n closed form for s4)."""
+    """The six gamma-ratio closed forms of the quadratic and cubic moments at
+    one n (scalar or array); s4 has its own closed form, `closed_form_s4`."""
 
     n: object
     s2: object
@@ -268,7 +269,6 @@ class ClosedFormMoments:
     su: object
     t2: object
     s2t: object
-    k4: float
 
 
 def closed_form_moments(
@@ -289,12 +289,11 @@ def closed_form_moments(
 
     scaled by M3 and M112.  Gamma ratios are evaluated in log space, so the
     forms are safe up to n ~ 1e7.  Raises SingularParameterError when alpha
-    is within 1e-8 of 1/2, 1/3 or 1/4 (the respective denominators vanish).
+    is within 1e-8 of 1/2 or 1/3 (the respective denominators vanish).
     """
     alpha = as_memory(mp).alpha
     _guard_half(alpha)
     _guard_third(alpha)
-    _guard_quarter(alpha)
 
     d2 = 2.0 * alpha - 1.0
     d3 = 3.0 * alpha - 1.0
@@ -317,15 +316,70 @@ def closed_form_moments(
         su=ms.M13 * g2,
         t2=ms.M22 * g2,
         s2t=ms.M112 * h3,
-        k4=fourth_moment_coefficient(ms, alpha),
     )
 
 
-def s4_asymptote(ms: MomentSet, mp: Union[MemoryParameter, float], n):
-    """K4 * Gamma(n+4a)/Gamma(n), the large-n equivalent of E(S~_n^4)."""
+def closed_form_s4(ms: MomentSet, mp: Union[MemoryParameter, float], n):
+    """E(S~_n^4) in closed form at n (scalar or array).
+
+    Solving the s4 recursion with the closed forms of s2, st, s3, su, t2 and
+    s2t as its forcing gives, with R4 = Gamma(n+4a)/Gamma(n),
+
+        s4(n) = R4 [ M4/Gamma(1+4a) + a P A3 L(3a) + a A2 (Qc - 3P) L(2a)
+                     + 6 M2^2 A2 W(2a)
+                     + (a (P (a+1)/(d2 d3) - Qc/d2) + M4) L(1)
+                     - (6 M2^2/d2) W(1) ],          s4(1) = M4,
+
+    where L(x) = sum_{j<n} Gamma(j+x)/Gamma(j+1+4a), W(x) is the same sum
+    weighted by j, P = 6 M112 - 12 m1 M3, Qc = 4 M13 - 12 m1 M12
+    + 12 m1^2 M2, A2 = 1/(d2 Gamma(2a)), A3 = 4/(d3 Gamma(3a)), d2 = 2a-1
+    and d3 = 3a-1.  The sums are evaluated through their own closed forms,
+    R4 L(x) and R4 W(x) in terms of Gamma(n+x)/Gamma(n), with the factor a
+    (or 1/Gamma(2a)) folded in so that alpha = 0 gives n M4 + 3 n(n-1) M2^2
+    without a special case.  Raises SingularParameterError when alpha is
+    within 1e-8 of 1/2, 1/3 or 1/4 (d2, d3 and 4a-1 vanish).
+    """
     alpha = as_memory(mp).alpha
-    k4 = fourth_moment_coefficient(ms, alpha)
-    return k4 * np.exp(log_gamma_ratio(n, 4.0 * alpha))
+    _guard_half(alpha)
+    _guard_third(alpha)
+    _guard_quarter(alpha)
+
+    d2 = 2.0 * alpha - 1.0
+    d3 = 3.0 * alpha - 1.0
+    d4 = 4.0 * alpha - 1.0
+    n_arr = np.asarray(n, dtype=np.float64) if not np.isscalar(n) else float(n)
+    r4 = np.exp(log_gamma_ratio(n, 4.0 * alpha))
+    r3 = np.exp(log_gamma_ratio(n, 3.0 * alpha))
+    r2 = np.exp(log_gamma_ratio(n, 2.0 * alpha))
+
+    def linear(x, rx):
+        # R4 (4a - x) L(x), with rx = Gamma(n+x)/Gamma(n)
+        return math.gamma(1.0 + x) * recip_gamma(1.0 + 4.0 * alpha) * r4 - rx
+
+    def weighted(x, rx):
+        # R4 (4a - x) W(x)
+        head = math.gamma(1.0 + x) * recip_gamma(4.0 * alpha) * r4 - (n_arr + d4) * rx
+        return head / (d4 - x) - (n_arr - 1.0) * rx
+
+    m1 = ms.m1
+    m2_sq = ms.M2 * ms.M2
+    p = 6.0 * ms.M112 - 12.0 * m1 * ms.M3
+    qc = 4.0 * ms.M13 - 12.0 * m1 * ms.M12 + 12.0 * m1 * m1 * ms.M2
+    a2_coef = recip_gamma(2.0 * alpha) / d2
+    a3_coef = 4.0 * recip_gamma(3.0 * alpha) / d3
+    # a L(3a) and a L(2a) carry the factors 1 and 1/2 of their denominators
+    # a and 2a; A2 W(2a) carries 1/(2a Gamma(2a)) = 1/Gamma(1+2a)
+    s4 = (
+        ms.M4 * recip_gamma(1.0 + 4.0 * alpha) * r4
+        + p * a3_coef * linear(3.0 * alpha, r3)
+        + 0.5 * (qc - 3.0 * p) * a2_coef * linear(2.0 * alpha, r2)
+        + 6.0 * m2_sq * recip_gamma(1.0 + 2.0 * alpha) / d2 * weighted(2.0 * alpha, r2)
+        + (alpha * (p * (alpha + 1.0) / (d2 * d3) - qc / d2) + ms.M4) * linear(1.0, n_arr) / d4
+        - 6.0 * m2_sq / d2 * weighted(1.0, n_arr) / d4
+    )
+    # at n = 1 the sums are empty and the terms cancel only to rounding
+    s4 = np.where(n_arr == 1.0, ms.M4, s4)
+    return s4 if np.ndim(n) else float(s4)
 
 
 @dataclass(frozen=True)

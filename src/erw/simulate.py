@@ -251,10 +251,24 @@ class BatchAccumulator:
         return self.power_sum(n, p) / self.n_replicates
 
 
+def _chunk_width(n: int, replicates: int) -> int:
+    """Walks per chunk: at most _CHUNK_TARGET_ELEMENTS steps, at least one walk."""
+    return max(1, min(replicates, _CHUNK_TARGET_ELEMENTS // max(n, 1)))
+
+
 def _chunk_spans(n: int, replicates: int) -> list[tuple[int, int]]:
     """Fixed replicate ranges [start, stop) of at most _CHUNK_TARGET_ELEMENTS steps."""
-    chunk = max(1, min(replicates, _CHUNK_TARGET_ELEMENTS // max(n, 1)))
+    chunk = _chunk_width(n, replicates)
     return [(start, min(start + chunk, replicates)) for start in range(0, replicates, chunk)]
+
+
+def batch_step_bytes(n: int, replicates: int, last: int, workers: int = 1) -> int:
+    """Bytes of the float64 step matrices `simulate_batch` holds at once for
+    checkpoints ending at `last`: one (last x chunk width) matrix per busy
+    worker.  Computed without allocating anything."""
+    width = _chunk_width(n, replicates)
+    chunks = -(-replicates // width)
+    return 8 * last * width * min(workers, chunks)
 
 
 def _chunk_steps(dist, alpha, n, master_seed, span) -> np.ndarray:

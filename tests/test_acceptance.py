@@ -61,7 +61,8 @@ def _verdict(results) -> tuple[bool, str]:
 
 
 def test_criterion_1_recursion_vs_closed_form():
-    """Six closed forms match the recursions to 1e-8 relative for n <= 1e4.
+    """Seven closed forms (s4 included) match the recursions to 1e-8 relative
+    for n <= 1e4.
 
     The 1e-12 absolute floor is applied at the scale of the moment row: a
     cell whose exact value is identically zero (third moments of a symmetric

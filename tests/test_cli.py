@@ -78,6 +78,17 @@ class TestExact:
         )
         assert code == 2 and "2*alpha - 1" in err
 
+    def test_compare_quarter_alpha(self, capsys):
+        # the six closed forms are regular at 1/4; only s4's form is not
+        code, out, err = run_cli(
+            capsys, "exact", "--dist", '{"kind":"bernoulli","p":0.3}', "--alpha", "0.25",
+            "--n", "3", "--compare",
+        )
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 3
+        assert all(float(r["relerr_s2"]) <= 1e-12 for r in rows)
+
     def test_round_trip(self, tmp_path, capsys):
         out_path = tmp_path / "table.csv"
         code, _, _ = run_cli(
@@ -311,6 +322,43 @@ class TestNonFiniteMoments:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and "not finite" in err
+
+
+class TestRequestSizeCap:
+    """Requests above cli.MAX_REQUEST_BYTES exit 2 before any array is made;
+    the cap is lowered here, so the test allocates nothing."""
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called despite the size cap")
+
+        monkeypatch.setattr(cli, "MAX_REQUEST_BYTES", 100_000)
+        monkeypatch.setattr(cli, "exact_moments_upto", refuse)
+        monkeypatch.setattr(cli, "simulate_batch", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ("exact", "--n", "2000"),
+        ("exact", "--n", "1000", "--compare"),
+        ("simulate", "--n", "20000", "--replicates", "1"),
+        ("simulate", "--n", "100", "--replicates", "200"),
+        # two chunks of 800 walks: 64 kB of steps at one worker, 128 kB at two
+        ("simulate", "--n", "10000", "--replicates", "1600", "--checkpoints", "10",
+         "--workers", "2"),
+    ], ids=["exact", "exact-compare", "simulate-long", "simulate-wide", "simulate-workers"])
+    def test_config_exit_with_one_line(self, argv, capsys):
+        code, out, err = run_cli(capsys, *argv, "--dist", "rademacher", "--alpha", "0.75")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "cap" in err
+
+    def test_below_cap_runs(self, capsys, monkeypatch):
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_REQUEST_BYTES", 8 * 7 * 1000)
+        code, out, _ = run_cli(
+            capsys, "exact", "--dist", "rademacher", "--alpha", "0.75", "--n", "1000",
+        )
+        assert code == 0 and len(out.splitlines()) == 1001
 
 
 class TestUnexpectedErrors:

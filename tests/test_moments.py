@@ -14,13 +14,13 @@ from erw import (
     StepDistribution,
     brute_force_moments,
     closed_form_moments,
+    closed_form_s4,
     conditional_step_moments,
     exact_moments_upto,
     fourth_moment_coefficient,
     limit_q_moments,
     log_gamma_ratio,
     moment_set,
-    s4_asymptote,
 )
 from erw.moments import _ROW_BLOCK
 from table_csv import read_table_csv, table_csv_string
@@ -160,10 +160,14 @@ class TestClosedForms:
         n = 20_000
         table = exact_moments_upto(ms, alpha, n)
         r = table.row(n).s4 * math.exp(-log_gamma_ratio(float(n), 4 * alpha))
-        assert r == pytest.approx(fourth_moment_coefficient(ms, alpha), rel=0.02)
-        assert s4_asymptote(ms, alpha, n) == pytest.approx(table.row(n).s4, rel=0.02)
+        k4 = fourth_moment_coefficient(ms, alpha)
+        assert r == pytest.approx(k4, rel=0.02)
+        # test oracle: K4 Gamma(n+4a)/Gamma(n), the large-n equivalent of s4
+        asymptote = k4 * math.exp(log_gamma_ratio(float(n), 4 * alpha))
+        assert asymptote == pytest.approx(table.row(n).s4, rel=0.02)
 
-    @pytest.mark.parametrize("alpha", [0.26, 0.4, 0.6, 0.75, 0.9, 1.0])
+    # the six forms divide by 2a-1 and 3a-1 only, so 1/4 is regular
+    @pytest.mark.parametrize("alpha", [0.25, 0.26, 0.4, 0.6, 0.75, 0.9, 1.0])
     def test_matches_recursion(self, alpha, standard_moment_sets):
         for ms in standard_moment_sets.values():
             n_max = 2000
@@ -184,7 +188,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize(
         "alpha,denominator",
-        [(0.5, "2\\*alpha - 1"), (1.0 / 3.0, "3\\*alpha - 1"), (0.25, "4\\*alpha - 1")],
+        [(0.5, "2\\*alpha - 1"), (1.0 / 3.0, "3\\*alpha - 1")],
     )
     def test_singular_guards(self, alpha, denominator, standard_moment_sets):
         with pytest.raises(SingularParameterError, match=denominator):
@@ -195,6 +199,60 @@ class TestClosedForms:
         with pytest.raises(SingularParameterError):
             closed_form_moments(ms, 0.5 + 1e-9, 10)
         closed_form_moments(ms, 0.5 + 1e-7, 10)  # outside the radius
+
+
+class TestClosedFormS4:
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.75, 1.0])
+    @pytest.mark.parametrize(
+        "dist",
+        [StepDistribution.rademacher(), StepDistribution.discrete((-0.5, 1.0), (0.6, 0.4))],
+        ids=["rademacher", "discrete(-0.5,1)"],
+    )
+    def test_matches_brute_force(self, dist, alpha):
+        ms = moment_set(dist)
+        values = closed_form_s4(ms, alpha, np.arange(1.0, 7.0))
+        for n, value in enumerate(values, 1):
+            brute = brute_force_moments(dist, alpha, n).s4
+            assert value == pytest.approx(brute, rel=1e-12, abs=1e-12), n
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.26, 0.4, 0.6, 0.75, 0.9, 1.0])
+    def test_matches_recursion(self, alpha, standard_moment_sets):
+        n_max = 10_000
+        ns = np.arange(1.0, n_max + 1.0)
+        for name, ms in standard_moment_sets.items():
+            rec = exact_moments_upto(ms, alpha, n_max).column("s4")
+            closed = closed_form_s4(ms, alpha, ns)
+            rel = np.abs(closed - rec) / np.abs(rec)
+            assert float(rel.max()) <= 1e-10, (name, int(rel.argmax()) + 1)
+
+    def test_memoryless(self, standard_moment_sets):
+        ns = np.arange(1.0, 50.0)
+        for ms in standard_moment_sets.values():
+            expected = ns * ms.M4 + 3.0 * ns * (ns - 1.0) * ms.M2 ** 2
+            assert np.allclose(closed_form_s4(ms, 0.0, ns), expected, rtol=1e-14, atol=0.0)
+
+    def test_first_row_is_m4(self, standard_moment_sets):
+        for ms in standard_moment_sets.values():
+            for alpha in (0.0, 0.26, 0.6, 1.0):
+                assert closed_form_s4(ms, alpha, 1) == ms.M4
+
+    def test_scalar_equals_array(self, standard_moment_sets):
+        ms = standard_moment_sets["uniform"]
+        for alpha in (0.0, 0.26, 0.75):
+            ns = np.array([1.0, 2.0, 7.0, 9.0, 10.0, 12345.0])
+            array = closed_form_s4(ms, alpha, ns)
+            for n, value in zip(ns, array):
+                scalar = closed_form_s4(ms, alpha, int(n))
+                assert isinstance(scalar, float)
+                assert scalar == pytest.approx(float(value), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "alpha,denominator",
+        [(0.5, "2\\*alpha - 1"), (1.0 / 3.0, "3\\*alpha - 1"), (0.25, "4\\*alpha - 1")],
+    )
+    def test_singular_guards(self, alpha, denominator, standard_moment_sets):
+        with pytest.raises(SingularParameterError, match=denominator):
+            closed_form_s4(standard_moment_sets["bernoulli"], alpha, 10)
 
 
 class TestLimitMoments:

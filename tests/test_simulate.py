@@ -252,6 +252,16 @@ class TestBlockedDraws:
         assert sim._chunk_spans(5000, 2) == [(0, 1), (1, 2)]
         assert sim._chunk_spans(10, 7) == [(0, 7)]
 
+    def test_batch_step_bytes(self, monkeypatch):
+        monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 1000)
+        # chunks of 3 walks; the matrices have as many rows as the last checkpoint
+        assert sim.batch_step_bytes(300, 10, 300) == 8 * 300 * 3
+        assert sim.batch_step_bytes(300, 10, 50, workers=2) == 8 * 50 * 3 * 2
+        # four chunks keep at most four workers busy
+        assert sim.batch_step_bytes(300, 10, 50, workers=64) == 8 * 50 * 3 * 4
+        # a walk longer than the target is a chunk of its own
+        assert sim.batch_step_bytes(5000, 2, 5000, workers=2) == 8 * 5000 * 2
+
 
 class TestExactSum:
     def test_exactness_vs_fsum(self):

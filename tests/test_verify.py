@@ -1,12 +1,13 @@
 """The invariant suites themselves: green path, skip path, negative controls."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import erw.verify
-from erw import StepDistribution, derive_moment_set, moment_set
+from erw import StepDistribution, derive_moment_set, log_gamma_ratio, moment_set
 from erw.verify import (
     FAIL,
     PASS,
@@ -17,6 +18,7 @@ from erw.verify import (
     check_gamma_sums,
     check_limit_consistency,
     check_martingale_scale_recurrence,
+    check_moment_convergence,
     check_moment_identities,
     check_rademacher_degeneracy,
     check_recursion_solver,
@@ -125,3 +127,27 @@ def test_gamma_sum_mutant_fails(monkeypatch):
     )
     (result,) = check_gamma_sums(n_cases=20)
     assert result.status == FAIL and result.worst_error > 1e-10
+
+
+def test_s4_term_mutant_fails(monkeypatch):
+    # the leading term M4 R4 / Gamma(1+4a) of the s4 closed form scaled by 1 + 1e-6
+    real = erw.verify.closed_form_s4
+
+    def mutant(ms, alpha, n):
+        lead = ms.M4 * np.exp(log_gamma_ratio(n, 4.0 * alpha)) / math.gamma(1.0 + 4.0 * alpha)
+        return real(ms, alpha, n) + 1e-6 * lead
+
+    monkeypatch.setattr(erw.verify, "closed_form_s4", mutant)
+    results = check_closed_form_vs_recursion(alphas=(0.4, 0.75), n_max=200)
+    assert results and all(r.status == FAIL for r in results), results
+
+
+def test_q4_mutant_fails(monkeypatch):
+    real = erw.verify.limit_q_moments
+    monkeypatch.setattr(
+        erw.verify,
+        "limit_q_moments",
+        lambda ms, alpha: dataclasses.replace(real(ms, alpha), q4=1.02 * real(ms, alpha).q4),
+    )
+    results = check_moment_convergence()
+    assert results and all(r.status == FAIL for r in results), results
