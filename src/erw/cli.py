@@ -31,6 +31,7 @@ from .moments import (
     RegimeError,
     closed_form_moments,
     exact_moments_upto,
+    format_csv_rows,
     limit_q_moments,
 )
 from .rng import parse_seed
@@ -230,6 +231,32 @@ def cmd_limits(config: ExperimentConfig) -> int:
     return 0
 
 
+def _refuse_nonfinite(command: str, blocks, columns) -> None:
+    """Raise ConfigError (exit 2) at the first inf or nan cell of the
+    (first n, block) pairs, naming its n and column."""
+    for first, block in blocks:
+        bad = np.argwhere(~np.isfinite(block))
+        if bad.size:
+            row, col = bad[0]
+            raise ConfigError(
+                f"{command}: {columns[col]} at n = {first + row} is {float(block[row, col])}, "
+                f"not finite in double precision"
+            )
+
+
+def _row_relerr(rec: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """|rec - form| relative to each row's largest magnitude in either array.
+
+    Moments that are exactly zero carry recursion noise proportional to
+    their siblings, not to themselves, hence the row scale; the floor keeps
+    an all-zero row at 0.  Rows with inf or nan give inf or nan without a
+    warning; `cmd_exact` refuses them.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        row_scale = np.maximum(np.maximum(np.abs(rec), np.abs(form)).max(axis=1), 1e-300)
+        return np.abs(rec - form) / row_scale[:, None]
+
+
 def cmd_exact(config: ExperimentConfig) -> int:
     alpha = _require_alpha(config)
     # the (n, 7) float64 table; --compare adds as many closed-form values
@@ -237,37 +264,31 @@ def cmd_exact(config: ExperimentConfig) -> int:
     ms = moment_set(config.dist)
     table = exact_moments_upto(ms, alpha, config.n)
     if not config.compare:
+        _refuse_nonfinite("exact", table.row_blocks(), CSV_COLUMNS[1:])
         with _open_out(config.out) as handle:
             table.write_csv(handle)
         return 0
 
     cf = closed_form_moments(ms, alpha, np.arange(1, config.n + 1, dtype=np.float64))
-    closed = [np.atleast_1d(getattr(cf, name)) for name in _CF_FIELDS]
+    closed = np.column_stack([getattr(cf, name) for name in _CF_FIELDS])
+    columns = (
+        CSV_COLUMNS[1:]
+        + tuple(f"cf_{name}" for name in _CF_FIELDS)
+        + tuple(f"relerr_{name}" for name in _CF_FIELDS)
+    )
+
+    def blocks():
+        # the closed forms cover the table's first six columns, in order
+        for first, rec in table.row_blocks():
+            form = closed[first - 1 : first - 1 + len(rec)]
+            yield first, np.column_stack((rec, form, _row_relerr(rec[:, :6], form)))
+
+    # one pass to check every cell, so a refused table writes nothing
+    _refuse_nonfinite("exact", blocks(), columns)
     with _open_out(config.out) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            list(CSV_COLUMNS)
-            + [f"cf_{name}" for name in _CF_FIELDS]
-            + [f"relerr_{name}" for name in _CF_FIELDS]
-        )
-        # the closed forms cover the table's first six columns, in order;
-        # csv writes every float as its repr
-        for first, rows in table.row_blocks():
-            span = slice(first - 1, first - 1 + len(rows))
-            cf_rows = np.column_stack([column[span] for column in closed]).tolist()
-            cells = []
-            for n, (row, cf_row) in enumerate(zip(rows, cf_rows), first):
-                pairs = list(zip(row, cf_row))
-                # deviations are reported relative to the row's largest moment
-                # magnitude; moments that are exactly zero carry recursion noise
-                # proportional to their siblings, not to themselves
-                row_scale = max(max(abs(rec), abs(form)) for rec, form in pairs)
-                row_scale = max(row_scale, 1e-300)
-                cells.append(
-                    [n, *row, *cf_row]
-                    + [abs(rec - form) / row_scale for rec, form in pairs]
-                )
-            writer.writerows(cells)
+        handle.write(",".join(("n",) + columns) + "\n")
+        for first, cells in blocks():
+            handle.write(format_csv_rows(first, cells))
     return 0
 
 
@@ -285,12 +306,13 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         + 56 * checkpoints[-1],
     )
     ms = moment_set(config.dist)
+    table = exact_moments_upto(ms, alpha, checkpoints[-1])
+    _refuse_nonfinite("simulate", table.row_blocks(), CSV_COLUMNS[1:])
     acc = simulate_batch(
         config.dist, alpha, config.n, config.replicates, config.seed,
         checkpoints, workers=config.workers,
     )
     estimates = empirical_q_moments(acc, alpha)
-    table = exact_moments_upto(ms, alpha, checkpoints[-1])
     try:
         limits = limit_q_moments(ms, alpha)
         limit_by_p = {1: limits.q1, 2: limits.q2, 3: limits.q3, 4: limits.q4}

@@ -23,7 +23,7 @@ provides a brute-force enumeration oracle for small n.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -42,6 +42,18 @@ ALPHA_TOL = 1e-8
 #: written as CSV.  Only one block of rows is ever held as Python floats,
 #: so memory stays flat in n.
 _ROW_BLOCK = 4096
+
+
+def format_csv_rows(first: int, block: np.ndarray) -> str:
+    """CSV lines `n,v1,v2,...` of a float64 block, numbered from n = `first`.
+
+    Every float is written as its repr, the shortest decimal that reads back
+    to the same double; these are the bytes `csv.writer` writes for the same
+    rows, since it writes a float as its repr and never quotes a number.
+    """
+    return "".join(
+        f"{n},{','.join(map(repr, row))}\n" for n, row in enumerate(block.tolist(), first)
+    )
 
 
 class RegimeError(ValueError):
@@ -109,23 +121,27 @@ class ExactMomentTable:
             return np.arange(1, len(self) + 1)
         return self._values[:, idx]
 
-    def row_blocks(self) -> Iterator[tuple[int, list[list[float]]]]:
-        """Yield (n of the first row, the rows as lists of seven floats), a
+    def row_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (n of the first row, a read-only (rows, 7) float64 view), a
         block of rows at a time."""
         for start in range(0, len(self), _ROW_BLOCK):
-            yield start + 1, self._values[start : start + _ROW_BLOCK].tolist()
+            block = self._values[start : start + _ROW_BLOCK]
+            block.flags.writeable = False
+            yield start + 1, block
 
     def write_csv(self, path_or_file) -> None:
-        """Write the table as CSV with shortest round-trip decimals."""
+        """Write the table as CSV with shortest round-trip decimals.
+
+        Each block of rows is formatted by `format_csv_rows` into one string
+        and written with one call.
+        """
         if isinstance(path_or_file, (str, os.PathLike)):
             with open(path_or_file, "w", newline="") as handle:
                 self.write_csv(handle)
             return
-        writer = csv.writer(path_or_file, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for first, rows in self.row_blocks():
-            # csv writes a float as its repr
-            writer.writerows([n, *row] for n, row in enumerate(rows, first))
+        path_or_file.write(",".join(CSV_COLUMNS) + "\n")
+        for first, block in self.row_blocks():
+            path_or_file.write(format_csv_rows(first, block))
 
 
 def exact_moments_upto(
@@ -146,13 +162,17 @@ def exact_moments_upto(
     M12, M13, M22, M112 = ms.M12, ms.M13, ms.M22, ms.M112
 
     values = np.empty((n_max, 7), dtype=np.float64)
+    flat = values.reshape(-1)
     s2, st, s3, su, t2, s2t, s4 = M2, M12, M3, M13, M22, M112, M4
     cs2 = cst = cs3 = csu = ct2 = cs2t = cs4 = 0.0
     values[0] = (s2, st, s3, su, t2, s2t, s4)
+    six_m2 = 6.0 * M2
 
     # the loop runs in the interpreter, so its cost is per bytecode: the
     # compensated additions are written out in place rather than called,
-    # and rows are kept as tuples and copied into `values` a block at a time
+    # terms used twice are computed once (each product keeps its operand
+    # order, so the rounding is unchanged), and rows are kept as tuples and
+    # copied into `values` a block at a time
     for first in range(1, n_max, _ROW_BLOCK):
         last = min(first + _ROW_BLOCK, n_max)
         block = []
@@ -162,18 +182,20 @@ def exact_moments_upto(
             a2 = 2.0 * a
             a3 = 3.0 * a
             a4 = 4.0 * a
+            a6 = 6.0 * a
+            a12m1 = 12.0 * a * m1
             inc_s2 = a2 * s2 + M2
             inc_st = a2 * st + M12
-            inc_s3 = a3 * s3 + a3 * st - 6.0 * a * m1 * s2 + M3
+            inc_s3 = a3 * s3 + a3 * st - a6 * m1 * s2 + M3
             inc_su = a2 * su + M13
             inc_t2 = a2 * t2 + M22
             inc_s2t = a3 * s2t + a2 * su + a * t2 - a4 * m1 * st - a2 * m2 * s2 + M112
             inc_s4 = (
                 a4 * s4
-                + 6.0 * a * s2t
+                + a6 * s2t
                 + a4 * su
-                - 12.0 * a * m1 * (s3 + st)
-                + (12.0 * a * m1 * m1 + 6.0 * M2) * s2
+                - a12m1 * (s3 + st)
+                + (a12m1 * m1 + six_m2) * s2
                 + M4
             )
             y = inc_s2 - cs2
@@ -205,7 +227,9 @@ def exact_moments_upto(
             cs4 = (t - s4) - y
             s4 = t
             append((s2, st, s3, su, t2, s2t, s4))
-        values[first:last] = block
+        flat[7 * first : 7 * last] = np.fromiter(
+            itertools.chain.from_iterable(block), np.float64, 7 * (last - first)
+        )
 
     return ExactMomentTable(values)
 

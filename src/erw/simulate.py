@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -38,6 +38,11 @@ from .rng import MASK64, replicate_keys, uniform_draws
 #: depend only on (n, replicates), never on the worker count, which is what
 #: makes parallel runs bit-identical.
 _CHUNK_TARGET_ELEMENTS = 8_000_000
+
+#: Bytes the thread pool holds per chunk: `Executor.map` submits every chunk
+#: up front, and a pending Future with its Condition and work item took
+#: 1.94 kB each (tracemalloc, CPython 3.11, 20 000 pending chunks).
+_POOL_SPAN_BYTES = 2048
 
 #: Elements per array of the draws made ahead for a block of steps; a block
 #: is max(1, _BLOCK_ELEMENTS // width) steps.  Sized by elements, not steps,
@@ -256,19 +261,23 @@ def _chunk_width(n: int, replicates: int) -> int:
     return max(1, min(replicates, _CHUNK_TARGET_ELEMENTS // max(n, 1)))
 
 
-def _chunk_spans(n: int, replicates: int) -> list[tuple[int, int]]:
-    """Fixed replicate ranges [start, stop) of at most _CHUNK_TARGET_ELEMENTS steps."""
+def _chunk_spans(n: int, replicates: int) -> Iterator[tuple[int, int]]:
+    """Fixed replicate ranges [start, stop) of at most _CHUNK_TARGET_ELEMENTS
+    steps, made one at a time."""
     chunk = _chunk_width(n, replicates)
-    return [(start, min(start + chunk, replicates)) for start in range(0, replicates, chunk)]
+    for start in range(0, replicates, chunk):
+        yield start, min(start + chunk, replicates)
 
 
 def batch_step_bytes(n: int, replicates: int, last: int, workers: int = 1) -> int:
-    """Bytes of the float64 step matrices `simulate_batch` holds at once for
-    checkpoints ending at `last`: one (last x chunk width) matrix per busy
-    worker.  Computed without allocating anything."""
+    """Bytes `simulate_batch` holds at once for checkpoints ending at `last`:
+    one float64 (last x chunk width) step matrix per busy worker and, with
+    more than one worker, the pool's record of every chunk.  Computed
+    without allocating anything."""
     width = _chunk_width(n, replicates)
     chunks = -(-replicates // width)
-    return 8 * last * width * min(workers, chunks)
+    pool = _POOL_SPAN_BYTES * chunks if workers > 1 else 0
+    return 8 * last * width * min(workers, chunks) + pool
 
 
 def _chunk_steps(dist, alpha, n, master_seed, span) -> np.ndarray:

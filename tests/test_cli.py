@@ -1,12 +1,14 @@
 """End-to-end CLI behaviour: schemas, exit codes, determinism, config."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 import erw.cli as cli
@@ -89,6 +91,32 @@ class TestExact:
         assert len(rows) == 3
         assert all(float(r["relerr_s2"]) <= 1e-12 for r in rows)
 
+    @pytest.mark.parametrize("dist", [
+        "rademacher",
+        '{"kind":"discrete","points":[-1,2],"weights":[0.6,0.4]}',
+    ], ids=["rademacher", "skewed"])
+    def test_relerr_matches_row_loop(self, dist, capsys):
+        # 1, 4095 .. 4097 and 8193 rows end before, at and after row blocks
+        for n in (1, 4095, 4096, 4097, 8193):
+            code, out, _ = run_cli(
+                capsys, "exact", "--dist", dist, "--alpha", "0.75", "--n", str(n), "--compare",
+            )
+            assert code == 0
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert len(rows) == n
+            for row in rows:
+                rec = [float(row[name]) for name in cli._CF_FIELDS]
+                form = [float(row[f"cf_{name}"]) for name in cli._CF_FIELDS]
+                got = [float(row[f"relerr_{name}"]) for name in cli._CF_FIELDS]
+                assert got == _relerr_row_loop(rec, form), (n, row["n"])
+
+    def test_relerr_floor_on_zero_row(self):
+        rec = np.array([[0.0, -0.0, 0.0], [1.0, 0.0, -2.0]])
+        form = np.array([[0.0, 0.0, -0.0], [1.5, 0.0, -2.0]])
+        got = cli._row_relerr(rec, form).tolist()
+        assert got == [_relerr_row_loop(r, f) for r, f in zip(rec.tolist(), form.tolist())]
+        assert got[0] == [0.0, 0.0, 0.0]
+
     def test_round_trip(self, tmp_path, capsys):
         out_path = tmp_path / "table.csv"
         code, _, _ = run_cli(
@@ -98,6 +126,15 @@ class TestExact:
         assert code == 0
         table = read_table_csv(out_path)
         assert len(table) == 20
+
+
+def _relerr_row_loop(rec, form):
+    """Test oracle: the per-row loop `exact --compare` computed its relerr
+    columns with before they were computed on arrays."""
+    pairs = list(zip(rec, form))
+    row_scale = max(max(abs(r), abs(f)) for r, f in pairs)
+    row_scale = max(row_scale, 1e-300)
+    return [abs(r - f) / row_scale for r, f in pairs]
 
 
 class TestSimulate:
@@ -323,6 +360,45 @@ class TestNonFiniteMoments:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and "not finite" in err
 
+    # finite moments, but s4 leaves the double range at n = 116 (inf, then
+    # nan from inf - inf in the compensated sum)
+    HUGE = '{"kind":"discrete","points":[-1e75,1e75],"weights":[0.5,0.5]}'
+
+    @pytest.mark.parametrize("argv", [
+        ("exact", "--n", "400"),
+        ("exact", "--n", "400", "--compare"),
+        ("simulate", "--n", "400", "--replicates", "10"),
+    ], ids=["exact", "exact-compare", "simulate"])
+    def test_overflowing_table_names_first_cell(self, argv, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated despite a non-finite exact table")
+
+        monkeypatch.setattr(cli, "simulate_batch", refuse)
+        out_path = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, *argv, "--dist", self.HUGE, "--alpha", "1", "--out", str(out_path),
+            )
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err == f"error: {argv[0]}: s4 at n = 116 is inf, not finite in double precision\n"
+
+    def test_nonfinite_closed_form_cell(self, capsys, monkeypatch):
+        real = cli.closed_form_moments
+
+        def with_nan(ms, alpha, n):
+            cf = real(ms, alpha, n)
+            s3 = cf.s3.copy()
+            s3[4] = math.nan
+            return dataclasses.replace(cf, s3=s3)
+
+        monkeypatch.setattr(cli, "closed_form_moments", with_nan)
+        code, out, err = run_cli(
+            capsys, "exact", "--dist", "rademacher", "--alpha", "0.75", "--n", "9", "--compare",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: exact: cf_s3 at n = 5 is nan, not finite in double precision\n"
+
 
 class TestRequestSizeCap:
     """Requests above cli.MAX_REQUEST_BYTES exit 2 before any array is made;
@@ -345,7 +421,12 @@ class TestRequestSizeCap:
         # two chunks of 800 walks: 64 kB of steps at one worker, 128 kB at two
         ("simulate", "--n", "10000", "--replicates", "1600", "--checkpoints", "10",
          "--workers", "2"),
-    ], ids=["exact", "exact-compare", "simulate-long", "simulate-wide", "simulate-workers"])
+        # 1000 one-walk chunks of one step: 16 bytes of steps, but the
+        # pool's record of 1000 chunks is about 2 MB
+        ("simulate", "--n", "8000000", "--replicates", "1000", "--checkpoints", "1",
+         "--workers", "2"),
+    ], ids=["exact", "exact-compare", "simulate-long", "simulate-wide", "simulate-workers",
+            "simulate-pool-spans"])
     def test_config_exit_with_one_line(self, argv, capsys):
         code, out, err = run_cli(capsys, *argv, "--dist", "rademacher", "--alpha", "0.75")
         assert code == 2

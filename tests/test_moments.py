@@ -1,10 +1,13 @@
 """Moment recursions, closed forms, limits, and the enumeration oracle."""
 
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from erw import (
     EnumerationSizeError,
@@ -22,7 +25,7 @@ from erw import (
     log_gamma_ratio,
     moment_set,
 )
-from erw.moments import _ROW_BLOCK
+from erw.moments import _ROW_BLOCK, format_csv_rows
 from table_csv import read_table_csv, table_csv_string
 
 ROW_FIELDS = ("s2", "st", "s3", "su", "t2", "s2t", "s4")
@@ -365,7 +368,33 @@ class TestBruteForce:
             brute_force_moments(StepDistribution.uniform(0, 1), 0.5, 3)
 
 
+def _csv_writer_rows(first, rows):
+    """Test oracle: the rows as `csv.writer` writes them, numbered from `first`."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [n, *row] for n, row in enumerate(rows, first)
+    )
+    return buf.getvalue()
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, math.inf, math.nan]
+
+
 class TestTableCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        first=st.integers(1, 10**12),
+        rows=st.lists(
+            st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS), min_size=7, max_size=7),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @example(first=1, rows=[_EDGE_FLOATS[:-2] + [-1e-5, 1e15]])
+    def test_rows_match_csv_writer(self, first, rows):
+        block = np.array(rows, dtype=np.float64)
+        assert format_csv_rows(first, block) == _csv_writer_rows(first, rows)
+
     def test_round_trip(self, standard_moment_sets):
         table = exact_moments_upto(standard_moment_sets["bernoulli"], 0.75, 37)
         buf = io.StringIO(table_csv_string(table))

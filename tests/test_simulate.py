@@ -248,19 +248,28 @@ class TestBlockedDraws:
 
     def test_chunk_spans_cover_replicates_in_order(self, monkeypatch):
         monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 1000)
-        assert sim._chunk_spans(300, 10) == [(0, 3), (3, 6), (6, 9), (9, 10)]
-        assert sim._chunk_spans(5000, 2) == [(0, 1), (1, 2)]
-        assert sim._chunk_spans(10, 7) == [(0, 7)]
+        assert list(sim._chunk_spans(300, 10)) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert list(sim._chunk_spans(5000, 2)) == [(0, 1), (1, 2)]
+        assert list(sim._chunk_spans(10, 7)) == [(0, 7)]
+
+    def test_chunk_spans_are_lazy(self):
+        # 10**12 one-walk chunks: a list of them would not fit in memory
+        spans = sim._chunk_spans(sim._CHUNK_TARGET_ELEMENTS, 10**12)
+        assert next(spans) == (0, 1) and next(spans) == (1, 2)
 
     def test_batch_step_bytes(self, monkeypatch):
         monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 1000)
-        # chunks of 3 walks; the matrices have as many rows as the last checkpoint
+        pool = sim._POOL_SPAN_BYTES
+        # chunks of 3 walks; the matrices have as many rows as the last
+        # checkpoint, and a pool also holds a record of each of the 4 chunks
         assert sim.batch_step_bytes(300, 10, 300) == 8 * 300 * 3
-        assert sim.batch_step_bytes(300, 10, 50, workers=2) == 8 * 50 * 3 * 2
+        assert sim.batch_step_bytes(300, 10, 50, workers=2) == 8 * 50 * 3 * 2 + 4 * pool
         # four chunks keep at most four workers busy
-        assert sim.batch_step_bytes(300, 10, 50, workers=64) == 8 * 50 * 3 * 4
+        assert sim.batch_step_bytes(300, 10, 50, workers=64) == 8 * 50 * 3 * 4 + 4 * pool
         # a walk longer than the target is a chunk of its own
-        assert sim.batch_step_bytes(5000, 2, 5000, workers=2) == 8 * 5000 * 2
+        assert sim.batch_step_bytes(5000, 2, 5000, workers=2) == 8 * 5000 * 2 + 2 * pool
+        # one worker runs the chunks in a loop and keeps no record of them
+        assert sim.batch_step_bytes(1, 10**12, 1) == 8 * 1000
 
 
 class TestExactSum:

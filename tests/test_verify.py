@@ -151,3 +151,14 @@ def test_q4_mutant_fails(monkeypatch):
     )
     results = check_moment_convergence()
     assert results and all(r.status == FAIL for r in results), results
+
+
+def test_k4_mutant_fails(monkeypatch):
+    real = erw.verify.fourth_moment_coefficient
+    monkeypatch.setattr(
+        erw.verify, "fourth_moment_coefficient", lambda ms, alpha: 1.05 * real(ms, alpha)
+    )
+    # at alpha = 0.6 the tolerance 3.5 n^(1-2a) is about 0.77, wider than the
+    # 5% error; from 0.75 on it is narrower
+    results = check_fourth_moment_asymptote(alphas=(0.75, 0.9, 1.0), n=2000)
+    assert results and all(r.status == FAIL for r in results), results
