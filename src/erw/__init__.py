@@ -53,7 +53,6 @@ from .simulate import (
     BatchAccumulator,
     ContinuationCheck,
     EpsilonMoments,
-    ExactSum,
     MarginalSums,
     MartingaleView,
     ScaledMomentEstimate,
@@ -62,8 +61,10 @@ from .simulate import (
     conditional_continuation_test,
     empirical_q_moments,
     martingale_diagnostics,
+    sample_stderr,
     simulate_batch,
     simulate_path,
+    z_score,
 )
 
 __version__ = "0.1.0"

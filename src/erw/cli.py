@@ -35,7 +35,7 @@ from .moments import (
     limit_q_moments,
 )
 from .rng import parse_seed
-from .simulate import batch_step_bytes, empirical_q_moments, simulate_batch
+from .simulate import batch_step_bytes, empirical_q_moments, simulate_batch, z_score
 from .verify import run_all
 
 DEFAULT_SEED = 0x243F6A8885A308D3
@@ -44,7 +44,7 @@ DEFAULT_SEED = 0x243F6A8885A308D3
 #: larger requests exit 2 before anything is allocated.
 MAX_REQUEST_BYTES = 1 << 30
 
-_CF_FIELDS = ("s2", "st", "s3", "su", "t2", "s2t")
+_CF_FIELDS = CSV_COLUMNS[1:7]
 
 
 class ConfigError(ValueError):
@@ -305,6 +305,10 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         batch_step_bytes(config.n, config.replicates, checkpoints[-1], config.workers)
         + 56 * checkpoints[-1],
     )
+    if config.replicates < 2:
+        raise ConfigError(
+            f"simulate needs at least 2 replicates for a standard error, got {config.replicates}"
+        )
     ms = moment_set(config.dist)
     table = exact_moments_upto(ms, alpha, checkpoints[-1])
     _refuse_nonfinite("simulate", table.row_blocks(), CSV_COLUMNS[1:])
@@ -313,6 +317,15 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         checkpoints, workers=config.workers,
     )
     estimates = empirical_q_moments(acc, alpha)
+    # overflowed power sums of the walks: refuse before anything is written
+    for est in estimates:
+        for name in ("estimate", "stderr"):
+            value = getattr(est, name)
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"simulate: {name} of p = {est.p} at n = {est.n} is {value}, "
+                    f"not finite in double precision"
+                )
     try:
         limits = limit_q_moments(ms, alpha)
         limit_by_p = {1: limits.q1, 2: limits.q2, 3: limits.q3, 4: limits.q4}
@@ -328,11 +341,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
             row = table.row(est.n)
             scale = float(est.n) ** (-est.p * alpha)
             exact = 0.0 if est.p == 1 else getattr(row, exact_field[est.p]) * scale
-            gap = est.estimate - exact
-            if est.stderr > 0.0:
-                z = gap / est.stderr
-            else:
-                z = 0.0 if gap == 0.0 else math.inf
+            z = float(z_score(est.estimate - exact, est.stderr))
             limit = limit_by_p.get(est.p)
             writer.writerow(
                 [
@@ -343,7 +352,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
                     est.n_replicates,
                     _fmt(exact),
                     "" if limit is None else _fmt(limit),
-                    _fmt(z),
+                    _fmt(z) if math.isfinite(z) else "",
                 ]
             )
     return 0

@@ -171,18 +171,6 @@ class MomentSet:
             ),
         }
 
-    def validate(self, atol: float = 1e-12) -> None:
-        """Raise if sign constraints or the moment identities are violated."""
-        if self.M2 < -atol:
-            raise ValueError(f"M2 = {self.M2} is negative")
-        if self.M22 < -atol:
-            raise ValueError(f"M22 = {self.M22} is negative")
-        if self.M4 < self.M2 ** 2 - atol * max(1.0, abs(self.M4)):
-            raise ValueError(f"M4 = {self.M4} violates M4 >= M2^2 = {self.M2 ** 2}")
-        for name, residual in self.identity_residuals().items():
-            if abs(residual) > atol:
-                raise ValueError(f"moment identity violated: {name} (residual {residual:g})")
-
 
 def raw_moments(dist: StepDistribution) -> tuple[float, float, float, float]:
     """Exact raw moments (m1, m2, m3, m4) of a builtin step law.

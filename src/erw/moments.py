@@ -550,7 +550,7 @@ def brute_force_moments(
                     nxt[key] = nxt.get(key, 0.0) + prob * branch
         states = nxt
 
-    contrib: dict[str, list[float]] = {key: [] for key in ("s2", "st", "s3", "su", "t2", "s2t", "s4")}
+    contrib: dict[str, list[float]] = {key: [] for key in CSV_COLUMNS[1:]}
     for counts, prob in states.items():
         s = sum(c * v for c, v in zip(counts, pts)) - n * ms.m1
         t = sum(c * v * v for c, v in zip(counts, pts)) - n * ms.m2

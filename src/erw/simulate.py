@@ -11,8 +11,11 @@ chunking or thread count.
 
 The engine only builds a chunk's step matrix.  Every statistic (checkpoint
 power sums of the centered position, martingale differences, marginal step
-moments) is reduced from that matrix a row at a time, and only the sums
-outlive the chunk, held in exactly-mergeable accumulators.
+moments) is reduced from that matrix a row at a time, and only the float64
+sums outlive the chunk.  Chunks cover fixed replicate ranges and their sums
+are added in span order, so every batch statistic has the same bytes for
+any worker count.  `sample_stderr` and `z_score` turn the sums into
+standard errors and z-scores for every consumer.
 """
 
 from __future__ import annotations
@@ -135,13 +138,15 @@ def _centered_sums(steps: np.ndarray, m1: float):
 
 
 def _power_sums(values: np.ndarray) -> np.ndarray:
-    """sum(values ** p) for p = 1..8, by repeated multiplication."""
+    """sum(values ** p) for p = 1..8, by repeated multiplication.  Powers
+    that overflow give inf or nan sums, without a warning."""
     sums = np.empty(8, dtype=np.float64)
     p = values.copy()
-    for k in range(8):
-        sums[k] = p.sum()
-        if k < 7:
-            p *= values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(8):
+            sums[k] = p.sum()
+            if k < 7:
+                p *= values
     return sums
 
 
@@ -162,52 +167,13 @@ def simulate_path(
     return WalkState.from_steps(steps[:, 0], moment_set(dist), mp)
 
 
-class ExactSum:
-    """Exact running sum of doubles via Shewchuk's non-overlapping partials.
-
-    The represented value is the exact real sum of everything added, so
-    combining sums is associative and commutative by value, which is what
-    makes accumulator merging order-independent.
-    """
-
-    __slots__ = ("partials",)
-
-    def __init__(self, partials: Sequence[float] = ()):
-        self.partials = list(partials)
-
-    def add(self, x: float) -> None:
-        x = float(x)
-        partials = self.partials
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-
-    def merge(self, other: "ExactSum") -> None:
-        for p in list(other.partials):
-            self.add(p)
-
-    @property
-    def value(self) -> float:
-        return math.fsum(self.partials)
-
-    def copy(self) -> "ExactSum":
-        return ExactSum(self.partials)
-
-
 class BatchAccumulator:
-    """Mergeable per-checkpoint power sums of S~ (p = 1 .. 8).
+    """Per-checkpoint power sums of S~ (p = 1 .. 8), added a chunk at a time.
 
     Powers run to 8 so standard errors of fourth moments can be estimated.
-    Merging accumulators over disjoint replicate ranges equals one
-    accumulation over the union exactly, not just to rounding.
+    Chunks are added in span order, which the fixed chunk layout and the
+    ordered results of the pool make the same for every worker count, so the
+    float64 sums are bit-identical across workers.
     """
 
     POWERS = 8
@@ -220,34 +186,20 @@ class BatchAccumulator:
             )
         self.checkpoints = cps
         self.n_replicates = 0
-        self._sums = [[ExactSum() for _ in range(self.POWERS)] for _ in cps]
+        self._sums = np.zeros((len(cps), self.POWERS), dtype=np.float64)
 
     def add_chunk(self, power_sums: np.ndarray, count: int) -> None:
-        """Fold in one chunk's (checkpoints x 8) power-sum matrix."""
-        for row, exact_row in zip(power_sums, self._sums):
-            for value, exact in zip(row, exact_row):
-                exact.add(value)
+        """Add one chunk's (checkpoints x 8) power-sum matrix; sums that
+        overflow stay inf or nan, without a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._sums += power_sums
         self.n_replicates += count
-
-    def merge(self, other: "BatchAccumulator") -> None:
-        if other.checkpoints != self.checkpoints:
-            raise ValueError("cannot merge accumulators with different checkpoints")
-        for mine, theirs in zip(self._sums, other._sums):
-            for exact, other_exact in zip(mine, theirs):
-                exact.merge(other_exact)
-        self.n_replicates += other.n_replicates
-
-    def copy(self) -> "BatchAccumulator":
-        dup = BatchAccumulator(self.checkpoints)
-        dup.n_replicates = self.n_replicates
-        dup._sums = [[e.copy() for e in row] for row in self._sums]
-        return dup
 
     def power_sum(self, n: int, p: int) -> float:
         """Sum over replicates of S~_n^p."""
         if not 1 <= p <= self.POWERS:
             raise ValueError(f"p must be in 1..{self.POWERS}, got {p}")
-        return self._sums[self.checkpoints.index(n)][p - 1].value
+        return float(self._sums[self.checkpoints.index(n), p - 1])
 
     def moment(self, n: int, p: int) -> float:
         """Empirical E(S~_n^p)."""
@@ -307,9 +259,10 @@ def simulate_batch(
     """Accumulate S~ power sums over many replicates at the checkpoints.
 
     Replicate i uses stream key replicate_key(master_seed, i).  Work is cut
-    into fixed-size chunks and partial sums are merged exactly, so the
-    result is bit-identical for any `workers`.  Walks are simulated only to
-    the last checkpoint; `n` still sets the chunk layout.
+    into fixed-size chunks whose sums are added in span order (`pool.map`
+    returns them in that order), so the result is bit-identical for any
+    `workers`.  Walks are simulated only to the last checkpoint; `n` still
+    sets the chunk layout.
     """
     alpha = as_memory(mp).alpha
     if replicates < 1:
@@ -349,7 +302,30 @@ class ScaledMomentEstimate:
     estimate: float
     stderr: float
     n_replicates: int
-    degenerate: bool = False
+
+
+def sample_stderr(mean, mean_sq, count: int):
+    """Standard error of a sample mean over `count` samples, from the means
+    of the values and of their squares (scalars or arrays).
+
+    The sample variance is (mean_sq - mean^2) * count/(count - 1), floored
+    at 0.  Below two samples, or where an input is nan, the result is nan.
+    """
+    ratio = count / (count - 1.0) if count > 1 else math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = np.maximum(0.0, (mean_sq - mean * mean) * ratio)
+    return np.sqrt(variance / count)
+
+
+def z_score(gap, stderr):
+    """gap / stderr (scalars or arrays).  Where stderr is not positive (0 or
+    nan), z is 0 for a gap of exactly 0 and inf otherwise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            np.asarray(stderr) > 0.0,
+            np.divide(gap, stderr),
+            np.where(np.asarray(gap) == 0.0, 0.0, np.inf),
+        )
 
 
 def empirical_q_moments(
@@ -360,7 +336,7 @@ def empirical_q_moments(
     Estimates are unbiased sample means of n^{-p alpha} S~_n^p; the standard
     error comes from the sample variance of the scaled p-th power, which
     needs power sums up to 2p.  With fewer than two replicates the standard
-    error is undefined and the estimate is flagged degenerate.
+    error is nan.
     """
     alpha = as_memory(mp).alpha
     count = acc.n_replicates
@@ -371,16 +347,8 @@ def empirical_q_moments(
         for p in (1, 2, 3, 4):
             scale = float(n) ** (-p * alpha)
             mean = acc.moment(n, p)
-            estimate = scale * mean
-            if count < 2:
-                out.append(
-                    ScaledMomentEstimate(n, p, estimate, float("nan"), count, True)
-                )
-                continue
-            mean_sq = acc.moment(n, 2 * p)
-            variance = max(0.0, (mean_sq - mean * mean) * (count / (count - 1.0)))
-            stderr = scale * math.sqrt(variance / count)
-            out.append(ScaledMomentEstimate(n, p, estimate, stderr, count))
+            stderr = float(scale * sample_stderr(mean, acc.moment(n, 2 * p), count))
+            out.append(ScaledMomentEstimate(n, p, scale * mean, stderr, count))
     return out
 
 
@@ -499,11 +467,7 @@ def batch_epsilon_moments(
     for span in _chunk_spans(n, replicates):
         _add_epsilon_sums(sums, _chunk_steps(dist, alpha, n, master_seed, span), alpha, m1)
     mean, abs2, abs4 = sums / replicates
-    if replicates > 1:
-        variance = np.maximum(0.0, (abs2 - mean * mean) * (replicates / (replicates - 1.0)))
-        stderr = np.sqrt(variance / replicates)
-    else:
-        stderr = np.full(n, np.nan)
+    stderr = sample_stderr(mean, abs2, replicates)
     scale_series = martingale_scale(np.arange(1, n + 1, dtype=float), alpha)
     return EpsilonMoments(
         n_replicates=replicates,
@@ -588,10 +552,6 @@ def conditional_continuation_test(
             stderr = float(values.std(ddof=1)) / math.sqrt(n_continuations)
         else:
             stderr = float("nan")
-        gap = observed - target[name]
-        if stderr > 0.0:
-            z = gap / stderr
-        else:
-            z = 0.0 if gap == 0.0 else math.inf
+        z = float(z_score(observed - target[name], stderr))
         results.append(ContinuationCheck(name, target[name], observed, stderr, z))
     return results

@@ -37,6 +37,7 @@ from .gammatools import (
     solve_recursion,
 )
 from .moments import (
+    CSV_COLUMNS,
     as_memory,
     closed_form_moments,
     closed_form_s4,
@@ -52,7 +53,9 @@ from .simulate import (
     conditional_continuation_test,
     marginal_moment_sums,
     martingale_diagnostics,
+    sample_stderr,
     simulate_path,
+    z_score,
 )
 
 PASS = "PASS"
@@ -196,10 +199,7 @@ def check_sampling_moments(
             powers = samples ** k
             gap = float(powers.mean()) - exact[k - 1]
             stderr = float(powers.std(ddof=1)) / math.sqrt(n_samples)
-            if stderr > 0.0:
-                worst = max(worst, abs(gap) / stderr)
-            elif abs(gap) > 1e-12:
-                worst = math.inf
+            worst = max(worst, abs(float(z_score(gap, stderr))))
         out.append(_result(f"sampling_moments[{label}]", worst, z_max, "worst |z|"))
     return out
 
@@ -318,7 +318,7 @@ def _compare_table_to_closed_form(
     ns = np.arange(1, n_max + 1, dtype=np.float64)
     cf = closed_form_moments(ms, alpha, ns)
     rec = np.column_stack(
-        [table.column(c) for c in ("s2", "st", "s3", "su", "t2", "s2t", "s4")]
+        [table.column(c) for c in CSV_COLUMNS[1:]]
     )
     closed = np.column_stack(
         [cf.s2, cf.st, cf.s3, cf.su, cf.t2, cf.s2t, closed_form_s4(ms, alpha, ns)]
@@ -380,7 +380,7 @@ def check_brute_force(
             for n in range(1, n_max + 1):
                 brute = brute_force_moments(dist, alpha, n)
                 rec = table.row(n)
-                for field in ("s2", "st", "s3", "su", "t2", "s2t", "s4"):
+                for field in CSV_COLUMNS[1:]:
                     worst = max(worst, abs(getattr(brute, field) - getattr(rec, field)))
             out.append(
                 _result(f"brute_force_vs_recursion[alpha={alpha},{label}]", worst, atol)
@@ -540,11 +540,8 @@ def check_marginal_moments(
         worst = 0.0
         for p in range(1, 5):
             mean = marginal.sums[:, p - 1] / count
-            mean_sq = marginal.sums[:, 2 * p - 1] / count
-            variance = np.maximum(0.0, (mean_sq - mean * mean) * count / (count - 1.0))
-            stderr = np.sqrt(variance / count)
-            gap = np.abs(mean - exact[p - 1])
-            z = np.where(stderr > 0.0, gap / np.maximum(stderr, 1e-300), np.where(gap <= 1e-12, 0.0, np.inf))
+            stderr = sample_stderr(mean, marginal.sums[:, 2 * p - 1] / count, count)
+            z = z_score(np.abs(mean - exact[p - 1]), stderr)
             worst = max(worst, float(z.max()))
         out.append(
             _result(f"marginal_moments[{label}]", worst, z_max, f"worst |z| over t<=({n}) p<=4")
@@ -562,9 +559,7 @@ def check_martingale_property(
 ) -> list[CheckResult]:
     """E(Q_{t} - Q_{t-1}) = 0 at every step, at Monte Carlo accuracy."""
     stats = batch_epsilon_moments(dist, alpha, n, replicates, seed)
-    gap = np.abs(stats.q_increment_mean)
-    se = stats.q_increment_stderr
-    z = np.where(se > 0.0, gap / np.maximum(se, 1e-300), np.where(gap <= 1e-12, 0.0, np.inf))
+    z = z_score(np.abs(stats.q_increment_mean), stats.q_increment_stderr)
     return [_result("martingale_property", float(z.max()), z_max, "worst |z| over steps")]
 
 

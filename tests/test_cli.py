@@ -156,13 +156,16 @@ class TestSimulate:
             assert abs(float(row["z"])) <= 5.0
             assert int(row["n_replicates"]) == 3000
 
-    def test_byte_identical_across_workers(self, tmp_path, capsys):
-        paths = [tmp_path / f"{w}.csv" for w in (1, 3)]
-        for path, workers in zip(paths, (1, 3)):
+    def test_byte_identical_across_workers(self, tmp_path, capsys, monkeypatch):
+        # chunks of 300 walks: 10 chunks, so the pool's order of sums matters
+        monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 400 * 300)
+        assert len(list(sim._chunk_spans(400, 3000))) == 10
+        paths = [tmp_path / f"{w}.csv" for w in (1, 2, 4)]
+        for path, workers in zip(paths, (1, 2, 4)):
             code, _, _ = run_cli(capsys, *self.ARGS, "--out", str(path), "--workers", str(workers))
             assert code == 0
         blobs = [p.read_bytes() for p in paths]
-        assert blobs[0] == blobs[1]
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_rerun_identical(self, tmp_path, capsys):
         paths = [tmp_path / f"r{i}.csv" for i in (1, 2)]
@@ -180,6 +183,29 @@ class TestSimulate:
         assert float(p2["estimate"]) == 1.0
         assert float(p2["exact"]) == 1.0
         assert float(p2["limit"]) == 1.0
+
+    def test_single_replicate_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--dist", "rademacher", "--alpha", "0.75",
+            "--n", "10", "--replicates", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: simulate needs at least 2 replicates for a standard error, got 1\n"
+
+    def test_zero_stderr_writes_empty_z(self, capsys):
+        # alpha = 1: every walk repeats its first step, and at this seed both
+        # walks start with 0, so the stderr is 0 while the estimates miss
+        code, out, _ = run_cli(
+            capsys, "simulate", "--dist", '{"kind":"bernoulli","p":0.3}', "--alpha", "1",
+            "--n", "10", "--replicates", "2", "--seed", "3",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out.split("\n", 1)[1])))
+        assert len(rows) == 4
+        for row in rows:
+            assert float(row["stderr"]) == 0.0
+            assert float(row["estimate"]) != float(row["exact"])
+            assert row["z"] == ""
 
     def test_stops_at_last_checkpoint(self, capsys, monkeypatch):
         # two chunks of 100 walks at n = 3000; each is simulated to step 1000
@@ -382,6 +408,22 @@ class TestNonFiniteMoments:
             )
         assert code == 2 and out == "" and not out_path.exists()
         assert err == f"error: {argv[0]}: s4 at n = 116 is inf, not finite in double precision\n"
+
+    @pytest.mark.parametrize("walks_per_chunk", [10, 1], ids=["one-chunk", "ten-chunks"])
+    def test_overflowing_walk_sums(self, walks_per_chunk, tmp_path, capsys, monkeypatch):
+        # the exact table is finite up to n = 115, but the walks' S~^5 to
+        # S~^8 leave the double range by n = 100; over ten chunks the
+        # chunk sums of odd powers add +inf to -inf
+        monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 400 * walks_per_chunk)
+        out_path = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "simulate", "--dist", self.HUGE, "--alpha", "1", "--n", "400",
+                "--replicates", "10", "--checkpoints", "100", "--out", str(out_path),
+            )
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err == "error: simulate: stderr of p = 2 at n = 100 is inf, not finite in double precision\n"
 
     def test_nonfinite_closed_form_cell(self, capsys, monkeypatch):
         real = cli.closed_form_moments

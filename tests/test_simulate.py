@@ -20,7 +20,7 @@ from erw import (
 import erw.simulate as sim
 from erw.distributions import inverse_cdf
 from erw.rng import mix64, parse_seed, replicate_key, replicate_keys, uniform_draw, uniform_draws
-from erw.simulate import ExactSum, WalkState, marginal_moment_sums
+from erw.simulate import WalkState, marginal_moment_sums, sample_stderr, z_score
 
 LAWS = (
     StepDistribution.rademacher(),
@@ -272,28 +272,6 @@ class TestBlockedDraws:
         assert sim.batch_step_bytes(1, 10**12, 1) == 8 * 1000
 
 
-class TestExactSum:
-    def test_exactness_vs_fsum(self):
-        values = [1e16, 1.0, -1e16, 1e-3, 3.14, -2.5e10, 2.5e10]
-        acc = ExactSum()
-        for v in values:
-            acc.add(v)
-        assert acc.value == math.fsum(values)
-
-    def test_merge_order_independent(self):
-        a, b = ExactSum(), ExactSum()
-        first, second = [1e15, 1e-5, -1e15], [7.25, -1e-5, 1e15]
-        for v in first:
-            a.add(v)
-        for v in second:
-            b.add(v)
-        ab = a.copy()
-        ab.merge(b)
-        ba = b.copy()
-        ba.merge(a)
-        assert ab.value == ba.value == math.fsum(first + second)
-
-
 class TestBatch:
     def test_single_replicate_matches_path(self, bernoulli03):
         acc = simulate_batch(bernoulli03, 0.6, 50, 1, 999, [25, 50])
@@ -304,36 +282,26 @@ class TestBatch:
             assert acc.power_sum(50, p) == pytest.approx(state.s_tilde ** p, rel=1e-12)
             assert acc.power_sum(25, p) == pytest.approx(prefix.s_tilde ** p, rel=1e-12)
 
-    def test_workers_bit_identical(self, skewed_two_point):
+    def test_workers_bit_identical(self, skewed_two_point, monkeypatch):
+        # chunks of 100 walks: 20 chunks, added in span order at every worker count
+        monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 300 * 100)
+        assert len(list(sim._chunk_spans(300, 2000))) == 20
         kwargs = dict(n=300, replicates=2000, master_seed=11, checkpoints=[150, 300])
         one = simulate_batch(skewed_two_point, 0.75, workers=1, **kwargs)
-        four = simulate_batch(skewed_two_point, 0.75, workers=4, **kwargs)
-        for n in (150, 300):
-            for p in range(1, 9):
-                assert one.power_sum(n, p) == four.power_sum(n, p)
+        for workers in (2, 4):
+            other = simulate_batch(skewed_two_point, 0.75, workers=workers, **kwargs)
+            assert other._sums.tobytes() == one._sums.tobytes(), workers
 
-    def test_merge_equals_union(self, bernoulli03):
-        full = simulate_batch(bernoulli03, 0.7, 80, 700, 5, [80])
-        # same replicate streams split at an arbitrary boundary
-        left = simulate_batch(bernoulli03, 0.7, 80, 700, 5, [80])
-        # rebuild from two accumulators over disjoint index ranges
+    def test_chunks_added_in_span_order(self, bernoulli03, monkeypatch):
+        monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 80 * 128)
+        acc = simulate_batch(bernoulli03, 0.7, 80, 700, 5, [40, 80])
         ms = moment_set(bernoulli03)
-        a = BatchAccumulator([80])
-        b = BatchAccumulator([80])
-        for acc, start, stop in ((a, 0, 300), (b, 300, 700)):
-            for lo in range(start, stop, 128):
-                hi = min(lo + 128, stop)
-                steps = sim._chunk_steps(bernoulli03, 0.7, 80, 5, (lo, hi))
-                acc.add_chunk(sim._checkpoint_sums(steps, ms.m1, {80: 0}), hi - lo)
-        a.merge(b)
-        assert a.n_replicates == full.n_replicates
-        for p in range(1, 9):
-            assert a.power_sum(80, p) == full.power_sum(80, p) == left.power_sum(80, p)
-
-    def test_merge_checkpoint_mismatch(self):
-        a, b = BatchAccumulator([10]), BatchAccumulator([20])
-        with pytest.raises(ValueError):
-            a.merge(b)
+        total = np.zeros((2, 8))
+        for span in sim._chunk_spans(80, 700):
+            steps = sim._chunk_steps(bernoulli03, 0.7, 80, 5, span)
+            total += sim._checkpoint_sums(steps, ms.m1, {40: 0, 80: 1})
+        assert acc.n_replicates == 700
+        assert acc._sums.tobytes() == total.tobytes()
 
     def test_checkpoint_validation(self, rademacher):
         with pytest.raises(ValueError):
@@ -379,8 +347,40 @@ class TestEmpiricalMoments:
     def test_degenerate_flag(self, rademacher):
         acc = simulate_batch(rademacher, 0.6, 10, 1, 3, [10])
         est = empirical_q_moments(acc, 0.6)
-        assert all(e.degenerate for e in est)
+        # one replicate: the standard error is undefined, and nan says so
         assert all(math.isnan(e.stderr) for e in est)
+        assert all(math.isfinite(e.estimate) for e in est)
+
+
+class TestStatistics:
+    def test_stderr_matches_ddof1(self):
+        x = np.array([0.5, -1.25, 3.0, 2.0, 0.75])
+        got = sample_stderr(x.mean(), (x * x).mean(), x.size)
+        assert got == pytest.approx(x.std(ddof=1) / math.sqrt(x.size), rel=1e-14)
+
+    def test_stderr_association_on_arrays(self):
+        mean = np.array([1.0, 0.3, 2.0, 0.1])
+        mean_sq = np.array([1.0, 0.2, 4.5, 0.7])
+        want = np.sqrt(np.maximum(0.0, (mean_sq - mean * mean) * (7 / 6.0)) / 7)
+        assert sample_stderr(mean, mean_sq, 7).tobytes() == want.tobytes()
+
+    def test_stderr_nan_and_floor(self):
+        assert math.isnan(sample_stderr(2.0, 4.0, 1))  # one sample
+        assert np.isnan(sample_stderr(np.array([2.0, 1.0]), np.array([4.0, 2.0]), 1)).all()
+        # nan propagates where max(0.0, nan) would have given 0.0
+        assert math.isnan(sample_stderr(math.nan, 1.0, 10))
+        assert math.isnan(sample_stderr(math.inf, math.inf, 10))
+        # a variance that rounds below zero is floored at 0
+        assert sample_stderr(1.0, 1.0 - 1e-16, 10) == 0.0
+
+    def test_z_rule(self):
+        assert z_score(1.0, 0.5) == 2.0 and z_score(-1.0, 0.5) == -2.0
+        for stderr in (0.0, math.nan):
+            assert z_score(0.0, stderr) == 0.0
+            assert z_score(1e-300, stderr) == math.inf
+            assert z_score(-3.0, stderr) == math.inf
+        z = z_score(np.array([0.0, 1.0, 1.0, 0.0]), np.array([0.0, 0.0, 2.0, math.nan]))
+        assert z.tolist() == [0.0, math.inf, 0.5, 0.0]
 
 
 class TestMartingaleDiagnostics:
