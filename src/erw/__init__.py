@@ -51,6 +51,7 @@ from .moments import (
 from .rng import parse_seed, replicate_key, replicate_keys
 from .simulate import (
     BatchAccumulator,
+    ClusterAccumulator,
     ContinuationCheck,
     EpsilonMoments,
     MarginalSums,
@@ -58,6 +59,7 @@ from .simulate import (
     ScaledMomentEstimate,
     WalkState,
     batch_epsilon_moments,
+    cluster_batch,
     conditional_continuation_test,
     empirical_q_moments,
     martingale_diagnostics,

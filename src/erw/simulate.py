@@ -1,4 +1,4 @@
-"""Monte Carlo engine for the elephant random walk.
+"""Monte Carlo engines for the elephant random walk.
 
 Paths follow the repeat-or-fresh step rule exactly: the first step is a
 fresh draw, and step t+1 copies a uniformly chosen earlier step with
@@ -9,13 +9,19 @@ sample), so a path is a pure function of (distribution, alpha, n, stream
 key) and a batch is a pure function of (.., master seed) regardless of
 chunking or thread count.
 
-The engine only builds a chunk's step matrix.  Every statistic (checkpoint
-power sums of the centered position, martingale differences, marginal step
-moments) is reduced from that matrix a row at a time, and only the float64
-sums outlive the chunk.  Chunks cover fixed replicate ranges and their sums
-are added in span order, so every batch statistic has the same bytes for
-any worker count.  `sample_stderr` and `z_score` turn the sums into
-standard errors and z-scores for every consumer.
+Two engines share these draws.  The literal engine (`_run_paths`, behind
+`simulate_batch`, `simulate_path` and the per-step statistics) builds a
+chunk's float64 step matrix, and every statistic is reduced from that
+matrix a row at a time.  The cluster engine (`_run_labels`, behind
+`cluster_batch`) keeps only which fresh step founded each step's cluster,
+as int32, and draws no sample: given the cluster sizes the founders' values
+are i.i.d. draws of the step law, so the conditional moments
+E(S~^p | sizes) are exact and their average estimates E(S~^p) with less
+variance than S~^p itself.  In both, only float64 sums outlive a chunk;
+chunks cover fixed replicate ranges and their sums are added in span
+order, so every batch statistic has the same bytes for any worker count.
+`sample_stderr` and `z_score` turn the sums into standard errors and
+z-scores for every consumer.
 """
 
 from __future__ import annotations
@@ -53,6 +59,11 @@ _POOL_SPAN_BYTES = 2048
 #: chunk width up to _BLOCK_ELEMENTS; wider chunks take one step per block.
 _BLOCK_ELEMENTS = 16_384
 
+#: Walks per tile of the cluster engine's size pass; a tile holds four
+#: (walks x last checkpoint) arrays of 8-byte values at once.
+_TILE_WALKS = 128
+_TILE_BYTES_PER_CELL = 32
+
 
 @dataclass(frozen=True, eq=False)
 class WalkState:
@@ -89,35 +100,54 @@ class WalkState:
                    t_tilde=t_tilde, u_tilde=u_tilde, q=q)
 
 
+def _block_draws(keys: np.ndarray, alpha: float, t_block: np.ndarray):
+    """The draws of steps t_block (consecutive, 1-based) of every walk, the
+    same for both engines: (u_val, repeat, src), each (steps x walks).
+
+    Step t reads draw counter 2(t-1) for the branch uniform and 2(t-1)+1
+    for the index-or-sample uniform u_val.  repeat says whether the step
+    copies (the branch uniform is below alpha; never at t = 1) and src is
+    the 0-based row it copies, floor(u_val (t-1)) capped at t-2.  None of
+    these depends on the walk's history, so a block of steps is drawn in
+    one call per array.
+    """
+    u_val = uniform_draws(keys, 2 * t_block - 1)
+    repeat = uniform_draws(keys, 2 * t_block - 2) < alpha
+    prev = (t_block - 1)[:, None]
+    src = (u_val * prev).astype(np.int64)
+    np.minimum(src, prev - 1, out=src)
+    if t_block[0] == 1:
+        repeat[0] = False  # the first step is always fresh
+    return u_val, repeat, src
+
+
+def _block_rows(width: int) -> int:
+    """Steps per block of draws: about _BLOCK_ELEMENTS values per array."""
+    return max(1, _BLOCK_ELEMENTS // max(width, 1))
+
+
 def _run_paths(
     dist: StepDistribution, alpha: float, n: int, keys: np.ndarray
 ) -> np.ndarray:
     """The (n, len(keys)) step matrix of len(keys) walks, vectorised across walks.
 
-    Step t consumes draw counters 2(t-1) for the branch uniform and
-    2(t-1)+1 for the index-or-sample uniform; the first step uses only the
-    sample draw.  The draws, fresh samples and repeat indices depend only on
-    (key, counter), so they are made a block of steps at a time (about
-    _BLOCK_ELEMENTS values per array); only the copy from the walk's own
-    history runs step by step.  The counters, and so the output bytes, are
-    the same as drawing one step at a time.  Every statistic is computed
-    from the returned matrix afterwards, a row at a time.
+    The draws, fresh samples and repeat positions are made a block of steps
+    at a time (`_block_draws`); only the copy from the walk's own history
+    runs step by step.  The counters, and so the output bytes, are the same
+    as drawing one step at a time.  Every statistic is computed from the
+    returned matrix afterwards, a row at a time.
     """
     width = keys.size
     steps = np.empty((n, width), dtype=np.float64)
     flat = steps.reshape(-1)
     cols = np.arange(width)
-    rows = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    rows = _block_rows(width)
 
     for first in range(1, n + 1, rows):
         t_block = np.arange(first, min(first + rows, n + 1))
-        u_val = uniform_draws(keys, 2 * t_block - 1)
+        u_val, repeat, idx = _block_draws(keys, alpha, t_block)
         fresh = inverse_cdf(dist, u_val)
-        repeat = uniform_draws(keys, 2 * t_block - 2) < alpha
-        # source row of a repeat, already flattened to a position in `steps`
-        prev = (t_block - 1)[:, None]
-        idx = (u_val * prev).astype(np.int64)
-        np.minimum(idx, prev - 1, out=idx)
+        # source row of a repeat, flattened to a position in `steps`
         idx *= width
         idx += cols
 
@@ -127,6 +157,99 @@ def _run_paths(
             else:
                 steps[t - 1] = np.where(repeat[i], flat.take(idx[i]), fresh[i])
     return steps
+
+
+def _run_labels(alpha: float, n: int, keys: np.ndarray) -> np.ndarray:
+    """The (n, len(keys)) int32 cluster labels of len(keys) walks.
+
+    A step's label is the 0-based row of the fresh step that founded its
+    cluster: a fresh step founds its own, a repeat joins the cluster of the
+    step it copies.  The draws are `_run_paths`'s, so
+    `_run_paths(...)[labels, cols]` equals the fresh samples gathered at
+    the labels.  No sample is drawn.  Each row is first set to its own
+    index, so a fresh step reads its label through its own position and
+    every step is one `take` without a select.
+    """
+    if n >= 2**31:
+        raise ValueError(f"cluster labels are int32: n must be below 2**31, got {n}")
+    width = keys.size
+    labels = np.empty((n, width), dtype=np.int32)
+    flat = labels.reshape(-1)
+    cols = np.arange(width)
+    rows = _block_rows(width)
+
+    for first in range(1, n + 1, rows):
+        t_block = np.arange(first, min(first + rows, n + 1))
+        _, repeat, src = _block_draws(keys, alpha, t_block)
+        own = (t_block - 1)[:, None]
+        np.copyto(src, own, where=~repeat)
+        src *= width
+        src += cols
+        block = labels[first - 1 : first - 1 + t_block.size]
+        block[...] = own
+        for i, row in enumerate(block):
+            flat.take(src[i], out=row, mode="clip")
+    return labels
+
+
+def _cluster_size_sums(labels: np.ndarray, checkpoints: Sequence[int]):
+    """Yield (S2, S3, S4) at each checkpoint c, one float64 value per walk
+    (column of `labels`): S_k = sum of N^k over the walk's clusters, where
+    N counts the first c steps that carry the cluster's label.
+
+    The sizes are counted founder-major (walk j's founder r at r*width + j).
+    A label in the first c rows is below c, so a checkpoint's `bincount`
+    covers only the rows added since the previous checkpoint and only the
+    first c*width counts, and this costs O(walks * c) per checkpoint.
+    """
+    width = labels.shape[1]
+    cols = np.arange(width, dtype=np.int64)
+    counts = np.zeros(width * checkpoints[-1], dtype=np.int64)
+    start = 0
+    for c in checkpoints:
+        head = counts[: c * width]
+        index = np.multiply(labels[start:c], width, dtype=np.int64)
+        index += cols
+        head += np.bincount(index.reshape(-1), minlength=c * width)
+        del index  # before the float arrays: the pass stays in _TILE_BYTES_PER_CELL
+        start = c
+        sizes = head.reshape(c, width).astype(np.float64)
+        square = sizes * sizes
+        s2 = square.sum(axis=0)
+        sizes *= square
+        s3 = sizes.sum(axis=0)
+        square *= square
+        yield s2, s3, square.sum(axis=0)
+
+
+def _conditional_moments(ms: MomentSet, s2, s3, s4) -> np.ndarray:
+    """(4, walks) array of E(S~^p | cluster sizes) for p = 1..4.
+
+    Given the sizes N_j, S~ = sum_j N_j (xi_j - m1) with i.i.d. founder
+    values xi_j, so E1 = 0, E2 = M2 S2, E3 = M3 S3 and
+    E4 = M4 S4 + 3 M2^2 (S2^2 - S4), with S_k = sum_j N_j^k.
+    """
+    out = np.zeros((4, np.size(s2)), dtype=np.float64)
+    out[1] = ms.M2 * s2
+    out[2] = ms.M3 * s3
+    out[3] = ms.M4 * s4 + 3.0 * ms.M2 * ms.M2 * (s2 * s2 - s4)
+    return out
+
+
+def _cluster_sums(labels: np.ndarray, ms: MomentSet, checkpoints: Sequence[int]) -> np.ndarray:
+    """(checkpoints x 8) sums over the walks of one label matrix: E_p in
+    columns 0..3 and E_p^2 in columns 4..7, added tile by tile of
+    _TILE_WALKS walks.  Values that overflow give inf or nan, without a
+    warning."""
+    sums = np.zeros((len(checkpoints), 8), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(0, labels.shape[1], _TILE_WALKS):
+            tile = labels[:, j : j + _TILE_WALKS]
+            for row, size_sums in zip(sums, _cluster_size_sums(tile, checkpoints)):
+                e = _conditional_moments(ms, *size_sums)
+                row[:4] += e.sum(axis=1)
+                row[4:] += (e * e).sum(axis=1)
+    return sums
 
 
 def _centered_sums(steps: np.ndarray, m1: float):
@@ -186,11 +309,11 @@ class BatchAccumulator:
             )
         self.checkpoints = cps
         self.n_replicates = 0
-        self._sums = np.zeros((len(cps), self.POWERS), dtype=np.float64)
+        self._sums = np.zeros((len(cps), 8), dtype=np.float64)
 
     def add_chunk(self, power_sums: np.ndarray, count: int) -> None:
-        """Add one chunk's (checkpoints x 8) power-sum matrix; sums that
-        overflow stay inf or nan, without a warning."""
+        """Add one chunk's (checkpoints x 8) sum matrix; sums that overflow
+        stay inf or nan, without a warning."""
         with np.errstate(over="ignore", invalid="ignore"):
             self._sums += power_sums
         self.n_replicates += count
@@ -207,6 +330,27 @@ class BatchAccumulator:
             raise ValueError("accumulator is empty")
         return self.power_sum(n, p) / self.n_replicates
 
+    def moment_and_square(self, n: int, p: int) -> tuple[float, float]:
+        """Means over the replicates of the per-walk estimate of E(S~_n^p)
+        and of its square: here S~^p and S~^(2p)."""
+        return self.moment(n, p), self.moment(n, 2 * p)
+
+
+class ClusterAccumulator(BatchAccumulator):
+    """Per-checkpoint sums of the conditional moments E_p = E(S~^p | cluster
+    sizes) for p = 1..4 (columns 0..3) and of their squares (columns 4..7).
+
+    `power_sum` and `moment` read E_p, whose mean over walks estimates
+    E(S~^p) without bias; only p <= 4 exists.
+    """
+
+    POWERS = 4
+
+    def moment_and_square(self, n: int, p: int) -> tuple[float, float]:
+        """Means over the replicates of E_p and of E_p^2."""
+        mean = self.moment(n, p)
+        return mean, float(self._sums[self.checkpoints.index(n), p + 3]) / self.n_replicates
+
 
 def _chunk_width(n: int, replicates: int) -> int:
     """Walks per chunk: at most _CHUNK_TARGET_ELEMENTS steps, at least one walk."""
@@ -222,20 +366,26 @@ def _chunk_spans(n: int, replicates: int) -> Iterator[tuple[int, int]]:
 
 
 def batch_step_bytes(n: int, replicates: int, last: int, workers: int = 1) -> int:
-    """Bytes `simulate_batch` holds at once for checkpoints ending at `last`:
-    one float64 (last x chunk width) step matrix per busy worker and, with
-    more than one worker, the pool's record of every chunk.  Computed
-    without allocating anything."""
+    """Bytes `cluster_batch` holds at once for checkpoints ending at `last`:
+    per busy worker an int32 (last x chunk width) label matrix and the
+    size pass's arrays for one tile, and, with more than one worker, the
+    pool's record of every chunk.  Computed without allocating anything."""
     width = _chunk_width(n, replicates)
     chunks = -(-replicates // width)
     pool = _POOL_SPAN_BYTES * chunks if workers > 1 else 0
-    return 8 * last * width * min(workers, chunks) + pool
+    tile = _TILE_BYTES_PER_CELL * min(width, _TILE_WALKS) * last
+    return (4 * last * width + tile) * min(workers, chunks) + pool
+
+
+def _chunk_keys(master_seed: int, span: tuple[int, int]) -> np.ndarray:
+    """Stream keys of the replicates in `span`: replicate_key(master_seed, i)."""
+    start, stop = span
+    return replicate_keys(master_seed, start, stop - start)
 
 
 def _chunk_steps(dist, alpha, n, master_seed, span) -> np.ndarray:
-    """Step matrix of the replicates in `span`; replicate i has key replicate_key(master_seed, i)."""
-    start, stop = span
-    return _run_paths(dist, alpha, n, replicate_keys(master_seed, start, stop - start))
+    """Step matrix of the replicates in `span`."""
+    return _run_paths(dist, alpha, n, _chunk_keys(master_seed, span))
 
 
 def _checkpoint_sums(steps: np.ndarray, m1: float, checkpoint_index: dict[int, int]) -> np.ndarray:
@@ -247,40 +397,24 @@ def _checkpoint_sums(steps: np.ndarray, m1: float, checkpoint_index: dict[int, i
     return sums
 
 
-def simulate_batch(
-    dist: StepDistribution,
-    mp: Union[MemoryParameter, float],
-    n: int,
-    replicates: int,
-    master_seed: int,
-    checkpoints: Sequence[int],
-    workers: int = 1,
-) -> BatchAccumulator:
-    """Accumulate S~ power sums over many replicates at the checkpoints.
+def _run_batch(acc, n, replicates, workers, chunk_sums):
+    """Add chunk_sums(span) of every chunk to `acc` in span order.
 
-    Replicate i uses stream key replicate_key(master_seed, i).  Work is cut
-    into fixed-size chunks whose sums are added in span order (`pool.map`
-    returns them in that order), so the result is bit-identical for any
-    `workers`.  Walks are simulated only to the last checkpoint; `n` still
-    sets the chunk layout.
+    Walks are simulated only to the last checkpoint; `n` still sets the
+    chunk layout.  `pool.map` returns the sums in span order, so the result
+    is bit-identical for any `workers`.
     """
-    alpha = as_memory(mp).alpha
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    acc = BatchAccumulator(checkpoints)
     if acc.checkpoints[-1] > n:
         raise ValueError(
             f"checkpoints must lie in [1, n]: got {acc.checkpoints[-1]} > n = {n}"
         )
-    m1 = moment_set(dist).m1
-    cpi = {c: i for i, c in enumerate(acc.checkpoints)}
-    last = acc.checkpoints[-1]
 
     def run(span: tuple[int, int]):
-        steps = _chunk_steps(dist, alpha, last, master_seed, span)
-        return _checkpoint_sums(steps, m1, cpi), span[1] - span[0]
+        return chunk_sums(span), span[1] - span[0]
 
     spans = _chunk_spans(n, replicates)
     if workers > 1:
@@ -291,6 +425,64 @@ def simulate_batch(
         for span in spans:
             acc.add_chunk(*run(span))
     return acc
+
+
+def simulate_batch(
+    dist: StepDistribution,
+    mp: Union[MemoryParameter, float],
+    n: int,
+    replicates: int,
+    master_seed: int,
+    checkpoints: Sequence[int],
+    workers: int = 1,
+) -> BatchAccumulator:
+    """Accumulate S~ power sums over many replicates at the checkpoints:
+    the literal engine, the reference for `cluster_batch`.
+
+    Replicate i uses stream key replicate_key(master_seed, i).  Work is cut
+    into fixed-size chunks whose sums are added in span order, so the result
+    is bit-identical for any `workers`.
+    """
+    alpha = as_memory(mp).alpha
+    acc = BatchAccumulator(checkpoints)
+    m1 = moment_set(dist).m1
+    cpi = {c: i for i, c in enumerate(acc.checkpoints)}
+    last = acc.checkpoints[-1]
+    return _run_batch(
+        acc, n, replicates, workers,
+        lambda span: _checkpoint_sums(_chunk_steps(dist, alpha, last, master_seed, span), m1, cpi),
+    )
+
+
+def cluster_batch(
+    dist: StepDistribution,
+    mp: Union[MemoryParameter, float],
+    n: int,
+    replicates: int,
+    master_seed: int,
+    checkpoints: Sequence[int],
+    workers: int = 1,
+) -> ClusterAccumulator:
+    """Accumulate the conditional moments E(S~^p | cluster sizes), p = 1..4,
+    and their squares over many replicates at the checkpoints.
+
+    The walks, chunks and draws are those of `simulate_batch` with the same
+    arguments, but only cluster labels are simulated (`_run_labels`) and no
+    step is sampled.  Each walk's E_p has the mean of S~^p and a smaller
+    variance.  Each checkpoint costs O(walks * checkpoint) to count the
+    cluster sizes, so many checkpoints on long walks cost more than the
+    walks themselves.  Bit-identical for any `workers`.
+    """
+    alpha = as_memory(mp).alpha
+    acc = ClusterAccumulator(checkpoints)
+    ms = moment_set(dist)
+    last = acc.checkpoints[-1]
+    return _run_batch(
+        acc, n, replicates, workers,
+        lambda span: _cluster_sums(
+            _run_labels(alpha, last, _chunk_keys(master_seed, span)), ms, acc.checkpoints
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -333,10 +525,10 @@ def empirical_q_moments(
 ) -> list[ScaledMomentEstimate]:
     """Scaled moment estimates for p = 1..4 at every checkpoint.
 
-    Estimates are unbiased sample means of n^{-p alpha} S~_n^p; the standard
-    error comes from the sample variance of the scaled p-th power, which
-    needs power sums up to 2p.  With fewer than two replicates the standard
-    error is nan.
+    Estimates are unbiased sample means of the scaled per-walk estimate
+    (n^{-p alpha} S~_n^p, or its conditional moment from `cluster_batch`);
+    the standard error comes from the sample variance of that estimate.
+    With fewer than two replicates the standard error is nan.
     """
     alpha = as_memory(mp).alpha
     count = acc.n_replicates
@@ -346,8 +538,8 @@ def empirical_q_moments(
     for n in acc.checkpoints:
         for p in (1, 2, 3, 4):
             scale = float(n) ** (-p * alpha)
-            mean = acc.moment(n, p)
-            stderr = float(scale * sample_stderr(mean, acc.moment(n, 2 * p), count))
+            mean, mean_sq = acc.moment_and_square(n, p)
+            stderr = float(scale * sample_stderr(mean, mean_sq, count))
             out.append(ScaledMomentEstimate(n, p, scale * mean, stderr, count))
     return out
 

@@ -193,39 +193,59 @@ class TestSimulate:
         assert err == "error: simulate needs at least 2 replicates for a standard error, got 1\n"
 
     def test_zero_stderr_writes_empty_z(self, capsys):
-        # alpha = 1: every walk repeats its first step, and at this seed both
-        # walks start with 0, so the stderr is 0 while the estimates miss
+        # alpha = 1: every walk is one cluster of n steps, so both walks have
+        # the same conditional moments and the stderr is 0.  Those moments
+        # are exact: at p = 1 the gap is exactly 0 and z is 0; at p = 2..4
+        # they miss the recursion's values by rounding and z is empty
         code, out, _ = run_cli(
             capsys, "simulate", "--dist", '{"kind":"bernoulli","p":0.3}', "--alpha", "1",
             "--n", "10", "--replicates", "2", "--seed", "3",
         )
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out.split("\n", 1)[1])))
-        assert len(rows) == 4
+        assert [row["p"] for row in rows] == ["1", "2", "3", "4"]
         for row in rows:
             assert float(row["stderr"]) == 0.0
-            assert float(row["estimate"]) != float(row["exact"])
-            assert row["z"] == ""
+            gap = float(row["estimate"]) - float(row["exact"])
+            assert (gap == 0.0) == (row["p"] == "1")
+            assert row["z"] == ("0.0" if gap == 0.0 else "")
+
+    def test_third_moment_exactly_zero_when_m3_is_zero(self, capsys):
+        # uniform(0, 1) has M3 = 0, so every walk's E(S~^3 | sizes) and the
+        # stderr are exactly 0; the recursion's s3 is rounding noise
+        # (1.5e-12 at n = 100), and the p = 3 row writes exact 0 and z 0
+        code, out, _ = run_cli(
+            capsys, "simulate", "--dist", '{"kind":"uniform","lo":0,"hi":1}', "--alpha", "0.75",
+            "--n", "100", "--replicates", "20", "--checkpoints", "10,100", "--seed", "1",
+        )
+        assert code == 0
+        rows = [row for row in csv.DictReader(io.StringIO(out.split("\n", 1)[1]))
+                if row["p"] == "3"]
+        assert len(rows) == 2
+        for row in rows:
+            assert (row["estimate"], row["stderr"], row["exact"], row["z"]) == (
+                "0.0", "0.0", "0.0", "0.0"
+            )
 
     def test_stops_at_last_checkpoint(self, capsys, monkeypatch):
         # two chunks of 100 walks at n = 3000; each is simulated to step 1000
         monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 300_000)
         rows = []
-        run_paths = sim._run_paths
+        run_labels = sim._run_labels
 
-        def spy(dist, alpha, n, keys):
+        def spy(alpha, n, keys):
             rows.append(n)
-            return run_paths(dist, alpha, n, keys)
+            return run_labels(alpha, n, keys)
 
-        monkeypatch.setattr(sim, "_run_paths", spy)
+        monkeypatch.setattr(sim, "_run_labels", spy)
         code, out, _ = run_cli(
             capsys, "simulate", "--dist", "rademacher", "--alpha", "0.75", "--n", "3000",
             "--replicates", "200", "--checkpoints", "1000", "--seed", "5",
         )
         assert code == 0 and rows == [1000, 1000]
-        # the bytes written when all 3000 steps were simulated
+        # the bytes written when all 3000 steps are simulated
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "7a1ebc59aaeccf0660d86d5ef15249db403d62cff103f889dabe05e4c9c1fa57"
+            "c7fccc733c005e5992436ac4d0d5aeb2d62f38d73ab2b50a814599f3aff81fe1"
         )
 
     def test_checkpoint_bounds(self, capsys):
@@ -399,7 +419,7 @@ class TestNonFiniteMoments:
         def refuse(*args, **kwargs):
             raise AssertionError("simulated despite a non-finite exact table")
 
-        monkeypatch.setattr(cli, "simulate_batch", refuse)
+        monkeypatch.setattr(cli, "cluster_batch", refuse)
         out_path = tmp_path / "out.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -411,9 +431,10 @@ class TestNonFiniteMoments:
 
     @pytest.mark.parametrize("walks_per_chunk", [10, 1], ids=["one-chunk", "ten-chunks"])
     def test_overflowing_walk_sums(self, walks_per_chunk, tmp_path, capsys, monkeypatch):
-        # the exact table is finite up to n = 115, but the walks' S~^5 to
-        # S~^8 leave the double range by n = 100; over ten chunks the
-        # chunk sums of odd powers add +inf to -inf
+        # the exact table is finite up to n = 115, but at alpha = 1 each
+        # walk is one cluster of 100 steps, whose E(S~^2 | sizes) = 1e154
+        # squares to 1e308: its sum over ten walks, in one chunk or ten,
+        # leaves the double range, and E(S~^4 | sizes)^2 already does
         monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 400 * walks_per_chunk)
         out_path = tmp_path / "out.csv"
         with warnings.catch_warnings():
@@ -453,27 +474,44 @@ class TestRequestSizeCap:
 
         monkeypatch.setattr(cli, "MAX_REQUEST_BYTES", 100_000)
         monkeypatch.setattr(cli, "exact_moments_upto", refuse)
-        monkeypatch.setattr(cli, "simulate_batch", refuse)
+        monkeypatch.setattr(cli, "cluster_batch", refuse)
 
     @pytest.mark.parametrize("argv", [
         ("exact", "--n", "2000"),
         ("exact", "--n", "1000", "--compare"),
         ("simulate", "--n", "20000", "--replicates", "1"),
         ("simulate", "--n", "100", "--replicates", "200"),
-        # two chunks of 800 walks: 64 kB of steps at one worker, 128 kB at two
+        # two chunks of 800 walks: 32 kB of labels and 41 kB of size counts
+        # per busy worker, 74 kB at one worker and 151 kB at two
         ("simulate", "--n", "10000", "--replicates", "1600", "--checkpoints", "10",
          "--workers", "2"),
-        # 1000 one-walk chunks of one step: 16 bytes of steps, but the
-        # pool's record of 1000 chunks is about 2 MB
+        # 1000 one-walk chunks of one step: 72 bytes of labels and counts,
+        # but the pool's record of 1000 chunks is about 2 MB
         ("simulate", "--n", "8000000", "--replicates", "1000", "--checkpoints", "1",
          "--workers", "2"),
+        # one walk more than test_simulate_at_cap_runs: 80 and 1800 bytes over
+        ("simulate", "--n", "20", "--replicates", "213"),
+        ("simulate", "--n", "50", "--replicates", "55"),
     ], ids=["exact", "exact-compare", "simulate-long", "simulate-wide", "simulate-workers",
-            "simulate-pool-spans"])
+            "simulate-pool-spans", "simulate-tile-over", "simulate-walks-over"])
     def test_config_exit_with_one_line(self, argv, capsys):
         code, out, err = run_cli(capsys, *argv, "--dist", "rademacher", "--alpha", "0.75")
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and "cap" in err
+
+    @pytest.mark.parametrize("n,replicates", [(20, 212), (50, 54)])
+    def test_simulate_at_cap_runs(self, n, replicates, capsys, monkeypatch):
+        # exactly the cap: labels, one tile of size counts (at most
+        # _TILE_WALKS walks wide) and the exact table to n
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_REQUEST_BYTES", 100_000)
+        assert sim.batch_step_bytes(n, replicates, n) + 56 * n == 100_000
+        code, out, _ = run_cli(
+            capsys, "simulate", "--dist", "rademacher", "--alpha", "0.75",
+            "--n", str(n), "--replicates", str(replicates),
+        )
+        assert code == 0 and len(out.splitlines()) == 6
 
     def test_below_cap_runs(self, capsys, monkeypatch):
         monkeypatch.undo()
@@ -504,19 +542,24 @@ class TestUnexpectedErrors:
 class TestGoldenOutput:
     """Output bytes pinned across versions, not only across reruns.
 
-    The Gaussian is left out: its sampler goes through np.log, whose last
-    bit may differ between numpy builds.
+    `simulate` draws no sample (the cluster engine reads only the law's
+    moments), so a Gaussian law is pinned too: nothing on its path goes
+    through np.log, whose last bit may differ between numpy builds.
     """
 
     SKEWED = '{"kind":"discrete","points":[-1,2],"weights":[0.6,0.4]}'
+    GAUSSIAN = '{"kind":"gaussian","mean":0.5,"stddev":2}'
 
     @pytest.mark.parametrize("argv,digest", [
         (("simulate", "--dist", "rademacher", "--alpha", "0.75", "--n", "200",
           "--replicates", "500", "--checkpoints", "100,200", "--seed", "0xfeed"),
-         "3697b026e1c9ccb83187540806e946bf36c11c4dd96979a1717aa88e475b9181"),
+         "2ff313b2c4b3005754a912efbd9c25c0a4be441ddb9a95414068acb7b6439ecc"),
         (("simulate", "--dist", SKEWED, "--alpha", "0.6", "--n", "200",
           "--replicates", "500", "--checkpoints", "50,200", "--seed", "7"),
-         "6a26e1857ee84363febf79d94a99762d2e7172dd71ed7c8b2683f491c7ba6e49"),
+         "afc634fa798c5a9f511d2d9a96f574d3aaae6c45980173ea88ec604b8741b0ea"),
+        (("simulate", "--dist", GAUSSIAN, "--alpha", "0.3", "--n", "200",
+          "--replicates", "500", "--checkpoints", "100,200", "--seed", "0xbeef"),
+         "7f4d49a7d81a482690ed74e8f53e24c1bc5d712a65e51ff5c53cc350d703dd07"),
         (("exact", "--dist", SKEWED, "--alpha", "0.75", "--n", "200"),
          "bae94fd1a49b032c568d4f13ae91ca4522d68e1bc7a823fd74a09ed24df9cc86"),
         # 10000 rows cross the row blocks of the recursion and the writers
@@ -524,7 +567,7 @@ class TestGoldenOutput:
          "5d8da701ec2afdb041a1e684c735c8651584a2da2985be9c5ef2d40ad6f85dfd"),
         (("exact", "--dist", SKEWED, "--alpha", "0.75", "--n", "10000", "--compare"),
          "5dbd978c6dd18045783672c1f57aa3e80e1dd8163991be5fda1f3304488aeabe"),
-    ], ids=["simulate-rademacher", "simulate-skewed", "exact-skewed",
+    ], ids=["simulate-rademacher", "simulate-skewed", "simulate-gaussian", "exact-skewed",
             "exact-skewed-blocks", "exact-skewed-blocks-compare"])
     def test_sha256(self, argv, digest, tmp_path, capsys):
         path = tmp_path / "out.csv"

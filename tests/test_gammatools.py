@@ -58,6 +58,17 @@ class TestLogGammaRatio:
                 worst = max(worst, err)
         assert worst <= 1e-12
 
+    def test_against_mpmath_far_out(self):
+        # contract: the same bound up to n = 1e12, on the scalar and array
+        # paths (the fourth-moment asymptote check reads n = 1e8..1e12)
+        worst = 0.0
+        for n in (1e8, 1e9, 1e10, 1e11, 1e12):
+            for delta in (-4.0, 1e-9, 0.3, 1.0, 2.4, 3.6, 4.0):
+                for got in (log_gamma_ratio(n, delta), log_gamma_ratio(np.array([n]), delta)[0]):
+                    err = abs(float(mp.e ** (mp.mpf(float(got)) - mp_log_gamma_ratio(n, delta)) - 1))
+                    worst = max(worst, err)
+        assert worst <= 1e-12
+
     def test_negative_delta(self):
         for n, delta in ((2.0, -0.7), (100.0, -3.5), (1e6, -4.0)):
             got = log_gamma_ratio(n, delta)

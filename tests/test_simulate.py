@@ -1,6 +1,8 @@
 """Simulator: determinism, degenerate regimes, accumulators, diagnostics."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from erw import (
     BatchAccumulator,
     StepDistribution,
     batch_epsilon_moments,
+    cluster_batch,
     conditional_continuation_test,
     empirical_q_moments,
+    exact_moments_upto,
     martingale_diagnostics,
     martingale_scale,
     moment_set,
@@ -21,6 +25,7 @@ import erw.simulate as sim
 from erw.distributions import inverse_cdf
 from erw.rng import mix64, parse_seed, replicate_key, replicate_keys, uniform_draw, uniform_draws
 from erw.simulate import WalkState, marginal_moment_sums, sample_stderr, z_score
+from erw.verify import cluster_label_mismatches
 
 LAWS = (
     StepDistribution.rademacher(),
@@ -260,16 +265,40 @@ class TestBlockedDraws:
     def test_batch_step_bytes(self, monkeypatch):
         monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 1000)
         pool = sim._POOL_SPAN_BYTES
-        # chunks of 3 walks; the matrices have as many rows as the last
-        # checkpoint, and a pool also holds a record of each of the 4 chunks
-        assert sim.batch_step_bytes(300, 10, 300) == 8 * 300 * 3
-        assert sim.batch_step_bytes(300, 10, 50, workers=2) == 8 * 50 * 3 * 2 + 4 * pool
+        cell = sim._TILE_BYTES_PER_CELL
+        # chunks of 3 walks: int32 labels with as many rows as the last
+        # checkpoint and the size counts of one tile of 3 walks, per busy
+        # worker; a pool also holds a record of each of the 4 chunks
+        assert sim.batch_step_bytes(300, 10, 300) == 4 * 300 * 3 + cell * 3 * 300
+        assert (sim.batch_step_bytes(300, 10, 50, workers=2)
+                == (4 * 50 * 3 + cell * 3 * 50) * 2 + 4 * pool)
         # four chunks keep at most four workers busy
-        assert sim.batch_step_bytes(300, 10, 50, workers=64) == 8 * 50 * 3 * 4 + 4 * pool
+        assert (sim.batch_step_bytes(300, 10, 50, workers=64)
+                == (4 * 50 * 3 + cell * 3 * 50) * 4 + 4 * pool)
         # a walk longer than the target is a chunk of its own
-        assert sim.batch_step_bytes(5000, 2, 5000, workers=2) == 8 * 5000 * 2 + 2 * pool
-        # one worker runs the chunks in a loop and keeps no record of them
-        assert sim.batch_step_bytes(1, 10**12, 1) == 8 * 1000
+        assert (sim.batch_step_bytes(5000, 2, 5000, workers=2)
+                == (4 * 5000 + cell * 5000) * 2 + 2 * pool)
+        # one worker runs the chunks in a loop and keeps no record of them;
+        # a tile holds at most _TILE_WALKS walks
+        assert sim.batch_step_bytes(1, 10**12, 1) == 4 * 1000 + cell * sim._TILE_WALKS
+
+    @pytest.mark.parametrize("width,checkpoints", [
+        (2000, (1000, 3000)), (128, (10, 20, 3000)), (50, (1500, 3000)),
+    ])
+    def test_size_pass_within_tile_bytes(self, width, checkpoints):
+        # the arrays the size pass allocates, measured, against the tile
+        # term of batch_step_bytes
+        ms = moment_set(StepDistribution.rademacher())
+        labels = sim._run_labels(0.75, checkpoints[-1], replicate_keys(1, 0, width))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sim._cluster_sums(labels, ms, checkpoints)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        tile = sim._TILE_BYTES_PER_CELL * min(width, sim._TILE_WALKS) * checkpoints[-1]
+        assert peak <= tile
 
 
 class TestBatch:
@@ -303,11 +332,25 @@ class TestBatch:
         assert acc.n_replicates == 700
         assert acc._sums.tobytes() == total.tobytes()
 
+    @pytest.mark.parametrize("dist,alpha,checkpoints,seed,digest", [
+        (StepDistribution.rademacher(), 0.75, [100, 200], 0xFEED,
+         "70e1a65d526f1d242694efdd4b5077093cf679e0b461545ac25a27fa1a56e73c"),
+        (StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4)), 0.6, [50, 200], 7,
+         "20a7324f2e7ec1128c5314ec416e3c0c4f315bbb83a7d1f88a36ee6ab12df122"),
+    ], ids=["rademacher", "skewed"])
+    def test_golden_power_sums(self, dist, alpha, checkpoints, seed, digest):
+        # the literal engine's power sums, pinned across versions
+        acc = simulate_batch(dist, alpha, 200, 500, seed, checkpoints)
+        sums = np.array([[acc.power_sum(c, p) for p in range(1, 9)] for c in checkpoints])
+        assert hashlib.sha256(sums.tobytes()).hexdigest() == digest
+
     def test_checkpoint_validation(self, rademacher):
         with pytest.raises(ValueError):
             BatchAccumulator([30, 20])
         with pytest.raises(ValueError):
             simulate_batch(rademacher, 0.5, 10, 5, 1, [20])
+        with pytest.raises(ValueError):
+            cluster_batch(rademacher, 0.5, 10, 5, 1, [20])
 
     def test_memoryless_variance_linear(self, bernoulli03):
         # independent steps: Var(S_n) = n M2; 1e5 replicates at n = 1000
@@ -316,6 +359,112 @@ class TestBatch:
         mean = acc.moment(1000, 1)
         var = acc.moment(1000, 2) - mean * mean
         assert var / 1000 == pytest.approx(ms.M2, rel=0.03)
+
+
+_ENUMERATION_LAWS = (
+    StepDistribution.rademacher(),
+    StepDistribution.bernoulli(0.3),
+    StepDistribution.discrete((-0.5, 1.0, 3.0), (0.5, 0.3, 0.2)),
+)
+
+
+def _enumerated_label_histories(alpha, n):
+    """Test oracle: every label history of n steps, as an (n, histories)
+    label matrix, with the probability of each under the step rule."""
+    histories = [((0,), 1.0)]
+    for t in range(2, n + 1):
+        grown = []
+        for labels, weight in histories:
+            if alpha < 1.0:
+                grown.append((labels + (t - 1,), weight * (1.0 - alpha)))
+            if alpha > 0.0:
+                grown.extend(
+                    (labels + (labels[k],), weight * alpha / (t - 1)) for k in range(t - 1)
+                )
+        histories = grown
+    labels = np.array([h for h, _ in histories], dtype=np.int32).T
+    return np.ascontiguousarray(labels), np.array([w for _, w in histories])
+
+
+class TestClusterEngine:
+    """The cluster engine against the literal engine, full enumeration and
+    itself: labels, conditional moments, reduction."""
+
+    @pytest.mark.parametrize("width,budget", [(1, 600), (7, 600), (300, 600), (300, None)])
+    @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
+    def test_labels_map_to_literal_steps(self, dist, width, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", budget)
+        keys = replicate_keys(2718, 0, width)
+        rows = sim._block_rows(width)
+        for n in sorted({1, 2, rows - 1, rows, rows + 1, 2 * rows + 3} - {0}):
+            assert cluster_label_mismatches(dist, 0.6, n, keys) == 0, (dist.kind, width, n)
+
+    def test_labels_at_extreme_alphas(self):
+        keys = replicate_keys(9, 0, 5)
+        # no memory: every step founds its own cluster; full memory: one cluster
+        assert (sim._run_labels(0.0, 40, keys) == np.arange(40)[:, None]).all()
+        assert (sim._run_labels(1.0, 40, keys) == 0).all()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.75, 1.0])
+    @pytest.mark.parametrize("dist", _ENUMERATION_LAWS, ids=lambda d: d.kind)
+    def test_conditional_moments_match_enumeration(self, dist, alpha):
+        # averaging E(S~^p | sizes) over every label history with its
+        # probability gives the exact moments, at every n <= 6
+        n = 6
+        ms = moment_set(dist)
+        labels, weights = _enumerated_label_histories(alpha, n)
+        assert weights.sum() == pytest.approx(1.0, rel=1e-14)
+        table = exact_moments_upto(ms, alpha, n)
+        sizes = sim._cluster_size_sums(labels, range(1, n + 1))
+        for c, size_sums in zip(range(1, n + 1), sizes):
+            e = sim._conditional_moments(ms, *size_sums) @ weights
+            row = table.row(c)
+            want = np.array([0.0, row.s2, row.s3, row.s4])
+            scale = np.abs(want).max()
+            assert np.abs(e - want).max() <= 1e-12 * scale, (c, e, want)
+
+    def test_workers_bit_identical(self, skewed_two_point, monkeypatch):
+        # chunks of 125 walks: 8 chunks, added in span order at every worker count
+        monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 300 * 125)
+        assert len(list(sim._chunk_spans(300, 1000))) == 8
+        kwargs = dict(n=300, replicates=1000, master_seed=11, checkpoints=[150, 300])
+        one = cluster_batch(skewed_two_point, 0.75, workers=1, **kwargs)
+        ms = moment_set(skewed_two_point)
+        total = np.zeros((2, 8))
+        for span in sim._chunk_spans(300, 1000):
+            labels = sim._run_labels(0.75, 300, sim._chunk_keys(11, span))
+            total += sim._cluster_sums(labels, ms, (150, 300))
+        assert one.n_replicates == 1000
+        assert one._sums.tobytes() == total.tobytes()
+        for workers in (2, 4):
+            other = cluster_batch(skewed_two_point, 0.75, workers=workers, **kwargs)
+            assert other._sums.tobytes() == one._sums.tobytes(), workers
+
+    def test_checkpoints_independent(self, bernoulli03):
+        # ten checkpoints in one batch give the bytes of each run alone
+        cps = [1, 2, 3, 17, 64, 65, 100, 128, 129, 250]
+        together = cluster_batch(bernoulli03, 0.7, 250, 300, 5, cps)
+        for i, c in enumerate(cps):
+            alone = cluster_batch(bernoulli03, 0.7, 250, 300, 5, [c])
+            assert alone._sums.tobytes() == together._sums[i].tobytes(), c
+
+    def test_accumulator_reads(self, uniform01):
+        acc = cluster_batch(uniform01, 0.6, 50, 40, 3, [50])
+        assert acc.moment(50, 1) == 0.0
+        mean, mean_sq = acc.moment_and_square(50, 4)
+        assert mean == acc.power_sum(50, 4) / 40 and mean_sq == acc._sums[0, 7] / 40
+        with pytest.raises(ValueError):
+            acc.power_sum(50, 5)
+
+    def test_smaller_stderr_than_literal(self):
+        # the conditional moment of each walk has S~^p's mean and less variance
+        dist = StepDistribution.gaussian(0.5, 2.0)
+        args = (dist, 0.6, 400, 500, 17, [400])
+        literal = {e.p: e for e in empirical_q_moments(simulate_batch(*args), 0.6)}
+        cluster = {e.p: e for e in empirical_q_moments(cluster_batch(*args), 0.6)}
+        for p in (2, 4):
+            assert cluster[p].stderr < 0.5 * literal[p].stderr, p
 
 
 class TestEmpiricalMoments:
