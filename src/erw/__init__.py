@@ -16,9 +16,9 @@ from .distributions import (
     raw_moments,
 )
 from .gammatools import (
-    GammaRatio,
     RecursionSpec,
     SingularParameterError,
+    check_alpha,
     gamma_ratio,
     gamma_sum_linear,
     gamma_sum_linear_direct,
@@ -37,9 +37,7 @@ from .moments import (
     ExactMomentRow,
     ExactMomentTable,
     LimitMoments,
-    MemoryParameter,
     RegimeError,
-    as_memory,
     brute_force_moments,
     closed_form_moments,
     closed_form_s4,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import StepDistribution, moment_set
-from .gammatools import SingularParameterError
+from .gammatools import SingularParameterError, check_alpha
 from .moments import (
     CSV_COLUMNS,
     RegimeError,
@@ -36,13 +36,17 @@ from .moments import (
 )
 from .rng import parse_seed
 from .simulate import batch_step_bytes, cluster_batch, empirical_q_moments, z_score
-from .verify import run_all
+from .verify import run_all, tolerance_limits
 
 DEFAULT_SEED = 0x243F6A8885A308D3
 
 #: Largest array memory, in bytes, that `exact` and `simulate` may request;
 #: larger requests exit 2 before anything is allocated.
 MAX_REQUEST_BYTES = 1 << 30
+
+#: Most values a `lo:hi:step` alpha grid may hold; a larger grid exits 2
+#: before any of it is built.
+MAX_ALPHA_GRID = 1_000_000
 
 _CF_FIELDS = CSV_COLUMNS[1:7]
 
@@ -91,16 +95,24 @@ def _parse_checkpoints(value) -> list[int]:
 
 
 def _parse_alphas(value) -> list[float]:
+    """The sweep grid from `lo:hi:step`, `a,b,c` or a JSON list, every value
+    checked, so that a bad grid exits 2 before a row is written."""
     if isinstance(value, str):
         text = value.strip()
         if ":" in text:
             lo, hi, step = (float(part) for part in text.split(":"))
-            if step <= 0 or hi < lo:
+            if not (step > 0 and lo <= hi):
                 raise ConfigError(f"bad alpha range {text!r}")
-            count = int(round((hi - lo) / step))
-            return [round(lo + i * step, 12) for i in range(count + 1)]
-        return [float(part) for part in text.split(",") if part.strip()]
-    return [float(v) for v in value]
+            span = (hi - lo) / step
+            if not span < MAX_ALPHA_GRID or round(span) >= MAX_ALPHA_GRID:
+                raise ConfigError(f"alpha grid {text!r} has more than {MAX_ALPHA_GRID} values")
+            value = [round(lo + i * step, 12) for i in range(round(span) + 1)]
+        else:
+            value = [part for part in text.split(",") if part.strip()]
+    try:
+        return [check_alpha(v) for v in value]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"alpha grid: {exc}") from exc
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -113,37 +125,41 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-        for key, value in raw.items():
-            if key == "dist":
-                config.dist = _parse_dist(value)
-            elif key == "dists":
-                config.dists = [_parse_dist(v) for v in value]
-            elif key == "alpha":
-                config.alpha = float(value)
-            elif key in ("n", "n_max"):
-                config.n = int(value)
-            elif key == "replicates":
-                config.replicates = int(value)
-            elif key == "checkpoints":
-                config.checkpoints = _parse_checkpoints(value)
-            elif key == "seed":
-                config.seed = parse_seed(str(value))
-            elif key == "out":
-                config.out = str(value)
-            elif key == "compare":
-                config.compare = bool(value)
-            elif key == "workers":
-                config.workers = int(value)
-            elif key == "alphas":
-                config.alphas = _parse_alphas(value)
-            elif key == "fast":
-                config.fast = bool(value)
-            elif key == "tolerances":
-                if not isinstance(value, dict):
-                    raise ConfigError("tolerances must be an object of name -> number")
-                config.tolerances = {str(k): float(v) for k, v in value.items()}
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
+        try:
+            for key, value in raw.items():
+                if key == "dist":
+                    config.dist = _parse_dist(value)
+                elif key == "dists":
+                    config.dists = [_parse_dist(v) for v in value]
+                elif key == "alpha":
+                    config.alpha = float(value)
+                elif key in ("n", "n_max"):
+                    config.n = int(value)
+                elif key == "replicates":
+                    config.replicates = int(value)
+                elif key == "checkpoints":
+                    config.checkpoints = _parse_checkpoints(value)
+                elif key == "seed":
+                    config.seed = parse_seed(str(value))
+                elif key == "out":
+                    config.out = str(value)
+                elif key == "compare":
+                    config.compare = bool(value)
+                elif key == "workers":
+                    config.workers = int(value)
+                elif key == "alphas":
+                    config.alphas = _parse_alphas(value)
+                elif key == "fast":
+                    config.fast = bool(value)
+                elif key == "tolerances":
+                    if not isinstance(value, dict):
+                        raise ConfigError("tolerances must be an object of name -> number")
+                    config.tolerances = {str(k): float(v) for k, v in value.items()}
+                    tolerance_limits(config.tolerances)
+                else:
+                    raise ConfigError(f"unknown config key {key!r}")
+        except TypeError as exc:  # e.g. null where a number belongs
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
 
     if getattr(args, "dist", None) is not None:
         config.dist = _parse_dist(args.dist)
@@ -174,8 +190,8 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"replicates must be >= 1, got {config.replicates}")
     if config.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {config.workers}")
-    if config.alpha is not None and not 0.0 <= config.alpha <= 1.0:
-        raise ConfigError(f"alpha must be in [0, 1], got {config.alpha}")
+    if config.alpha is not None:
+        config.alpha = check_alpha(config.alpha)
     return config
 
 
@@ -394,8 +410,6 @@ def cmd_sweep(config: ExperimentConfig) -> int:
             label = json.dumps(dist.to_json(), separators=(",", ":"))
             ms = moment_set(dist)
             for alpha in alphas:
-                if not 0.0 <= alpha <= 1.0:
-                    raise ConfigError(f"alpha grid value {alpha} outside [0, 1]")
                 try:
                     limits = limit_q_moments(ms, alpha)
                 except (SingularParameterError, RegimeError) as exc:

@@ -132,54 +132,47 @@ def recip_gamma(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-@dataclass(frozen=True)
-class GammaRatio:
-    """Gamma(x) / Gamma(y) as sign * exp(log_magnitude).
-
-    The decomposition survives magnitudes far outside double range; `sign`
-    is +1 whenever both arguments are positive and 0 when the denominator
-    sits on a pole of Gamma (the ratio vanishes there).
-    """
-
-    log_magnitude: float
-    sign: int
-
-    @property
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
-
-    @classmethod
-    def of(cls, x: float, y: float) -> "GammaRatio":
-        if x <= 0.0:
-            raise ValueError(f"gamma ratios require a positive numerator argument, got {x}")
-        if y <= 0.0 and y == math.floor(y):
-            return cls(float("-inf"), 0)
-        # lift small arguments with Gamma(t) = Gamma(t+1)/t; Gamma itself
-        # overflows near 0 even when the ratio is perfectly representable
-        sign = 1
-        shift = 0.0
-        while x < 0.5:
-            shift -= math.log(x)
-            x += 1.0
-        while y < 0.5:
-            if y < 0.0:
-                sign = -sign
-            shift += math.log(abs(y))
-            y += 1.0
-        if x >= 1.0 and y >= 1.0:
-            return cls(shift + _log_gamma_ratio_scalar(y, x - y), sign)
-        # remaining arguments lie in [0.5, 2), where Gamma is positive and safe
-        return cls(shift + math.log(math.gamma(x) / math.gamma(y)), sign)
-
-
 def gamma_ratio(x: float, y: float) -> float:
     """Gamma(x) / Gamma(y) for x > 0 and real y, stable for large arguments.
 
-    Poles of Gamma in the denominator (y a non-positive integer) give 0.
+    Computed as sign * exp(log magnitude), so it stays finite where Gamma(x)
+    or Gamma(y) alone overflows.  Poles of Gamma in the denominator (y a
+    non-positive integer) give 0.
     """
-    return GammaRatio.of(x, y).value
+    if x <= 0.0:
+        raise ValueError(f"gamma ratios require a positive numerator argument, got {x}")
+    if y <= 0.0 and y == math.floor(y):
+        return 0.0
+    # lift small arguments with Gamma(t) = Gamma(t+1)/t; Gamma itself
+    # overflows near 0 even when the ratio is perfectly representable
+    sign = 1
+    log_magnitude = 0.0
+    while x < 0.5:
+        log_magnitude -= math.log(x)
+        x += 1.0
+    while y < 0.5:
+        if y < 0.0:
+            sign = -sign
+        log_magnitude += math.log(abs(y))
+        y += 1.0
+    if x >= 1.0 and y >= 1.0:
+        log_magnitude += _log_gamma_ratio_scalar(y, x - y)
+    else:
+        # remaining arguments lie in [0.5, 2), where Gamma is positive and safe
+        log_magnitude += math.log(math.gamma(x) / math.gamma(y))
+    return sign * math.exp(log_magnitude)
+
+
+def check_alpha(alpha: float) -> float:
+    """float(alpha), or ValueError unless 0 <= alpha <= 1 (nan fails).
+
+    The one range check of the memory parameter: every function that takes
+    alpha calls it.
+    """
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    return alpha
 
 
 def martingale_scale(n, alpha: float):
@@ -188,8 +181,7 @@ def martingale_scale(n, alpha: float):
     a_1 = 1 / Gamma(1 + alpha); multiplying the centered walk position by a_n
     turns it into a martingale.  Accepts scalar or array n >= 1.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    alpha = check_alpha(alpha)
     return np.exp(-log_gamma_ratio(n, alpha)) if not np.isscalar(n) else math.exp(
         -log_gamma_ratio(n, alpha)
     )

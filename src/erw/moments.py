@@ -27,12 +27,12 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
 from .distributions import MomentSet, StepDistribution, as_discrete, moment_set
-from .gammatools import SingularParameterError, log_gamma_ratio, recip_gamma
+from .gammatools import SingularParameterError, check_alpha, log_gamma_ratio, recip_gamma
 
 #: Alphas within this radius of a vanishing denominator (1/2, 1/3, 1/4 for
 #: the respective formulas) are rejected; the recursion path covers them.
@@ -62,26 +62,6 @@ class RegimeError(ValueError):
 
 class EnumerationSizeError(ValueError):
     """Brute-force enumeration was requested beyond its size guard."""
-
-
-@dataclass(frozen=True)
-class MemoryParameter:
-    """The repeat probability alpha in [0, 1]."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-
-    @property
-    def superdiffusive(self) -> bool:
-        return self.alpha > 0.5
-
-
-def as_memory(mp: Union[MemoryParameter, float]) -> MemoryParameter:
-    """Accept either a MemoryParameter or a bare alpha."""
-    return mp if isinstance(mp, MemoryParameter) else MemoryParameter(float(mp))
 
 
 @dataclass(frozen=True)
@@ -144,9 +124,7 @@ class ExactMomentTable:
             path_or_file.write(format_csv_rows(first, block))
 
 
-def exact_moments_upto(
-    ms: MomentSet, mp: Union[MemoryParameter, float], n_max: int
-) -> ExactMomentTable:
+def exact_moments_upto(ms: MomentSet, alpha: float, n_max: int) -> ExactMomentTable:
     """Iterate the seven coupled moment recursions from n = 1 to n_max.
 
     Row 1 is (M2, M12, M3, M13, M22, M112, M4); each later row applies one
@@ -154,7 +132,7 @@ def exact_moments_upto(
     [0, 1].  Runs in doubles with compensated accumulation of the additive
     increments; relative drift at n = 1e4 stays far below 1e-8.
     """
-    alpha = as_memory(mp).alpha
+    alpha = check_alpha(alpha)
     if n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
     m1, m2 = ms.m1, ms.m2
@@ -234,36 +212,27 @@ def exact_moments_upto(
     return ExactMomentTable(values)
 
 
-def _guard_half(alpha: float) -> None:
-    if abs(alpha - 0.5) < ALPHA_TOL:
-        raise SingularParameterError("2*alpha - 1", 2.0 * alpha - 1.0)
+def _guard(alpha: float, k: int) -> None:
+    """Refuse alpha within ALPHA_TOL of 1/k, where k*alpha - 1 vanishes."""
+    if abs(alpha - 1.0 / k) < ALPHA_TOL:
+        raise SingularParameterError(f"{k}*alpha - 1", k * alpha - 1.0)
 
 
-def _guard_third(alpha: float) -> None:
-    if abs(alpha - 1.0 / 3.0) < ALPHA_TOL:
-        raise SingularParameterError("3*alpha - 1", 3.0 * alpha - 1.0)
-
-
-def _guard_quarter(alpha: float) -> None:
-    if abs(alpha - 0.25) < ALPHA_TOL:
-        raise SingularParameterError("4*alpha - 1", 4.0 * alpha - 1.0)
-
-
-def second_moment_coefficient(ms: MomentSet, mp: Union[MemoryParameter, float]) -> float:
+def second_moment_coefficient(ms: MomentSet, alpha: float) -> float:
     """Coefficient of Gamma(n+2a)/Gamma(n) in the second-moment closed form."""
-    alpha = as_memory(mp).alpha
-    _guard_half(alpha)
+    alpha = check_alpha(alpha)
+    _guard(alpha, 2)
     return ms.M2 * (recip_gamma(2.0 * alpha) / (2.0 * alpha - 1.0))
 
 
-def third_moment_coefficient(ms: MomentSet, mp: Union[MemoryParameter, float]) -> float:
+def third_moment_coefficient(ms: MomentSet, alpha: float) -> float:
     """Coefficient of Gamma(n+3a)/Gamma(n) in the third-moment closed form."""
-    alpha = as_memory(mp).alpha
-    _guard_third(alpha)
+    alpha = check_alpha(alpha)
+    _guard(alpha, 3)
     return ms.M3 * (4.0 * recip_gamma(3.0 * alpha) / (3.0 * alpha - 1.0))
 
 
-def fourth_moment_coefficient(ms: MomentSet, mp: Union[MemoryParameter, float]) -> float:
+def fourth_moment_coefficient(ms: MomentSet, alpha: float) -> float:
     """The constant K4 with E(S~_n^4) ~ K4 * Gamma(n+4a)/Gamma(n).
 
         K4 = 6 (3 (2a-1)^2 M4 + 2 (1-a)(5a-2) M2^2)
@@ -272,9 +241,9 @@ def fourth_moment_coefficient(ms: MomentSet, mp: Union[MemoryParameter, float]) 
     Factored as M4 * c1 + M2^2 * c2 so the degenerate reductions (alpha = 1)
     come out exact.
     """
-    alpha = as_memory(mp).alpha
-    _guard_half(alpha)
-    _guard_quarter(alpha)
+    alpha = check_alpha(alpha)
+    _guard(alpha, 2)
+    _guard(alpha, 4)
     shared = recip_gamma(4.0 * alpha) / (4.0 * alpha - 1.0)
     c1 = 18.0 * shared
     c2 = 12.0 * (1.0 - alpha) * (5.0 * alpha - 2.0) * shared / (2.0 * alpha - 1.0) ** 2
@@ -295,9 +264,7 @@ class ClosedFormMoments:
     s2t: object
 
 
-def closed_form_moments(
-    ms: MomentSet, mp: Union[MemoryParameter, float], n
-) -> ClosedFormMoments:
+def closed_form_moments(ms: MomentSet, alpha: float, n) -> ClosedFormMoments:
     """Evaluate the six closed-form mixed moments at n (scalar or array).
 
     The quadratic family (s2, st, su, t2) shares
@@ -315,9 +282,9 @@ def closed_form_moments(
     forms are safe up to n ~ 1e7.  Raises SingularParameterError when alpha
     is within 1e-8 of 1/2 or 1/3 (the respective denominators vanish).
     """
-    alpha = as_memory(mp).alpha
-    _guard_half(alpha)
-    _guard_third(alpha)
+    alpha = check_alpha(alpha)
+    _guard(alpha, 2)
+    _guard(alpha, 3)
 
     d2 = 2.0 * alpha - 1.0
     d3 = 3.0 * alpha - 1.0
@@ -343,7 +310,7 @@ def closed_form_moments(
     )
 
 
-def closed_form_s4(ms: MomentSet, mp: Union[MemoryParameter, float], n):
+def closed_form_s4(ms: MomentSet, alpha: float, n):
     """E(S~_n^4) in closed form at n (scalar or array).
 
     Solving the s4 recursion with the closed forms of s2, st, s3, su, t2 and
@@ -363,10 +330,10 @@ def closed_form_s4(ms: MomentSet, mp: Union[MemoryParameter, float], n):
     without a special case.  Raises SingularParameterError when alpha is
     within 1e-8 of 1/2, 1/3 or 1/4 (d2, d3 and 4a-1 vanish).
     """
-    alpha = as_memory(mp).alpha
-    _guard_half(alpha)
-    _guard_third(alpha)
-    _guard_quarter(alpha)
+    alpha = check_alpha(alpha)
+    _guard(alpha, 2)
+    _guard(alpha, 3)
+    _guard(alpha, 4)
 
     d2 = 2.0 * alpha - 1.0
     d3 = 3.0 * alpha - 1.0
@@ -416,7 +383,7 @@ class LimitMoments:
     q4: float
 
 
-def limit_q_moments(ms: MomentSet, mp: Union[MemoryParameter, float]) -> LimitMoments:
+def limit_q_moments(ms: MomentSet, alpha: float) -> LimitMoments:
     """Moments of Q = lim S~_n / n^alpha for alpha > 1/2.
 
         E(Q)   = 0
@@ -426,14 +393,13 @@ def limit_q_moments(ms: MomentSet, mp: Union[MemoryParameter, float]) -> LimitMo
 
     Raises RegimeError outside the superdiffusive regime.
     """
-    memory = as_memory(mp)
-    alpha = memory.alpha
-    if not memory.superdiffusive:
+    alpha = check_alpha(alpha)
+    if alpha <= 0.5:
         raise RegimeError(
             f"limit moments exist only in the superdiffusive regime alpha > 1/2, "
             f"got alpha = {alpha}"
         )
-    _guard_half(alpha)
+    _guard(alpha, 2)
     return LimitMoments(
         q1=0.0,
         q2=second_moment_coefficient(ms, alpha),
@@ -477,7 +443,7 @@ def conditional_step_moments(
     sums: tuple[float, float, float],
     n: int,
     ms: MomentSet,
-    mp: Union[MemoryParameter, float],
+    alpha: float,
 ) -> ConditionalStepMoments:
     """The six one-step conditional moments given running sums at time n.
 
@@ -492,7 +458,7 @@ def conditional_step_moments(
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    alpha = as_memory(mp).alpha
+    alpha = check_alpha(alpha)
     s, t, u = (float(v) for v in sums)
     a = alpha / n
     m1 = ms.m1
@@ -506,9 +472,7 @@ def conditional_step_moments(
     )
 
 
-def brute_force_moments(
-    dist: StepDistribution, mp: Union[MemoryParameter, float], n: int
-) -> ExactMomentRow:
+def brute_force_moments(dist: StepDistribution, alpha: float, n: int) -> ExactMomentRow:
     """All seven mixed moments at time n by exact enumeration.
 
     Walks the full repeat-or-fresh outcome tree: at step k+1 each of the k
@@ -522,7 +486,7 @@ def brute_force_moments(
     Only finite-support laws are allowed, and the size guard n <= 8 with at
     most 4 support points keeps the enumeration trivial.
     """
-    alpha = as_memory(mp).alpha
+    alpha = check_alpha(alpha)
     d = as_discrete(dist)
     pts, wts = d.points, d.weights
     if n < 1:

@@ -66,7 +66,11 @@ def replicate_keys(master_seed: int, start: int, count: int) -> np.ndarray:
 
 
 def uniform_draw(key: int, counter: int) -> float:
-    """Uniform in (0, 1] for draw number `counter` of stream `key`."""
+    """Uniform in (0, 1] for draw number `counter` of stream `key`.
+
+    Test oracle: the scalar reference that the tests compare `uniform_draws`
+    against; the program itself draws only through `uniform_draws`.
+    """
     v = mix64(key + (counter + 1) * GOLDEN)
     return ((v >> 11) + 0.5) * _TO_UNIT
 

@@ -29,18 +29,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .distributions import MomentSet, StepDistribution, inverse_cdf, moment_set
-from .gammatools import martingale_scale
-from .moments import (
-    ConditionalStepMoments,
-    MemoryParameter,
-    as_memory,
-    conditional_step_moments,
-)
+from .gammatools import check_alpha, martingale_scale
+from .moments import ConditionalStepMoments, conditional_step_moments
 from .rng import MASK64, replicate_keys, uniform_draws
 
 #: Upper bound on elements of the per-chunk step matrix; chunk boundaries
@@ -82,10 +77,8 @@ class WalkState:
     q: float
 
     @classmethod
-    def from_steps(
-        cls, steps, ms: MomentSet, mp: Union[MemoryParameter, float]
-    ) -> "WalkState":
-        alpha = as_memory(mp).alpha
+    def from_steps(cls, steps, ms: MomentSet, alpha: float) -> "WalkState":
+        alpha = check_alpha(alpha)
         arr = np.array(steps, dtype=np.float64)
         n = arr.size
         if n < 1:
@@ -273,21 +266,19 @@ def _power_sums(values: np.ndarray) -> np.ndarray:
     return sums
 
 
-def simulate_path(
-    dist: StepDistribution, mp: Union[MemoryParameter, float], n: int, seed: int
-) -> WalkState:
+def simulate_path(dist: StepDistribution, alpha: float, n: int, seed: int) -> WalkState:
     """One walk of n steps, a deterministic function of (dist, alpha, n, seed).
 
     `seed` is used directly as the stream key, so
     simulate_path(..., replicate_key(master, i)) reproduces replicate i of a
     batch bit-for-bit.
     """
-    alpha = as_memory(mp).alpha
+    alpha = check_alpha(alpha)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     keys = np.array([seed & MASK64], dtype=np.uint64)
     steps = _run_paths(dist, alpha, n, keys)
-    return WalkState.from_steps(steps[:, 0], moment_set(dist), mp)
+    return WalkState.from_steps(steps[:, 0], moment_set(dist), alpha)
 
 
 class BatchAccumulator:
@@ -429,7 +420,7 @@ def _run_batch(acc, n, replicates, workers, chunk_sums):
 
 def simulate_batch(
     dist: StepDistribution,
-    mp: Union[MemoryParameter, float],
+    alpha: float,
     n: int,
     replicates: int,
     master_seed: int,
@@ -443,7 +434,7 @@ def simulate_batch(
     into fixed-size chunks whose sums are added in span order, so the result
     is bit-identical for any `workers`.
     """
-    alpha = as_memory(mp).alpha
+    alpha = check_alpha(alpha)
     acc = BatchAccumulator(checkpoints)
     m1 = moment_set(dist).m1
     cpi = {c: i for i, c in enumerate(acc.checkpoints)}
@@ -456,7 +447,7 @@ def simulate_batch(
 
 def cluster_batch(
     dist: StepDistribution,
-    mp: Union[MemoryParameter, float],
+    alpha: float,
     n: int,
     replicates: int,
     master_seed: int,
@@ -473,7 +464,7 @@ def cluster_batch(
     cluster sizes, so many checkpoints on long walks cost more than the
     walks themselves.  Bit-identical for any `workers`.
     """
-    alpha = as_memory(mp).alpha
+    alpha = check_alpha(alpha)
     acc = ClusterAccumulator(checkpoints)
     ms = moment_set(dist)
     last = acc.checkpoints[-1]
@@ -520,9 +511,7 @@ def z_score(gap, stderr):
         )
 
 
-def empirical_q_moments(
-    acc: BatchAccumulator, mp: Union[MemoryParameter, float]
-) -> list[ScaledMomentEstimate]:
+def empirical_q_moments(acc: BatchAccumulator, alpha: float) -> list[ScaledMomentEstimate]:
     """Scaled moment estimates for p = 1..4 at every checkpoint.
 
     Estimates are unbiased sample means of the scaled per-walk estimate
@@ -530,7 +519,7 @@ def empirical_q_moments(
     the standard error comes from the sample variance of that estimate.
     With fewer than two replicates the standard error is nan.
     """
-    alpha = as_memory(mp).alpha
+    alpha = check_alpha(alpha)
     count = acc.n_replicates
     if count < 1:
         raise ValueError("accumulator is empty")
@@ -560,7 +549,7 @@ class MartingaleView:
 
 def martingale_diagnostics(
     state: WalkState,
-    mp: Union[MemoryParameter, float],
+    alpha: float,
     ms: MomentSet,
     tol: float = 1e-8,
 ) -> MartingaleView:
@@ -570,7 +559,7 @@ def martingale_diagnostics(
     the larger of |Q_n| and the largest contributing term; anything beyond
     `tol` cannot come from rounding and raises.
     """
-    alpha = as_memory(mp).alpha
+    alpha = check_alpha(alpha)
     steps = np.asarray(state.steps, dtype=np.float64)
     n = steps.size
     k = np.arange(1, n + 1, dtype=np.float64)
@@ -647,13 +636,13 @@ class EpsilonMoments:
 
 def batch_epsilon_moments(
     dist: StepDistribution,
-    mp: Union[MemoryParameter, float],
+    alpha: float,
     n: int,
     replicates: int,
     master_seed: int,
 ) -> EpsilonMoments:
     """Empirical E(eps_t), E(eps_t^2), E(eps_t^4) for t = 1..n over a batch."""
-    alpha = as_memory(mp).alpha
+    alpha = check_alpha(alpha)
     m1 = moment_set(dist).m1
     sums = np.zeros((3, n), dtype=np.float64)
     for span in _chunk_spans(n, replicates):
@@ -674,7 +663,7 @@ def batch_epsilon_moments(
 
 def marginal_moment_sums(
     dist: StepDistribution,
-    mp: Union[MemoryParameter, float],
+    alpha: float,
     n: int,
     replicates: int,
     master_seed: int,
@@ -684,7 +673,7 @@ def marginal_moment_sums(
     The marginal law of every X_t equals the step law, so the per-step
     empirical moments must match the raw moments at Monte Carlo accuracy.
     """
-    alpha = as_memory(mp).alpha
+    alpha = check_alpha(alpha)
     sums = np.zeros((n, 8), dtype=np.float64)
     for span in _chunk_spans(n, replicates):
         _add_marginal_sums(sums, _chunk_steps(dist, alpha, n, master_seed, span))
@@ -705,19 +694,19 @@ class ContinuationCheck:
 def conditional_continuation_test(
     prefix: WalkState,
     dist: StepDistribution,
-    mp: Union[MemoryParameter, float],
+    alpha: float,
     n_continuations: int,
     master_seed: int,
 ) -> list[ContinuationCheck]:
     """Freeze a prefix, sample one-step continuations, compare all six
     conditional moments against their predictions."""
-    alpha = as_memory(mp).alpha
+    alpha = check_alpha(alpha)
     if n_continuations < 1:
         raise ValueError("need at least one continuation")
     ms = moment_set(dist)
     n = prefix.n
     predicted: ConditionalStepMoments = conditional_step_moments(
-        (prefix.s_tilde, prefix.t_tilde, prefix.u_tilde), n, ms, mp
+        (prefix.s_tilde, prefix.t_tilde, prefix.u_tilde), n, ms, alpha
     )
     keys = replicate_keys(master_seed, 0, n_continuations)
     u_branch = uniform_draws(keys, 0)

@@ -38,7 +38,6 @@ from .gammatools import (
 )
 from .moments import (
     CSV_COLUMNS,
-    as_memory,
     closed_form_moments,
     closed_form_s4,
     brute_force_moments,
@@ -686,6 +685,30 @@ def check_cluster_engine(
     return out
 
 
+#: The Monte Carlo z-score limits a caller may override, with their
+#: defaults: "z_max" for the 4-sigma checks and "continuation_z_max" for the
+#: continuation test.  Analytic tolerances are pinned and not configurable.
+_DEFAULT_TOLERANCES = {"z_max": 4.0, "continuation_z_max": 3.0}
+
+
+def tolerance_limits(tolerances: dict[str, float]) -> dict[str, float]:
+    """The z-score limits with `tolerances` laid over their defaults.
+
+    An unknown name would change nothing and a limit that is not finite and
+    > 0 would fail or pass every check whatever the samples, so both raise
+    ValueError.
+    """
+    limits = dict(_DEFAULT_TOLERANCES)
+    for name, value in tolerances.items():
+        if name not in limits:
+            raise ValueError(f"unknown tolerance {name!r}, expected one of {sorted(limits)}")
+        limit = float(value)
+        if not (math.isfinite(limit) and limit > 0.0):
+            raise ValueError(f"tolerance {name} must be finite and > 0, got {limit}")
+        limits[name] = limit
+    return limits
+
+
 def run_all(
     fast: bool = False,
     seed: int = 2024,
@@ -693,13 +716,12 @@ def run_all(
 ) -> list[CheckResult]:
     """Every suite at default (or reduced) sizes, in a deterministic order.
 
-    `tolerances` may override the Monte Carlo z-score limits: key "z_max"
-    for the 4-sigma checks and "continuation_z_max" for the continuation
-    test.  Analytic tolerances are pinned and not configurable.
+    `tolerances` may override the Monte Carlo z-score limits; see
+    `tolerance_limits`.
     """
-    tolerances = tolerances or {}
-    z_max = float(tolerances.get("z_max", 4.0))
-    continuation_z = float(tolerances.get("continuation_z_max", 3.0))
+    limits = tolerance_limits(tolerances or {})
+    z_max = limits["z_max"]
+    continuation_z = limits["continuation_z_max"]
 
     def size(full: int) -> int:
         return max(2, int(full * (0.1 if fast else 1.0)))

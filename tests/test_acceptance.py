@@ -31,7 +31,6 @@ from erw import (
 )
 from erw.cli import main as cli_main
 from erw.gammatools import RecursionSpec
-from erw.moments import MemoryParameter
 from erw.rng import replicate_keys, uniform_draws
 from erw.simulate import WalkState
 from erw.verify import PASS, check_brute_force, check_closed_form_vs_recursion

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,6 +329,32 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--dist", "rademacher")
         assert code == 2 and "alpha grid" in err
 
+    @pytest.mark.parametrize("grid", ["0.6,0.75,1.5", "0.6,nan", "-0.5:1:0.5", "0:1:0.15"],
+                             ids=["list-above-one", "list-nan", "range-below-zero",
+                                  "range-rounds-past-one"])
+    def test_bad_value_writes_nothing(self, grid, tmp_path, capsys):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--dist", "rademacher", f"--alphas={grid}", "--out", str(out_path),
+        )
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err.count("\n") == 1 and "alpha grid" in err and "alpha must be in [0, 1]" in err
+
+    @pytest.mark.parametrize("grid", ["0:1:1e-12", "0:1:0", "0:inf:1"],
+                             ids=["too-many", "zero-step", "infinite"])
+    def test_oversized_range_refused_before_building(self, grid, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ALPHA_GRID", 100)
+        code, out, err = run_cli(capsys, "sweep", "--dist", "rademacher", "--alphas", grid)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "alpha grid" in err or "alpha range" in err
+
+    def test_grid_at_cap_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ALPHA_GRID", 11)
+        code, out, _ = run_cli(capsys, "sweep", "--dist", "rademacher", "--alphas", "0:1:0.1")
+        assert code == 0 and len(out.splitlines()) == 12
+        code, _, err = run_cli(capsys, "sweep", "--dist", "rademacher", "--alphas", "0:1:0.09")
+        assert code == 2 and "more than 11 values" in err
+
 
 class TestConfigFile:
     def test_config_plus_override(self, tmp_path, capsys):
@@ -350,6 +377,15 @@ class TestConfigFile:
         config.write_text(json.dumps({"alpa": 0.6}))
         code, _, err = run_cli(capsys, "limits", "--config", str(config))
         assert code == 2 and "alpa" in err
+
+    @pytest.mark.parametrize("raw", [{"n": None}, {"alpha": None}, {"alpha": 1.5},
+                                     {"tolerances": {"z_max": None}}],
+                             ids=["null-n", "null-alpha", "alpha-above-one", "null-tolerance"])
+    def test_bad_value_is_config_exit(self, raw, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "limits", "--config", str(config))
+        assert code == 2 and out == "" and err.count("\n") == 1
 
     def test_bad_checkpoints(self, capsys):
         code, _, err = run_cli(
@@ -374,6 +410,32 @@ class TestConfigFile:
         config.write_text(json.dumps({"tolerances": {"z_max": 5.0}}))
         code, _, _ = run_cli(capsys, "verify", "--config", str(config))
         assert code == 0 and seen == {"z_max": 5.0}
+
+    @pytest.mark.parametrize("tolerances", [
+        {"zmax": 100}, {"z_max": math.nan}, {"z_max": -1}, {"continuation_z_max": 0},
+        {"z_max": math.inf},
+    ], ids=["unknown-name", "nan", "negative", "zero", "infinite"])
+    def test_bad_tolerances_are_config_errors(self, tolerances, tmp_path, capsys, monkeypatch):
+        def refuse(**kwargs):
+            raise AssertionError("ran despite bad tolerances")
+
+        monkeypatch.setattr(cli, "run_all", refuse)
+        config = tmp_path / "tol.json"
+        config.write_text(json.dumps({"tolerances": tolerances}))
+        code, out, err = run_cli(capsys, "verify", "--fast", "--config", str(config))
+        assert code == 2 and out == "" and err.count("\n") == 1 and "tolerance" in err
+
+    def test_benchmark_tolerances_accepted(self, capsys, monkeypatch):
+        seen = {}
+
+        def fake_run_all(fast, seed, tolerances):
+            seen.update(tolerances)
+            return [CheckResult("stub", "PASS", 0.0, "")]
+
+        monkeypatch.setattr(cli, "run_all", fake_run_all)
+        config = Path(__file__).parents[1] / "perfbench" / "verify_tolerances.json"
+        code, _, _ = run_cli(capsys, "verify", "--config", str(config))
+        assert code == 0 and seen == {"z_max": 5.0, "continuation_z_max": 4.0}
 
     def test_hex_seed_roundtrip(self, tmp_path, capsys):
         config = tmp_path / "seeded.json"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from erw import (
     EnumerationSizeError,
-    MemoryParameter,
     RegimeError,
     SingularParameterError,
     StepDistribution,
@@ -25,7 +24,14 @@ from erw import (
     log_gamma_ratio,
     moment_set,
 )
-from erw.moments import _ROW_BLOCK, format_csv_rows
+from erw import simulate as sim
+from erw.gammatools import check_alpha, martingale_scale
+from erw.moments import (
+    _ROW_BLOCK,
+    format_csv_rows,
+    second_moment_coefficient,
+    third_moment_coefficient,
+)
 from table_csv import read_table_csv, table_csv_string
 
 ROW_FIELDS = ("s2", "st", "s3", "su", "t2", "s2t", "s4")
@@ -86,16 +92,67 @@ def _reference_exact_moments(ms, alpha, n_max):
     return values
 
 
-class TestMemoryParameter:
-    def test_range(self):
-        with pytest.raises(ValueError):
-            MemoryParameter(-0.1)
-        with pytest.raises(ValueError):
-            MemoryParameter(1.01)
+_RAD = StepDistribution.rademacher()
+_RAD_MS = moment_set(_RAD)
 
-    def test_superdiffusive_flag(self):
-        assert not MemoryParameter(0.5).superdiffusive
-        assert MemoryParameter(0.500001).superdiffusive
+#: Every public function that takes alpha, called with small valid
+#: arguments around it; each must apply `check_alpha` to alpha.
+ALPHA_TAKERS = {
+    "exact_moments_upto": lambda a: exact_moments_upto(_RAD_MS, a, 3),
+    "second_moment_coefficient": lambda a: second_moment_coefficient(_RAD_MS, a),
+    "third_moment_coefficient": lambda a: third_moment_coefficient(_RAD_MS, a),
+    "fourth_moment_coefficient": lambda a: fourth_moment_coefficient(_RAD_MS, a),
+    "closed_form_moments": lambda a: closed_form_moments(_RAD_MS, a, 5.0),
+    "closed_form_s4": lambda a: closed_form_s4(_RAD_MS, a, 5.0),
+    "limit_q_moments": lambda a: limit_q_moments(_RAD_MS, a),
+    "conditional_step_moments": lambda a: conditional_step_moments(
+        (1.0, 0.0, 1.0), 3, _RAD_MS, a
+    ),
+    "brute_force_moments": lambda a: brute_force_moments(_RAD, a, 2),
+    "WalkState.from_steps": lambda a: sim.WalkState.from_steps([1.0, -1.0], _RAD_MS, a),
+    "simulate_path": lambda a: sim.simulate_path(_RAD, a, 3, 1),
+    "simulate_batch": lambda a: sim.simulate_batch(_RAD, a, 3, 2, 1, [3]),
+    "cluster_batch": lambda a: sim.cluster_batch(_RAD, a, 3, 2, 1, [3]),
+    "empirical_q_moments": lambda a: sim.empirical_q_moments(
+        sim.cluster_batch(_RAD, 0.75, 3, 2, 1, [3]), a
+    ),
+    "martingale_diagnostics": lambda a: sim.martingale_diagnostics(
+        sim.simulate_path(_RAD, 0.75, 3, 1), a, _RAD_MS
+    ),
+    "batch_epsilon_moments": lambda a: sim.batch_epsilon_moments(_RAD, a, 3, 2, 1),
+    "marginal_moment_sums": lambda a: sim.marginal_moment_sums(_RAD, a, 3, 2, 1),
+    "conditional_continuation_test": lambda a: sim.conditional_continuation_test(
+        sim.simulate_path(_RAD, 0.75, 3, 1), _RAD, a, 2, 1
+    ),
+    "martingale_scale": lambda a: martingale_scale(3, a),
+}
+
+
+class TestAlphaRule:
+    """alpha is a plain float, and one rule, `check_alpha`, bounds it."""
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.01, math.nan], ids=["negative", "above-one", "nan"])
+    @pytest.mark.parametrize("name", ALPHA_TAKERS)
+    def test_rejects_outside_unit_interval(self, name, alpha):
+        with pytest.raises(ValueError, match=r"^alpha must be in \[0, 1\], got "):
+            ALPHA_TAKERS[name](alpha)
+
+    @pytest.mark.parametrize("name", ALPHA_TAKERS)
+    def test_int_alpha_accepted(self, name):
+        ALPHA_TAKERS[name](1)
+
+    def test_range(self):
+        for alpha in (-0.1, 1.01, math.nan, -math.inf):
+            with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\]"):
+                check_alpha(alpha)
+        assert check_alpha(0.0) == 0.0 and check_alpha(1.0) == 1.0
+        assert type(check_alpha(1)) is float
+
+    def test_superdiffusive_boundary(self):
+        with pytest.raises(RegimeError, match="superdiffusive"):
+            limit_q_moments(_RAD_MS, 0.5)
+        limits = limit_q_moments(_RAD_MS, 0.500001)
+        assert math.isfinite(limits.q2) and limits.q2 > 0.0
 
 
 class TestExactRecursion:

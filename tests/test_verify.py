@@ -33,6 +33,19 @@ def test_run_all_fast_passes():
     assert not bad, [(r.name, r.worst_error, r.detail) for r in bad]
 
 
+@pytest.mark.parametrize("tolerances", [{"zmax": 100.0}, {"z_max": math.nan}, {"z_max": 0.0}],
+                         ids=["unknown-name", "nan", "zero"])
+def test_run_all_refuses_bad_tolerances(tolerances, monkeypatch):
+    monkeypatch.setattr(erw.verify, "check_moment_identities", None)  # nothing may run
+    with pytest.raises(ValueError, match="tolerance"):
+        run_all(fast=True, tolerances=tolerances)
+
+
+def test_tolerance_limits_over_defaults():
+    assert erw.verify.tolerance_limits({}) == {"z_max": 4.0, "continuation_z_max": 3.0}
+    assert erw.verify.tolerance_limits({"z_max": 5}) == {"z_max": 5.0, "continuation_z_max": 3.0}
+
+
 def test_results_serialise():
     result = check_gamma_sums(n_cases=20)[0]
     payload = result.as_dict()
