@@ -104,9 +104,12 @@ def _parse_alphas(value) -> list[float]:
             if not (step > 0 and lo <= hi):
                 raise ConfigError(f"bad alpha range {text!r}")
             span = (hi - lo) / step
-            if not span < MAX_ALPHA_GRID or round(span) >= MAX_ALPHA_GRID:
+            # the points lo + i*step up to hi; the 1e-9 keeps a span such as
+            # 6.999999999999999 (0.25:0.95:0.1) from losing its last point
+            count = math.floor(span + 1e-9) + 1 if span < MAX_ALPHA_GRID else math.inf
+            if count > MAX_ALPHA_GRID:
                 raise ConfigError(f"alpha grid {text!r} has more than {MAX_ALPHA_GRID} values")
-            value = [round(lo + i * step, 12) for i in range(round(span) + 1)]
+            value = [round(lo + i * step, 12) for i in range(count)]
         else:
             value = [part for part in text.split(",") if part.strip()]
     try:
@@ -441,32 +444,47 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--dist", help='distribution JSON, e.g. {"kind":"bernoulli","p":0.3}')
-    common.add_argument("--alpha", type=float, help="memory parameter in [0, 1]")
-    common.add_argument("--n", type=int, help="number of steps (or table length)")
-    common.add_argument("--replicates", type=int, help="Monte Carlo replicates")
-    common.add_argument("--seed", help="master seed, decimal or 0x-hex")
-    common.add_argument("--checkpoints", help="comma-separated ascending n values")
-    common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--workers", type=int, help="worker threads for batches")
+#: Every flag with its argparse settings.  Each command accepts only the
+#: flags it reads (`_COMMAND_FLAGS`), spelled in full: any other flag, and
+#: an abbreviation such as `sweep --alpha` for `--alphas`, exits 2.
+_FLAGS = {
+    "--config": dict(help="JSON config file; flags override its values"),
+    "--dist": dict(help='distribution JSON, e.g. {"kind":"bernoulli","p":0.3}'),
+    "--alpha": dict(type=float, help="memory parameter in [0, 1]"),
+    "--n": dict(type=int, help="number of steps (or table length)"),
+    "--replicates": dict(type=int, help="Monte Carlo replicates"),
+    "--seed": dict(help="master seed, decimal or 0x-hex"),
+    "--checkpoints": dict(help="comma-separated ascending n values"),
+    "--out": dict(help="output path (default: stdout)"),
+    "--workers": dict(type=int, help="worker threads for batches"),
+    "--compare": dict(action="store_true", help="add closed-form columns and relative errors"),
+    "--fast": dict(action="store_true", help="reduced sample sizes"),
+    "--alphas": dict(help="grid as lo:hi:step or comma list"),
+}
 
+_LIMITS_FLAGS = ("--config", "--dist", "--alpha", "--out")
+_COMMAND_FLAGS = {
+    "limits": ("limit moments (JSON)", _LIMITS_FLAGS),
+    "exact": ("exact moment table (CSV)", _LIMITS_FLAGS + ("--n", "--compare")),
+    "simulate": ("Monte Carlo vs theory (CSV)",
+                 ("--config", "--dist", "--alpha", "--n", "--replicates", "--seed",
+                  "--checkpoints", "--out", "--workers")),
+    "verify": ("run invariant suites (JSON)", ("--config", "--seed", "--out", "--fast")),
+    "sweep": ("limit moments over an alpha grid (CSV)",
+              ("--config", "--dist", "--out", "--alphas")),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="erw",
         description="Moments of the elephant random walk: exact, closed-form, limiting, Monte Carlo.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("limits", parents=[common], help="limit moments (JSON)")
-    exact = sub.add_parser("exact", parents=[common], help="exact moment table (CSV)")
-    exact.add_argument("--compare", action="store_true",
-                       help="add closed-form columns and relative errors")
-    sub.add_parser("simulate", parents=[common], help="Monte Carlo vs theory (CSV)")
-    verify = sub.add_parser("verify", parents=[common], help="run invariant suites (JSON)")
-    verify.add_argument("--fast", action="store_true", help="reduced sample sizes")
-    sweep = sub.add_parser("sweep", parents=[common], help="limit moments over an alpha grid (CSV)")
-    sweep.add_argument("--alphas", help="grid as lo:hi:step or comma list")
+    for command, (help_text, flags) in _COMMAND_FLAGS.items():
+        command_parser = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            command_parser.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

@@ -14,12 +14,14 @@ Two engines share these draws.  The literal engine (`_run_paths`, behind
 chunk's float64 step matrix, and every statistic is reduced from that
 matrix a row at a time.  The cluster engine (`_run_labels`, behind
 `cluster_batch`) keeps only which fresh step founded each step's cluster,
-as int32, and draws no sample: given the cluster sizes the founders' values
-are i.i.d. draws of the step law, so the conditional moments
-E(S~^p | sizes) are exact and their average estimates E(S~^p) with less
-variance than S~^p itself.  In both, only float64 sums outlive a chunk;
-chunks cover fixed replicate ranges and their sums are added in span
-order, so every batch statistic has the same bytes for any worker count.
+in the narrowest unsigned type that holds n - 1 (one byte per walk-step to
+n = 256, two to 65,536), and draws no sample: given the cluster sizes the
+founders' values are i.i.d. draws of the step law, so the conditional
+moments E(S~^p | sizes) are exact and their average estimates E(S~^p)
+with less variance than S~^p itself.  In both, only float64 sums outlive
+a chunk; chunks cover fixed replicate ranges and their sums are added in
+span order, so every batch statistic has the same bytes for any worker
+count.
 `sample_stderr` and `z_score` turn the sums into standard errors and
 z-scores for every consumer.
 """
@@ -152,8 +154,14 @@ def _run_paths(
     return steps
 
 
+def _label_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned type that holds every label of an n-step walk
+    (0..n-1): uint8 to n = 256, uint16 to 65,536, uint32 beyond."""
+    return np.min_scalar_type(n - 1)
+
+
 def _run_labels(alpha: float, n: int, keys: np.ndarray) -> np.ndarray:
-    """The (n, len(keys)) int32 cluster labels of len(keys) walks.
+    """The (n, len(keys)) cluster labels of len(keys) walks, of `_label_dtype(n)`.
 
     A step's label is the 0-based row of the fresh step that founded its
     cluster: a fresh step founds its own, a repeat joins the cluster of the
@@ -163,10 +171,10 @@ def _run_labels(alpha: float, n: int, keys: np.ndarray) -> np.ndarray:
     index, so a fresh step reads its label through its own position and
     every step is one `take` without a select.
     """
-    if n >= 2**31:
-        raise ValueError(f"cluster labels are int32: n must be below 2**31, got {n}")
+    if n > 2**32:
+        raise ValueError(f"cluster labels are at most uint32: n must be at most 2**32, got {n}")
     width = keys.size
-    labels = np.empty((n, width), dtype=np.int32)
+    labels = np.empty((n, width), dtype=_label_dtype(n))
     flat = labels.reshape(-1)
     cols = np.arange(width)
     rows = _block_rows(width)
@@ -358,14 +366,16 @@ def _chunk_spans(n: int, replicates: int) -> Iterator[tuple[int, int]]:
 
 def batch_step_bytes(n: int, replicates: int, last: int, workers: int = 1) -> int:
     """Bytes `cluster_batch` holds at once for checkpoints ending at `last`:
-    per busy worker an int32 (last x chunk width) label matrix and the
-    size pass's arrays for one tile, and, with more than one worker, the
-    pool's record of every chunk.  Computed without allocating anything."""
+    per busy worker a (last x chunk width) label matrix of
+    `_label_dtype(last)` and the size pass's arrays for one tile, and, with
+    more than one worker, the pool's record of every chunk.  Computed
+    without allocating anything."""
     width = _chunk_width(n, replicates)
     chunks = -(-replicates // width)
     pool = _POOL_SPAN_BYTES * chunks if workers > 1 else 0
+    labels = _label_dtype(last).itemsize * last * width
     tile = _TILE_BYTES_PER_CELL * min(width, _TILE_WALKS) * last
-    return (4 * last * width + tile) * min(workers, chunks) + pool
+    return (labels + tile) * min(workers, chunks) + pool
 
 
 def _chunk_keys(master_seed: int, span: tuple[int, int]) -> np.ndarray:
@@ -729,10 +739,7 @@ def conditional_continuation_test(
     results = []
     for name, values in observables.items():
         observed = float(values.mean())
-        if n_continuations > 1:
-            stderr = float(values.std(ddof=1)) / math.sqrt(n_continuations)
-        else:
-            stderr = float("nan")
+        stderr = float(sample_stderr(observed, float((values * values).mean()), n_continuations))
         z = float(z_score(observed - target[name], stderr))
         results.append(ContinuationCheck(name, target[name], observed, stderr, z))
     return results

@@ -200,9 +200,9 @@ def check_sampling_moments(
         worst = 0.0
         for k in range(1, 5):
             powers = samples ** k
-            gap = float(powers.mean()) - exact[k - 1]
-            stderr = float(powers.std(ddof=1)) / math.sqrt(n_samples)
-            worst = max(worst, abs(float(z_score(gap, stderr))))
+            mean = float(powers.mean())
+            stderr = sample_stderr(mean, float((powers * powers).mean()), n_samples)
+            worst = max(worst, abs(float(z_score(mean - exact[k - 1], stderr))))
         out.append(_result(f"sampling_moments[{label}]", worst, z_max, "worst |z|"))
     return out
 

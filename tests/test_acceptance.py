@@ -117,6 +117,7 @@ def test_criterion_3_degenerate_limits_exact():
     report(3, True, "alpha=1 limit moments equal (0, M2, M3, M4) bit-exactly, all laws")
 
 
+@pytest.mark.slow
 def test_criterion_4_rademacher_three_quarters():
     """Limit values, Monte Carlo at n=3000, and convergence at n=1e5."""
     alpha = 0.75

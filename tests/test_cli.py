@@ -329,9 +329,9 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--dist", "rademacher")
         assert code == 2 and "alpha grid" in err
 
-    @pytest.mark.parametrize("grid", ["0.6,0.75,1.5", "0.6,nan", "-0.5:1:0.5", "0:1:0.15"],
+    @pytest.mark.parametrize("grid", ["0.6,0.75,1.5", "0.6,nan", "-0.5:1:0.5", "0.5:1.5:0.5"],
                              ids=["list-above-one", "list-nan", "range-below-zero",
-                                  "range-rounds-past-one"])
+                                  "range-above-one"])
     def test_bad_value_writes_nothing(self, grid, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
         code, out, err = run_cli(
@@ -354,6 +354,31 @@ class TestSweep:
         assert code == 0 and len(out.splitlines()) == 12
         code, _, err = run_cli(capsys, "sweep", "--dist", "rademacher", "--alphas", "0:1:0.09")
         assert code == 2 and "more than 11 values" in err
+        # the cap counts the points the grid holds: 7 for 0:1:0.15
+        monkeypatch.setattr(cli, "MAX_ALPHA_GRID", 7)
+        code, out, _ = run_cli(capsys, "sweep", "--dist", "rademacher", "--alphas", "0:1:0.15")
+        assert code == 0 and len(out.splitlines()) == 8
+
+    @pytest.mark.parametrize("grid,count,last", [
+        ("0:1:0.15", 7, 0.9),  # 1.05 would pass hi
+        ("0.25:0.95:0.1", 8, 0.95),  # span 6.999999999999999 keeps its last point
+        ("0:1:0.05", 21, 1.0),
+        ("0.6:1:0.05", 9, 1.0),
+    ])
+    def test_range_stops_at_hi(self, grid, count, last, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--dist", "rademacher", "--alphas", grid)
+        assert code == 0
+        alphas = [float(row["alpha"]) for row in csv.DictReader(io.StringIO(out))]
+        assert len(alphas) == count and alphas[-1] == last
+
+    @pytest.mark.parametrize("grid,digest", [
+        ("0:1:0.05", "746bcbd3c1effb0b4d991370b4dfef9d3e1b2eaf82cfeb821cde543818301b67"),
+        ("0.6:1:0.05", "dd0a07bfaba3b83ec4607aed399b10e2bc557e7bf04a6531b8893d271b75b399"),
+    ])
+    def test_range_bytes(self, grid, digest, capsys):
+        # digests taken before the point count moved from round to floor
+        code, out, _ = run_cli(capsys, "sweep", "--dist", "rademacher", "--alphas", grid)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestConfigFile:
@@ -543,17 +568,17 @@ class TestRequestSizeCap:
         ("exact", "--n", "1000", "--compare"),
         ("simulate", "--n", "20000", "--replicates", "1"),
         ("simulate", "--n", "100", "--replicates", "200"),
-        # two chunks of 800 walks: 32 kB of labels and 41 kB of size counts
-        # per busy worker, 74 kB at one worker and 151 kB at two
+        # two chunks of 800 walks: 8 kB of 1-byte labels and 41 kB of size
+        # counts per busy worker, 50 kB at one worker and 103 kB at two
         ("simulate", "--n", "10000", "--replicates", "1600", "--checkpoints", "10",
          "--workers", "2"),
-        # 1000 one-walk chunks of one step: 72 bytes of labels and counts,
+        # 1000 one-walk chunks of one step: 66 bytes of labels and counts,
         # but the pool's record of 1000 chunks is about 2 MB
         ("simulate", "--n", "8000000", "--replicates", "1000", "--checkpoints", "1",
          "--workers", "2"),
-        # one walk more than test_simulate_at_cap_runs: 80 and 1800 bytes over
-        ("simulate", "--n", "20", "--replicates", "213"),
-        ("simulate", "--n", "50", "--replicates", "55"),
+        # one walk more than test_simulate_at_cap_runs: 20 and 1056 bytes over
+        ("simulate", "--n", "20", "--replicates", "849"),
+        ("simulate", "--n", "32", "--replicates", "94"),
     ], ids=["exact", "exact-compare", "simulate-long", "simulate-wide", "simulate-workers",
             "simulate-pool-spans", "simulate-tile-over", "simulate-walks-over"])
     def test_config_exit_with_one_line(self, argv, capsys):
@@ -562,9 +587,9 @@ class TestRequestSizeCap:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and "cap" in err
 
-    @pytest.mark.parametrize("n,replicates", [(20, 212), (50, 54)])
+    @pytest.mark.parametrize("n,replicates", [(20, 848), (32, 93)])
     def test_simulate_at_cap_runs(self, n, replicates, capsys, monkeypatch):
-        # exactly the cap: labels, one tile of size counts (at most
+        # exactly the cap: 1-byte labels, one tile of size counts (at most
         # _TILE_WALKS walks wide) and the exact table to n
         monkeypatch.undo()
         monkeypatch.setattr(cli, "MAX_REQUEST_BYTES", 100_000)
@@ -582,6 +607,52 @@ class TestRequestSizeCap:
             capsys, "exact", "--dist", "rademacher", "--alpha", "0.75", "--n", "1000",
         )
         assert code == 0 and len(out.splitlines()) == 1001
+
+
+_VALUE_FLAGS = ("--config", "--dist", "--alpha", "--n", "--replicates", "--seed",
+                "--checkpoints", "--out", "--workers", "--alphas")
+_SWITCHES = ("--compare", "--fast")
+_READ_FLAGS = {
+    "limits": {"--config", "--dist", "--alpha", "--out"},
+    "exact": {"--config", "--dist", "--alpha", "--out", "--n", "--compare"},
+    "simulate": {"--config", "--dist", "--alpha", "--n", "--replicates", "--seed",
+                 "--checkpoints", "--out", "--workers"},
+    "verify": {"--config", "--seed", "--out", "--fast"},
+    "sweep": {"--config", "--dist", "--out", "--alphas"},
+}
+
+
+class TestCommandFlags:
+    """Each command accepts only the flags it reads."""
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag)
+        for command, read in _READ_FLAGS.items()
+        for flag in _VALUE_FLAGS + _SWITCHES
+        if flag not in read
+    ])
+    def test_unread_flag_exits_2(self, command, flag, capsys):
+        argv = [command, flag] + ([] if flag in _SWITCHES else ["1"])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_abbreviation_exits_2(self, capsys):
+        # `--alpha` is not read by sweep and is no shorthand for `--alphas`
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--dist", "rademacher", "--alpha", "0.75"])
+        assert exc.value.code == 2
+
+    def test_examples_of_unread_flags(self, capsys):
+        for argv in (
+            ["exact", "--alpha", "0.75", "--n", "3", "--replicates", "7", "--workers", "9",
+             "--checkpoints", "1,2"],
+            ["limits", "--alpha", "0.75", "--n", "0"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 class TestUnexpectedErrors:

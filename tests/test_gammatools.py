@@ -233,6 +233,7 @@ class TestRecursionSolver:
         with pytest.raises(SingularParameterError, match="beta - 1"):
             solve_recursion_constant(1.0 + 1e-12, 1.0, 10)
 
+    @pytest.mark.slow
     @settings(max_examples=100, deadline=None)
     @given(
         st.floats(0.05, 4.0),

@@ -263,24 +263,55 @@ class TestBlockedDraws:
         assert next(spans) == (0, 1) and next(spans) == (1, 2)
 
     def test_batch_step_bytes(self, monkeypatch):
+        cell = sim._TILE_BYTES_PER_CELL
+        # the mc shape: one chunk of 2000 walks, 2-byte labels to n = 3000
+        # (23.2 MiB; 34.6 MiB with 4-byte labels)
+        assert (sim.batch_step_bytes(3000, 2000, 3000)
+                == 2 * 3000 * 2000 + cell * sim._TILE_WALKS * 3000)
         monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 1000)
         pool = sim._POOL_SPAN_BYTES
-        cell = sim._TILE_BYTES_PER_CELL
-        # chunks of 3 walks: int32 labels with as many rows as the last
-        # checkpoint and the size counts of one tile of 3 walks, per busy
-        # worker; a pool also holds a record of each of the 4 chunks
-        assert sim.batch_step_bytes(300, 10, 300) == 4 * 300 * 3 + cell * 3 * 300
+        # the label term is the itemsize of the narrowest unsigned type
+        # that holds the last checkpoint - 1, per walk-step
+        for last, itemsize in ((256, 1), (257, 2), (65_536, 2), (65_537, 4)):
+            assert sim.batch_step_bytes(last, 1, last) == itemsize * last + cell * last, last
+        # chunks of 3 walks: labels (2 bytes to 300, 1 byte to 50) with as
+        # many rows as the last checkpoint and the size counts of one tile
+        # of 3 walks, per busy worker; a pool also holds a record of each
+        # of the 4 chunks
+        assert sim.batch_step_bytes(300, 10, 300) == 2 * 300 * 3 + cell * 3 * 300
         assert (sim.batch_step_bytes(300, 10, 50, workers=2)
-                == (4 * 50 * 3 + cell * 3 * 50) * 2 + 4 * pool)
+                == (1 * 50 * 3 + cell * 3 * 50) * 2 + 4 * pool)
         # four chunks keep at most four workers busy
         assert (sim.batch_step_bytes(300, 10, 50, workers=64)
-                == (4 * 50 * 3 + cell * 3 * 50) * 4 + 4 * pool)
+                == (1 * 50 * 3 + cell * 3 * 50) * 4 + 4 * pool)
         # a walk longer than the target is a chunk of its own
         assert (sim.batch_step_bytes(5000, 2, 5000, workers=2)
-                == (4 * 5000 + cell * 5000) * 2 + 2 * pool)
+                == (2 * 5000 + cell * 5000) * 2 + 2 * pool)
         # one worker runs the chunks in a loop and keeps no record of them;
         # a tile holds at most _TILE_WALKS walks
-        assert sim.batch_step_bytes(1, 10**12, 1) == 4 * 1000 + cell * sim._TILE_WALKS
+        assert sim.batch_step_bytes(1, 10**12, 1) == 1 * 1000 + cell * sim._TILE_WALKS
+
+    def test_labels_within_label_bytes(self):
+        # the mc shape: the label matrix is the label term of
+        # batch_step_bytes, and the only other arrays alive are one block
+        # of draws.  While a block is drawn, the previous block's u_val,
+        # repeat and src are still bound and uniform_draws holds three
+        # 8-byte temporaries: at most six 8-byte values per element of a
+        # block.  With 4-byte labels the peak would be 12 MB higher.
+        n, width = 3000, 2000
+        label_term = (sim.batch_step_bytes(n, width, n)
+                      - sim._TILE_BYTES_PER_CELL * sim._TILE_WALKS * n)
+        block = 6 * 8 * sim._block_rows(width) * width
+        keys = replicate_keys(1, 0, width)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            labels = sim._run_labels(0.75, n, keys)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert labels.dtype == np.uint16 and labels.nbytes == label_term
+        assert label_term < peak <= label_term + block
 
     @pytest.mark.parametrize("width,checkpoints", [
         (2000, (1000, 3000)), (128, (10, 20, 3000)), (50, (1500, 3000)),
@@ -352,6 +383,7 @@ class TestBatch:
         with pytest.raises(ValueError):
             cluster_batch(rademacher, 0.5, 10, 5, 1, [20])
 
+    @pytest.mark.slow
     def test_memoryless_variance_linear(self, bernoulli03):
         # independent steps: Var(S_n) = n M2; 1e5 replicates at n = 1000
         ms = moment_set(bernoulli03)
@@ -399,6 +431,28 @@ class TestClusterEngine:
         rows = sim._block_rows(width)
         for n in sorted({1, 2, rows - 1, rows, rows + 1, 2 * rows + 3} - {0}):
             assert cluster_label_mismatches(dist, 0.6, n, keys) == 0, (dist.kind, width, n)
+
+    @pytest.mark.parametrize("n,dtype", [
+        (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32),
+    ])
+    def test_narrow_labels_are_the_int32_labels(self, n, dtype, monkeypatch):
+        # the narrowest unsigned type that holds n - 1; the labels are the
+        # integers that int32 labels hold, and the size pass reads them to
+        # the same bytes
+        keys = replicate_keys(4, 0, 2)
+        narrow = sim._run_labels(0.75, n, keys)
+        assert narrow.dtype == dtype
+        monkeypatch.setattr(sim, "_label_dtype", lambda n: np.dtype(np.int32))
+        wide = sim._run_labels(0.75, n, keys)
+        assert np.array_equal(narrow, wide)
+        ms = moment_set(StepDistribution.bernoulli(0.3))
+        cps = (1, n // 2, n - 1, n)
+        assert (sim._cluster_sums(narrow, ms, cps).tobytes()
+                == sim._cluster_sums(narrow.astype(np.int32), ms, cps).tobytes())
+
+    def test_labels_refuse_more_than_uint32(self):
+        with pytest.raises(ValueError, match="uint32"):
+            sim._run_labels(0.75, 2**32 + 1, replicate_keys(4, 0, 1))
 
     def test_labels_at_extreme_alphas(self):
         keys = replicate_keys(9, 0, 5)
