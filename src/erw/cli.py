@@ -7,9 +7,10 @@ Commands:
     verify    run every invariant suite (JSON report)
     sweep     limit moments over an alpha grid (CSV)
 
-Configuration comes from an optional JSON file plus flag overrides; flags
-win.  Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 any other error.
+Every setting is declared once, in `_SETTINGS`: one parser reads its flag
+and its key in the optional JSON config file alike; flags win.  Exit codes:
+0 success, 1 verification failure, 2 configuration error (a bad flag
+included), 3 any other error; 2 and 3 print one `error: ...` line.
 """
 
 from __future__ import annotations
@@ -74,9 +75,45 @@ class ExperimentConfig:
     tolerances: dict[str, float] = field(default_factory=dict)
 
 
-def _parse_dist(value) -> StepDistribution:
-    if isinstance(value, StepDistribution):
+def _whole(value) -> int:
+    """A whole number from flag text or a JSON number: 3.0 is 3, but 2.5,
+    true, null, inf and nan are refused."""
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            return int(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
         return value
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"must be a whole number, got {value!r}")
+
+
+def _count(value) -> int:
+    count = _whole(value)
+    if count < 1:
+        raise ConfigError(f"must be >= 1, got {count}")
+    return count
+
+
+def _switch(value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"must be a string, got {value!r}")
+    return value
+
+
+def _parse_alpha(value) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"must be a number, got {value!r}")
+    return check_alpha(value)
+
+
+def _parse_dist(value) -> StepDistribution:
     if isinstance(value, str):
         text = value.strip()
         if not text.startswith("{"):
@@ -85,12 +122,18 @@ def _parse_dist(value) -> StepDistribution:
     return StepDistribution.from_json(value)
 
 
+def _parse_dists(value) -> list[StepDistribution]:
+    if not isinstance(value, list):
+        raise ConfigError(f"must be a list of distributions, got {value!r}")
+    return [_parse_dist(v) for v in value]
+
+
 def _parse_checkpoints(value) -> list[int]:
     if isinstance(value, str):
         value = [part for part in value.split(",") if part.strip()]
-    points = [int(v) for v in value]
+    points = [_whole(v) for v in value]
     if not points or points != sorted(points) or len(set(points)) != len(points):
-        raise ConfigError(f"checkpoints must be strictly ascending, got {points}")
+        raise ConfigError(f"must be strictly ascending, got {points}")
     return points
 
 
@@ -113,88 +156,67 @@ def _parse_alphas(value) -> list[float]:
         else:
             value = [part for part in text.split(",") if part.strip()]
     try:
-        return [check_alpha(v) for v in value]
+        return [_parse_alpha(v) for v in value]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"alpha grid: {exc}") from exc
 
 
+def _parse_tolerances(value) -> dict[str, float]:
+    if not isinstance(value, dict):
+        raise ConfigError("must be an object of name -> number")
+    tolerances = {name: float(limit) for name, limit in value.items()}
+    tolerance_limits(tolerances)
+    return tolerances
+
+
+#: Each `ExperimentConfig` field: its parser, which takes a flag's text (True
+#: for a switch) or a config-file JSON value, and its flag's argparse
+#: settings, or None for a setting that only a config file gives.
+_SETTINGS = {
+    "dist": (_parse_dist, dict(help='distribution JSON, e.g. {"kind":"bernoulli","p":0.3}')),
+    "dists": (_parse_dists, None),
+    "alpha": (_parse_alpha, dict(help="memory parameter in [0, 1]")),
+    "n": (_count, dict(help="number of steps (or table length)")),
+    "replicates": (_count, dict(help="Monte Carlo replicates")),
+    "checkpoints": (_parse_checkpoints, dict(help="comma-separated ascending n values")),
+    "seed": (lambda value: parse_seed(str(value)), dict(help="master seed, decimal or 0x-hex")),
+    "out": (_text, dict(help="output path (default: stdout)")),
+    "compare": (_switch, dict(action="store_true", help="add closed-form and relerr columns")),
+    "workers": (_count, dict(help="worker threads for batches")),
+    "alphas": (_parse_alphas, dict(help="grid as lo:hi:step or comma list")),
+    "fast": (_switch, dict(action="store_true", help="reduced sample sizes")),
+    "tolerances": (_parse_tolerances, None),
+}
+
+
+def _set(config: ExperimentConfig, key: str, value) -> None:
+    """Parse `value`, a flag's text or a config-file value, by `key`'s rule
+    and store it; a refused value is a ConfigError that names the key."""
+    if key not in _SETTINGS:
+        raise ConfigError(f"unknown config key {key!r}")
+    try:
+        setattr(config, key, _SETTINGS[key][0](value))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The defaults, then each key of the config file, then each flag given."""
     config = ExperimentConfig()
-    if getattr(args, "config", None):
+    if args.config is not None:
         try:
             with open(args.config) as handle:
                 raw = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-        try:
-            for key, value in raw.items():
-                if key == "dist":
-                    config.dist = _parse_dist(value)
-                elif key == "dists":
-                    config.dists = [_parse_dist(v) for v in value]
-                elif key == "alpha":
-                    config.alpha = float(value)
-                elif key in ("n", "n_max"):
-                    config.n = int(value)
-                elif key == "replicates":
-                    config.replicates = int(value)
-                elif key == "checkpoints":
-                    config.checkpoints = _parse_checkpoints(value)
-                elif key == "seed":
-                    config.seed = parse_seed(str(value))
-                elif key == "out":
-                    config.out = str(value)
-                elif key == "compare":
-                    config.compare = bool(value)
-                elif key == "workers":
-                    config.workers = int(value)
-                elif key == "alphas":
-                    config.alphas = _parse_alphas(value)
-                elif key == "fast":
-                    config.fast = bool(value)
-                elif key == "tolerances":
-                    if not isinstance(value, dict):
-                        raise ConfigError("tolerances must be an object of name -> number")
-                    config.tolerances = {str(k): float(v) for k, v in value.items()}
-                    tolerance_limits(config.tolerances)
-                else:
-                    raise ConfigError(f"unknown config key {key!r}")
-        except TypeError as exc:  # e.g. null where a number belongs
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-    if getattr(args, "dist", None) is not None:
-        config.dist = _parse_dist(args.dist)
-    if getattr(args, "alpha", None) is not None:
-        config.alpha = args.alpha
-    if getattr(args, "n", None) is not None:
-        config.n = args.n
-    if getattr(args, "replicates", None) is not None:
-        config.replicates = args.replicates
-    if getattr(args, "checkpoints", None) is not None:
-        config.checkpoints = _parse_checkpoints(args.checkpoints)
-    if getattr(args, "seed", None) is not None:
-        config.seed = parse_seed(args.seed)
-    if getattr(args, "out", None) is not None:
-        config.out = args.out
-    if getattr(args, "compare", False):
-        config.compare = True
-    if getattr(args, "workers", None) is not None:
-        config.workers = args.workers
-    if getattr(args, "alphas", None) is not None:
-        config.alphas = _parse_alphas(args.alphas)
-    if getattr(args, "fast", False):
-        config.fast = True
-
-    if config.n < 1:
-        raise ConfigError(f"n must be >= 1, got {config.n}")
-    if config.replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {config.replicates}")
-    if config.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {config.workers}")
-    if config.alpha is not None:
-        config.alpha = check_alpha(config.alpha)
+        for key, value in raw.items():
+            _set(config, key, value)
+    for key in _SETTINGS:
+        value = getattr(args, key, None)
+        if value is not None:
+            _set(config, key, value)
     return config
 
 
@@ -369,18 +391,11 @@ def cmd_simulate(config: ExperimentConfig) -> int:
                 exact = getattr(row, exact_field[est.p]) * scale
             z = float(z_score(est.estimate - exact, est.stderr))
             limit = limit_by_p.get(est.p)
-            writer.writerow(
-                [
-                    est.n,
-                    est.p,
-                    _fmt(est.estimate),
-                    _fmt(est.stderr),
-                    est.n_replicates,
-                    _fmt(exact),
-                    "" if limit is None else _fmt(limit),
-                    _fmt(z) if math.isfinite(z) else "",
-                ]
-            )
+            writer.writerow([
+                est.n, est.p, _fmt(est.estimate), _fmt(est.stderr), est.n_replicates,
+                _fmt(exact), "" if limit is None else _fmt(limit),
+                _fmt(z) if math.isfinite(z) else "",
+            ])
     return 0
 
 
@@ -421,17 +436,8 @@ def cmd_sweep(config: ExperimentConfig) -> int:
                     status = "singular" if singular else "subdiffusive"
                     writer.writerow([label, _fmt(alpha), status, "", "", "", ""])
                     continue
-                writer.writerow(
-                    [
-                        label,
-                        _fmt(alpha),
-                        "ok",
-                        _fmt(limits.q1),
-                        _fmt(limits.q2),
-                        _fmt(limits.q3),
-                        _fmt(limits.q4),
-                    ]
-                )
+                qs = (limits.q1, limits.q2, limits.q3, limits.q4)
+                writer.writerow([label, _fmt(alpha), "ok", *(_fmt(q) for q in qs)])
     return 0
 
 
@@ -444,53 +450,46 @@ _COMMANDS = {
 }
 
 
-#: Every flag with its argparse settings.  Each command accepts only the
-#: flags it reads (`_COMMAND_FLAGS`), spelled in full: any other flag, and
-#: an abbreviation such as `sweep --alpha` for `--alphas`, exits 2.
-_FLAGS = {
-    "--config": dict(help="JSON config file; flags override its values"),
-    "--dist": dict(help='distribution JSON, e.g. {"kind":"bernoulli","p":0.3}'),
-    "--alpha": dict(type=float, help="memory parameter in [0, 1]"),
-    "--n": dict(type=int, help="number of steps (or table length)"),
-    "--replicates": dict(type=int, help="Monte Carlo replicates"),
-    "--seed": dict(help="master seed, decimal or 0x-hex"),
-    "--checkpoints": dict(help="comma-separated ascending n values"),
-    "--out": dict(help="output path (default: stdout)"),
-    "--workers": dict(type=int, help="worker threads for batches"),
-    "--compare": dict(action="store_true", help="add closed-form columns and relative errors"),
-    "--fast": dict(action="store_true", help="reduced sample sizes"),
-    "--alphas": dict(help="grid as lo:hi:step or comma list"),
+#: The help line of each command and the settings it reads.  A command
+#: accepts the flags of those settings and `--config`, spelled in full: any
+#: other flag, and an abbreviation such as `sweep --alpha` for `--alphas`,
+#: exits 2.  A config file may hold any setting of any command.
+_COMMAND_SETTINGS = {
+    "limits": ("limit moments (JSON)", ("dist", "alpha", "out")),
+    "exact": ("exact moment table (CSV)", ("dist", "alpha", "out", "n", "compare")),
+    "simulate": ("Monte Carlo vs theory (CSV)",
+                 ("dist", "alpha", "n", "replicates", "seed", "checkpoints", "out", "workers")),
+    "verify": ("run invariant suites (JSON)", ("seed", "out", "fast", "tolerances")),
+    "sweep": ("limit moments over an alpha grid (CSV)", ("dist", "dists", "out", "alphas")),
 }
 
-_LIMITS_FLAGS = ("--config", "--dist", "--alpha", "--out")
-_COMMAND_FLAGS = {
-    "limits": ("limit moments (JSON)", _LIMITS_FLAGS),
-    "exact": ("exact moment table (CSV)", _LIMITS_FLAGS + ("--n", "--compare")),
-    "simulate": ("Monte Carlo vs theory (CSV)",
-                 ("--config", "--dist", "--alpha", "--n", "--replicates", "--seed",
-                  "--checkpoints", "--out", "--workers")),
-    "verify": ("run invariant suites (JSON)", ("--config", "--seed", "--out", "--fast")),
-    "sweep": ("limit moments over an alpha grid (CSV)",
-              ("--config", "--dist", "--out", "--alphas")),
-}
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad flag as ConfigError, for `main` to print as its one
+    error line, instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="erw",
         description="Moments of the elephant random walk: exact, closed-form, limiting, Monte Carlo.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in _COMMAND_FLAGS.items():
+    for command, (help_text, keys) in _COMMAND_SETTINGS.items():
         command_parser = sub.add_parser(command, help=help_text, allow_abbrev=False)
-        for flag in flags:
-            command_parser.add_argument(flag, **_FLAGS[flag])
+        command_parser.add_argument("--config", help="JSON config file; flags override its values")
+        for key in keys:
+            if _SETTINGS[key][1] is not None:
+                command_parser.add_argument(f"--{key}", default=None, **_SETTINGS[key][1])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args)
         return _COMMANDS[args.command](config)
     except (ConfigError, ValueError) as exc:

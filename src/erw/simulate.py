@@ -181,7 +181,7 @@ def _run_labels(alpha: float, n: int, keys: np.ndarray) -> np.ndarray:
 
     for first in range(1, n + 1, rows):
         t_block = np.arange(first, min(first + rows, n + 1))
-        _, repeat, src = _block_draws(keys, alpha, t_block)
+        repeat, src = _block_draws(keys, alpha, t_block)[1:]
         own = (t_block - 1)[:, None]
         np.copyto(src, own, where=~repeat)
         src *= width
@@ -190,6 +190,7 @@ def _run_labels(alpha: float, n: int, keys: np.ndarray) -> np.ndarray:
         block[...] = own
         for i, row in enumerate(block):
             flat.take(src[i], out=row, mode="clip")
+        del repeat, src  # free this block's draws before the next is made
     return labels
 
 

@@ -403,14 +403,64 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "limits", "--config", str(config))
         assert code == 2 and "alpa" in err
 
-    @pytest.mark.parametrize("raw", [{"n": None}, {"alpha": None}, {"alpha": 1.5},
-                                     {"tolerances": {"z_max": None}}],
-                             ids=["null-n", "null-alpha", "alpha-above-one", "null-tolerance"])
+    @pytest.mark.parametrize("raw", [
+        {"n": None}, {"alpha": None}, {"alpha": 1.5}, {"tolerances": {"z_max": None}},
+        {"compare": "false"}, {"fast": 1}, {"n": 2.5}, {"n": True}, {"replicates": 4.9},
+        {"alpha": True}, {"checkpoints": [1.7, 3]}, {"n_max": 5},
+    ], ids=["null-n", "null-alpha", "alpha-above-one", "null-tolerance", "compare-string",
+            "fast-number", "n-fraction", "n-boolean", "replicates-fraction", "alpha-boolean",
+            "checkpoints-fraction", "n_max-alias"])
     def test_bad_value_is_config_exit(self, raw, tmp_path, capsys):
+        # every key a config file may hold is checked, whichever command runs
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(raw))
         code, out, err = run_cli(capsys, "limits", "--config", str(config))
         assert code == 2 and out == "" and err.count("\n") == 1
+        (key,) = raw
+        assert err.startswith(f"error: {key}: ") or err == f"error: unknown config key {key!r}\n"
+
+    def test_whole_float_is_accepted(self, tmp_path, capsys):
+        config = tmp_path / "n.json"
+        config.write_text(json.dumps({"n": 3.0, "alpha": 0.75}))
+        code, out, _ = run_cli(capsys, "exact", "--config", str(config))
+        assert code == 0 and len(out.splitlines()) == 4
+
+    @pytest.mark.parametrize("flags,raw", [
+        (["simulate", "--dist", "rademacher", "--alpha", "0.6", "--n", "200",
+          "--replicates", "300", "--checkpoints", "50,200", "--seed", "0x2a"],
+         {"dist": "rademacher", "alpha": 0.6, "n": 200, "replicates": 300,
+          "checkpoints": [50, 200], "seed": "0x2a"}),
+        (["exact", "--dist", '{"kind":"bernoulli","p":0.3}', "--alpha", "0.75", "--n", "50",
+          "--compare"],
+         {"dist": {"kind": "bernoulli", "p": 0.3}, "alpha": 0.75, "n": 50, "compare": True}),
+        (["sweep", "--dist", "rademacher", "--alphas", "0.4:1:0.1"],
+         {"dist": "rademacher", "alphas": "0.4:1:0.1"}),
+    ], ids=["simulate", "exact-compare", "sweep"])
+    def test_flags_and_file_write_the_same_bytes(self, flags, raw, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(raw))
+        paths = [tmp_path / "flags.csv", tmp_path / "file.csv"]
+        for argv, path in zip((flags, [flags[0], "--config", str(config)]), paths):
+            code, _, _ = run_cli(capsys, *argv, "--out", str(path))
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_dists_sweep_every_law(self, tmp_path, capsys):
+        # `dists` is config-file only: one row per law and alpha, laws in
+        # the given order and alphas in grid order within each
+        laws = [{"kind": "bernoulli", "p": 0.3}, {"kind": "rademacher"}]
+        config = tmp_path / "laws.json"
+        config.write_text(json.dumps({"dists": laws}))
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(config), "--alphas", "0.9,0.6")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(json.loads(r["dist"]), float(r["alpha"])) for r in rows] == [
+            (laws[0], 0.9), (laws[0], 0.6), (laws[1], 0.9), (laws[1], 0.6)
+        ]
+        for row in rows:  # each row holds what `limits` gives for its law and alpha
+            _, out, _ = run_cli(capsys, "limits", "--dist", row["dist"], "--alpha", row["alpha"])
+            limits = json.loads(out)["limits"]
+            assert {q: float(row[q]) for q in limits} == limits
 
     def test_bad_checkpoints(self, capsys):
         code, _, err = run_cli(
@@ -622,8 +672,19 @@ _READ_FLAGS = {
 }
 
 
+def assert_one_error_line(capsys, argv, *fragments):
+    """`erw argv` exits 2 with nothing on stdout and one `error: ` line,
+    holding every fragment, on stderr."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    for fragment in fragments:
+        assert fragment in err
+
+
 class TestCommandFlags:
-    """Each command accepts only the flags it reads."""
+    """Each command accepts only the flags it reads; a flag it refuses is one
+    error line, not argparse's usage block."""
 
     @pytest.mark.parametrize("command,flag", [
         (command, flag)
@@ -633,26 +694,43 @@ class TestCommandFlags:
     ])
     def test_unread_flag_exits_2(self, command, flag, capsys):
         argv = [command, flag] + ([] if flag in _SWITCHES else ["1"])
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert_one_error_line(capsys, argv, f"unrecognized arguments: {flag}")
 
     def test_abbreviation_exits_2(self, capsys):
         # `--alpha` is not read by sweep and is no shorthand for `--alphas`
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--dist", "rademacher", "--alpha", "0.75"])
-        assert exc.value.code == 2
+        assert_one_error_line(capsys, ["sweep", "--dist", "rademacher", "--alpha", "0.75"],
+                              "unrecognized arguments: --alpha")
 
     def test_examples_of_unread_flags(self, capsys):
-        for argv in (
-            ["exact", "--alpha", "0.75", "--n", "3", "--replicates", "7", "--workers", "9",
-             "--checkpoints", "1,2"],
-            ["limits", "--alpha", "0.75", "--n", "0"],
+        for argv, flag in (
+            (["exact", "--alpha", "0.75", "--n", "3", "--replicates", "7", "--workers", "9",
+              "--checkpoints", "1,2"], "--replicates"),
+            (["limits", "--alpha", "0.75", "--n", "0"], "--n"),
         ):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2 and capsys.readouterr().out == ""
+            assert_one_error_line(capsys, argv, f"unrecognized arguments: {flag}")
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["exact", "--alpha", "0.75", "--n", "abc"], "n: must be a whole number, got 'abc'"),
+        (["exact", "--alpha", "0.75", "--n", "2.0"], "n: must be a whole number"),
+        (["exact", "--alpha", "0.75", "--n"], "argument --n: expected one argument"),
+        (["simulate", "--alpha", "0.75", "--workers", "0"], "workers: must be >= 1, got 0"),
+        (["nope"], "invalid choice: 'nope'"),
+        ([], "required: command"),
+    ], ids=["not-a-number", "not-whole", "no-value", "zero-workers", "no-such-command",
+            "no-command"])
+    def test_bad_flag_value_is_one_line(self, argv, fragment, capsys):
+        assert_one_error_line(capsys, argv, fragment)
+
+    @pytest.mark.parametrize("argv,usage", [
+        (["--help"], "usage: erw [-h] {limits,exact,simulate,verify,sweep}"),
+        (["exact", "--help"], "usage: erw exact [-h] [--config CONFIG]"),
+    ], ids=["erw", "exact"])
+    def test_help_exits_0(self, argv, usage, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.err == ""
+        assert captured.out.startswith(usage)
 
 
 class TestUnexpectedErrors:

@@ -293,15 +293,16 @@ class TestBlockedDraws:
 
     def test_labels_within_label_bytes(self):
         # the mc shape: the label matrix is the label term of
-        # batch_step_bytes, and the only other arrays alive are one block
-        # of draws.  While a block is drawn, the previous block's u_val,
-        # repeat and src are still bound and uniform_draws holds three
-        # 8-byte temporaries: at most six 8-byte values per element of a
-        # block.  With 4-byte labels the peak would be 12 MB higher.
+        # batch_step_bytes, and the only other arrays alive are `cols` (8
+        # bytes per walk) and one block of draws.  The previous block is
+        # freed before the next is drawn, and while one is drawn u_val, at
+        # most two other 8-byte arrays and the 1-byte `repeat` are alive:
+        # 25 bytes per element of a block, 25.2 measured.  With 4-byte
+        # labels the peak would be 12 MB higher.
         n, width = 3000, 2000
         label_term = (sim.batch_step_bytes(n, width, n)
                       - sim._TILE_BYTES_PER_CELL * sim._TILE_WALKS * n)
-        block = 6 * 8 * sim._block_rows(width) * width
+        block = 26 * sim._block_rows(width) * width + 8 * width
         keys = replicate_keys(1, 0, width)
         tracemalloc.start()
         try:
