@@ -57,6 +57,7 @@ from .simulate import (
     ScaledMomentEstimate,
     WalkState,
     batch_epsilon_moments,
+    check_checkpoints,
     cluster_batch,
     conditional_continuation_test,
     empirical_q_moments,

@@ -36,7 +36,13 @@ from .moments import (
     limit_q_moments,
 )
 from .rng import parse_seed
-from .simulate import batch_step_bytes, cluster_batch, empirical_q_moments, z_score
+from .simulate import (
+    batch_step_bytes,
+    check_checkpoints,
+    cluster_batch,
+    empirical_q_moments,
+    z_score,
+)
 from .verify import run_all, tolerance_limits
 
 DEFAULT_SEED = 0x243F6A8885A308D3
@@ -131,10 +137,7 @@ def _parse_dists(value) -> list[StepDistribution]:
 def _parse_checkpoints(value) -> list[int]:
     if isinstance(value, str):
         value = [part for part in value.split(",") if part.strip()]
-    points = [_whole(v) for v in value]
-    if not points or points != sorted(points) or len(set(points)) != len(points):
-        raise ConfigError(f"must be strictly ascending, got {points}")
-    return points
+    return list(check_checkpoints([_whole(v) for v in value]))
 
 
 def _parse_alphas(value) -> list[float]:
@@ -191,13 +194,16 @@ _SETTINGS = {
 
 def _set(config: ExperimentConfig, key: str, value) -> None:
     """Parse `value`, a flag's text or a config-file value, by `key`'s rule
-    and store it; a refused value is a ConfigError that names the key."""
+    and store it; a refused value is a ConfigError that names the key once."""
     if key not in _SETTINGS:
         raise ConfigError(f"unknown config key {key!r}")
     try:
         setattr(config, key, _SETTINGS[key][0](value))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        message = str(exc)
+        if not message.startswith(f"{key}: "):
+            message = f"{key}: {message}"
+        raise ConfigError(message) from exc
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -335,12 +341,8 @@ def cmd_exact(config: ExperimentConfig) -> int:
 
 def cmd_simulate(config: ExperimentConfig) -> int:
     alpha = _require_alpha(config)
-    checkpoints = config.checkpoints or [config.n]
-    if checkpoints[-1] > config.n:
-        raise ConfigError(
-            f"checkpoints must lie in [1, n]: {checkpoints[-1]} > {config.n}"
-        )
-    # the label matrices and size counts, then the (n, 7) exact table to
+    checkpoints = check_checkpoints(config.checkpoints or [config.n], config.n)
+    # the label matrices and size passes, then the (n, 7) exact table to
     # the last checkpoint
     _check_request_bytes(
         "simulate",

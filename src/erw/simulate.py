@@ -29,6 +29,7 @@ z-scores for every consumer.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -56,10 +57,20 @@ _POOL_SPAN_BYTES = 2048
 #: chunk width up to _BLOCK_ELEMENTS; wider chunks take one step per block.
 _BLOCK_ELEMENTS = 16_384
 
-#: Walks per tile of the cluster engine's size pass; a tile holds four
-#: (walks x last checkpoint) arrays of 8-byte values at once.
+#: Walks per tile of the cluster engine's size pass; a tile holds one
+#: (last checkpoint x walks) matrix of counts and blocks of about
+#: _BLOCK_ELEMENTS values.
 _TILE_WALKS = 128
-_TILE_BYTES_PER_CELL = 32
+
+#: Float64 values per walk of a tile that the size pass holds besides its
+#: blocks: the three running sums and their copy (6), `cols` (1), and the
+#: conditional moments, their squares and temporaries (11).
+_SIZE_PASS_VALUES_PER_WALK = 18
+
+#: Bytes of a tile's size pass that do not grow with it: numpy's ufunc
+#: buffer of 8192 values (64 KiB), which the broadcast add of `cols` to a
+#: block's index fills, and array headers.
+_SIZE_PASS_FIXED_BYTES = 72 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,37 +132,45 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(width, 1))
 
 
-def _run_paths(
-    dist: StepDistribution, alpha: float, n: int, keys: np.ndarray
-) -> np.ndarray:
-    """The (n, len(keys)) step matrix of len(keys) walks, vectorised across walks.
+def _fill_walks(out: np.ndarray, keys: np.ndarray, alpha: float, fresh) -> np.ndarray:
+    """Fill `out`, an (n, len(keys)) matrix, with len(keys) walks by the step
+    rule, vectorised across walks, and return it.
 
-    The draws, fresh samples and repeat positions are made a block of steps
-    at a time (`_block_draws`); only the copy from the walk's own history
-    runs step by step.  The counters, and so the output bytes, are the same
-    as drawing one step at a time.  Every statistic is computed from the
-    returned matrix afterwards, a row at a time.
+    The draws are made a block of steps at a time (`_block_draws`).  Each
+    block's rows are first set to `fresh(u_val, own)`, the values of fresh
+    steps (`own` is each row's 0-based index, as a column), and a fresh
+    step then reads its value at its own position, so every step is one
+    `take` from the walk's own history, without a select.  The counters,
+    and so the bytes, are the same as drawing one step at a time.
     """
-    width = keys.size
-    steps = np.empty((n, width), dtype=np.float64)
-    flat = steps.reshape(-1)
+    n, width = out.shape
+    flat = out.reshape(-1)
     cols = np.arange(width)
     rows = _block_rows(width)
 
     for first in range(1, n + 1, rows):
         t_block = np.arange(first, min(first + rows, n + 1))
-        u_val, repeat, idx = _block_draws(keys, alpha, t_block)
-        fresh = inverse_cdf(dist, u_val)
-        # source row of a repeat, flattened to a position in `steps`
-        idx *= width
-        idx += cols
+        u_val, repeat, src = _block_draws(keys, alpha, t_block)
+        own = (t_block - 1)[:, None]
+        block = out[first - 1 : first - 1 + t_block.size]
+        block[...] = fresh(u_val, own)
+        np.copyto(src, own, where=~repeat)
+        del u_val, repeat
+        src *= width
+        src += cols
+        for i, row in enumerate(block):
+            flat.take(src[i], out=row, mode="clip")
+        del src  # free this block's draws before the next is made
+    return out
 
-        for i, t in enumerate(range(first, first + t_block.size)):
-            if t == 1:
-                steps[0] = fresh[0]  # the first step is always fresh
-            else:
-                steps[t - 1] = np.where(repeat[i], flat.take(idx[i]), fresh[i])
-    return steps
+
+def _run_paths(
+    dist: StepDistribution, alpha: float, n: int, keys: np.ndarray
+) -> np.ndarray:
+    """The (n, len(keys)) float64 step matrix of len(keys) walks.  Every
+    statistic is computed from it afterwards, a row at a time."""
+    steps = np.empty((n, keys.size), dtype=np.float64)
+    return _fill_walks(steps, keys, alpha, lambda u_val, own: inverse_cdf(dist, u_val))
 
 
 def _label_dtype(n: int) -> np.dtype:
@@ -167,31 +186,44 @@ def _run_labels(alpha: float, n: int, keys: np.ndarray) -> np.ndarray:
     cluster: a fresh step founds its own, a repeat joins the cluster of the
     step it copies.  The draws are `_run_paths`'s, so
     `_run_paths(...)[labels, cols]` equals the fresh samples gathered at
-    the labels.  No sample is drawn.  Each row is first set to its own
-    index, so a fresh step reads its label through its own position and
-    every step is one `take` without a select.
+    the labels.  No sample is drawn.
     """
     if n > 2**32:
         raise ValueError(f"cluster labels are at most uint32: n must be at most 2**32, got {n}")
-    width = keys.size
-    labels = np.empty((n, width), dtype=_label_dtype(n))
-    flat = labels.reshape(-1)
-    cols = np.arange(width)
-    rows = _block_rows(width)
+    labels = np.empty((n, keys.size), dtype=_label_dtype(n))
+    return _fill_walks(labels, keys, alpha, lambda u_val, own: own)
 
-    for first in range(1, n + 1, rows):
-        t_block = np.arange(first, min(first + rows, n + 1))
-        repeat, src = _block_draws(keys, alpha, t_block)[1:]
-        own = (t_block - 1)[:, None]
-        np.copyto(src, own, where=~repeat)
-        src *= width
-        src += cols
-        block = labels[first - 1 : first - 1 + t_block.size]
-        block[...] = own
-        for i, row in enumerate(block):
-            flat.take(src[i], out=row, mode="clip")
-        del repeat, src  # free this block's draws before the next is made
-    return labels
+
+def _size_pass_rows(width: int, last: int) -> tuple[int, int]:
+    """Rows of a tile's counts per block of the size pass: (counted, summed).
+
+    Both are about _BLOCK_ELEMENTS counts and at most `last` rows, except
+    that one walk's power sums take all `last` rows in one block: numpy
+    adds a lone column pairwise, not row by row, and a split column would
+    round differently.
+    """
+    rows = min(_block_rows(width), last)
+    return rows, (rows if width > 1 else last)
+
+
+def _size_pass_bytes(width: int, last: int) -> int:
+    """Bytes the size pass holds for a tile of `width` walks to `last`: the
+    counts, the int64 index of one block of counted rows, the two float64
+    power blocks with their leading row of running sums,
+    _SIZE_PASS_VALUES_PER_WALK float64 values per walk and
+    _SIZE_PASS_FIXED_BYTES."""
+    rows, sum_rows = _size_pass_rows(width, last)
+    itemsize = np.min_scalar_type(last).itemsize
+    per_walk = itemsize * last + 8 * (rows + 2 * (sum_rows + 1) + _SIZE_PASS_VALUES_PER_WALK)
+    return width * per_walk + _SIZE_PASS_FIXED_BYTES
+
+
+def _add_rows(total: np.ndarray, block: np.ndarray, top: int, stop: int) -> None:
+    """Set `total` to the sum of rows top..stop-1 of `block`, each column's
+    rows added in row order, with row 0 set to `total` first: a running
+    sum when top is 0."""
+    block[0] = total
+    np.add.reduce(block[top:stop], axis=0, out=total)
 
 
 def _cluster_size_sums(labels: np.ndarray, checkpoints: Sequence[int]):
@@ -199,29 +231,45 @@ def _cluster_size_sums(labels: np.ndarray, checkpoints: Sequence[int]):
     (column of `labels`): S_k = sum of N^k over the walk's clusters, where
     N counts the first c steps that carry the cluster's label.
 
-    The sizes are counted founder-major (walk j's founder r at r*width + j).
-    A label in the first c rows is below c, so a checkpoint's `bincount`
-    covers only the rows added since the previous checkpoint and only the
-    first c*width counts, and this costs O(walks * c) per checkpoint.
+    The sizes are counted founder-major (walk j's founder r at r*width + j)
+    in the narrowest unsigned type that holds the last checkpoint, since
+    one cluster can hold every step.  A label in the first c rows is below
+    c, so a checkpoint counts only the rows added since the previous one,
+    O(new rows), and sums the powers of the first c rows of counts,
+    O(walks * c), a block of rows at a time.  Row 0 of each block after
+    the first holds the running sums, so every walk's rows are added in
+    row order, as one sum over all c rows adds them, and the float64 sums
+    keep those bytes where they round.
     """
     width = labels.shape[1]
-    cols = np.arange(width, dtype=np.int64)
-    counts = np.zeros(width * checkpoints[-1], dtype=np.int64)
+    last = checkpoints[-1]
+    counts = np.zeros((last, width), dtype=np.min_scalar_type(last))
+    flat = counts.reshape(-1)
+    one = counts.dtype.type(1)  # of the counts' type: np.add.at's fast path
+    cols = np.arange(width)
+    rows, sum_rows = _size_pass_rows(width, last)
+    sizes, squares = np.empty((2, sum_rows + 1, width))
+    sums = np.zeros((3, width))
     start = 0
     for c in checkpoints:
-        head = counts[: c * width]
-        index = np.multiply(labels[start:c], width, dtype=np.int64)
-        index += cols
-        head += np.bincount(index.reshape(-1), minlength=c * width)
-        del index  # before the float arrays: the pass stays in _TILE_BYTES_PER_CELL
+        for r in range(start, c, rows):
+            index = np.multiply(labels[r : min(r + rows, c)], width, dtype=np.intp)
+            index += cols
+            np.add.at(flat, index.reshape(-1), one)
+            del index  # before the next block's index is made
         start = c
-        sizes = head.reshape(c, width).astype(np.float64)
-        square = sizes * sizes
-        s2 = square.sum(axis=0)
-        sizes *= square
-        s3 = sizes.sum(axis=0)
-        square *= square
-        yield s2, s3, square.sum(axis=0)
+        for r in range(0, c, sum_rows):
+            stop = min(sum_rows, c - r) + 1
+            top = 0 if r else 1
+            size, square = sizes[1:stop], squares[1:stop]
+            np.copyto(size, counts[r : r + stop - 1])
+            np.multiply(size, size, out=square)
+            _add_rows(sums[0], squares, top, stop)
+            size *= square
+            _add_rows(sums[1], sizes, top, stop)
+            square *= square
+            _add_rows(sums[2], squares, top, stop)
+        yield tuple(sums.copy())
 
 
 def _conditional_moments(ms: MomentSet, s2, s3, s4) -> np.ndarray:
@@ -290,6 +338,26 @@ def simulate_path(dist: StepDistribution, alpha: float, n: int, seed: int) -> Wa
     return WalkState.from_steps(steps[:, 0], moment_set(dist), alpha)
 
 
+def check_checkpoints(checkpoints: Sequence[int], n: int | None = None) -> tuple[int, ...]:
+    """The one checkpoint rule of the simulators and the CLI: one or more
+    distinct positive integers in ascending order, none above `n` when it
+    is given.  Returns them as a tuple of ints; a refusal is a ValueError
+    whose message starts `checkpoints: `.  A float, even a whole one, is
+    refused rather than truncated."""
+    try:
+        cps = tuple(operator.index(c) for c in checkpoints)
+    except TypeError:
+        cps = ()
+    if not cps or cps[0] < 1 or any(a >= b for a, b in zip(cps, cps[1:])):
+        raise ValueError(
+            "checkpoints: must be distinct positive integers in ascending order, "
+            f"got {list(checkpoints)}"
+        )
+    if n is not None and cps[-1] > n:
+        raise ValueError(f"checkpoints: must lie in [1, n] = [1, {n}], got {cps[-1]}")
+    return cps
+
+
 class BatchAccumulator:
     """Per-checkpoint power sums of S~ (p = 1 .. 8), added a chunk at a time.
 
@@ -302,14 +370,9 @@ class BatchAccumulator:
     POWERS = 8
 
     def __init__(self, checkpoints: Sequence[int]):
-        cps = tuple(int(c) for c in checkpoints)
-        if not cps or any(c < 1 for c in cps) or list(cps) != sorted(set(cps)):
-            raise ValueError(
-                f"checkpoints must be distinct positive integers in ascending order, got {checkpoints!r}"
-            )
-        self.checkpoints = cps
+        self.checkpoints = check_checkpoints(checkpoints)
         self.n_replicates = 0
-        self._sums = np.zeros((len(cps), 8), dtype=np.float64)
+        self._sums = np.zeros((len(self.checkpoints), 8), dtype=np.float64)
 
     def add_chunk(self, power_sums: np.ndarray, count: int) -> None:
         """Add one chunk's (checkpoints x 8) sum matrix; sums that overflow
@@ -368,14 +431,14 @@ def _chunk_spans(n: int, replicates: int) -> Iterator[tuple[int, int]]:
 def batch_step_bytes(n: int, replicates: int, last: int, workers: int = 1) -> int:
     """Bytes `cluster_batch` holds at once for checkpoints ending at `last`:
     per busy worker a (last x chunk width) label matrix of
-    `_label_dtype(last)` and the size pass's arrays for one tile, and, with
-    more than one worker, the pool's record of every chunk.  Computed
-    without allocating anything."""
+    `_label_dtype(last)` and the size pass's arrays for one tile of at most
+    _TILE_WALKS walks, and, with more than one worker, the pool's record of
+    every chunk.  Computed without allocating anything."""
     width = _chunk_width(n, replicates)
     chunks = -(-replicates // width)
     pool = _POOL_SPAN_BYTES * chunks if workers > 1 else 0
     labels = _label_dtype(last).itemsize * last * width
-    tile = _TILE_BYTES_PER_CELL * min(width, _TILE_WALKS) * last
+    tile = _size_pass_bytes(min(width, _TILE_WALKS), last)
     return (labels + tile) * min(workers, chunks) + pool
 
 
@@ -410,10 +473,7 @@ def _run_batch(acc, n, replicates, workers, chunk_sums):
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if acc.checkpoints[-1] > n:
-        raise ValueError(
-            f"checkpoints must lie in [1, n]: got {acc.checkpoints[-1]} > n = {n}"
-        )
+    check_checkpoints(acc.checkpoints, n)
 
     def run(span: tuple[int, int]):
         return chunk_sums(span), span[1] - span[0]
@@ -471,9 +531,11 @@ def cluster_batch(
     The walks, chunks and draws are those of `simulate_batch` with the same
     arguments, but only cluster labels are simulated (`_run_labels`) and no
     step is sampled.  Each walk's E_p has the mean of S~^p and a smaller
-    variance.  Each checkpoint costs O(walks * checkpoint) to count the
-    cluster sizes, so many checkpoints on long walks cost more than the
-    walks themselves.  Bit-identical for any `workers`.
+    variance.  Each checkpoint counts the cluster sizes of only the steps
+    added since the previous one, O(new rows), but sums their powers over
+    all its rows, O(walks * checkpoint), so many checkpoints on long walks
+    still cost more than the walks themselves.  Bit-identical for any
+    `workers`.
     """
     alpha = check_alpha(alpha)
     acc = ClusterAccumulator(checkpoints)

@@ -193,9 +193,9 @@ def check_sampling_moments(
         ("gaussian(0.5,2)", StepDistribution.gaussian(0.5, 2.0)),
         ("discrete(-1,2)", _SKEWED_TWO_POINT),
     )
+    uniforms = uniform_draws(replicate_keys(seed, 0, n_samples), 0)
     for label, dist in dists:
-        keys = replicate_keys(seed, 0, n_samples)
-        samples = inverse_cdf(dist, uniform_draws(keys, 0))
+        samples = inverse_cdf(dist, uniforms)
         exact = raw_moments(dist)
         worst = 0.0
         for k in range(1, 5):

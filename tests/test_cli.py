@@ -257,6 +257,28 @@ class TestSimulate:
         assert code == 2 and "checkpoints" in err
 
 
+    @pytest.mark.parametrize("points,rule", [
+        ("0,5", "must be distinct positive integers in ascending order, got [0, 5]"),
+        ("-3,5", "must be distinct positive integers in ascending order, got [-3, 5]"),
+        ("30,20", "must be distinct positive integers in ascending order, got [30, 20]"),
+        ("5,5", "must be distinct positive integers in ascending order, got [5, 5]"),
+        ("50,200", "must lie in [1, n] = [1, 100], got 200"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_one_checkpoint_rule(self, points, rule, source, tmp_path, capsys):
+        # the simulator's rule, from a flag or a config file: one line each
+        argv = ["simulate", "--dist", "rademacher", "--alpha", "0.75", "--n", "100",
+                "--replicates", "5"]
+        if source == "flag":
+            argv.append(f"--checkpoints={points}")
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"checkpoints": [int(p) for p in points.split(",")]}))
+            argv += ["--config", str(config)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: checkpoints: {rule}\n")
+
+
 class TestVerifyCommand:
     def test_fast_report(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--fast", "--seed", "2024")
@@ -618,15 +640,16 @@ class TestRequestSizeCap:
         ("exact", "--n", "1000", "--compare"),
         ("simulate", "--n", "20000", "--replicates", "1"),
         ("simulate", "--n", "100", "--replicates", "200"),
-        # two chunks of 800 walks: 8 kB of 1-byte labels and 41 kB of size
-        # counts per busy worker, 50 kB at one worker and 103 kB at two
-        ("simulate", "--n", "10000", "--replicates", "1600", "--checkpoints", "10",
+        # two chunks of 50 walks: 500 bytes of 1-byte labels and 94 kB of
+        # size pass per busy worker, 95 kB at one worker and 194 kB at two
+        ("simulate", "--n", "160000", "--replicates", "100", "--checkpoints", "10",
          "--workers", "2"),
-        # 1000 one-walk chunks of one step: 66 bytes of labels and counts,
-        # but the pool's record of 1000 chunks is about 2 MB
+        # 1000 one-walk chunks of one step: 74 kB of labels and size pass
+        # per busy worker, and the pool's record of 1000 chunks, about 2 MB
         ("simulate", "--n", "8000000", "--replicates", "1000", "--checkpoints", "1",
          "--workers", "2"),
-        # one walk more than test_simulate_at_cap_runs: 20 and 1056 bytes over
+        # the shapes of test_simulate_at_cap_runs with one walk more: 176 kB
+        # and 169 kB, more labels and a wider tile
         ("simulate", "--n", "20", "--replicates", "849"),
         ("simulate", "--n", "32", "--replicates", "94"),
     ], ids=["exact", "exact-compare", "simulate-long", "simulate-wide", "simulate-workers",
@@ -639,16 +662,19 @@ class TestRequestSizeCap:
 
     @pytest.mark.parametrize("n,replicates", [(20, 848), (32, 93)])
     def test_simulate_at_cap_runs(self, n, replicates, capsys, monkeypatch):
-        # exactly the cap: 1-byte labels, one tile of size counts (at most
-        # _TILE_WALKS walks wide) and the exact table to n
+        # a cap of exactly the request runs, and one walk more exits 2: 1-byte
+        # labels, the size pass of one tile (at most _TILE_WALKS walks wide)
+        # and the exact table to n.  With 848 walks one more adds 20 bytes
+        # of labels; with 93 it also widens the tile, 992 bytes in all.
         monkeypatch.undo()
-        monkeypatch.setattr(cli, "MAX_REQUEST_BYTES", 100_000)
-        assert sim.batch_step_bytes(n, replicates, n) + 56 * n == 100_000
-        code, out, _ = run_cli(
-            capsys, "simulate", "--dist", "rademacher", "--alpha", "0.75",
-            "--n", str(n), "--replicates", str(replicates),
-        )
+        cap = sim.batch_step_bytes(n, replicates, n) + 56 * n
+        monkeypatch.setattr(cli, "MAX_REQUEST_BYTES", cap)
+        argv = ("simulate", "--dist", "rademacher", "--alpha", "0.75", "--n", str(n))
+        code, out, _ = run_cli(capsys, *argv, "--replicates", str(replicates))
         assert code == 0 and len(out.splitlines()) == 6
+        over = sim.batch_step_bytes(n, replicates + 1, n) + 56 * n - cap
+        assert over == (20 if replicates > sim._TILE_WALKS else 992)
+        assert_one_error_line(capsys, (*argv, "--replicates", str(replicates + 1)), "cap")
 
     def test_below_cap_runs(self, capsys, monkeypatch):
         monkeypatch.undo()

@@ -11,6 +11,7 @@ from erw import (
     BatchAccumulator,
     StepDistribution,
     batch_epsilon_moments,
+    check_checkpoints,
     cluster_batch,
     conditional_continuation_test,
     empirical_q_moments,
@@ -263,33 +264,54 @@ class TestBlockedDraws:
         assert next(spans) == (0, 1) and next(spans) == (1, 2)
 
     def test_batch_step_bytes(self, monkeypatch):
-        cell = sim._TILE_BYTES_PER_CELL
-        # the mc shape: one chunk of 2000 walks, 2-byte labels to n = 3000
-        # (23.2 MiB; 34.6 MiB with 4-byte labels)
-        assert (sim.batch_step_bytes(3000, 2000, 3000)
-                == 2 * 3000 * 2000 + cell * sim._TILE_WALKS * 3000)
+        fixed = sim._SIZE_PASS_FIXED_BYTES
+        spare = sim._SIZE_PASS_VALUES_PER_WALK
+        # the mc shape: one chunk of 2000 walks with 2-byte labels to
+        # n = 3000, and a tile of 128 walks with 2-byte counts, an index
+        # block of 128 rows and two power blocks of 129 rows (12.6 MiB;
+        # 23.2 MiB when a tile took 32 bytes per walk-step)
+        assert sim.batch_step_bytes(3000, 2000, 3000) == (
+            2 * 3000 * 2000 + 128 * (2 * 3000 + 8 * (128 + 2 * 129 + spare)) + fixed
+        ) == 13_255_424
+        # walks of 1e6 steps run 8 per chunk, with 4-byte labels and counts
+        # and blocks of 2048 rows (64.5 MB; 288 MB at 32 bytes per walk-step)
+        assert sim.batch_step_bytes(10**6, 8, 10**6) == (
+            4 * 8 * 10**6 + 8 * (4 * 10**6 + 8 * (2048 + 2 * 2049 + spare)) + fixed
+        ) == 64_468_224
         monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 1000)
         pool = sim._POOL_SPAN_BYTES
-        # the label term is the itemsize of the narrowest unsigned type
-        # that holds the last checkpoint - 1, per walk-step
-        for last, itemsize in ((256, 1), (257, 2), (65_536, 2), (65_537, 4)):
-            assert sim.batch_step_bytes(last, 1, last) == itemsize * last + cell * last, last
+        # one-walk chunks: the labels hold the last checkpoint - 1 and the
+        # counts the last checkpoint, each in the narrowest unsigned type;
+        # one walk's power sums take all its rows in one block
+        for last, label_size, count_size in (
+            (255, 1, 1), (256, 1, 2), (257, 2, 2),
+            (65_535, 2, 2), (65_536, 2, 4), (65_537, 4, 4),
+        ):
+            rows = min(sim._BLOCK_ELEMENTS, last)
+            assert sim.batch_step_bytes(last, 1, last) == (
+                label_size * last + count_size * last + 8 * (rows + 2 * (last + 1) + spare) + fixed
+            ), last
         # chunks of 3 walks: labels (2 bytes to 300, 1 byte to 50) with as
-        # many rows as the last checkpoint and the size counts of one tile
-        # of 3 walks, per busy worker; a pool also holds a record of each
-        # of the 4 chunks
-        assert sim.batch_step_bytes(300, 10, 300) == 2 * 300 * 3 + cell * 3 * 300
+        # many rows as the last checkpoint, and a tile of 3 walks whose
+        # blocks hold every row, per busy worker; a pool also holds a
+        # record of each of the 4 chunks
+        tile_300 = 3 * (2 * 300 + 8 * (300 + 2 * 301 + spare)) + fixed
+        tile_50 = 3 * (1 * 50 + 8 * (50 + 2 * 51 + spare)) + fixed
+        assert sim.batch_step_bytes(300, 10, 300) == 2 * 300 * 3 + tile_300
         assert (sim.batch_step_bytes(300, 10, 50, workers=2)
-                == (1 * 50 * 3 + cell * 3 * 50) * 2 + 4 * pool)
+                == (1 * 50 * 3 + tile_50) * 2 + 4 * pool)
         # four chunks keep at most four workers busy
         assert (sim.batch_step_bytes(300, 10, 50, workers=64)
-                == (1 * 50 * 3 + cell * 3 * 50) * 4 + 4 * pool)
+                == (1 * 50 * 3 + tile_50) * 4 + 4 * pool)
         # a walk longer than the target is a chunk of its own
+        tile_5000 = 2 * 5000 + 8 * (5000 + 2 * 5001 + spare) + fixed
         assert (sim.batch_step_bytes(5000, 2, 5000, workers=2)
-                == (2 * 5000 + cell * 5000) * 2 + 2 * pool)
+                == (2 * 5000 + tile_5000) * 2 + 2 * pool)
         # one worker runs the chunks in a loop and keeps no record of them;
         # a tile holds at most _TILE_WALKS walks
-        assert sim.batch_step_bytes(1, 10**12, 1) == 1 * 1000 + cell * sim._TILE_WALKS
+        assert sim.batch_step_bytes(1, 10**12, 1) == (
+            1 * 1000 + sim._TILE_WALKS * (1 + 8 * (1 + 2 * 2 + spare)) + fixed
+        )
 
     def test_labels_within_label_bytes(self):
         # the mc shape: the label matrix is the label term of
@@ -301,7 +323,7 @@ class TestBlockedDraws:
         # labels the peak would be 12 MB higher.
         n, width = 3000, 2000
         label_term = (sim.batch_step_bytes(n, width, n)
-                      - sim._TILE_BYTES_PER_CELL * sim._TILE_WALKS * n)
+                      - sim._size_pass_bytes(sim._TILE_WALKS, n))
         block = 26 * sim._block_rows(width) * width + 8 * width
         keys = replicate_keys(1, 0, width)
         tracemalloc.start()
@@ -315,11 +337,13 @@ class TestBlockedDraws:
         assert label_term < peak <= label_term + block
 
     @pytest.mark.parametrize("width,checkpoints", [
-        (2000, (1000, 3000)), (128, (10, 20, 3000)), (50, (1500, 3000)),
+        (2000, (1000, 3000)), (128, (10, 20, 3000)), (50, (1500, 3000)), (40, (70_000,)),
     ])
     def test_size_pass_within_tile_bytes(self, width, checkpoints):
-        # the arrays the size pass allocates, measured, against the tile
-        # term of batch_step_bytes
+        # the arrays the size pass allocates, measured, against its term
+        # of batch_step_bytes, which they fill to within 2%: 1.25 MB at
+        # the mc shape and 11.7 MB for 40 walks to n = 70,000, where the
+        # int64 counts and float64 (c x 128) arrays took 10.3 MB and 67 MB
         ms = moment_set(StepDistribution.rademacher())
         labels = sim._run_labels(0.75, checkpoints[-1], replicate_keys(1, 0, width))
         tracemalloc.start()
@@ -329,8 +353,8 @@ class TestBlockedDraws:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        tile = sim._TILE_BYTES_PER_CELL * min(width, sim._TILE_WALKS) * checkpoints[-1]
-        assert peak <= tile
+        tile = sim._size_pass_bytes(min(width, sim._TILE_WALKS), checkpoints[-1])
+        assert 0.98 * tile < peak <= tile
 
 
 class TestBatch:
@@ -377,12 +401,16 @@ class TestBatch:
         assert hashlib.sha256(sums.tobytes()).hexdigest() == digest
 
     def test_checkpoint_validation(self, rademacher):
-        with pytest.raises(ValueError):
-            BatchAccumulator([30, 20])
-        with pytest.raises(ValueError):
-            simulate_batch(rademacher, 0.5, 10, 5, 1, [20])
-        with pytest.raises(ValueError):
-            cluster_batch(rademacher, 0.5, 10, 5, 1, [20])
+        # one rule, `check_checkpoints`, for both engines and the CLI
+        for bad in ([30, 20], [5, 5], [0, 5], [-3, 5], [], [1.7, 3], [1, 5.0], ["5"]):
+            with pytest.raises(ValueError, match=r"^checkpoints: must be distinct positive"):
+                BatchAccumulator(bad)
+        for engine in (simulate_batch, cluster_batch):
+            with pytest.raises(ValueError,
+                               match=r"^checkpoints: must lie in \[1, n\] = \[1, 10\], got 20$"):
+                engine(rademacher, 0.5, 10, 5, 1, [3, 20])
+        assert check_checkpoints([1, np.int64(5)], 5) == (1, 5)
+        assert check_checkpoints(range(1, 6)) == (1, 2, 3, 4, 5)
 
     @pytest.mark.slow
     def test_memoryless_variance_linear(self, bernoulli03):
@@ -417,6 +445,93 @@ def _enumerated_label_histories(alpha, n):
         histories = grown
     labels = np.array([h for h, _ in histories], dtype=np.int32).T
     return np.ascontiguousarray(labels), np.array([w for _, w in histories])
+
+
+def _bincount_size_sums(labels, checkpoints):
+    """Test oracle: the size pass that counted each checkpoint's new rows in
+    int64 with one `bincount` and summed N^2, N^3 and N^4 over whole
+    (c x width) float64 arrays.  `_cluster_size_sums` must give its bytes."""
+    width = labels.shape[1]
+    cols = np.arange(width, dtype=np.int64)
+    counts = np.zeros(width * checkpoints[-1], dtype=np.int64)
+    start = 0
+    for c in checkpoints:
+        head = counts[: c * width]
+        index = np.multiply(labels[start:c], width, dtype=np.int64)
+        index += cols
+        head += np.bincount(index.reshape(-1), minlength=c * width)
+        start = c
+        sizes = head.reshape(c, width).astype(np.float64)
+        square = sizes * sizes
+        s2 = square.sum(axis=0)
+        sizes *= square
+        s3 = sizes.sum(axis=0)
+        square *= square
+        yield s2, s3, square.sum(axis=0)
+
+
+def _assert_size_pass_matches_oracle(labels, ms, checkpoints, monkeypatch):
+    where = (labels.shape, checkpoints[-1])
+    for got, want in zip(sim._cluster_size_sums(labels, checkpoints),
+                         _bincount_size_sums(labels, checkpoints), strict=True):
+        assert np.stack(got).tobytes() == np.stack(want).tobytes(), where
+    sums = sim._cluster_sums(labels, ms, checkpoints)
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "_cluster_size_sums", _bincount_size_sums)
+        assert sums.tobytes() == sim._cluster_sums(labels, ms, checkpoints).tobytes(), where
+
+
+class TestSizePass:
+    """The size pass in narrow counts and row blocks against the bincount
+    pass it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("alpha,n,width,checkpoints,seed", [
+        (0.75, 3000, 2000, (1000, 3000), 1),
+        (0.3, 3000, 1000, (1000, 3000), 1),
+        (0.75, 3000, 300, tuple(range(30, 3001, 30)), 2),
+        (1.0, 70_000, 130, (35_000, 70_000), 3),
+        (0.95, 65_537, 129, (1000, 65_537), 4),
+        (0.99, 70_000, 1, (70_000,), 5),
+        (0.99, 70_000, 3, (20_000, 70_000), 5),
+    ], ids=["mc-rademacher", "mc-gaussian", "100-checkpoints", "alpha1-rounding",
+            "uint32-labels", "one-walk", "three-walks"])
+    def test_matches_bincount_oracle(self, alpha, n, width, checkpoints, seed, monkeypatch):
+        # the mc shapes; 100 checkpoints; S4 above 2**53, where the float
+        # sums round; 4-byte labels with a tile of one walk; and one walk,
+        # whose sums numpy adds pairwise, not row by row (at seed 5 a split
+        # of its 70,000 rows into blocks changes the last bit of S4)
+        ms = moment_set(StepDistribution.gaussian(0.5, 2.0))
+        labels = sim._run_labels(alpha, n, replicate_keys(seed, 0, width))
+        _assert_size_pass_matches_oracle(labels, ms, checkpoints, monkeypatch)
+
+    @pytest.mark.parametrize("last,dtype", [
+        (255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32),
+    ])
+    def test_one_cluster_fills_the_count_type(self, last, dtype, monkeypatch):
+        # at alpha = 1 every step joins the first cluster, so its count
+        # reaches `last`, the largest value of the narrowest type that holds it
+        assert np.min_scalar_type(last) == dtype
+        labels = sim._run_labels(1.0, last, replicate_keys(6, 0, 2))
+        ms = moment_set(StepDistribution.bernoulli(0.3))
+        _assert_size_pass_matches_oracle(labels, ms, (1, last - 1, last), monkeypatch)
+        s2 = next(sim._cluster_size_sums(labels, (last,)))[0]
+        assert (s2 == float(last) ** 2).all()
+
+    def test_small_shapes(self, monkeypatch):
+        ms = moment_set(StepDistribution.rademacher())
+        for n in (1, 2, 3, 17):
+            for width in (1, 2, 7, 129):
+                labels = sim._run_labels(0.6, n, replicate_keys(7, 0, width))
+                _assert_size_pass_matches_oracle(labels, ms, tuple(range(1, n + 1)), monkeypatch)
+
+    def test_small_blocks(self, monkeypatch):
+        # a budget of 600 elements: blocks of 4 rows for a tile of 128
+        # walks and of 85 rows for 7, so every checkpoint spans many blocks
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 600)
+        ms = moment_set(StepDistribution.bernoulli(0.3))
+        for width, checkpoints in ((300, (3, 50, 51, 400)), (7, (84, 85, 86, 171, 400))):
+            labels = sim._run_labels(0.8, 400, replicate_keys(8, 0, width))
+            _assert_size_pass_matches_oracle(labels, ms, checkpoints, monkeypatch)
 
 
 class TestClusterEngine:
