@@ -49,7 +49,6 @@ from .moments import (
 from .rng import parse_seed, replicate_key, replicate_keys
 from .simulate import (
     BatchAccumulator,
-    ClusterAccumulator,
     ContinuationCheck,
     EpsilonMoments,
     MarginalSums,

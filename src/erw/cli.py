@@ -41,9 +41,8 @@ from .simulate import (
     check_checkpoints,
     cluster_batch,
     empirical_q_moments,
-    z_score,
 )
-from .verify import run_all, tolerance_limits
+from .verify import compare_with_exact, run_all, tolerance_limits
 
 DEFAULT_SEED = 0x243F6A8885A308D3
 
@@ -376,22 +375,13 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         limit_by_p = {1: limits.q1, 2: limits.q2, 3: limits.q3, 4: limits.q4}
     except (RegimeError, SingularParameterError):
         limit_by_p = {}
-    exact_field = {1: None, 2: "s2", 3: "s3", 4: "s4"}
 
     with _open_out(config.out) as handle:
         handle.write(f"# master_seed=0x{config.seed:016x}\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["n", "p", "estimate", "stderr", "n_replicates", "exact", "limit", "z"])
         for est in estimates:
-            row = table.row(est.n)
-            scale = float(est.n) ** (-est.p * alpha)
-            # E(S~) = 0, and E(S~^3) = M3 E(sum_j N_j^3) is exactly 0 when
-            # M3 = 0, where the recursion carries rounding noise instead
-            if est.p == 1 or (est.p == 3 and ms.M3 == 0.0):
-                exact = 0.0
-            else:
-                exact = getattr(row, exact_field[est.p]) * scale
-            z = float(z_score(est.estimate - exact, est.stderr))
+            exact, z = compare_with_exact(est, table, ms, alpha)
             limit = limit_by_p.get(est.p)
             writer.writerow([
                 est.n, est.p, _fmt(est.estimate), _fmt(est.stderr), est.n_replicates,

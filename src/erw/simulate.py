@@ -18,10 +18,13 @@ in the narrowest unsigned type that holds n - 1 (one byte per walk-step to
 n = 256, two to 65,536), and draws no sample: given the cluster sizes the
 founders' values are i.i.d. draws of the step law, so the conditional
 moments E(S~^p | sizes) are exact and their average estimates E(S~^p)
-with less variance than S~^p itself.  In both, only float64 sums outlive
-a chunk; chunks cover fixed replicate ranges and their sums are added in
-span order, so every batch statistic has the same bytes for any worker
-count.
+with less variance than S~^p itself.  Every Monte Carlo sum has one
+layout: for p = 1..4, column p-1 sums each walk's estimate of E(.^p) and
+column p+3 its square (S~^p, E(S~^p | sizes) or a step's X_t^p), a row
+made by `_power_sums` or `_cluster_sums`.  One driver, `_run_batch`,
+runs every batch in chunks of fixed replicate ranges whose sums come back
+in span order, so every batch statistic has the same bytes for any
+worker count.
 `sample_stderr` and `z_score` turn the sums into standard errors and
 z-scores for every consumer.
 """
@@ -287,10 +290,10 @@ def _conditional_moments(ms: MomentSet, s2, s3, s4) -> np.ndarray:
 
 
 def _cluster_sums(labels: np.ndarray, ms: MomentSet, checkpoints: Sequence[int]) -> np.ndarray:
-    """(checkpoints x 8) sums over the walks of one label matrix: E_p in
-    columns 0..3 and E_p^2 in columns 4..7, added tile by tile of
-    _TILE_WALKS walks.  Values that overflow give inf or nan, without a
-    warning."""
+    """(checkpoints x 8) sums over the walks of one label matrix, in the
+    one layout: E_p in columns 0..3 and E_p^2 in columns 4..7, added tile
+    by tile of _TILE_WALKS walks.  Values that overflow give inf or nan,
+    without a warning."""
     sums = np.zeros((len(checkpoints), 8), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(0, labels.shape[1], _TILE_WALKS):
@@ -311,16 +314,19 @@ def _centered_sums(steps: np.ndarray, m1: float):
 
 
 def _power_sums(values: np.ndarray) -> np.ndarray:
-    """sum(values ** p) for p = 1..8, by repeated multiplication.  Powers
-    that overflow give inf or nan sums, without a warning."""
-    sums = np.empty(8, dtype=np.float64)
-    p = values.copy()
+    """One row of the Monte Carlo layout from a vector of values:
+    sum(values ** p) for p = 1..4, then sum(values ** (2p)) for p = 1..4,
+    each power by repeated multiplication.  Powers that overflow give inf
+    or nan sums, without a warning."""
+    sums = {}
+    power = values.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(8):
-            sums[k] = p.sum()
-            if k < 7:
-                p *= values
-    return sums
+        for k in range(1, 9):
+            if k > 1:
+                power *= values
+            if k <= 4 or k % 2 == 0:
+                sums[k] = power.sum()
+    return np.array([sums[k] for k in (1, 2, 3, 4, 2, 4, 6, 8)])
 
 
 def simulate_path(dist: StepDistribution, alpha: float, n: int, seed: int) -> WalkState:
@@ -342,16 +348,18 @@ def check_checkpoints(checkpoints: Sequence[int], n: int | None = None) -> tuple
     """The one checkpoint rule of the simulators and the CLI: one or more
     distinct positive integers in ascending order, none above `n` when it
     is given.  Returns them as a tuple of ints; a refusal is a ValueError
-    whose message starts `checkpoints: `.  A float, even a whole one, is
-    refused rather than truncated."""
+    whose message starts `checkpoints: `.  A float, even a whole one, and a
+    bool are refused rather than read as integers."""
+    values = list(checkpoints)
     try:
-        cps = tuple(operator.index(c) for c in checkpoints)
+        cps = tuple(operator.index(c) for c in values)
     except TypeError:
         cps = ()
-    if not cps or cps[0] < 1 or any(a >= b for a, b in zip(cps, cps[1:])):
+    if (not cps or any(isinstance(c, bool) for c in values) or cps[0] < 1
+            or any(a >= b for a, b in zip(cps, cps[1:]))):
         raise ValueError(
             "checkpoints: must be distinct positive integers in ascending order, "
-            f"got {list(checkpoints)}"
+            f"got {values}"
         )
     if n is not None and cps[-1] > n:
         raise ValueError(f"checkpoints: must lie in [1, n] = [1, {n}], got {cps[-1]}")
@@ -359,60 +367,37 @@ def check_checkpoints(checkpoints: Sequence[int], n: int | None = None) -> tuple
 
 
 class BatchAccumulator:
-    """Per-checkpoint power sums of S~ (p = 1 .. 8), added a chunk at a time.
+    """Per-checkpoint Monte Carlo sums in the one layout, added a chunk at a
+    time: for p = 1..4, column p-1 sums each walk's estimate of E(S~^p)
+    (S~^p from `simulate_batch`, E(S~^p | cluster sizes) from
+    `cluster_batch`) and column p+3 sums its square.
 
-    Powers run to 8 so standard errors of fourth moments can be estimated.
     Chunks are added in span order, which the fixed chunk layout and the
     ordered results of the pool make the same for every worker count, so the
     float64 sums are bit-identical across workers.
     """
-
-    POWERS = 8
 
     def __init__(self, checkpoints: Sequence[int]):
         self.checkpoints = check_checkpoints(checkpoints)
         self.n_replicates = 0
         self._sums = np.zeros((len(self.checkpoints), 8), dtype=np.float64)
 
-    def add_chunk(self, power_sums: np.ndarray, count: int) -> None:
-        """Add one chunk's (checkpoints x 8) sum matrix; sums that overflow
-        stay inf or nan, without a warning."""
+    def add_chunk(self, sums: np.ndarray, count: int) -> None:
+        """Add one chunk's (checkpoints x 8) sums of `count` walks; sums that
+        overflow stay inf or nan, without a warning."""
         with np.errstate(over="ignore", invalid="ignore"):
-            self._sums += power_sums
+            self._sums += sums
         self.n_replicates += count
-
-    def power_sum(self, n: int, p: int) -> float:
-        """Sum over replicates of S~_n^p."""
-        if not 1 <= p <= self.POWERS:
-            raise ValueError(f"p must be in 1..{self.POWERS}, got {p}")
-        return float(self._sums[self.checkpoints.index(n), p - 1])
-
-    def moment(self, n: int, p: int) -> float:
-        """Empirical E(S~_n^p)."""
-        if self.n_replicates < 1:
-            raise ValueError("accumulator is empty")
-        return self.power_sum(n, p) / self.n_replicates
 
     def moment_and_square(self, n: int, p: int) -> tuple[float, float]:
         """Means over the replicates of the per-walk estimate of E(S~_n^p)
-        and of its square: here S~^p and S~^(2p)."""
-        return self.moment(n, p), self.moment(n, 2 * p)
-
-
-class ClusterAccumulator(BatchAccumulator):
-    """Per-checkpoint sums of the conditional moments E_p = E(S~^p | cluster
-    sizes) for p = 1..4 (columns 0..3) and of their squares (columns 4..7).
-
-    `power_sum` and `moment` read E_p, whose mean over walks estimates
-    E(S~^p) without bias; only p <= 4 exists.
-    """
-
-    POWERS = 4
-
-    def moment_and_square(self, n: int, p: int) -> tuple[float, float]:
-        """Means over the replicates of E_p and of E_p^2."""
-        mean = self.moment(n, p)
-        return mean, float(self._sums[self.checkpoints.index(n), p + 3]) / self.n_replicates
+        and of its square, p = 1..4."""
+        if self.n_replicates < 1:
+            raise ValueError("accumulator is empty")
+        if not 1 <= p <= 4:
+            raise ValueError(f"p must be in 1..4, got {p}")
+        row = self._sums[self.checkpoints.index(n)]
+        return float(row[p - 1]) / self.n_replicates, float(row[p + 3]) / self.n_replicates
 
 
 def _chunk_width(n: int, replicates: int) -> int:
@@ -454,26 +439,27 @@ def _chunk_steps(dist, alpha, n, master_seed, span) -> np.ndarray:
 
 
 def _checkpoint_sums(steps: np.ndarray, m1: float, checkpoint_index: dict[int, int]) -> np.ndarray:
-    """(checkpoints x 8) power sums of S~ over the walks of one step matrix."""
-    sums = np.zeros((len(checkpoint_index), BatchAccumulator.POWERS), dtype=np.float64)
+    """(checkpoints x 8) sums of S~^p and S~^(2p) over the walks of one step matrix."""
+    sums = np.zeros((len(checkpoint_index), 8), dtype=np.float64)
     for t, s_tilde in _centered_sums(steps, m1):
         if t in checkpoint_index:
             sums[checkpoint_index[t]] += _power_sums(s_tilde)
     return sums
 
 
-def _run_batch(acc, n, replicates, workers, chunk_sums):
-    """Add chunk_sums(span) of every chunk to `acc` in span order.
-
-    Walks are simulated only to the last checkpoint; `n` still sets the
-    chunk layout.  `pool.map` returns the sums in span order, so the result
-    is bit-identical for any `workers`.
-    """
+def _run_batch(n, replicates, workers, chunk_sums, checkpoints=()):
+    """The one chunk driver: yield (chunk_sums(span), walks in span) for the
+    spans of `_chunk_spans(n, replicates)` in span order (`pool.map` keeps
+    it), so sums added as they come are bit-identical for any `workers`.
+    It first checks that n and replicates are at least 1 and that the
+    checkpoints, if any, lie in [1, n]: walks may stop at the last one, but
+    n sets the chunk layout."""
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    check_checkpoints(acc.checkpoints, n)
+    if checkpoints:
+        check_checkpoints(checkpoints, n)
 
     def run(span: tuple[int, int]):
         return chunk_sums(span), span[1] - span[0]
@@ -481,12 +467,9 @@ def _run_batch(acc, n, replicates, workers, chunk_sums):
     spans = _chunk_spans(n, replicates)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for sums, count in pool.map(run, spans):
-                acc.add_chunk(sums, count)
+            yield from pool.map(run, spans)
     else:
-        for span in spans:
-            acc.add_chunk(*run(span))
-    return acc
+        yield from map(run, spans)
 
 
 def simulate_batch(
@@ -498,8 +481,9 @@ def simulate_batch(
     checkpoints: Sequence[int],
     workers: int = 1,
 ) -> BatchAccumulator:
-    """Accumulate S~ power sums over many replicates at the checkpoints:
-    the literal engine, the reference for `cluster_batch`.
+    """Accumulate the sums of S~^p and S~^(2p) (p = 1..4) over many
+    replicates at the checkpoints: the literal engine, the reference for
+    `cluster_batch`.
 
     Replicate i uses stream key replicate_key(master_seed, i).  Work is cut
     into fixed-size chunks whose sums are added in span order, so the result
@@ -510,10 +494,13 @@ def simulate_batch(
     m1 = moment_set(dist).m1
     cpi = {c: i for i, c in enumerate(acc.checkpoints)}
     last = acc.checkpoints[-1]
-    return _run_batch(
-        acc, n, replicates, workers,
+    for sums, count in _run_batch(
+        n, replicates, workers,
         lambda span: _checkpoint_sums(_chunk_steps(dist, alpha, last, master_seed, span), m1, cpi),
-    )
+        acc.checkpoints,
+    ):
+        acc.add_chunk(sums, count)
+    return acc
 
 
 def cluster_batch(
@@ -524,7 +511,7 @@ def cluster_batch(
     master_seed: int,
     checkpoints: Sequence[int],
     workers: int = 1,
-) -> ClusterAccumulator:
+) -> BatchAccumulator:
     """Accumulate the conditional moments E(S~^p | cluster sizes), p = 1..4,
     and their squares over many replicates at the checkpoints.
 
@@ -538,15 +525,18 @@ def cluster_batch(
     `workers`.
     """
     alpha = check_alpha(alpha)
-    acc = ClusterAccumulator(checkpoints)
+    acc = BatchAccumulator(checkpoints)
     ms = moment_set(dist)
     last = acc.checkpoints[-1]
-    return _run_batch(
-        acc, n, replicates, workers,
+    for sums, count in _run_batch(
+        n, replicates, workers,
         lambda span: _cluster_sums(
             _run_labels(alpha, last, _chunk_keys(master_seed, span)), ms, acc.checkpoints
         ),
-    )
+        acc.checkpoints,
+    ):
+        acc.add_chunk(sums, count)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -659,32 +649,28 @@ def martingale_diagnostics(
     )
 
 
-def _add_epsilon_sums(sums: np.ndarray, steps: np.ndarray, alpha: float, m1: float) -> None:
-    """Add one step matrix's per-step sums of eps, eps^2 and eps^4 to `sums` (3 x n).
+def _epsilon_sums(steps: np.ndarray, alpha: float, m1: float) -> np.ndarray:
+    """(3 x n) per-step sums of eps, eps^2 and eps^4 over the walks of one
+    step matrix.
 
     eps_1 = X_1 - m1 and eps_t = X_t - m1 - (alpha/(t-1)) S~_{t-1}.
     """
+    sums = np.zeros((3, steps.shape[0]), dtype=np.float64)
     s_prev = None
     for t, s_tilde in _centered_sums(steps, m1):
         eps = steps[t - 1] - m1
         if t > 1:
             eps -= (alpha / (t - 1)) * s_prev
         sq = eps * eps
-        sums[0, t - 1] += eps.sum()
-        sums[1, t - 1] += sq.sum()
-        sums[2, t - 1] += (sq * sq).sum()
+        sums[:, t - 1] += (eps.sum(), sq.sum(), (sq * sq).sum())
         s_prev = s_tilde
-
-
-def _add_marginal_sums(sums: np.ndarray, steps: np.ndarray) -> None:
-    """Add one step matrix's per-step power sums of X_t (p = 1..8) to `sums` (n x 8)."""
-    for t, x in enumerate(steps):
-        sums[t] += _power_sums(x)
+    return sums
 
 
 @dataclass(frozen=True, eq=False)
 class MarginalSums:
-    """Per-step power sums over `count` walks: sums[t-1, p-1] = sum of X_t^p."""
+    """Per-step sums over `count` walks, in the one layout: sums[t-1, p-1]
+    is the sum of X_t^p and sums[t-1, p+3] the sum of X_t^(2p), p = 1..4."""
 
     count: int
     sums: np.ndarray
@@ -717,9 +703,11 @@ def batch_epsilon_moments(
     """Empirical E(eps_t), E(eps_t^2), E(eps_t^4) for t = 1..n over a batch."""
     alpha = check_alpha(alpha)
     m1 = moment_set(dist).m1
-    sums = np.zeros((3, n), dtype=np.float64)
-    for span in _chunk_spans(n, replicates):
-        _add_epsilon_sums(sums, _chunk_steps(dist, alpha, n, master_seed, span), alpha, m1)
+
+    def chunk_sums(span):
+        return _epsilon_sums(_chunk_steps(dist, alpha, n, master_seed, span), alpha, m1)
+
+    sums = sum(chunk for chunk, _ in _run_batch(n, replicates, 1, chunk_sums))
     mean, abs2, abs4 = sums / replicates
     stderr = sample_stderr(mean, abs2, replicates)
     scale_series = martingale_scale(np.arange(1, n + 1, dtype=float), alpha)
@@ -741,15 +729,17 @@ def marginal_moment_sums(
     replicates: int,
     master_seed: int,
 ) -> MarginalSums:
-    """Per-step power sums of the raw step across a batch (p = 1..8).
+    """Per-step sums of X_t^p and X_t^(2p) (p = 1..4) across a batch.
 
     The marginal law of every X_t equals the step law, so the per-step
     empirical moments must match the raw moments at Monte Carlo accuracy.
     """
     alpha = check_alpha(alpha)
-    sums = np.zeros((n, 8), dtype=np.float64)
-    for span in _chunk_spans(n, replicates):
-        _add_marginal_sums(sums, _chunk_steps(dist, alpha, n, master_seed, span))
+
+    def chunk_sums(span):
+        return np.array([_power_sums(x) for x in _chunk_steps(dist, alpha, n, master_seed, span)])
+
+    sums = sum(chunk for chunk, _ in _run_batch(n, replicates, 1, chunk_sums))
     return MarginalSums(count=replicates, sums=sums)
 
 

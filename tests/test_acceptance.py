@@ -7,12 +7,10 @@ report.  Tolerances are pinned here and nowhere else.
 import math
 import time
 
-import numpy as np
 import pytest
 
 from erw import (
     StepDistribution,
-    batch_epsilon_moments,
     conditional_continuation_test,
     empirical_q_moments,
     exact_moments_upto,
@@ -22,9 +20,7 @@ from erw import (
     gamma_sum_weighted_direct,
     iterate_recursion,
     limit_q_moments,
-    martingale_diagnostics,
     moment_set,
-    raw_moments,
     simulate_batch,
     simulate_path,
     solve_recursion,
@@ -33,7 +29,15 @@ from erw.cli import main as cli_main
 from erw.gammatools import RecursionSpec
 from erw.rng import replicate_keys, uniform_draws
 from erw.simulate import WalkState
-from erw.verify import PASS, check_brute_force, check_closed_form_vs_recursion
+from erw.verify import (
+    PASS,
+    check_brute_force,
+    check_closed_form_vs_recursion,
+    check_epsilon_bound,
+    check_marginal_moments,
+    check_martingale_reconstruction,
+    compare_with_exact,
+)
 
 RADEMACHER = StepDistribution.rademacher()
 BERNOULLI = StepDistribution.bernoulli(0.3)
@@ -133,9 +137,9 @@ def test_criterion_4_rademacher_three_quarters():
     estimates = {e.p: e for e in empirical_q_moments(acc, alpha)}
     table_mc = exact_moments_upto(ms, alpha, n_mc)
     mc_report = []
-    for p, field in ((2, "s2"), (4, "s4")):
-        exact = getattr(table_mc.row(n_mc), field) * float(n_mc) ** (-p * alpha)
+    for p in (2, 4):
         est = estimates[p]
+        exact, _ = compare_with_exact(est, table_mc, ms, alpha)
         budget = max(3.0 * est.stderr, 0.03 * abs(exact))
         gap = abs(est.estimate - exact)
         assert gap <= budget, (p, gap, budget)
@@ -200,22 +204,10 @@ def test_criterion_5_gamma_identities():
 def test_criterion_6_stochastic_invariants():
     """Marginal moments, conditional continuations, reconstruction, Lp bound."""
     # marginal preservation: E(X_t^p) = E(xi^p) within 4 SE, t <= 100, p <= 4
-    from erw.simulate import marginal_moment_sums
-
-    worst_z = 0.0
-    for dist in (BERNOULLI, StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4))):
-        exact = raw_moments(dist)
-        collector = marginal_moment_sums(dist, 0.75, 100, 100_000, 404)
-        count = collector.count
-        for p in range(1, 5):
-            mean = collector.sums[:, p - 1] / count
-            mean_sq = collector.sums[:, 2 * p - 1] / count
-            var = np.maximum(0.0, (mean_sq - mean * mean) * count / (count - 1.0))
-            se = np.sqrt(var / count)
-            gap = np.abs(mean - exact[p - 1])
-            assert np.all(gap <= 4.0 * se + 1e-12), (dist.kind, p)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                worst_z = max(worst_z, float(np.nanmax(np.where(se > 0, gap / se, 0.0))))
+    marginal_ok, marginal_worst = _verdict(
+        check_marginal_moments(replicates=100_000, seed=404, z_max=4.0)
+    )
+    assert marginal_ok, marginal_worst
 
     # conditional continuations within 3 SE, including the +1,+1,+1 prefix
     ms_rad = moment_set(RADEMACHER)
@@ -232,27 +224,21 @@ def test_criterion_6_stochastic_invariants():
     assert abs(spot["dx"].observed - 0.6) <= 3.0 * spot["dx"].stderr
 
     # martingale reconstruction to 1e-10 relative on every path
-    worst_recon = 0.0
-    for label, dist in TEST_DISTS:
-        ms = moment_set(dist)
-        for alpha in (0.0, 0.5, 0.75, 1.0):
-            for seed in (11, 12, 13):
-                state = simulate_path(dist, alpha, 2000, seed)
-                view = martingale_diagnostics(state, alpha, ms)
-                worst_recon = max(worst_recon, view.reconstruction_error)
-    assert worst_recon <= 1e-10
+    recon_ok, recon_worst = _verdict(
+        check_martingale_reconstruction(n=2000, seeds=(11, 12, 13), rel_tol=1e-10)
+    )
+    assert recon_ok, recon_worst
 
-    # E|eps_t|^4 <= 16 E|xi|^4 at every sampled t (bound has wide slack)
-    m_rad = raw_moments(RADEMACHER)
-    stats = batch_epsilon_moments(RADEMACHER, 0.75, 256, 10_000, 606)
-    assert np.all(stats.abs4 <= 16.0 * m_rad[3])
-    assert np.all(stats.abs2 <= 4.0 * m_rad[1])
+    # E|eps_t|^p <= 2^p E|xi|^p (p = 2, 4) at every sampled t, for
+    # Rademacher and Bernoulli(0.3) steps (the bound has wide slack)
+    bound_ok, bound_worst = _verdict(check_epsilon_bound(replicates=10_000, seed=606))
+    assert bound_ok, bound_worst
     report(
         6,
         True,
-        f"marginal moments worst |z| {worst_z:.2f} (<=4); continuations within 3 SE; "
-        f"reconstruction worst {worst_recon:.1e} (<=1e-10); "
-        f"max E|eps|^4 = {float(stats.abs4.max()):.2f} <= 16",
+        f"marginal moments {marginal_worst} |z| (<=4); continuations within 3 SE; "
+        f"reconstruction {recon_worst} (<=1e-10); "
+        f"max E|eps|^p / (2^p E|xi|^p) {bound_worst} (<=1)",
     )
 
 

@@ -26,7 +26,7 @@ import erw.simulate as sim
 from erw.distributions import inverse_cdf
 from erw.rng import mix64, parse_seed, replicate_key, replicate_keys, uniform_draw, uniform_draws
 from erw.simulate import WalkState, marginal_moment_sums, sample_stderr, z_score
-from erw.verify import cluster_label_mismatches
+from erw.verify import cluster_label_mismatches, compare_with_exact
 
 LAWS = (
     StepDistribution.rademacher(),
@@ -35,6 +35,11 @@ LAWS = (
     StepDistribution.gaussian(0.5, 2.0),
     StepDistribution.discrete((-1.0, 2.0, 5.0), (0.6, 0.4, 0.0)),
 )
+
+
+#: The columns of the oracles' power sums (p = 1..8) that make the one
+#: layout of every Monte Carlo sum: p = 1..4, then 2p for p = 1..4.
+_LAYOUT = [0, 1, 2, 3, 1, 3, 5, 7]
 
 
 class _EpsilonCollector:
@@ -235,13 +240,12 @@ class TestBlockedDraws:
 
             steps = sim._run_paths(dist, alpha, n, keys)
             assert steps.tobytes() == ref_steps.tobytes(), where
+            ref_sums = ref_sums[:, _LAYOUT]
             assert sim._checkpoint_sums(steps, ms.m1, cpi).tobytes() == ref_sums.tobytes(), where
             acc = simulate_batch(dist, alpha, n, width, seed, cps)
-            batch_sums = np.array([[acc.power_sum(c, p) for p in range(1, 9)] for c in cps])
-            assert batch_sums.tobytes() == ref_sums.tobytes(), where
+            assert acc._sums.tobytes() == ref_sums.tobytes(), where
 
-            sums = np.zeros((3, n))
-            sim._add_epsilon_sums(sums, steps, alpha, ms.m1)
+            sums = sim._epsilon_sums(steps, alpha, ms.m1)
             assert sums.tobytes() == eps_sums.tobytes(), where
             stats = batch_epsilon_moments(dist, alpha, n, width, seed)
             assert stats.n_replicates == eps.count == width
@@ -250,7 +254,7 @@ class TestBlockedDraws:
 
             batch_marginal = marginal_moment_sums(dist, alpha, n, width, seed)
             assert batch_marginal.count == marginal.count == width
-            assert batch_marginal.sums.tobytes() == marginal.sums.tobytes(), where
+            assert batch_marginal.sums.tobytes() == marginal.sums[:, _LAYOUT].tobytes(), where
 
     def test_chunk_spans_cover_replicates_in_order(self, monkeypatch):
         monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 1000)
@@ -363,9 +367,11 @@ class TestBatch:
         state = simulate_path(bernoulli03, 0.6, 50, replicate_key(999, 0))
         ms = moment_set(bernoulli03)
         prefix = WalkState.from_steps(state.steps[:25], ms, 0.6)
-        for p in range(1, 9):
-            assert acc.power_sum(50, p) == pytest.approx(state.s_tilde ** p, rel=1e-12)
-            assert acc.power_sum(25, p) == pytest.approx(prefix.s_tilde ** p, rel=1e-12)
+        for p in range(1, 5):
+            for n, walk in ((50, state), (25, prefix)):
+                mean, mean_sq = acc.moment_and_square(n, p)
+                assert mean == pytest.approx(walk.s_tilde ** p, rel=1e-12)
+                assert mean_sq == pytest.approx(walk.s_tilde ** (2 * p), rel=1e-12)
 
     def test_workers_bit_identical(self, skewed_two_point, monkeypatch):
         # chunks of 100 walks: 20 chunks, added in span order at every worker count
@@ -390,19 +396,21 @@ class TestBatch:
 
     @pytest.mark.parametrize("dist,alpha,checkpoints,seed,digest", [
         (StepDistribution.rademacher(), 0.75, [100, 200], 0xFEED,
-         "70e1a65d526f1d242694efdd4b5077093cf679e0b461545ac25a27fa1a56e73c"),
+         "1a42f3a3572d548aad049867bd2da33374ff9a027dc5cd03d438143f8c90bb56"),
         (StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4)), 0.6, [50, 200], 7,
-         "20a7324f2e7ec1128c5314ec416e3c0c4f315bbb83a7d1f88a36ee6ab12df122"),
+         "fe19f1ca85f77753d6106e1414e4c576ba5e7511dd7ecd04d3b47727c89415c3"),
     ], ids=["rademacher", "skewed"])
     def test_golden_power_sums(self, dist, alpha, checkpoints, seed, digest):
-        # the literal engine's power sums, pinned across versions
+        # the literal engine's sums of S~^p and S~^(2p), pinned across
+        # versions; the digests are of the same doubles as the eight power
+        # sums pinned before the one layout (their columns 0,1,2,3,1,3,5,7)
         acc = simulate_batch(dist, alpha, 200, 500, seed, checkpoints)
-        sums = np.array([[acc.power_sum(c, p) for p in range(1, 9)] for c in checkpoints])
-        assert hashlib.sha256(sums.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(acc._sums.tobytes()).hexdigest() == digest
 
     def test_checkpoint_validation(self, rademacher):
         # one rule, `check_checkpoints`, for both engines and the CLI
-        for bad in ([30, 20], [5, 5], [0, 5], [-3, 5], [], [1.7, 3], [1, 5.0], ["5"]):
+        for bad in ([30, 20], [5, 5], [0, 5], [-3, 5], [], [1.7, 3], [1, 5.0], ["5"],
+                    [True, 5]):
             with pytest.raises(ValueError, match=r"^checkpoints: must be distinct positive"):
                 BatchAccumulator(bad)
         for engine in (simulate_batch, cluster_batch):
@@ -412,13 +420,30 @@ class TestBatch:
         assert check_checkpoints([1, np.int64(5)], 5) == (1, 5)
         assert check_checkpoints(range(1, 6)) == (1, 2, 3, 4, 5)
 
+    @pytest.mark.parametrize("n,replicates,message", [
+        (10, 0, r"^replicates must be >= 1, got 0$"),
+        (10, -3, r"^replicates must be >= 1, got -3$"),
+        (0, 5, r"^n must be a positive integer, got 0$"),
+    ])
+    @pytest.mark.parametrize("batch", [
+        lambda n, reps: simulate_batch(StepDistribution.bernoulli(0.3), 0.75, n, reps, 1, [1]),
+        lambda n, reps: cluster_batch(StepDistribution.bernoulli(0.3), 0.75, n, reps, 1, [1]),
+        lambda n, reps: batch_epsilon_moments(StepDistribution.bernoulli(0.3), 0.75, n, reps, 1),
+        lambda n, reps: marginal_moment_sums(StepDistribution.bernoulli(0.3), 0.75, n, reps, 1),
+    ], ids=["simulate_batch", "cluster_batch", "batch_epsilon_moments", "marginal_moment_sums"])
+    def test_empty_batches_refused(self, batch, n, replicates, message):
+        # every batch statistic goes through one driver, which refuses an
+        # empty batch before any chunk runs
+        with pytest.raises(ValueError, match=message):
+            batch(n, replicates)
+
     @pytest.mark.slow
     def test_memoryless_variance_linear(self, bernoulli03):
         # independent steps: Var(S_n) = n M2; 1e5 replicates at n = 1000
         ms = moment_set(bernoulli03)
         acc = simulate_batch(bernoulli03, 0.0, 1000, 100_000, 31337, [1000])
-        mean = acc.moment(1000, 1)
-        var = acc.moment(1000, 2) - mean * mean
+        mean, mean_sq = acc.moment_and_square(1000, 1)
+        var = mean_sq - mean * mean
         assert var / 1000 == pytest.approx(ms.M2, rel=0.03)
 
 
@@ -621,11 +646,11 @@ class TestClusterEngine:
 
     def test_accumulator_reads(self, uniform01):
         acc = cluster_batch(uniform01, 0.6, 50, 40, 3, [50])
-        assert acc.moment(50, 1) == 0.0
+        assert acc.moment_and_square(50, 1)[0] == 0.0
         mean, mean_sq = acc.moment_and_square(50, 4)
-        assert mean == acc.power_sum(50, 4) / 40 and mean_sq == acc._sums[0, 7] / 40
+        assert mean == acc._sums[0, 3] / 40 and mean_sq == acc._sums[0, 7] / 40
         with pytest.raises(ValueError):
-            acc.power_sum(50, 5)
+            acc.moment_and_square(50, 5)
 
     def test_smaller_stderr_than_literal(self):
         # the conditional moment of each walk has S~^p's mean and less variance
@@ -656,11 +681,11 @@ class TestEmpiricalMoments:
 
         alpha, n, reps = 0.75, 300, 20_000
         acc = simulate_batch(rademacher, alpha, n, reps, 12345, [n])
-        table = exact_moments_upto(moment_set(rademacher), alpha, n)
+        ms = moment_set(rademacher)
+        table = exact_moments_upto(ms, alpha, n)
         for e in empirical_q_moments(acc, alpha):
             if e.p in (2, 3, 4):
-                field = {2: "s2", 3: "s3", 4: "s4"}[e.p]
-                exact = getattr(table.row(n), field) * float(n) ** (-e.p * alpha)
+                exact, _ = compare_with_exact(e, table, ms, alpha)
                 assert abs(e.estimate - exact) <= 4.0 * e.stderr, e
 
     def test_degenerate_flag(self, rademacher):
