@@ -18,7 +18,8 @@ alpha and the step law's moment set.  This module iterates those recursions
 exactly, evaluates the gamma-ratio closed forms they solve to (all seven:
 the six of `closed_form_moments` and s4 in `closed_form_s4`), computes the
 first four moments of the superdiffusive limit Q = lim S~_n / n^alpha, and
-provides a brute-force enumeration oracle for small n.
+gives all seven moments at any n from the exact law of a count chain
+(`exact_law`, O(n^2) time), for laws of at most two positive-weight atoms.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -61,7 +62,7 @@ class RegimeError(ValueError):
 
 
 class EnumerationSizeError(ValueError):
-    """Brute-force enumeration was requested beyond its size guard."""
+    """The count chain was given a law with more than two positive-weight atoms."""
 
 
 @dataclass(frozen=True)
@@ -429,14 +430,7 @@ class ConditionalStepMoments:
     du: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "dx": self.dx,
-            "dx2": self.dx2,
-            "dx3": self.dx3,
-            "dt": self.dt,
-            "dt_dx": self.dt_dx,
-            "du": self.du,
-        }
+        return asdict(self)
 
 
 def conditional_step_moments(
@@ -472,58 +466,57 @@ def conditional_step_moments(
     )
 
 
-def brute_force_moments(dist: StepDistribution, alpha: float, n: int) -> ExactMomentRow:
-    """All seven mixed moments at time n by exact enumeration.
+def _two_atoms(dist: StepDistribution) -> tuple[float, float, float]:
+    """(a, b, w): the first and last positive-weight atoms of a finite law and
+    the weight of a (b = a and w = 1 for a one-atom law)."""
+    d = as_discrete(dist)
+    atoms = [(x, w) for x, w in zip(d.points, d.weights) if w > 0.0]
+    if len(atoms) > 2:
+        raise EnumerationSizeError(f"need at most 2 positive-weight atoms, got {len(atoms)}")
+    (a, w), (b, _) = atoms[0], atoms[-1]
+    return a, b, w if len(atoms) == 2 else 1.0
 
-    Walks the full repeat-or-fresh outcome tree: at step k+1 each of the k
-    previous steps is repeated with probability alpha/k and each support
-    point is drawn fresh with probability (1-alpha) * weight.  Outcomes that
-    share a step multiset are merged (all seven moments depend on the steps
-    only through their multiset), which keeps the state space polynomial
-    without changing any probability.  Completely independent of the
-    recursion path, so the two must agree to rounding.
 
-    Only finite-support laws are allowed, and the size guard n <= 8 with at
-    most 4 support points keeps the enumeration trivial.
+def exact_law(dist: StepDistribution, alpha: float, n: int) -> np.ndarray:
+    """Test oracle: the float64 vector P of length n + 1, where P[k] is the
+    probability that k of the n steps took the law's first positive-weight
+    atom a (weight w; the other atom is b).
+
+    The count is a Markov chain (a Polya-type urn with immigration): from k
+    after t steps the next step takes a with probability
+    alpha k/t + (1 - alpha) w.  One in-place update per step: O(n) memory,
+    O(n^2) time.  More than two positive-weight atoms raise
+    EnumerationSizeError.
     """
     alpha = check_alpha(alpha)
-    d = as_discrete(dist)
-    pts, wts = d.points, d.weights
+    _, _, w = _two_atoms(dist)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if n > 8 or len(pts) > 4:
-        raise EnumerationSizeError(
-            f"enumeration guard: need n <= 8 and support <= 4, got n={n}, support={len(pts)}"
-        )
-    ms = moment_set(d)
-    support = len(pts)
+    counts = np.arange(n, dtype=np.float64)
+    law = np.zeros(n + 1, dtype=np.float64)
+    law[0], law[1] = 1.0 - w, w
+    for t in range(1, n):
+        # only k <= t has mass; k/t is exactly 1 at k = t, so a one-atom
+        # law keeps all its mass there
+        up = (counts[: t + 1] / t * alpha + (1.0 - alpha) * w) * law[: t + 1]
+        law[: t + 1] -= up
+        law[1 : t + 2] += up
+    return law
 
-    # state: counts per support point -> total probability of reaching it
-    states: dict[tuple[int, ...], float] = {}
-    for j, w in enumerate(wts):
-        if w > 0.0:
-            key = tuple(1 if i == j else 0 for i in range(support))
-            states[key] = states.get(key, 0.0) + w
-    for k in range(1, n):
-        nxt: dict[tuple[int, ...], float] = {}
-        for counts, prob in states.items():
-            for j in range(support):
-                branch = alpha * counts[j] / k + (1.0 - alpha) * wts[j]
-                if branch > 0.0:
-                    key = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-                    nxt[key] = nxt.get(key, 0.0) + prob * branch
-        states = nxt
 
-    contrib: dict[str, list[float]] = {key: [] for key in CSV_COLUMNS[1:]}
-    for counts, prob in states.items():
-        s = sum(c * v for c, v in zip(counts, pts)) - n * ms.m1
-        t = sum(c * v * v for c, v in zip(counts, pts)) - n * ms.m2
-        u = sum(c * v ** 3 for c, v in zip(counts, pts)) - n * ms.m3
-        contrib["s2"].append(prob * s * s)
-        contrib["st"].append(prob * s * t)
-        contrib["s3"].append(prob * s ** 3)
-        contrib["su"].append(prob * s * u)
-        contrib["t2"].append(prob * t * t)
-        contrib["s2t"].append(prob * s * s * t)
-        contrib["s4"].append(prob * s ** 4)
-    return ExactMomentRow(n=n, **{key: math.fsum(vals) for key, vals in contrib.items()})
+def brute_force_moments(dist: StepDistribution, alpha: float, n: int) -> ExactMomentRow:
+    """Test oracle: the seven mixed moments at time n, each one compensated
+    sum over the count k of `exact_law`, with S~ = k (a - m1) + (n - k)(b - m1)
+    and likewise T~ and U~ from the atoms' squares and cubes.  It shares no
+    code with the recursions, so the two must agree to rounding.
+    """
+    law = exact_law(dist, alpha, n)
+    a, b, _ = _two_atoms(dist)
+    ms = moment_set(dist)
+    k = np.arange(n + 1, dtype=np.float64)
+    # rows: the centered first, second and third powers of a and of b
+    centered = np.array([[a, b], [a * a, b * b], [a ** 3, b ** 3]]) - [[ms.m1], [ms.m2], [ms.m3]]
+    s, t, u = centered[:, :1] * k + centered[:, 1:] * (n - k)
+    s2 = s * s
+    terms = np.array((s2, s * t, s2 * s, s * u, t * t, s2 * t, s2 * s2)) * law
+    return ExactMomentRow(n, *map(math.fsum, terms.tolist()))

@@ -11,7 +11,7 @@ All randomised checks take an explicit seed and are fully deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -81,12 +81,7 @@ class CheckResult:
         return self.status == FAIL
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "worst_error": self.worst_error,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _result(name: str, worst: float, tol: float, detail: str = "") -> CheckResult:
@@ -103,7 +98,7 @@ _STANDARD_DISTS = (
 #: Two-point law with nonzero mean, also the documented JSON example.
 _SKEWED_TWO_POINT = StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4))
 
-#: Two-point law with nonzero mean and O(1) moments.  The enumeration
+#: Two-point law with nonzero mean and O(1) moments.  The count-chain
 #: cross-check uses an absolute tolerance, which is only a few ulp away from
 #: rounding once fourth moments reach the thousands, so it needs a law whose
 #: values stay of order one.
@@ -374,7 +369,10 @@ def check_brute_force(
     n_max: int = 6,
     atol: float = 1e-12,
 ) -> list[CheckResult]:
-    """Exact enumeration vs the recursion table for every n <= n_max."""
+    """The seven moments of `brute_force_moments`, read from the exact law
+    of the two-point count chain, against the recursion table: the largest
+    absolute gap over every column and every n <= n_max must be at most
+    atol."""
     out = []
     for alpha in alphas:
         for label, dist in dists:
@@ -662,7 +660,7 @@ def cluster_label_mismatches(
     engine's labels (0 when the engines agree)."""
     steps = _run_paths(dist, alpha, n, keys)
     labels = _run_labels(alpha, n, keys)
-    fresh = inverse_cdf(dist, uniform_draws(keys, 2 * np.arange(1, n + 1) - 1))
+    fresh = _run_paths(dist, 0.0, n, keys)  # alpha 0: every step is fresh
     gathered = fresh[labels, np.arange(keys.size)]
     return int(np.count_nonzero(gathered.view(np.uint64) != steps.view(np.uint64)))
 

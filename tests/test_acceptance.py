@@ -91,7 +91,8 @@ def test_criterion_1_recursion_vs_closed_form():
 
 
 def test_criterion_2_brute_force_oracle():
-    """Enumeration equals the recursions to 1e-12 absolute for n <= 6."""
+    """The count chain's exact law equals the recursions to 1e-12 absolute
+    for n <= 6."""
     atol = 1e-12
     started = time.monotonic()
     results = check_brute_force(
@@ -104,7 +105,7 @@ def test_criterion_2_brute_force_oracle():
     report(
         2,
         ok and elapsed < 5.0,
-        f"enumeration vs recursion, 5 alphas x 2 laws, n<=6: {worst} gap "
+        f"count chain vs recursion, 5 alphas x 2 laws, n<=6: {worst} gap "
         f"(tol {atol}), {elapsed:.1f}s (< 5 s)",
     )
 

@@ -1,4 +1,4 @@
-"""Moment recursions, closed forms, limits, and the enumeration oracle."""
+"""Moment recursions, closed forms, limits, and the count-chain oracle."""
 
 import csv
 import io
@@ -18,6 +18,7 @@ from erw import (
     closed_form_moments,
     closed_form_s4,
     conditional_step_moments,
+    exact_law,
     exact_moments_upto,
     fourth_moment_coefficient,
     limit_q_moments,
@@ -108,6 +109,7 @@ ALPHA_TAKERS = {
     "conditional_step_moments": lambda a: conditional_step_moments(
         (1.0, 0.0, 1.0), 3, _RAD_MS, a
     ),
+    "exact_law": lambda a: exact_law(_RAD, a, 2),
     "brute_force_moments": lambda a: brute_force_moments(_RAD, a, 2),
     "WalkState.from_steps": lambda a: sim.WalkState.from_steps([1.0, -1.0], _RAD_MS, a),
     "simulate_path": lambda a: sim.simulate_path(_RAD, a, 3, 1),
@@ -404,21 +406,54 @@ class TestBruteForce:
                         getattr(rec, name), abs=1e-12
                     ), (alpha, n, name)
 
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            StepDistribution.rademacher(),
+            StepDistribution.bernoulli(0.3),
+            StepDistribution.discrete((-0.5, 1.0), (0.6, 0.4)),
+            StepDistribution.discrete((2.0, -1.0), (0.4, 0.6)),
+        ],
+        ids=["rademacher", "bernoulli(0.3)", "discrete(-0.5,1)", "discrete(2,-1)"],
+    )
+    def test_law_matches_recursion_to_n_1000(self, dist):
+        # 1/2 and 1/3 exactly, where the closed forms refuse; the gap is
+        # scaled by the row's largest entry, since Rademacher's s3 is 0
+        ms = moment_set(dist)
+        for alpha in (0.0, 0.3, 1.0 / 3.0, 0.5, 0.75, 1.0):
+            table = exact_moments_upto(ms, alpha, 1000)
+            for n in (1, 2, 3, 10, 100, 1000):
+                brute = brute_force_moments(dist, alpha, n)
+                rec = table.row(n)
+                scale = max(abs(getattr(rec, name)) for name in ROW_FIELDS)
+                for name in ROW_FIELDS:
+                    gap = abs(getattr(brute, name) - getattr(rec, name))
+                    assert gap <= 1e-12 * scale, (alpha, n, name, gap / scale)
+
     def test_probabilities_sum_to_one(self, skewed_two_point):
-        # zeroth moment through the same enumeration: E(1) = 1
-        row = brute_force_moments(skewed_two_point, 0.4, 5)
-        ms = moment_set(skewed_two_point)
-        table = exact_moments_upto(ms, 0.4, 5)
-        assert row.s2 == pytest.approx(table.row(5).s2, abs=1e-13)
+        for n in (5, 1000):
+            law = exact_law(skewed_two_point, 0.4, n)
+            assert law.shape == (n + 1,) and law.dtype == np.float64
+            assert (law >= 0.0).all()
+            assert abs(math.fsum(law) - 1.0) <= 1e-13, n
 
     def test_size_guards(self, rademacher):
-        with pytest.raises(EnumerationSizeError):
-            brute_force_moments(rademacher, 0.5, 9)
         five_points = StepDistribution.discrete(
             (-2.0, -1.0, 0.0, 1.0, 2.0), (0.2, 0.2, 0.2, 0.2, 0.2)
         )
-        with pytest.raises(EnumerationSizeError):
-            brute_force_moments(five_points, 0.5, 3)
+        three_points = StepDistribution.discrete((-1.0, 0.0, 1.0), (0.3, 0.4, 0.3))
+        for dist in (five_points, three_points):
+            with pytest.raises(EnumerationSizeError, match="at most 2 positive-weight atoms"):
+                brute_force_moments(dist, 0.5, 3)
+        # a zero-weight atom is dropped, leaving Rademacher steps
+        padded = StepDistribution.discrete((-1.0, 0.0, 1.0), (0.5, 0.0, 0.5))
+        assert brute_force_moments(padded, 0.5, 3) == brute_force_moments(rademacher, 0.5, 3)
+
+    def test_one_atom_law_is_constant(self):
+        for dist in (StepDistribution.discrete((3.0,), (1.0,)), StepDistribution.bernoulli(1.0)):
+            assert exact_law(dist, 0.4, 4).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+            row = brute_force_moments(dist, 0.4, 4)
+            assert all(getattr(row, name) == 0.0 for name in ROW_FIELDS)
 
     def test_needs_finite_support(self):
         with pytest.raises(ValueError, match="finite support"):
