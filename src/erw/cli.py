@@ -42,7 +42,7 @@ from .simulate import (
     cluster_batch,
     empirical_q_moments,
 )
-from .verify import compare_with_exact, run_all, tolerance_limits
+from .verify import compare_with_exact, row_relerr, run_all, tolerance_limits
 
 DEFAULT_SEED = 0x243F6A8885A308D3
 
@@ -128,8 +128,8 @@ def _parse_dist(value) -> StepDistribution:
 
 
 def _parse_dists(value) -> list[StepDistribution]:
-    if not isinstance(value, list):
-        raise ConfigError(f"must be a list of distributions, got {value!r}")
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"must be a non-empty list of distributions, got {value!r}")
     return [_parse_dist(v) for v in value]
 
 
@@ -166,9 +166,8 @@ def _parse_alphas(value) -> list[float]:
 def _parse_tolerances(value) -> dict[str, float]:
     if not isinstance(value, dict):
         raise ConfigError("must be an object of name -> number")
-    tolerances = {name: float(limit) for name, limit in value.items()}
-    tolerance_limits(tolerances)
-    return tolerances
+    tolerance_limits(value)
+    return {name: float(limit) for name, limit in value.items()}
 
 
 #: Each `ExperimentConfig` field: its parser, which takes a flag's text (True
@@ -290,19 +289,6 @@ def _refuse_nonfinite(command: str, blocks, columns) -> None:
             )
 
 
-def _row_relerr(rec: np.ndarray, form: np.ndarray) -> np.ndarray:
-    """|rec - form| relative to each row's largest magnitude in either array.
-
-    Moments that are exactly zero carry recursion noise proportional to
-    their siblings, not to themselves, hence the row scale; the floor keeps
-    an all-zero row at 0.  Rows with inf or nan give inf or nan without a
-    warning; `cmd_exact` refuses them.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        row_scale = np.maximum(np.maximum(np.abs(rec), np.abs(form)).max(axis=1), 1e-300)
-        return np.abs(rec - form) / row_scale[:, None]
-
-
 def cmd_exact(config: ExperimentConfig) -> int:
     alpha = _require_alpha(config)
     # the (n, 7) float64 table; --compare adds as many closed-form values
@@ -327,7 +313,7 @@ def cmd_exact(config: ExperimentConfig) -> int:
         # the closed forms cover the table's first six columns, in order
         for first, rec in table.row_blocks():
             form = closed[first - 1 : first - 1 + len(rec)]
-            yield first, np.column_stack((rec, form, _row_relerr(rec[:, :6], form)))
+            yield first, np.column_stack((rec, form, row_relerr(rec[:, :6], form)))
 
     # one pass to check every cell, so a refused table writes nothing
     _refuse_nonfinite("exact", blocks(), columns)

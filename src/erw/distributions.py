@@ -12,6 +12,7 @@ which is what makes the counter-based simulator reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -21,7 +22,15 @@ import numpy as np
 #: is rejected rather than silently renormalised.
 WEIGHT_TOL = 1e-12
 
-_KINDS = ("rademacher", "bernoulli", "uniform", "gaussian", "discrete")
+#: Each kind and the fields of its JSON descriptor, in constructor order.
+_KINDS = {"rademacher": (), "bernoulli": ("p",), "uniform": ("lo", "hi"),
+          "gaussian": ("mean", "stddev"), "discrete": ("points", "weights")}
+
+
+def _is_number(value) -> bool:
+    """A real number that is not a bool: JSON true and false are not numbers,
+    though float() takes them."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -43,7 +52,7 @@ class StepDistribution:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if self.kind == "bernoulli":
             if self.p is None or not 0.0 <= self.p <= 1.0:
@@ -60,8 +69,9 @@ class StepDistribution:
                 raise ValueError("discrete requires equally long points and weights")
             if any(not math.isfinite(v) for v in pts):
                 raise ValueError("discrete points must be finite")
-            if any(w < 0.0 for w in wts):
-                raise ValueError("discrete weights must be non-negative")
+            # nan fails every comparison, so `w < 0` alone would let it in
+            if any(not (math.isfinite(w) and w >= 0.0) for w in wts):
+                raise ValueError("discrete weights must be finite and non-negative")
             if abs(math.fsum(wts) - 1.0) > WEIGHT_TOL:
                 raise ValueError(
                     f"discrete weights sum to {math.fsum(wts)!r}, "
@@ -94,36 +104,35 @@ class StepDistribution:
 
     def to_json(self) -> dict[str, Any]:
         """JSON descriptor with the documented field names."""
-        if self.kind == "rademacher":
-            return {"kind": "rademacher"}
-        if self.kind == "bernoulli":
-            return {"kind": "bernoulli", "p": self.p}
-        if self.kind == "uniform":
-            return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
-        if self.kind == "gaussian":
-            return {"kind": "gaussian", "mean": self.mean, "stddev": self.stddev}
-        return {"kind": "discrete", "points": list(self.points), "weights": list(self.weights)}
+        descriptor = {"kind": self.kind}
+        for name in _KINDS[self.kind]:
+            value = getattr(self, name)
+            descriptor[name] = list(value) if isinstance(value, tuple) else value
+        return descriptor
 
     @classmethod
     def from_json(cls, descriptor: dict[str, Any]) -> "StepDistribution":
-        """Build a distribution from its JSON descriptor."""
+        """Build a distribution from its JSON descriptor, whose fields must be
+        numbers (lists of numbers for a discrete law): not true, false or text."""
         if not isinstance(descriptor, dict) or "kind" not in descriptor:
             raise ValueError(f"distribution descriptor must be a dict with 'kind': {descriptor!r}")
         kind = descriptor["kind"]
-        try:
-            if kind == "rademacher":
-                return cls.rademacher()
-            if kind == "bernoulli":
-                return cls.bernoulli(descriptor["p"])
-            if kind == "uniform":
-                return cls.uniform(descriptor["lo"], descriptor["hi"])
-            if kind == "gaussian":
-                return cls.gaussian(descriptor["mean"], descriptor["stddev"])
-            if kind == "discrete":
-                return cls.discrete(descriptor["points"], descriptor["weights"])
-        except KeyError as exc:
-            raise ValueError(f"descriptor for {kind!r} is missing field {exc}") from None
-        raise ValueError(f"unknown distribution kind {kind!r}")
+        fields = _KINDS.get(kind) if isinstance(kind, str) else None
+        if fields is None:
+            raise ValueError(f"unknown distribution kind {kind!r}")
+        listed = kind == "discrete"
+        values = []
+        for name in fields:
+            if name not in descriptor:
+                raise ValueError(f"descriptor for {kind!r} is missing field {name!r}")
+            value = descriptor[name]
+            if isinstance(value, (list, tuple)) != listed or not all(
+                map(_is_number, value if listed else [value])
+            ):
+                what = "a list of numbers" if listed else "a number"
+                raise ValueError(f"{kind} {name} must be {what}, got {value!r}")
+            values.append(value)
+        return getattr(cls, kind)(*values)
 
 
 @dataclass(frozen=True)

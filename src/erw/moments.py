@@ -18,8 +18,9 @@ alpha and the step law's moment set.  This module iterates those recursions
 exactly, evaluates the gamma-ratio closed forms they solve to (all seven:
 the six of `closed_form_moments` and s4 in `closed_form_s4`), computes the
 first four moments of the superdiffusive limit Q = lim S~_n / n^alpha, and
-gives all seven moments at any n from the exact law of a count chain
-(`exact_law`, O(n^2) time), for laws of at most two positive-weight atoms.
+gives all seven moments at every n <= n_max from one run of a count chain
+(`brute_force_moments`, O(n_max^2) time), for laws of at most two
+positive-weight atoms.
 """
 
 from __future__ import annotations
@@ -81,34 +82,34 @@ CSV_COLUMNS = ("n", "s2", "st", "s3", "su", "t2", "s2t", "s4")
 
 
 class ExactMomentTable:
-    """Per-n table of the seven mixed expectations, n = 1 .. n_max."""
+    """Per-n table of the seven mixed expectations, n = 1 .. n_max: `values`
+    is the (n_max, 7) float64 array, row n - 1 for n, made read-only."""
 
     def __init__(self, values: np.ndarray):
         if values.ndim != 2 or values.shape[1] != 7:
             raise ValueError("expected an (n_max, 7) array")
-        self._values = values
+        values.flags.writeable = False
+        self.values = values
 
     def __len__(self) -> int:
-        return self._values.shape[0]
+        return self.values.shape[0]
 
     def row(self, n: int) -> ExactMomentRow:
         if not 1 <= n <= len(self):
             raise IndexError(f"n must be in 1..{len(self)}, got {n}")
-        return ExactMomentRow(n, *(float(v) for v in self._values[n - 1]))
+        return ExactMomentRow(n, *(float(v) for v in self.values[n - 1]))
 
     def column(self, name: str) -> np.ndarray:
         idx = CSV_COLUMNS.index(name) - 1
         if idx < 0:
             return np.arange(1, len(self) + 1)
-        return self._values[:, idx]
+        return self.values[:, idx]
 
     def row_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield (n of the first row, a read-only (rows, 7) float64 view), a
         block of rows at a time."""
         for start in range(0, len(self), _ROW_BLOCK):
-            block = self._values[start : start + _ROW_BLOCK]
-            block.flags.writeable = False
-            yield start + 1, block
+            yield start + 1, self.values[start : start + _ROW_BLOCK]
 
     def write_csv(self, path_or_file) -> None:
         """Write the table as CSV with shortest round-trip decimals.
@@ -477,16 +478,13 @@ def _two_atoms(dist: StepDistribution) -> tuple[float, float, float]:
     return a, b, w if len(atoms) == 2 else 1.0
 
 
-def exact_law(dist: StepDistribution, alpha: float, n: int) -> np.ndarray:
-    """Test oracle: the float64 vector P of length n + 1, where P[k] is the
-    probability that k of the n steps took the law's first positive-weight
-    atom a (weight w; the other atom is b).
+def _chain_steps(dist: StepDistribution, alpha: float, n: int) -> Iterator[np.ndarray]:
+    """The law of the count chain after t = 1, ..., n steps: a view of
+    length t + 1 of one array, updated in place between yields.
 
     The count is a Markov chain (a Polya-type urn with immigration): from k
     after t steps the next step takes a with probability
-    alpha k/t + (1 - alpha) w.  One in-place update per step: O(n) memory,
-    O(n^2) time.  More than two positive-weight atoms raise
-    EnumerationSizeError.
+    alpha k/t + (1 - alpha) w.
     """
     alpha = check_alpha(alpha)
     _, _, w = _two_atoms(dist)
@@ -495,28 +493,44 @@ def exact_law(dist: StepDistribution, alpha: float, n: int) -> np.ndarray:
     counts = np.arange(n, dtype=np.float64)
     law = np.zeros(n + 1, dtype=np.float64)
     law[0], law[1] = 1.0 - w, w
+    yield law[:2]
     for t in range(1, n):
         # only k <= t has mass; k/t is exactly 1 at k = t, so a one-atom
         # law keeps all its mass there
         up = (counts[: t + 1] / t * alpha + (1.0 - alpha) * w) * law[: t + 1]
         law[: t + 1] -= up
         law[1 : t + 2] += up
+        yield law[: t + 2]
+
+
+def exact_law(dist: StepDistribution, alpha: float, n: int) -> np.ndarray:
+    """Test oracle: the float64 vector P of length n + 1, where P[k] is the
+    probability that k of the n steps took the law's first positive-weight
+    atom a (weight w; the other atom is b), from n steps of the count chain
+    (`_chain_steps`): O(n) memory, O(n^2) time.  More than two
+    positive-weight atoms raise EnumerationSizeError.
+    """
+    for law in _chain_steps(dist, alpha, n):
+        pass
     return law
 
 
-def brute_force_moments(dist: StepDistribution, alpha: float, n: int) -> ExactMomentRow:
-    """Test oracle: the seven mixed moments at time n, each one compensated
-    sum over the count k of `exact_law`, with S~ = k (a - m1) + (n - k)(b - m1)
-    and likewise T~ and U~ from the atoms' squares and cubes.  It shares no
-    code with the recursions, so the two must agree to rounding.
+def brute_force_moments(dist: StepDistribution, alpha: float, n_max: int) -> ExactMomentTable:
+    """Test oracle: the seven mixed moments at n = 1 .. n_max from one run of
+    the count chain.  Row n is one matrix-vector product of the law after n
+    steps with the moments' values at each count k, where
+    S~ = k (a - m1) + (n - k)(b - m1) and likewise T~ and U~ from the atoms'
+    squares and cubes.  It shares no code with the recursions, so the two
+    must agree to rounding.
     """
-    law = exact_law(dist, alpha, n)
     a, b, _ = _two_atoms(dist)
     ms = moment_set(dist)
-    k = np.arange(n + 1, dtype=np.float64)
     # rows: the centered first, second and third powers of a and of b
     centered = np.array([[a, b], [a * a, b * b], [a ** 3, b ** 3]]) - [[ms.m1], [ms.m2], [ms.m3]]
-    s, t, u = centered[:, :1] * k + centered[:, 1:] * (n - k)
-    s2 = s * s
-    terms = np.array((s2, s * t, s2 * s, s * u, t * t, s2 * t, s2 * s2)) * law
-    return ExactMomentRow(n, *map(math.fsum, terms.tolist()))
+    rows = []
+    for n, law in enumerate(_chain_steps(dist, alpha, n_max), 1):
+        k = np.arange(n + 1, dtype=np.float64)
+        s, t, u = centered[:, :1] * k + centered[:, 1:] * (n - k)
+        s2 = s * s
+        rows.append(np.array((s2, s * t, s2 * s, s * u, t * t, s2 * t, s2 * s2)) @ law)
+    return ExactMomentTable(np.array(rows))

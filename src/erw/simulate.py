@@ -479,15 +479,13 @@ def simulate_batch(
     replicates: int,
     master_seed: int,
     checkpoints: Sequence[int],
-    workers: int = 1,
 ) -> BatchAccumulator:
     """Accumulate the sums of S~^p and S~^(2p) (p = 1..4) over many
     replicates at the checkpoints: the literal engine, the reference for
     `cluster_batch`.
 
     Replicate i uses stream key replicate_key(master_seed, i).  Work is cut
-    into fixed-size chunks whose sums are added in span order, so the result
-    is bit-identical for any `workers`.
+    into fixed-size chunks whose sums are added in span order.
     """
     alpha = check_alpha(alpha)
     acc = BatchAccumulator(checkpoints)
@@ -495,7 +493,7 @@ def simulate_batch(
     cpi = {c: i for i, c in enumerate(acc.checkpoints)}
     last = acc.checkpoints[-1]
     for sums, count in _run_batch(
-        n, replicates, workers,
+        n, replicates, 1,
         lambda span: _checkpoint_sums(_chunk_steps(dist, alpha, last, master_seed, span), m1, cpi),
         acc.checkpoints,
     ):

@@ -19,6 +19,7 @@ import numpy as np
 from .distributions import (
     MomentSet,
     StepDistribution,
+    _is_number,
     inverse_cdf,
     moment_set,
     raw_moments,
@@ -38,7 +39,6 @@ from .gammatools import (
     solve_recursion_constant,
 )
 from .moments import (
-    CSV_COLUMNS,
     ExactMomentTable,
     closed_form_moments,
     closed_form_s4,
@@ -98,17 +98,12 @@ _STANDARD_DISTS = (
 #: Two-point law with nonzero mean, also the documented JSON example.
 _SKEWED_TWO_POINT = StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4))
 
-#: Two-point law with nonzero mean and O(1) moments.  The count-chain
-#: cross-check uses an absolute tolerance, which is only a few ulp away from
-#: rounding once fourth moments reach the thousands, so it needs a law whose
-#: values stay of order one.
-_SMALL_TWO_POINT = StepDistribution.discrete((-0.5, 1.0), (0.6, 0.4))
 
-
-def _random_discrete_laws(count: int, seed: int, max_points: int = 4):
+def _random_discrete_laws(count: int, seed: int):
+    """`count` discrete laws of 2 to 4 points in [-2, 2]."""
     keys = replicate_keys(seed, 0, count)
     for i in range(count):
-        size = 2 + int(uniform_draws(keys[i : i + 1], 0)[0] * (max_points - 1))
+        size = 2 + int(uniform_draws(keys[i : i + 1], 0)[0] * 3)
         pts = [
             4.0 * uniform_draws(keys[i : i + 1], 10 + j)[0] - 2.0 for j in range(size)
         ]
@@ -300,35 +295,38 @@ def check_gamma_tail(
     return [_result("gamma_sum_tail", worst, tol, f"alpha={alpha}, n={n}")]
 
 
-def _compare_table_to_closed_form(
-    ms: MomentSet, alpha: float, n_max: int, rel_tol: float, abs_floor: float
-) -> tuple[float, float]:
-    """Worst scaled deviation between recursion table and the seven closed
-    forms (the six of `closed_form_moments` and `closed_form_s4`).
+def row_relerr(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """|reference - other| relative to each row's largest magnitude in
+    either array: the one row-scaled gap between two tables of moments.
 
-    Returns (worst deviation / row scale, worst strict per-cell relative
-    deviation over cells that are not tiny compared to their row).  The row
-    scale matters because a cell whose true value is exactly zero (e.g. the
-    third moment of a symmetric law with nonzero sibling moments) carries
-    recursion rounding noise proportional to the sibling magnitudes, never
-    to its own.
+    A moment that is exactly zero (the third moment of a symmetric law)
+    carries rounding noise proportional to its siblings, never to itself,
+    hence the row scale; the floor keeps an all-zero row at 0.  Rows with
+    inf or nan give inf or nan without a warning.
     """
-    table = exact_moments_upto(ms, alpha, n_max)
+    with np.errstate(invalid="ignore", over="ignore"):
+        row_scale = np.maximum(np.maximum(np.abs(reference), np.abs(other)).max(axis=1), 1e-300)
+        return np.abs(reference - other) / row_scale[:, None]
+
+
+def _compare_table_to_closed_form(ms: MomentSet, alpha: float, n_max: int) -> tuple[float, float]:
+    """Worst gaps between the recursion table and the seven closed forms
+    (the six of `closed_form_moments` and `closed_form_s4`).
+
+    Returns (worst `row_relerr`, worst strict per-cell relative gap over
+    cells that are not tiny compared to their row).
+    """
+    rec = exact_moments_upto(ms, alpha, n_max).values
     ns = np.arange(1, n_max + 1, dtype=np.float64)
     cf = closed_form_moments(ms, alpha, ns)
-    rec = np.column_stack(
-        [table.column(c) for c in CSV_COLUMNS[1:]]
-    )
     closed = np.column_stack(
         [cf.s2, cf.st, cf.s3, cf.su, cf.t2, cf.s2t, closed_form_s4(ms, alpha, ns)]
     )
     gap = np.abs(rec - closed)
     cell_scale = np.maximum(np.abs(rec), np.abs(closed))
-    row_scale = cell_scale.max(axis=1, keepdims=True)
-    worst_scaled = float((gap / np.maximum(rel_tol * row_scale, abs_floor)).max())
-    strict_mask = cell_scale >= 1e-6 * row_scale
+    strict_mask = cell_scale >= 1e-6 * cell_scale.max(axis=1, keepdims=True)
     strict = np.where(strict_mask, gap / np.maximum(cell_scale, 1e-300), 0.0)
-    return worst_scaled, float(strict.max())
+    return float(row_relerr(rec, closed).max()), float(strict.max())
 
 
 def check_closed_form_vs_recursion(
@@ -336,7 +334,6 @@ def check_closed_form_vs_recursion(
     dists=_STANDARD_DISTS,
     n_max: int = 10_000,
     rel_tol: float = 1e-8,
-    abs_floor: float = 1e-12,
 ) -> list[CheckResult]:
     """The seven closed forms against the iterated recursions for n <= n_max."""
     out = []
@@ -344,48 +341,35 @@ def check_closed_form_vs_recursion(
         for label, dist in dists:
             name = f"closed_form_vs_recursion[alpha={alpha},{label}]"
             try:
-                worst_scaled, strict = _compare_table_to_closed_form(
-                    moment_set(dist), alpha, n_max, rel_tol, abs_floor
-                )
+                worst = max(_compare_table_to_closed_form(moment_set(dist), alpha, n_max))
             except SingularParameterError as exc:
                 out.append(CheckResult(name, SKIP, None, str(exc)))
                 continue
-            worst = max(worst_scaled, strict / rel_tol)
-            status = PASS if worst <= 1.0 else FAIL
-            out.append(
-                CheckResult(
-                    name,
-                    status,
-                    worst * rel_tol,
-                    f"scaled tolerance {rel_tol:g} with absolute floor {abs_floor:g}",
-                )
-            )
+            detail = f"row-scaled and per-cell tolerance {rel_tol:g}"
+            out.append(_result(name, worst, rel_tol, detail))
     return out
 
 
 def check_brute_force(
     alphas=(0.0, 0.3, 0.5, 0.75, 1.0),
-    dists=(("rademacher", StepDistribution.rademacher()), ("discrete(-0.5,1)", _SMALL_TWO_POINT)),
-    n_max: int = 6,
-    atol: float = 1e-12,
+    dists=(("rademacher", StepDistribution.rademacher()), ("discrete(-1,2)", _SKEWED_TWO_POINT)),
+    n_max: int = 100,
+    rel_tol: float = 1e-12,
 ) -> list[CheckResult]:
-    """The seven moments of `brute_force_moments`, read from the exact law
-    of the two-point count chain, against the recursion table: the largest
-    absolute gap over every column and every n <= n_max must be at most
-    atol."""
+    """The seven moments of `brute_force_moments`, one run of the two-point
+    count chain, against the recursion table: the worst `row_relerr` over
+    every n <= n_max must be at most rel_tol."""
     out = []
     for alpha in alphas:
         for label, dist in dists:
-            ms = moment_set(dist)
-            table = exact_moments_upto(ms, alpha, n_max)
-            worst = 0.0
-            for n in range(1, n_max + 1):
-                brute = brute_force_moments(dist, alpha, n)
-                rec = table.row(n)
-                for field in CSV_COLUMNS[1:]:
-                    worst = max(worst, abs(getattr(brute, field) - getattr(rec, field)))
+            table = exact_moments_upto(moment_set(dist), alpha, n_max)
+            brute = brute_force_moments(dist, alpha, n_max)
+            worst = float(row_relerr(table.values, brute.values).max())
             out.append(
-                _result(f"brute_force_vs_recursion[alpha={alpha},{label}]", worst, atol)
+                _result(
+                    f"brute_force_vs_recursion[alpha={alpha},{label}]", worst, rel_tol,
+                    f"row-scaled tolerance {rel_tol:g}, n <= {n_max}",
+                )
             )
     return out
 
@@ -710,14 +694,16 @@ _DEFAULT_TOLERANCES = {"z_max": 4.0, "continuation_z_max": 3.0}
 def tolerance_limits(tolerances: dict[str, float]) -> dict[str, float]:
     """The z-score limits with `tolerances` laid over their defaults.
 
-    An unknown name would change nothing and a limit that is not finite and
-    > 0 would fail or pass every check whatever the samples, so both raise
-    ValueError.
+    An unknown name would change nothing and a limit that is not a finite
+    number > 0 would fail or pass every check whatever the samples, so both
+    raise ValueError; JSON true, false and strings are not numbers.
     """
     limits = dict(_DEFAULT_TOLERANCES)
     for name, value in tolerances.items():
         if name not in limits:
             raise ValueError(f"unknown tolerance {name!r}, expected one of {sorted(limits)}")
+        if not _is_number(value):
+            raise ValueError(f"tolerance {name} must be a number, got {value!r}")
         limit = float(value)
         if not (math.isfinite(limit) and limit > 0.0):
             raise ValueError(f"tolerance {name} must be finite and > 0, got {limit}")
@@ -752,7 +738,7 @@ def run_all(
     results += check_martingale_scale_recurrence(n_max=size(100_000))
     results += check_gamma_tail()
     results += check_closed_form_vs_recursion(n_max=size(10_000))
-    results += check_brute_force()
+    results += check_brute_force(n_max=size(100))
     results += check_rademacher_degeneracy(n_max=size(10_000))
     results += check_fourth_moment_asymptote()
     # convergence to the limit moments is ~n^(-1/2); n cannot be reduced,

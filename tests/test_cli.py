@@ -15,7 +15,7 @@ import pytest
 import erw.cli as cli
 import erw.simulate as sim
 from erw.cli import main
-from erw.verify import CheckResult
+from erw.verify import CheckResult, row_relerr
 from table_csv import read_table_csv
 
 
@@ -114,7 +114,7 @@ class TestExact:
     def test_relerr_floor_on_zero_row(self):
         rec = np.array([[0.0, -0.0, 0.0], [1.0, 0.0, -2.0]])
         form = np.array([[0.0, 0.0, -0.0], [1.5, 0.0, -2.0]])
-        got = cli._row_relerr(rec, form).tolist()
+        got = row_relerr(rec, form).tolist()
         assert got == [_relerr_row_loop(r, f) for r, f in zip(rec.tolist(), form.tolist())]
         assert got[0] == [0.0, 0.0, 0.0]
 
@@ -429,9 +429,12 @@ class TestConfigFile:
         {"n": None}, {"alpha": None}, {"alpha": 1.5}, {"tolerances": {"z_max": None}},
         {"compare": "false"}, {"fast": 1}, {"n": 2.5}, {"n": True}, {"replicates": 4.9},
         {"alpha": True}, {"checkpoints": [1.7, 3]}, {"n_max": 5},
+        {"dist": {"kind": "bernoulli", "p": True}}, {"dist": {"kind": "bernoulli", "p": "0.3"}},
+        {"tolerances": {"z_max": True}}, {"dists": []},
     ], ids=["null-n", "null-alpha", "alpha-above-one", "null-tolerance", "compare-string",
             "fast-number", "n-fraction", "n-boolean", "replicates-fraction", "alpha-boolean",
-            "checkpoints-fraction", "n_max-alias"])
+            "checkpoints-fraction", "n_max-alias", "dist-boolean", "dist-string",
+            "tolerance-boolean", "dists-empty"])
     def test_bad_value_is_config_exit(self, raw, tmp_path, capsys):
         # every key a config file may hold is checked, whichever command runs
         config = tmp_path / "bad.json"
@@ -510,8 +513,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("tolerances", [
         {"zmax": 100}, {"z_max": math.nan}, {"z_max": -1}, {"continuation_z_max": 0},
-        {"z_max": math.inf},
-    ], ids=["unknown-name", "nan", "negative", "zero", "infinite"])
+        {"z_max": math.inf}, {"z_max": True}, {"continuation_z_max": "3"},
+    ], ids=["unknown-name", "nan", "negative", "zero", "infinite", "boolean", "string"])
     def test_bad_tolerances_are_config_errors(self, tolerances, tmp_path, capsys, monkeypatch):
         def refuse(**kwargs):
             raise AssertionError("ran despite bad tolerances")
@@ -740,10 +743,12 @@ class TestCommandFlags:
         (["exact", "--alpha", "0.75", "--n", "2.0"], "n: must be a whole number"),
         (["exact", "--alpha", "0.75", "--n"], "argument --n: expected one argument"),
         (["simulate", "--alpha", "0.75", "--workers", "0"], "workers: must be >= 1, got 0"),
+        (["limits", "--alpha", "0.75", "--dist", '{"kind":"bernoulli","p":true}'],
+         "dist: bernoulli p must be a number, got True"),
         (["nope"], "invalid choice: 'nope'"),
         ([], "required: command"),
-    ], ids=["not-a-number", "not-whole", "no-value", "zero-workers", "no-such-command",
-            "no-command"])
+    ], ids=["not-a-number", "not-whole", "no-value", "zero-workers", "dist-boolean",
+            "no-such-command", "no-command"])
     def test_bad_flag_value_is_one_line(self, argv, fragment, capsys):
         assert_one_error_line(capsys, argv, fragment)
 

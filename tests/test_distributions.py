@@ -5,6 +5,7 @@ over its support, which never touches the polynomial moment formulas.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -231,6 +232,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-negative"):
             StepDistribution.discrete((0.0, 1.0), (1.5, -0.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_discrete_nonfinite_weight(self, bad):
+        # every comparison with nan is false, so `w < 0` alone let it through
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            StepDistribution.discrete((0.0, 1.0, 2.0), (bad, 0.5, 0.5))
+
     def test_discrete_length_mismatch(self):
         with pytest.raises(ValueError):
             StepDistribution.discrete((0.0, 1.0, 2.0), (0.5, 0.5))
@@ -265,6 +272,24 @@ class TestJson:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             StepDistribution.from_json({"kind": "zeta"})
+
+    @pytest.mark.parametrize("descriptor,message", [
+        ({"kind": "bernoulli", "p": True}, "bernoulli p must be a number, got True"),
+        ({"kind": "uniform", "lo": 0, "hi": "1"}, "uniform hi must be a number, got '1'"),
+        ({"kind": "gaussian", "mean": False, "stddev": 1}, "gaussian mean must be a number"),
+        ({"kind": "gaussian", "mean": 0, "stddev": None}, "gaussian stddev must be a number"),
+        ({"kind": "discrete", "points": [-1, "2"], "weights": [0.5, 0.5]},
+         "discrete points must be a list of numbers"),
+        ({"kind": "discrete", "points": [-1, 2], "weights": [True, False]},
+         "discrete weights must be a list of numbers"),
+        ({"kind": "discrete", "points": "12", "weights": [0.5, 0.5]},
+         "discrete points must be a list of numbers, got '12'"),
+    ], ids=["bool", "string", "bool-mean", "null", "string-point", "bool-weights",
+            "string-list"])
+    def test_fields_must_be_numbers(self, descriptor, message):
+        # float() takes true, false and numeric strings, so each would pass
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            StepDistribution.from_json(descriptor)
 
 
 @st.composite

@@ -373,16 +373,6 @@ class TestBatch:
                 assert mean == pytest.approx(walk.s_tilde ** p, rel=1e-12)
                 assert mean_sq == pytest.approx(walk.s_tilde ** (2 * p), rel=1e-12)
 
-    def test_workers_bit_identical(self, skewed_two_point, monkeypatch):
-        # chunks of 100 walks: 20 chunks, added in span order at every worker count
-        monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 300 * 100)
-        assert len(list(sim._chunk_spans(300, 2000))) == 20
-        kwargs = dict(n=300, replicates=2000, master_seed=11, checkpoints=[150, 300])
-        one = simulate_batch(skewed_two_point, 0.75, workers=1, **kwargs)
-        for workers in (2, 4):
-            other = simulate_batch(skewed_two_point, 0.75, workers=workers, **kwargs)
-            assert other._sums.tobytes() == one._sums.tobytes(), workers
-
     def test_chunks_added_in_span_order(self, bernoulli03, monkeypatch):
         monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 80 * 128)
         acc = simulate_batch(bernoulli03, 0.7, 80, 700, 5, [40, 80])
