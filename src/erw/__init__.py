@@ -19,7 +19,6 @@ from .gammatools import (
     RecursionSpec,
     SingularParameterError,
     check_alpha,
-    gamma_ratio,
     gamma_sum_linear,
     gamma_sum_linear_direct,
     gamma_sum_weighted,
@@ -63,7 +62,6 @@ from .simulate import (
     empirical_q_moments,
     martingale_diagnostics,
     sample_stderr,
-    simulate_batch,
     simulate_path,
     z_score,
 )

@@ -61,23 +61,6 @@ def _stirling_tail(x):
     return acc / x
 
 
-def _log_gamma_ratio_scalar(n: float, delta: float) -> float:
-    if n >= _STIRLING_MIN and n + delta >= _STIRLING_MIN:
-        total = n + delta
-        return math.fsum(
-            (
-                (n - 0.5) * math.log1p(delta / n),
-                delta * math.log(total),
-                -delta,
-                _stirling_tail(total),
-                -_stirling_tail(n),
-            )
-        )
-    # both arguments are < 14 here, so the lgamma values are small and their
-    # difference does not cancel
-    return math.lgamma(n + delta) - math.lgamma(n)
-
-
 def log_gamma_ratio(n, delta):
     """ln(Gamma(n + delta) / Gamma(n)) without overflow or cancellation.
 
@@ -94,7 +77,20 @@ def log_gamma_ratio(n, delta):
             raise ValueError(f"log_gamma_ratio requires n >= 1, got {n}")
         if n + delta <= 0.0:
             raise ValueError(f"log_gamma_ratio requires n + delta > 0, got {n + delta}")
-        return _log_gamma_ratio_scalar(n, delta)
+        if n >= _STIRLING_MIN and n + delta >= _STIRLING_MIN:
+            total = n + delta
+            return math.fsum(
+                (
+                    (n - 0.5) * math.log1p(delta / n),
+                    delta * math.log(total),
+                    -delta,
+                    _stirling_tail(total),
+                    -_stirling_tail(n),
+                )
+            )
+        # both arguments are < 14 here, so the lgamma values are small and
+        # their difference does not cancel
+        return math.lgamma(n + delta) - math.lgamma(n)
 
     n_arr, d_arr = np.broadcast_arrays(
         np.asarray(n, dtype=np.float64), np.asarray(delta, dtype=np.float64)
@@ -132,37 +128,6 @@ def recip_gamma(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-def gamma_ratio(x: float, y: float) -> float:
-    """Gamma(x) / Gamma(y) for x > 0 and real y, stable for large arguments.
-
-    Computed as sign * exp(log magnitude), so it stays finite where Gamma(x)
-    or Gamma(y) alone overflows.  Poles of Gamma in the denominator (y a
-    non-positive integer) give 0.
-    """
-    if x <= 0.0:
-        raise ValueError(f"gamma ratios require a positive numerator argument, got {x}")
-    if y <= 0.0 and y == math.floor(y):
-        return 0.0
-    # lift small arguments with Gamma(t) = Gamma(t+1)/t; Gamma itself
-    # overflows near 0 even when the ratio is perfectly representable
-    sign = 1
-    log_magnitude = 0.0
-    while x < 0.5:
-        log_magnitude -= math.log(x)
-        x += 1.0
-    while y < 0.5:
-        if y < 0.0:
-            sign = -sign
-        log_magnitude += math.log(abs(y))
-        y += 1.0
-    if x >= 1.0 and y >= 1.0:
-        log_magnitude += _log_gamma_ratio_scalar(y, x - y)
-    else:
-        # remaining arguments lie in [0.5, 2), where Gamma is positive and safe
-        log_magnitude += math.log(math.gamma(x) / math.gamma(y))
-    return sign * math.exp(log_magnitude)
-
-
 def check_alpha(alpha: float) -> float:
     """float(alpha), or ValueError unless 0 <= alpha <= 1 (nan fails).
 
@@ -194,17 +159,32 @@ def _check_sum_domain(a: float, b: float, n: int) -> None:
         raise ValueError(f"n must be a positive integer, got {n}")
 
 
+def _sum_ends(a: float, b: float, n: int) -> tuple[float, float]:
+    """(Gamma(a+1)/Gamma(b+1), Gamma(n+a+1)/Gamma(n+b)), every argument >= 1.
+
+    Both gamma sums are these two ratios times factors of Gamma(x+1) =
+    x Gamma(x): the factors b and (b-1) b carry the poles of Gamma(b) and
+    Gamma(b-1) at b = 0, 1 and the sign of Gamma(b-1) for b < 1.
+    """
+    lead = math.exp(log_gamma_ratio(b + 1.0, a - b))
+    return lead, math.exp(log_gamma_ratio(n + b, a + 1.0 - b))
+
+
 def gamma_sum_linear(a: float, b: float, n: int) -> float:
-    """Closed form of sum_{j=1..n} Gamma(j+a) / Gamma(j+b), for b != a+1."""
+    """Closed form of sum_{j=1..n} Gamma(j+a) / Gamma(j+b), for b != a+1:
+    (Gamma(a+1)/Gamma(b) - Gamma(n+a+1)/Gamma(n+b)) / (b-a-1)."""
     _check_sum_domain(a, b, n)
     d = b - a - 1.0
     if abs(d) < SINGULAR_TOL:
         raise SingularParameterError("b - a - 1", d)
-    return (gamma_ratio(a + 1.0, b) - gamma_ratio(n + a + 1.0, n + b)) / d
+    lead, tail = _sum_ends(a, b, n)
+    return (b * lead - tail) / d
 
 
 def gamma_sum_weighted(a: float, b: float, n: int) -> float:
-    """Closed form of sum_{j=1..n} j * Gamma(j+a) / Gamma(j+b).
+    """Closed form of sum_{j=1..n} j * Gamma(j+a) / Gamma(j+b):
+    (Gamma(a+1)/Gamma(b-1) - Gamma(n+a+1)/Gamma(n+b-1)) / ((b-a-1)(b-a-2))
+    - n Gamma(n+a+1)/Gamma(n+b) / (b-a-1).
 
     Requires b != a+1 and b != a+2.
     """
@@ -215,8 +195,9 @@ def gamma_sum_weighted(a: float, b: float, n: int) -> float:
         raise SingularParameterError("b - a - 1", d1)
     if abs(d2) < SINGULAR_TOL:
         raise SingularParameterError("b - a - 2", d2)
-    head = (gamma_ratio(a + 1.0, b - 1.0) - gamma_ratio(n + a + 1.0, n + b - 1.0)) / (d1 * d2)
-    return head - n * gamma_ratio(n + a + 1.0, n + b) / d1
+    lead, tail = _sum_ends(a, b, n)
+    head = ((b - 1.0) * b * lead - (n + b - 1.0) * tail) / (d1 * d2)
+    return head - n * tail / d1
 
 
 def gamma_sum_linear_direct(a: float, b: float, n: int) -> float:
@@ -275,7 +256,7 @@ def solve_recursion(spec: RecursionSpec, n: int) -> float:
     factors = np.exp(-log_gamma_ratio(np.arange(2.0, n + 1.0), beta)).tolist()
     terms = [spec.b1 / math.gamma(1.0 + beta)]
     terms.extend(f * spec.c_seq(j) for j, f in enumerate(factors, 1))
-    return math.exp(_log_gamma_ratio_scalar(float(n), beta)) * math.fsum(terms)
+    return math.exp(log_gamma_ratio(n, beta)) * math.fsum(terms)
 
 
 def solve_recursion_constant(beta: float, c: float, n: int) -> float:
@@ -291,7 +272,7 @@ def solve_recursion_constant(beta: float, c: float, n: int) -> float:
     d = beta - 1.0
     if abs(d) < SINGULAR_TOL:
         raise SingularParameterError("beta - 1", d)
-    ratio = math.exp(_log_gamma_ratio_scalar(float(n), beta))
+    ratio = math.exp(log_gamma_ratio(n, beta))
     return c * ratio / (d * math.gamma(beta)) - c * n / d
 
 

@@ -55,7 +55,12 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 
 
 def replicate_key(master_seed: int, index: int) -> int:
-    """Stream key for one replicate, a stateless mix of seed and index."""
+    """Stream key for one replicate, a stateless mix of seed and index.
+
+    Test oracle: the scalar reference that the tests compare
+    `replicate_keys` against; the program itself makes keys only through
+    `replicate_keys`.
+    """
     return mix64((master_seed & MASK64) ^ mix64((index + 1) * GOLDEN))
 
 

@@ -23,7 +23,6 @@ from erw import (
     iterate_recursion,
     limit_q_moments,
     moment_set,
-    simulate_batch,
     simulate_path,
     solve_recursion,
 )
@@ -40,6 +39,7 @@ from erw.verify import (
     check_martingale_reconstruction,
     compare_with_exact,
 )
+from literal_batch import simulate_batch
 
 RADEMACHER = StepDistribution.rademacher()
 BERNOULLI = StepDistribution.bernoulli(0.3)

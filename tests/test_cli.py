@@ -300,6 +300,27 @@ class TestVerifyCommand:
         assert json.loads(out)["n_fail"] == 1
 
 
+    def test_broken_reconstruction_fails_the_check(self, capsys, monkeypatch):
+        # a martingale scale off by 1e-6 k on arrays breaks the telescoping
+        # reconstruction; verify reports it as a FAIL and exits 1, with
+        # every check in the report
+        scale = sim.martingale_scale
+
+        def broken(n, alpha):
+            if np.isscalar(n):
+                return scale(n, alpha)
+            return scale(n, alpha) * (1.0 + 1e-6 * np.asarray(n))
+
+        monkeypatch.setattr(sim, "martingale_scale", broken)
+        code, out, err = run_cli(capsys, "verify", "--fast", "--seed", "2024")
+        assert (code, err) == (1, "")
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks if c["status"] == "FAIL"] == [
+            "martingale_reconstruction"
+        ]
+        assert checks[-1]["name"].startswith("cluster_engine_moments")
+
+
 class TestSweep:
     def test_grid(self, capsys):
         code, out, _ = run_cli(

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from erw import (
     RecursionSpec,
     SingularParameterError,
-    gamma_ratio,
     gamma_sum_linear,
     gamma_sum_linear_direct,
     gamma_sum_weighted,
@@ -127,32 +126,8 @@ class TestMartingaleScale:
 
 class TestGammaRatioHelpers:
     def test_poles_give_zero(self):
-        assert gamma_ratio(2.0, 0.0) == 0.0
-        assert gamma_ratio(2.0, -3.0) == 0.0
         assert recip_gamma(0.0) == 0.0
         assert recip_gamma(-2.0) == 0.0
-
-    def test_negative_argument(self):
-        assert gamma_ratio(2.0, -0.5) == pytest.approx(1.0 / math.gamma(-0.5), rel=1e-13)
-
-    def test_large_arguments(self):
-        got = gamma_ratio(1e5 + 2.5, 1e5)
-        exact = float(mp.gamma(mp.mpf(1e5) + mp.mpf(2.5)) / mp.gamma(mp.mpf(1e5)))
-        assert got == pytest.approx(exact, rel=1e-12)
-
-    def test_sign_decomposition(self):
-        assert gamma_ratio(7.5, 3.0) == pytest.approx(
-            math.gamma(7.5) / math.gamma(3.0), rel=1e-13
-        )
-        # Gamma(-0.5) < 0, so the ratio flips sign
-        assert gamma_ratio(2.0, -0.5) < 0.0
-        # and Gamma(-1.5) > 0 again
-        assert gamma_ratio(2.0, -1.5) > 0.0
-        assert gamma_ratio(2.0, -1.0) == 0.0
-
-    def test_subnormal_denominator_argument(self):
-        tiny = 2.2250738585e-313
-        assert gamma_ratio(1.0, tiny) == pytest.approx(tiny, rel=1e-9)
 
 
 class TestGammaSums:
@@ -187,21 +162,46 @@ class TestGammaSums:
         if abs(b - a - 1.0) < 0.05 or abs(b - a - 2.0) < 0.05:
             return
         linear = gamma_sum_linear(a, b, n)
-        assert linear == pytest.approx(gamma_sum_linear_direct(a, b, n), rel=1e-10)
+        assert linear == pytest.approx(gamma_sum_linear_direct(a, b, n), rel=1e-12)
         weighted = gamma_sum_weighted(a, b, n)
-        assert weighted == pytest.approx(gamma_sum_weighted_direct(a, b, n), rel=1e-10)
+        assert weighted == pytest.approx(gamma_sum_weighted_direct(a, b, n), rel=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.0, 4.0), st.floats(0.0, 4.0), st.integers(1, 1000))
     def test_direct_sums_match_scalar_loop(self, a, b, n):
-        # test oracle: the direct sums as one scalar gamma_ratio per term.  Its
-        # shift (j+a) - (j+b) is rounded at each j, by up to ulp(1004) ~ 1.1e-13,
-        # which moves a term by up to ln(1004) times that, ~8e-13 relative;
-        # the array terms shift by the exact a - b
-        terms = [gamma_ratio(j + a, j + b) for j in range(1, n + 1)]
+        # test oracle: the terms by the product recurrence t_1 = Gamma(1+a)/Gamma(1+b),
+        # t_{j+1} = t_j (j+a)/(j+b); each step rounds four times, so the n-th
+        # term is off by at most 4n ulps, ~4.4e-13 at n = 1000
+        terms = [math.gamma(1.0 + a) / math.gamma(1.0 + b)]
+        for j in range(1, n):
+            terms.append(terms[-1] * (j + a) / (j + b))
         assert gamma_sum_linear_direct(a, b, n) == pytest.approx(math.fsum(terms), rel=1e-12)
         weighted = math.fsum(j * t for j, t in enumerate(terms, 1))
         assert gamma_sum_weighted_direct(a, b, n) == pytest.approx(weighted, rel=1e-12)
+
+    def test_poles_and_negative_gamma_against_mpmath(self):
+        # b = 0 and 1 are poles of Gamma(b) or Gamma(b-1) in the closed forms,
+        # and Gamma(b-1) < 0 for b < 1; the sums carry them as the factors
+        # b and (b-1) b, with no branch.  Reference: the terms by the product
+        # recurrence at 40 digits
+        worst = 0.0
+        for b in (0.0, 0.25, 0.5, 1.0, 1.5):
+            for a in (0.0, 0.25, 0.6, 1.3, 2.5, 4.0):
+                if abs(b - a - 1.0) < 0.05:
+                    continue
+                term = mp.gamma(1 + mp.mpf(a)) / mp.gamma(1 + mp.mpf(b))
+                linear = weighted = mp.mpf(0)
+                for j in range(1, 1001):
+                    linear += term
+                    weighted += j * term
+                    if j in (1, 2, 3, 10, 1000):
+                        worst = max(
+                            worst,
+                            float(abs(gamma_sum_linear(a, b, j) / linear - 1)),
+                            float(abs(gamma_sum_weighted(a, b, j) / weighted - 1)),
+                        )
+                    term *= (j + mp.mpf(a)) / (j + mp.mpf(b))
+        assert worst <= 1e-13
 
     def test_singular_guards(self):
         with pytest.raises(SingularParameterError, match="b - a - 1"):
@@ -262,5 +262,5 @@ class TestTailAsymptotics:
         # Gamma(3a+1)/(a Gamma(4a+1)); within 1% at n = 1e5 for a = 0.75
         alpha = 0.75
         partial = gamma_sum_linear(3 * alpha, 1 + 4 * alpha, 10 ** 5 - 1)
-        limit = gamma_ratio(3 * alpha + 1.0, 4 * alpha + 1.0) / alpha
+        limit = math.gamma(3 * alpha + 1.0) / math.gamma(4 * alpha + 1.0) / alpha
         assert partial == pytest.approx(limit, rel=0.01)

@@ -34,6 +34,7 @@ from erw.moments import (
     third_moment_coefficient,
 )
 from erw.verify import row_relerr
+from literal_batch import simulate_batch
 from table_csv import read_table_csv, table_csv_string
 
 ROW_FIELDS = ("s2", "st", "s3", "su", "t2", "s2t", "s4")
@@ -114,7 +115,7 @@ ALPHA_TAKERS = {
     "brute_force_moments": lambda a: brute_force_moments(_RAD, a, 2),
     "WalkState.from_steps": lambda a: sim.WalkState.from_steps([1.0, -1.0], _RAD_MS, a),
     "simulate_path": lambda a: sim.simulate_path(_RAD, a, 3, 1),
-    "simulate_batch": lambda a: sim.simulate_batch(_RAD, a, 3, 2, 1, [3]),
+    "simulate_batch": lambda a: simulate_batch(_RAD, a, 3, 2, 1, [3]),
     "cluster_batch": lambda a: sim.cluster_batch(_RAD, a, 3, 2, 1, [3]),
     "empirical_q_moments": lambda a: sim.empirical_q_moments(
         sim.cluster_batch(_RAD, 0.75, 3, 2, 1, [3]), a

@@ -19,7 +19,6 @@ from erw import (
     martingale_diagnostics,
     martingale_scale,
     moment_set,
-    simulate_batch,
     simulate_path,
 )
 import erw.simulate as sim
@@ -27,6 +26,7 @@ from erw.distributions import inverse_cdf
 from erw.rng import mix64, parse_seed, replicate_key, replicate_keys, uniform_draw, uniform_draws
 from erw.simulate import WalkState, marginal_moment_sums, sample_stderr, z_score
 from erw.verify import cluster_label_mismatches, compare_with_exact
+from literal_batch import _checkpoint_sums, simulate_batch
 
 LAWS = (
     StepDistribution.rademacher(),
@@ -241,7 +241,7 @@ class TestBlockedDraws:
             steps = sim._run_paths(dist, alpha, n, keys)
             assert steps.tobytes() == ref_steps.tobytes(), where
             ref_sums = ref_sums[:, _LAYOUT]
-            assert sim._checkpoint_sums(steps, ms.m1, cpi).tobytes() == ref_sums.tobytes(), where
+            assert _checkpoint_sums(steps, ms.m1, cpi).tobytes() == ref_sums.tobytes(), where
             acc = simulate_batch(dist, alpha, n, width, seed, cps)
             assert acc._sums.tobytes() == ref_sums.tobytes(), where
 
@@ -380,7 +380,7 @@ class TestBatch:
         total = np.zeros((2, 8))
         for span in sim._chunk_spans(80, 700):
             steps = sim._chunk_steps(bernoulli03, 0.7, 80, 5, span)
-            total += sim._checkpoint_sums(steps, ms.m1, {40: 0, 80: 1})
+            total += _checkpoint_sums(steps, ms.m1, {40: 0, 80: 1})
         assert acc.n_replicates == 700
         assert acc._sums.tobytes() == total.tobytes()
 
