@@ -65,10 +65,11 @@ _BLOCK_ELEMENTS = 16_384
 #: _BLOCK_ELEMENTS values.
 _TILE_WALKS = 128
 
-#: Float64 values per walk of a tile that the size pass holds besides its
-#: blocks: the three running sums and their copy (6), `cols` (1), and the
-#: conditional moments, their squares and temporaries (11).
-_SIZE_PASS_VALUES_PER_WALK = 18
+#: 8-byte values per walk of a tile that the size pass holds besides its
+#: blocks while it counts a checkpoint's rows: the three sums (3), the
+#: previous checkpoint's float64 sums (3) and conditional moments (4), and
+#: `cols` (1).
+_SIZE_PASS_VALUES_PER_WALK = 11
 
 #: Bytes of a tile's size pass that do not grow with it: numpy's ufunc
 #: buffer of 8192 values (64 KiB), which the broadcast add of `cols` to a
@@ -197,36 +198,15 @@ def _run_labels(alpha: float, n: int, keys: np.ndarray) -> np.ndarray:
     return _fill_walks(labels, keys, alpha, lambda u_val, own: own)
 
 
-def _size_pass_rows(width: int, last: int) -> tuple[int, int]:
-    """Rows of a tile's counts per block of the size pass: (counted, summed).
-
-    Both are about _BLOCK_ELEMENTS counts and at most `last` rows, except
-    that one walk's power sums take all `last` rows in one block: numpy
-    adds a lone column pairwise, not row by row, and a split column would
-    round differently.
-    """
-    rows = min(_block_rows(width), last)
-    return rows, (rows if width > 1 else last)
-
-
 def _size_pass_bytes(width: int, last: int) -> int:
     """Bytes the size pass holds for a tile of `width` walks to `last`: the
-    counts, the int64 index of one block of counted rows, the two float64
-    power blocks with their leading row of running sums,
-    _SIZE_PASS_VALUES_PER_WALK float64 values per walk and
+    counts, and for one block of rows the int64 index and the two 8-byte
+    power blocks, _SIZE_PASS_VALUES_PER_WALK 8-byte values per walk and
     _SIZE_PASS_FIXED_BYTES."""
-    rows, sum_rows = _size_pass_rows(width, last)
+    rows = min(_block_rows(width), last)
     itemsize = np.min_scalar_type(last).itemsize
-    per_walk = itemsize * last + 8 * (rows + 2 * (sum_rows + 1) + _SIZE_PASS_VALUES_PER_WALK)
+    per_walk = itemsize * last + 8 * (3 * rows + _SIZE_PASS_VALUES_PER_WALK)
     return width * per_walk + _SIZE_PASS_FIXED_BYTES
-
-
-def _add_rows(total: np.ndarray, block: np.ndarray, top: int, stop: int) -> None:
-    """Set `total` to the sum of rows top..stop-1 of `block`, each column's
-    rows added in row order, with row 0 set to `total` first: a running
-    sum when top is 0."""
-    block[0] = total
-    np.add.reduce(block[top:stop], axis=0, out=total)
 
 
 def _cluster_size_sums(labels: np.ndarray, checkpoints: Sequence[int]):
@@ -239,10 +219,9 @@ def _cluster_size_sums(labels: np.ndarray, checkpoints: Sequence[int]):
     one cluster can hold every step.  A label in the first c rows is below
     c, so a checkpoint counts only the rows added since the previous one,
     O(new rows), and sums the powers of the first c rows of counts,
-    O(walks * c), a block of rows at a time.  Row 0 of each block after
-    the first holds the running sums, so every walk's rows are added in
-    row order, as one sum over all c rows adds them, and the float64 sums
-    keep those bytes where they round.
+    O(walks * c), a block of rows at a time.  While the counts fit 16 bits
+    the sums are exact uint64 integers (S4 <= c^4 < 2^64), rounded once,
+    when converted to float64; beyond, they are float64 sums.
     """
     width = labels.shape[1]
     last = checkpoints[-1]
@@ -250,9 +229,10 @@ def _cluster_size_sums(labels: np.ndarray, checkpoints: Sequence[int]):
     flat = counts.reshape(-1)
     one = counts.dtype.type(1)  # of the counts' type: np.add.at's fast path
     cols = np.arange(width)
-    rows, sum_rows = _size_pass_rows(width, last)
-    sizes, squares = np.empty((2, sum_rows + 1, width))
-    sums = np.zeros((3, width))
+    rows = min(_block_rows(width), last)
+    sum_type = np.uint64 if counts.itemsize <= 2 else np.float64
+    sizes, squares = np.empty((2, rows, width), dtype=sum_type)
+    sums = np.empty((3, width), dtype=sum_type)
     start = 0
     for c in checkpoints:
         for r in range(start, c, rows):
@@ -261,18 +241,18 @@ def _cluster_size_sums(labels: np.ndarray, checkpoints: Sequence[int]):
             np.add.at(flat, index.reshape(-1), one)
             del index  # before the next block's index is made
         start = c
-        for r in range(0, c, sum_rows):
-            stop = min(sum_rows, c - r) + 1
-            top = 0 if r else 1
-            size, square = sizes[1:stop], squares[1:stop]
-            np.copyto(size, counts[r : r + stop - 1])
+        sums.fill(0)
+        for r in range(0, c, rows):
+            stop = min(r + rows, c)
+            size, square = sizes[: stop - r], squares[: stop - r]
+            np.copyto(size, counts[r:stop])
             np.multiply(size, size, out=square)
-            _add_rows(sums[0], squares, top, stop)
+            sums[0] += square.sum(axis=0)
             size *= square
-            _add_rows(sums[1], sizes, top, stop)
+            sums[1] += size.sum(axis=0)
             square *= square
-            _add_rows(sums[2], squares, top, stop)
-        yield tuple(sums.copy())
+            sums[2] += square.sum(axis=0)
+        yield tuple(sums.astype(np.float64))
 
 
 def _conditional_moments(ms: MomentSet, s2, s3, s4) -> np.ndarray:
@@ -396,6 +376,8 @@ class BatchAccumulator:
             raise ValueError("accumulator is empty")
         if not 1 <= p <= 4:
             raise ValueError(f"p must be in 1..4, got {p}")
+        if n not in self.checkpoints:
+            raise ValueError(f"n = {n} is not one of the checkpoints {list(self.checkpoints)}")
         row = self._sums[self.checkpoints.index(n)]
         return float(row[p - 1]) / self.n_replicates, float(row[p + 3]) / self.n_replicates
 
@@ -565,7 +547,6 @@ class MartingaleView:
     """
 
     eps: np.ndarray
-    weighted_partials: np.ndarray
     q_direct: float
     reconstruction_error: float
 
@@ -596,12 +577,7 @@ def martingale_diagnostics(
     q_direct = float(scale_series[-1] * s_tilde[-1])
     reference = max(abs(q_direct), float(np.max(np.abs(contributions))), 1e-300)
     error = abs(float(weighted[-1]) - q_direct) / reference
-    return MartingaleView(
-        eps=eps,
-        weighted_partials=weighted,
-        q_direct=q_direct,
-        reconstruction_error=error,
-    )
+    return MartingaleView(eps=eps, q_direct=q_direct, reconstruction_error=error)
 
 
 def _epsilon_sums(steps: np.ndarray, alpha: float, m1: float) -> np.ndarray:
@@ -635,8 +611,8 @@ class MarginalSums:
 class EpsilonMoments:
     """Empirical per-step statistics of the martingale differences.
 
-    q_increment_mean[t-1] estimates E(Q_t - Q_{t-1}) = a_t E(eps_t); under
-    the martingale property it is zero for every t.
+    mean[t-1] estimates E(eps_t), which the martingale property makes zero
+    for every t, since E(Q_t - Q_{t-1}) = a_t E(eps_t).
     """
 
     n_replicates: int
@@ -644,8 +620,6 @@ class EpsilonMoments:
     stderr: np.ndarray
     abs2: np.ndarray
     abs4: np.ndarray
-    q_increment_mean: np.ndarray
-    q_increment_stderr: np.ndarray
 
 
 def batch_epsilon_moments(
@@ -664,16 +638,12 @@ def batch_epsilon_moments(
 
     sums = sum(chunk for chunk, _ in _run_batch(n, replicates, 1, chunk_sums))
     mean, abs2, abs4 = sums / replicates
-    stderr = sample_stderr(mean, abs2, replicates)
-    scale_series = martingale_scale(np.arange(1, n + 1, dtype=float), alpha)
     return EpsilonMoments(
         n_replicates=replicates,
         mean=mean,
-        stderr=stderr,
+        stderr=sample_stderr(mean, abs2, replicates),
         abs2=abs2,
         abs4=abs4,
-        q_increment_mean=scale_series * mean,
-        q_increment_stderr=scale_series * stderr,
     )
 
 

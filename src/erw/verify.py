@@ -116,9 +116,9 @@ def check_moment_identities(
     n_laws: int = 1000,
     seed: int = 2024,
     moment_sets: Sequence[tuple[str, MomentSet]] | None = None,
-    atol: float = 1e-12,
 ) -> list[CheckResult]:
     """The four algebraic identities every derived moment set must satisfy."""
+    atol = 1e-12
     worst = 0.0
     worst_name = ""
     if moment_sets is None:
@@ -140,9 +140,7 @@ def check_moment_identities(
     return [_result("moment_identities", worst, atol, f"worst: {worst_name}")]
 
 
-def check_shift_covariance(
-    n_laws: int = 200, seed: int = 71, atol: float = 1e-10
-) -> list[CheckResult]:
+def check_shift_covariance(n_laws: int = 200, seed: int = 71) -> list[CheckResult]:
     """Behaviour of the moment set under a constant shift of a discrete law.
 
     The centered moments M2, M3, M4 are invariant and m1 moves by exactly
@@ -173,7 +171,7 @@ def check_shift_covariance(
             abs(shifted.M22 - (base.M22 + 4.0 * c * base.M12 + 4.0 * c * c * base.M2)) / scale,
             abs(shifted.M112 - (base.M112 + 2.0 * c * base.M3)) / scale,
         )
-    return [_result("shift_covariance", worst, atol, "scaled by (1+|c|+max|x|)^4")]
+    return [_result("shift_covariance", worst, 1e-10, "scaled by (1+|c|+max|x|)^4")]
 
 
 def check_sampling_moments(
@@ -199,9 +197,7 @@ def check_sampling_moments(
     return out
 
 
-def check_gamma_sums(
-    n_cases: int = 500, seed: int = 7, rel_tol: float = 1e-12
-) -> list[CheckResult]:
+def check_gamma_sums(n_cases: int = 500, seed: int = 7) -> list[CheckResult]:
     """Both gamma-ratio sum closed forms against term-by-term summation."""
     a_all, b_all, u_n = uniform_draws(replicate_keys(seed, 0, n_cases), np.arange(3))
     worst = 0.0
@@ -215,12 +211,10 @@ def check_gamma_sums(
         closed_w = gamma_sum_weighted(a, b, n)
         direct_w = gamma_sum_weighted_direct(a, b, n)
         worst = max(worst, abs(closed_w - direct_w) / max(abs(direct_w), 1e-300))
-    return [_result("gamma_sums_vs_direct", worst, rel_tol)]
+    return [_result("gamma_sums_vs_direct", worst, 1e-12)]
 
 
-def check_recursion_solver(
-    n_specs: int = 100, seed: int = 13, rel_tol: float = 1e-10
-) -> list[CheckResult]:
+def check_recursion_solver(n_specs: int = 100, seed: int = 13) -> list[CheckResult]:
     """Explicit gamma-ratio solution vs direct iteration of the recursion."""
     u_beta, u_b1, u_n = uniform_draws(replicate_keys(seed, 0, n_specs), np.arange(3)).tolist()
     worst = 0.0
@@ -233,15 +227,14 @@ def check_recursion_solver(
         direct = iterate_recursion(spec, n)[-1]
         solved = solve_recursion(spec, n)
         worst = max(worst, abs(solved - direct) / max(abs(direct), 1e-300))
-    return [_result("recursion_solver_vs_iteration", worst, rel_tol)]
+    return [_result("recursion_solver_vs_iteration", worst, 1e-10)]
 
 
-def check_constant_recursion(
-    rel_tol: float = 1e-10, betas=(0.5, 1.5, 2.0, 3.25), n: int = 500
-) -> list[CheckResult]:
+def check_constant_recursion() -> list[CheckResult]:
     """Constant-inhomogeneity shortcut vs the general solution and iteration."""
+    n = 500
     worst = 0.0
-    for beta in betas:
+    for beta in (0.5, 1.5, 2.0, 3.25):
         for c in (0.5, 2.0):
             spec = RecursionSpec.constant(beta, c, c)
             direct = iterate_recursion(spec, n)[-1]
@@ -252,12 +245,10 @@ def check_constant_recursion(
                 abs(short - direct) / abs(direct),
                 abs(general - direct) / abs(direct),
             )
-    return [_result("constant_recursion_shortcut", worst, rel_tol)]
+    return [_result("constant_recursion_shortcut", worst, 1e-10)]
 
 
-def check_martingale_scale_recurrence(
-    n_max: int = 100_000, alphas=(0.3, 0.5, 0.75, 1.0), rel_tol: float = 1e-14
-) -> list[CheckResult]:
+def check_martingale_scale_recurrence(n_max: int = 100_000) -> list[CheckResult]:
     """a_{n+1} = a_n * n / (n + alpha) pointwise for the gamma-ratio a_n.
 
     The recurrence is checked on the array path; a_1 is checked on the
@@ -266,7 +257,7 @@ def check_martingale_scale_recurrence(
     worst = 0.0
     ns = np.arange(1.0, n_max + 1.0)
     k = ns[:-1]
-    for alpha in alphas:
+    for alpha in (0.3, 0.5, 0.75, 1.0):
         lead = martingale_scale(1, alpha)
         if abs(lead - 1.0 / math.gamma(1.0 + alpha)) > 1e-15:
             return [CheckResult("martingale_scale_recurrence", FAIL, None, "a_1 wrong")]
@@ -277,17 +268,16 @@ def check_martingale_scale_recurrence(
             ]
         gap = np.abs(a[1:] * (k + alpha) / (k * a[:-1]) - 1.0)
         worst = max(worst, float(gap.max(initial=0.0)))
-    return [_result("martingale_scale_recurrence", worst, rel_tol)]
+    return [_result("martingale_scale_recurrence", worst, 1e-14)]
 
 
-def check_gamma_tail(
-    alpha: float = 0.75, n: int = 100_000, tol: float = 0.01
-) -> list[CheckResult]:
+def check_gamma_tail() -> list[CheckResult]:
     """Convergence of sum_j Gamma(j+3a)/Gamma(j+1+4a) to its infinite-n value."""
+    alpha, n = 0.75, 100_000
     partial = gamma_sum_linear(3.0 * alpha, 1.0 + 4.0 * alpha, n - 1)
     limit = math.exp(log_gamma_ratio(4.0 * alpha + 1.0, -alpha)) / alpha
     worst = abs(partial - limit) / abs(limit)
-    return [_result("gamma_sum_tail", worst, tol, f"alpha={alpha}, n={n}")]
+    return [_result("gamma_sum_tail", worst, 0.01, f"alpha={alpha}, n={n}")]
 
 
 def row_relerr(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -369,14 +359,12 @@ def check_brute_force(
     return out
 
 
-def check_rademacher_degeneracy(
-    alphas=(0.0, 0.3, 0.6, 0.75, 1.0), n_max: int = 10_000
-) -> list[CheckResult]:
+def check_rademacher_degeneracy(n_max: int = 10_000) -> list[CheckResult]:
     """For steps in {-1,+1}: T~ == 0 identically, so st = t2 = s2t = 0 and
     su = s2, exactly, in both computation paths."""
     ms = moment_set(StepDistribution.rademacher())
     worst = 0.0
-    for alpha in alphas:
+    for alpha in (0.0, 0.3, 0.6, 0.75, 1.0):
         table = exact_moments_upto(ms, alpha, n_max)
         worst = max(
             worst,
@@ -435,52 +423,46 @@ def check_fourth_moment_asymptote() -> list[CheckResult]:
     return out
 
 
-def check_moment_convergence(
-    alpha: float = 0.75,
-    dists=_STANDARD_DISTS,
-    n: int = 100_000,
-    tol_q2: float = 0.01,
-    tol_q4: float = 0.01,
-) -> list[CheckResult]:
-    """n^{-p alpha} E(S~_n^p) approaches E(Q^p) for p = 2 and 4.
+def check_moment_convergence() -> list[CheckResult]:
+    """n^{-p alpha} E(S~_n^p) approaches E(Q^p) for p = 2 and 4, to 1%
+    at alpha = 0.75 and n = 1e5.
 
     E(S~_n^2) and E(S~_n^4) come from their finite-n closed forms, so the
     check costs O(1) in n; `check_closed_form_vs_recursion` ties those forms
     to the recursion.
     """
+    alpha, n = 0.75, 100_000
     out = []
-    for label, dist in dists:
+    for label, dist in _STANDARD_DISTS:
         ms = moment_set(dist)
         limits = limit_q_moments(ms, alpha)
         s2 = float(closed_form_moments(ms, alpha, n).s2)
         s4 = float(closed_form_s4(ms, alpha, n))
         gap2 = abs(s2 * float(n) ** (-2 * alpha) - limits.q2) / limits.q2
         gap4 = abs(s4 * float(n) ** (-4 * alpha) - limits.q4) / limits.q4
-        worst = max(gap2 / tol_q2, gap4 / tol_q4)
+        worst = max(gap2, gap4)
         out.append(
             CheckResult(
                 f"moment_convergence[{label}]",
-                PASS if worst <= 1.0 else FAIL,
-                max(gap2, gap4),
-                f"q2 gap {gap2:.2e} (tol {tol_q2}), q4 gap {gap4:.2e} (tol {tol_q4})",
+                PASS if worst <= 0.01 else FAIL,
+                worst,
+                f"q2 gap {gap2:.2e} (tol 0.01), q4 gap {gap4:.2e} (tol 0.01)",
             )
         )
     return out
 
 
-def check_limit_consistency(
-    alphas=(0.6, 0.75, 0.9, 1.0), dists=_STANDARD_DISTS, rel_tol: float = 1e-12
-) -> list[CheckResult]:
+def check_limit_consistency() -> list[CheckResult]:
     """Limit moments against the closed forms they are the leading terms of.
 
     Rebuilds s2 and s3 at several n from (q2, q3) plus the lower-order
     terms and compares with the closed-form path; q4 must equal K4.
     """
     worst = 0.0
-    for alpha in alphas:
+    for alpha in (0.6, 0.75, 0.9, 1.0):
         d2 = 2.0 * alpha - 1.0
         d3 = 3.0 * alpha - 1.0
-        for label, dist in dists:
+        for _, dist in _STANDARD_DISTS:
             ms = moment_set(dist)
             limits = limit_q_moments(ms, alpha)
             if limits.q4 != fourth_moment_coefficient(ms, alpha):
@@ -502,20 +484,18 @@ def check_limit_consistency(
                     abs(rebuilt_s2 - cf.s2) / scale2,
                     abs(rebuilt_s3 - cf.s3) / scale3,
                 )
-    return [_result("limit_consistency", worst, rel_tol)]
+    return [_result("limit_consistency", worst, 1e-12)]
 
 
 def check_marginal_moments(
-    dists=(("bernoulli(0.3)", StepDistribution.bernoulli(0.3)), ("discrete(-1,2)", _SKEWED_TWO_POINT)),
-    alpha: float = 0.75,
-    n: int = 100,
-    replicates: int = 100_000,
-    seed: int = 31,
-    z_max: float = 4.0,
+    replicates: int = 100_000, seed: int = 31, z_max: float = 4.0
 ) -> list[CheckResult]:
-    """Marginal preservation: E(X_t^p) = E(xi^p) for every t and p <= 4."""
+    """Marginal preservation: E(X_t^p) = E(xi^p) for every t <= 100 and
+    p <= 4, for two laws at alpha = 0.75."""
+    alpha, n = 0.75, 100
     out = []
-    for label, dist in dists:
+    for label, dist in (("bernoulli(0.3)", StepDistribution.bernoulli(0.3)),
+                        ("discrete(-1,2)", _SKEWED_TWO_POINT)):
         exact = raw_moments(dist)
         marginal = marginal_moment_sums(dist, alpha, n, replicates, seed)
         count = marginal.count
@@ -532,31 +512,24 @@ def check_marginal_moments(
 
 
 def check_martingale_property(
-    dist: StepDistribution = StepDistribution.bernoulli(0.3),
-    alpha: float = 0.75,
-    n: int = 200,
-    replicates: int = 20_000,
-    seed: int = 57,
-    z_max: float = 4.0,
+    replicates: int = 20_000, seed: int = 57, z_max: float = 4.0
 ) -> list[CheckResult]:
-    """E(Q_{t} - Q_{t-1}) = 0 at every step, at Monte Carlo accuracy."""
-    stats = batch_epsilon_moments(dist, alpha, n, replicates, seed)
-    z = z_score(np.abs(stats.q_increment_mean), stats.q_increment_stderr)
+    """E(Q_{t} - Q_{t-1}) = a_t E(eps_t) = 0 at every step t <= 200, at
+    Monte Carlo accuracy, for Bernoulli(0.3) steps at alpha = 0.75.  The
+    factor a_t cancels in the z-score of E(eps_t)."""
+    stats = batch_epsilon_moments(StepDistribution.bernoulli(0.3), 0.75, 200, replicates, seed)
+    z = z_score(np.abs(stats.mean), stats.stderr)
     return [_result("martingale_property", float(z.max()), z_max, "worst |z| over steps")]
 
 
-def check_epsilon_bound(
-    dists=(("rademacher", StepDistribution.rademacher()), ("bernoulli(0.3)", StepDistribution.bernoulli(0.3))),
-    alpha: float = 0.75,
-    n: int = 256,
-    replicates: int = 10_000,
-    seed: int = 58,
-) -> list[CheckResult]:
-    """Martingale differences stay inside E|eps|^p <= 2^p E|xi|^p (p = 2, 4)."""
+def check_epsilon_bound(replicates: int = 10_000, seed: int = 58) -> list[CheckResult]:
+    """Martingale differences stay inside E|eps|^p <= 2^p E|xi|^p (p = 2, 4)
+    at every step t <= 256, for two laws at alpha = 0.75."""
     out = []
-    for label, dist in dists:
+    for label, dist in (("rademacher", StepDistribution.rademacher()),
+                        ("bernoulli(0.3)", StepDistribution.bernoulli(0.3))):
         m = raw_moments(dist)
-        stats = batch_epsilon_moments(dist, alpha, n, replicates, seed)
+        stats = batch_epsilon_moments(dist, 0.75, 256, replicates, seed)
         bound2 = 4.0 * m[1]
         bound4 = 16.0 * m[3]
         excess = max(
@@ -570,16 +543,12 @@ def check_epsilon_bound(
 
 
 def check_martingale_reconstruction(
-    alphas=(0.0, 0.5, 0.75, 1.0),
-    dists=_STANDARD_DISTS,
-    n: int = 2000,
-    seeds=(1, 2, 3),
-    rel_tol: float = 1e-10,
+    n: int = 2000, seeds=(1, 2, 3), rel_tol: float = 1e-10
 ) -> list[CheckResult]:
     """sum(a_k eps_k) telescopes back to a_n S~_n on every sampled path."""
     worst = 0.0
-    for alpha in alphas:
-        for _, dist in dists:
+    for alpha in (0.0, 0.5, 0.75, 1.0):
+        for _, dist in _STANDARD_DISTS:
             ms = moment_set(dist)
             for seed in seeds:
                 state = simulate_path(dist, alpha, n, seed)

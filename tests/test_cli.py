@@ -664,16 +664,16 @@ class TestRequestSizeCap:
         ("exact", "--n", "1000", "--compare"),
         ("simulate", "--n", "20000", "--replicates", "1"),
         ("simulate", "--n", "100", "--replicates", "200"),
-        # two chunks of 50 walks: 500 bytes of 1-byte labels and 94 kB of
-        # size pass per busy worker, 95 kB at one worker and 194 kB at two
+        # two chunks of 50 walks: 500 bytes of 1-byte labels and 91 kB of
+        # size pass per busy worker, 91 kB at one worker and 186 kB at two
         ("simulate", "--n", "160000", "--replicates", "100", "--checkpoints", "10",
          "--workers", "2"),
         # 1000 one-walk chunks of one step: 74 kB of labels and size pass
         # per busy worker, and the pool's record of 1000 chunks, about 2 MB
         ("simulate", "--n", "8000000", "--replicates", "1000", "--checkpoints", "1",
          "--workers", "2"),
-        # the shapes of test_simulate_at_cap_runs with one walk more: 176 kB
-        # and 169 kB, more labels and a wider tile
+        # the shapes of test_simulate_at_cap_runs with one walk more: 167 kB
+        # and 162 kB, more labels and a wider tile
         ("simulate", "--n", "20", "--replicates", "849"),
         ("simulate", "--n", "32", "--replicates", "94"),
     ], ids=["exact", "exact-compare", "simulate-long", "simulate-wide", "simulate-workers",
@@ -689,7 +689,7 @@ class TestRequestSizeCap:
         # a cap of exactly the request runs, and one walk more exits 2: 1-byte
         # labels, the size pass of one tile (at most _TILE_WALKS walks wide)
         # and the exact table to n.  With 848 walks one more adds 20 bytes
-        # of labels; with 93 it also widens the tile, 992 bytes in all.
+        # of labels; with 93 it also widens the tile, 920 bytes in all.
         monkeypatch.undo()
         cap = sim.batch_step_bytes(n, replicates, n) + 56 * n
         monkeypatch.setattr(cli, "MAX_REQUEST_BYTES", cap)
@@ -697,7 +697,7 @@ class TestRequestSizeCap:
         code, out, _ = run_cli(capsys, *argv, "--replicates", str(replicates))
         assert code == 0 and len(out.splitlines()) == 6
         over = sim.batch_step_bytes(n, replicates + 1, n) + 56 * n - cap
-        assert over == (20 if replicates > sim._TILE_WALKS else 992)
+        assert over == (20 if replicates > sim._TILE_WALKS else 920)
         assert_one_error_line(capsys, (*argv, "--replicates", str(replicates + 1)), "cap")
 
     def test_below_cap_runs(self, capsys, monkeypatch):

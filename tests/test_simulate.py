@@ -1,6 +1,7 @@
 """Simulator: determinism, degenerate regimes, accumulators, diagnostics."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -272,35 +273,35 @@ class TestBlockedDraws:
         spare = sim._SIZE_PASS_VALUES_PER_WALK
         # the mc shape: one chunk of 2000 walks with 2-byte labels to
         # n = 3000, and a tile of 128 walks with 2-byte counts, an index
-        # block of 128 rows and two power blocks of 129 rows (12.6 MiB;
-        # 23.2 MiB when a tile took 32 bytes per walk-step)
+        # block and two power blocks of 128 rows (12.6 MiB; 23.2 MiB when
+        # a tile took 32 bytes per walk-step)
         assert sim.batch_step_bytes(3000, 2000, 3000) == (
-            2 * 3000 * 2000 + 128 * (2 * 3000 + 8 * (128 + 2 * 129 + spare)) + fixed
-        ) == 13_255_424
+            2 * 3000 * 2000 + 128 * (2 * 3000 + 8 * (3 * 128 + spare)) + fixed
+        ) == 13_246_208
         # walks of 1e6 steps run 8 per chunk, with 4-byte labels and counts
         # and blocks of 2048 rows (64.5 MB; 288 MB at 32 bytes per walk-step)
         assert sim.batch_step_bytes(10**6, 8, 10**6) == (
-            4 * 8 * 10**6 + 8 * (4 * 10**6 + 8 * (2048 + 2 * 2049 + spare)) + fixed
-        ) == 64_468_224
+            4 * 8 * 10**6 + 8 * (4 * 10**6 + 8 * (3 * 2048 + spare)) + fixed
+        ) == 64_467_648
         monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 1000)
         pool = sim._POOL_SPAN_BYTES
         # one-walk chunks: the labels hold the last checkpoint - 1 and the
         # counts the last checkpoint, each in the narrowest unsigned type;
-        # one walk's power sums take all its rows in one block
+        # a block holds at most _BLOCK_ELEMENTS rows of one walk
         for last, label_size, count_size in (
             (255, 1, 1), (256, 1, 2), (257, 2, 2),
             (65_535, 2, 2), (65_536, 2, 4), (65_537, 4, 4),
         ):
             rows = min(sim._BLOCK_ELEMENTS, last)
             assert sim.batch_step_bytes(last, 1, last) == (
-                label_size * last + count_size * last + 8 * (rows + 2 * (last + 1) + spare) + fixed
+                label_size * last + count_size * last + 8 * (3 * rows + spare) + fixed
             ), last
         # chunks of 3 walks: labels (2 bytes to 300, 1 byte to 50) with as
         # many rows as the last checkpoint, and a tile of 3 walks whose
         # blocks hold every row, per busy worker; a pool also holds a
         # record of each of the 4 chunks
-        tile_300 = 3 * (2 * 300 + 8 * (300 + 2 * 301 + spare)) + fixed
-        tile_50 = 3 * (1 * 50 + 8 * (50 + 2 * 51 + spare)) + fixed
+        tile_300 = 3 * (2 * 300 + 8 * (3 * 300 + spare)) + fixed
+        tile_50 = 3 * (1 * 50 + 8 * (3 * 50 + spare)) + fixed
         assert sim.batch_step_bytes(300, 10, 300) == 2 * 300 * 3 + tile_300
         assert (sim.batch_step_bytes(300, 10, 50, workers=2)
                 == (1 * 50 * 3 + tile_50) * 2 + 4 * pool)
@@ -308,13 +309,13 @@ class TestBlockedDraws:
         assert (sim.batch_step_bytes(300, 10, 50, workers=64)
                 == (1 * 50 * 3 + tile_50) * 4 + 4 * pool)
         # a walk longer than the target is a chunk of its own
-        tile_5000 = 2 * 5000 + 8 * (5000 + 2 * 5001 + spare) + fixed
+        tile_5000 = 2 * 5000 + 8 * (3 * 5000 + spare) + fixed
         assert (sim.batch_step_bytes(5000, 2, 5000, workers=2)
                 == (2 * 5000 + tile_5000) * 2 + 2 * pool)
         # one worker runs the chunks in a loop and keeps no record of them;
         # a tile holds at most _TILE_WALKS walks
         assert sim.batch_step_bytes(1, 10**12, 1) == (
-            1 * 1000 + sim._TILE_WALKS * (1 + 8 * (1 + 2 * 2 + spare)) + fixed
+            1 * 1000 + sim._TILE_WALKS * (1 + 8 * (3 * 1 + spare)) + fixed
         )
 
     def test_labels_within_label_bytes(self):
@@ -462,10 +463,12 @@ def _enumerated_label_histories(alpha, n):
     return np.ascontiguousarray(labels), np.array([w for _, w in histories])
 
 
-def _bincount_size_sums(labels, checkpoints):
-    """Test oracle: the size pass that counted each checkpoint's new rows in
-    int64 with one `bincount` and summed N^2, N^3 and N^4 over whole
-    (c x width) float64 arrays.  `_cluster_size_sums` must give its bytes."""
+def _exact_size_sums(labels, checkpoints):
+    """Test oracle: the size pass in Python integers.  Each checkpoint's new
+    rows are counted in int64 with one `bincount`, and each walk's S_k is
+    the sum of m N^k over its histogram of cluster sizes (m clusters of
+    size N).  Yields (S2, S3, S4) per checkpoint, each a list of ints, one
+    per walk."""
     width = labels.shape[1]
     cols = np.arange(width, dtype=np.int64)
     counts = np.zeros(width * checkpoints[-1], dtype=np.int64)
@@ -476,48 +479,72 @@ def _bincount_size_sums(labels, checkpoints):
         index += cols
         head += np.bincount(index.reshape(-1), minlength=c * width)
         start = c
-        sizes = head.reshape(c, width).astype(np.float64)
-        square = sizes * sizes
-        s2 = square.sum(axis=0)
-        sizes *= square
-        s3 = sizes.sum(axis=0)
-        square *= square
-        yield s2, s3, square.sum(axis=0)
+        sums = ([], [], [])
+        for walk in head.reshape(c, width).T:
+            hist = np.bincount(walk)
+            sizes = np.flatnonzero(hist)
+            pairs = list(zip(hist[sizes].tolist(), sizes.tolist()))
+            for k, out in zip((2, 3, 4), sums):
+                out.append(sum(m * size**k for m, size in pairs))
+        yield sums
+
+
+def _rounded_exact_size_sums(labels, checkpoints):
+    """The exact sums of `_exact_size_sums`, each rounded once to float64."""
+    for sums in _exact_size_sums(labels, checkpoints):
+        yield tuple(np.array(sums, dtype=np.float64))
 
 
 def _assert_size_pass_matches_oracle(labels, ms, checkpoints, monkeypatch):
+    """Below 2**16 steps the size sums, and the engine's sums made from
+    them, are the bytes of the exact integers rounded once to float64.
+    Beyond, S_k is a float64 sum of c rounded terms, within the standard
+    bound (c + 3) 2**-53 of the exact sum."""
     where = (labels.shape, checkpoints[-1])
-    for got, want in zip(sim._cluster_size_sums(labels, checkpoints),
-                         _bincount_size_sums(labels, checkpoints), strict=True):
-        assert np.stack(got).tobytes() == np.stack(want).tobytes(), where
-    sums = sim._cluster_sums(labels, ms, checkpoints)
-    with monkeypatch.context() as patch:
-        patch.setattr(sim, "_cluster_size_sums", _bincount_size_sums)
-        assert sums.tobytes() == sim._cluster_sums(labels, ms, checkpoints).tobytes(), where
+    got = sim._cluster_size_sums(labels, checkpoints)
+    for c, sums, exact in zip(checkpoints, got, _exact_size_sums(labels, checkpoints), strict=True):
+        if checkpoints[-1] < 2**16:
+            assert np.stack(sums).tobytes() == np.array(exact, dtype=np.float64).tobytes(), where
+            continue
+        for value, want in zip(np.stack(sums).ravel().tolist(), itertools.chain(*exact)):
+            assert abs(int(value) - want) * 2**53 <= (c + 3) * want, (where, c)
+    if checkpoints[-1] < 2**16:
+        sums = sim._cluster_sums(labels, ms, checkpoints)
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_cluster_size_sums", _rounded_exact_size_sums)
+            assert sums.tobytes() == sim._cluster_sums(labels, ms, checkpoints).tobytes(), where
 
 
 class TestSizePass:
-    """The size pass in narrow counts and row blocks against the bincount
-    pass it replaced, byte for byte."""
+    """The size pass in narrow counts and row blocks against exact integer
+    sums."""
 
-    @pytest.mark.parametrize("alpha,n,width,checkpoints,seed", [
-        (0.75, 3000, 2000, (1000, 3000), 1),
-        (0.3, 3000, 1000, (1000, 3000), 1),
-        (0.75, 3000, 300, tuple(range(30, 3001, 30)), 2),
-        (1.0, 70_000, 130, (35_000, 70_000), 3),
-        (0.95, 65_537, 129, (1000, 65_537), 4),
-        (0.99, 70_000, 1, (70_000,), 5),
-        (0.99, 70_000, 3, (20_000, 70_000), 5),
-    ], ids=["mc-rademacher", "mc-gaussian", "100-checkpoints", "alpha1-rounding",
-            "uint32-labels", "one-walk", "three-walks"])
-    def test_matches_bincount_oracle(self, alpha, n, width, checkpoints, seed, monkeypatch):
-        # the mc shapes; 100 checkpoints; S4 above 2**53, where the float
-        # sums round; 4-byte labels with a tile of one walk; and one walk,
-        # whose sums numpy adds pairwise, not row by row (at seed 5 a split
-        # of its 70,000 rows into blocks changes the last bit of S4)
+    @pytest.mark.parametrize("alpha,n,width,checkpoints,seed,digest", [
+        (0.75, 3000, 2000, (1000, 3000), 1, None),
+        (0.3, 3000, 1000, (1000, 3000), 1, None),
+        (0.75, 3000, 300, tuple(range(30, 3001, 30)), 2, None),
+        (0.95, 20_000, 64, (10_000, 20_000), 1, None),
+        (0.95, 65_535, 16, (30_000, 65_535), 1, None),
+        (1.0, 70_000, 130, (35_000, 70_000), 3, None),
+        (0.95, 65_537, 129, (1000, 65_537), 4,
+         "0acd18990e8efdb71d0d09e7b5c2da858472869690df22ababbbe10a1a5b5684"),
+        (0.99, 70_000, 1, (70_000,), 5, None),
+        (0.99, 70_000, 3, (20_000, 70_000), 5, None),
+    ], ids=["mc-rademacher", "mc-gaussian", "100-checkpoints", "S4-above-2**53", "last-uint16",
+            "alpha1-rounding", "uint32-labels", "one-walk", "three-walks"])
+    def test_matches_bincount_oracle(self, alpha, n, width, checkpoints, seed, digest,
+                                     monkeypatch):
+        # the mc shapes; 100 checkpoints; S4 above 2**53, where float64
+        # sums of the terms would round, to the last step of 16-bit counts;
+        # and beyond it, float64 sums with 4-byte labels and a tile of one
+        # walk, one walk and three walks.  The float sums of uint32-labels
+        # are pinned, so that a change of their rounding is declared.
         ms = moment_set(StepDistribution.gaussian(0.5, 2.0))
         labels = sim._run_labels(alpha, n, replicate_keys(seed, 0, width))
         _assert_size_pass_matches_oracle(labels, ms, checkpoints, monkeypatch)
+        if digest is not None:
+            sums = np.stack([np.stack(s) for s in sim._cluster_size_sums(labels, checkpoints)])
+            assert hashlib.sha256(sums.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("last,dtype", [
         (255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32),
@@ -641,6 +668,8 @@ class TestClusterEngine:
         assert mean == acc._sums[0, 3] / 40 and mean_sq == acc._sums[0, 7] / 40
         with pytest.raises(ValueError):
             acc.moment_and_square(50, 5)
+        with pytest.raises(ValueError, match=r"^n = 49 is not one of the checkpoints \[50\]$"):
+            acc.moment_and_square(49, 2)
 
     def test_smaller_stderr_than_literal(self):
         # the conditional moment of each walk has S~^p's mean and less variance
@@ -759,9 +788,7 @@ class TestEpsilonMoments:
 
     def test_martingale_increments_centered(self, skewed_two_point):
         stats = batch_epsilon_moments(skewed_two_point, 0.8, 150, 20_000, 29)
-        z = np.abs(stats.q_increment_mean) / np.where(
-            stats.q_increment_stderr > 0, stats.q_increment_stderr, np.inf
-        )
+        z = np.abs(stats.mean) / np.where(stats.stderr > 0, stats.stderr, np.inf)
         assert float(z.max()) <= 4.0
 
 
