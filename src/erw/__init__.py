@@ -50,8 +50,6 @@ from .rng import parse_seed, replicate_key, replicate_keys
 from .simulate import (
     BatchAccumulator,
     ContinuationCheck,
-    EpsilonMoments,
-    MarginalSums,
     MartingaleView,
     ScaledMomentEstimate,
     WalkState,

@@ -307,13 +307,11 @@ def _norm_inv_cdf(u: np.ndarray) -> np.ndarray:
 
 
 def inverse_cdf(dist: StepDistribution, u):
-    """Map uniforms in (0, 1] to samples of `dist` (quantile transform).
-
-    Vectorised; `u` may be a scalar or an ndarray.  Exactly one uniform is
-    consumed per sample for every kind.
+    """Map an array of uniforms in (0, 1] to samples of `dist` (quantile
+    transform), elementwise.  Exactly one uniform is consumed per sample
+    for every kind.
     """
-    scalar = np.isscalar(u)
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    u = np.asarray(u, dtype=np.float64)
     if dist.kind == "rademacher":
         out = np.where(u < 0.5, -1.0, 1.0)
     elif dist.kind == "bernoulli":
@@ -332,4 +330,4 @@ def inverse_cdf(dist: StepDistribution, u):
         cum[top:] = 1.0
         idx = np.searchsorted(cum, u, side="right")
         out = np.asarray(dist.points)[np.minimum(idx, top)]
-    return float(out[0]) if scalar else out
+    return out

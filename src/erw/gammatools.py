@@ -68,57 +68,42 @@ def log_gamma_ratio(n, delta):
     treated as exact reals.  The relative error of the exponentiated ratio
     stays below 1e-12 for n <= 1e12 and |delta| <= 4 (measured ~6e-15 up
     to n = 1e7 and ~2e-14 up to n = 1e12).
-    Accepts scalars or broadcastable arrays.
+    Accepts scalars or broadcastable arrays, through one array path: a
+    scalar gives a numpy float, the bytes of element 0 of the same call on
+    a one-element array.
     """
-    if np.isscalar(n) and np.isscalar(delta):
-        n = float(n)
-        delta = float(delta)
-        if n < 1.0:
-            raise ValueError(f"log_gamma_ratio requires n >= 1, got {n}")
-        if n + delta <= 0.0:
-            raise ValueError(f"log_gamma_ratio requires n + delta > 0, got {n + delta}")
-        if n >= _STIRLING_MIN and n + delta >= _STIRLING_MIN:
-            total = n + delta
-            return math.fsum(
-                (
-                    (n - 0.5) * math.log1p(delta / n),
-                    delta * math.log(total),
-                    -delta,
-                    _stirling_tail(total),
-                    -_stirling_tail(n),
-                )
-            )
-        # both arguments are < 14 here, so the lgamma values are small and
-        # their difference does not cancel
-        return math.lgamma(n + delta) - math.lgamma(n)
-
     n_arr, d_arr = np.broadcast_arrays(
         np.asarray(n, dtype=np.float64), np.asarray(delta, dtype=np.float64)
     )
-    if np.any(n_arr < 1.0):
+    # array methods, not np.any: a scalar's call costs mostly dispatch
+    if (n_arr < 1.0).any():
         raise ValueError("log_gamma_ratio requires n >= 1")
-    if np.any(n_arr + d_arr <= 0.0):
+    if (n_arr + d_arr <= 0.0).any():
         raise ValueError("log_gamma_ratio requires n + delta > 0")
     out = np.empty(n_arr.shape, dtype=np.float64)
     small = (n_arr < _STIRLING_MIN) | (n_arr + d_arr < _STIRLING_MIN)
-    if np.any(small):
+    if small.any():
+        # one argument is below 10 and the other below 14, so the lgamma
+        # values are small and their difference does not cancel
         out[small] = [
             math.lgamma(a + b) - math.lgamma(a)
             for a, b in zip(n_arr[small].ravel(), d_arr[small].ravel())
         ]
     big = ~small
-    if np.any(big):
+    if big.any():
         nb = n_arr[big]
         db = d_arr[big]
         tot = nb + db
+        # one call for both tails: their +, * and / round alike either way
+        tail_tot, tail_n = _stirling_tail(np.stack((tot, nb)))
         out[big] = (
             (nb - 0.5) * np.log1p(db / nb)
             + db * np.log(tot)
             - db
-            + _stirling_tail(tot)
-            - _stirling_tail(nb)
+            + tail_tot
+            - tail_n
         )
-    return out
+    return out[()]
 
 
 def recip_gamma(x: float) -> float:
@@ -144,12 +129,11 @@ def martingale_scale(n, alpha: float):
     """The normaliser a_n = Gamma(n) / Gamma(n + alpha), ~ n^-alpha.
 
     a_1 = 1 / Gamma(1 + alpha); multiplying the centered walk position by a_n
-    turns it into a martingale.  Accepts scalar or array n >= 1.
+    turns it into a martingale.  Accepts scalar or array n >= 1; a scalar
+    gives a numpy float.
     """
     alpha = check_alpha(alpha)
-    return np.exp(-log_gamma_ratio(n, alpha)) if not np.isscalar(n) else math.exp(
-        -log_gamma_ratio(n, alpha)
-    )
+    return np.exp(-log_gamma_ratio(n, alpha))
 
 
 def _check_sum_domain(a: float, b: float, n: int) -> None:
@@ -166,8 +150,8 @@ def _sum_ends(a: float, b: float, n: int) -> tuple[float, float]:
     x Gamma(x): the factors b and (b-1) b carry the poles of Gamma(b) and
     Gamma(b-1) at b = 0, 1 and the sign of Gamma(b-1) for b < 1.
     """
-    lead = math.exp(log_gamma_ratio(b + 1.0, a - b))
-    return lead, math.exp(log_gamma_ratio(n + b, a + 1.0 - b))
+    lead, tail = map(math.exp, log_gamma_ratio((b + 1.0, n + b), (a - b, a + 1.0 - b)))
+    return lead, tail
 
 
 def gamma_sum_linear(a: float, b: float, n: int) -> float:

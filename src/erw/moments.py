@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
@@ -111,19 +110,16 @@ class ExactMomentTable:
         for start in range(0, len(self), _ROW_BLOCK):
             yield start + 1, self.values[start : start + _ROW_BLOCK]
 
-    def write_csv(self, path_or_file) -> None:
-        """Write the table as CSV with shortest round-trip decimals.
+    def write_csv(self, handle) -> None:
+        """Write the table as CSV with shortest round-trip decimals to an
+        open text handle.
 
         Each block of rows is formatted by `format_csv_rows` into one string
         and written with one call.
         """
-        if isinstance(path_or_file, (str, os.PathLike)):
-            with open(path_or_file, "w", newline="") as handle:
-                self.write_csv(handle)
-            return
-        path_or_file.write(",".join(CSV_COLUMNS) + "\n")
+        handle.write(",".join(CSV_COLUMNS) + "\n")
         for first, block in self.row_blocks():
-            path_or_file.write(format_csv_rows(first, block))
+            handle.write(format_csv_rows(first, block))
 
 
 def exact_moments_upto(ms: MomentSet, alpha: float, n_max: int) -> ExactMomentTable:
@@ -292,7 +288,7 @@ def closed_form_moments(ms: MomentSet, alpha: float, n) -> ClosedFormMoments:
     d3 = 3.0 * alpha - 1.0
     r2 = np.exp(log_gamma_ratio(n, 2.0 * alpha))
     r3 = np.exp(log_gamma_ratio(n, 3.0 * alpha))
-    n_arr = np.asarray(n, dtype=np.float64) if not np.isscalar(n) else float(n)
+    n_arr = np.asarray(n, dtype=np.float64)
 
     a2_coef = recip_gamma(2.0 * alpha) / d2
     g2 = a2_coef * r2 - n_arr / d2
@@ -340,7 +336,7 @@ def closed_form_s4(ms: MomentSet, alpha: float, n):
     d2 = 2.0 * alpha - 1.0
     d3 = 3.0 * alpha - 1.0
     d4 = 4.0 * alpha - 1.0
-    n_arr = np.asarray(n, dtype=np.float64) if not np.isscalar(n) else float(n)
+    n_arr = np.asarray(n, dtype=np.float64)
     r4 = np.exp(log_gamma_ratio(n, 4.0 * alpha))
     r3 = np.exp(log_gamma_ratio(n, 3.0 * alpha))
     r2 = np.exp(log_gamma_ratio(n, 2.0 * alpha))
@@ -371,8 +367,7 @@ def closed_form_s4(ms: MomentSet, alpha: float, n):
         - 6.0 * m2_sq / d2 * weighted(1.0, n_arr) / d4
     )
     # at n = 1 the sums are empty and the terms cancel only to rounding
-    s4 = np.where(n_arr == 1.0, ms.M4, s4)
-    return s4 if np.ndim(n) else float(s4)
+    return np.where(n_arr == 1.0, ms.M4, s4)[()]
 
 
 @dataclass(frozen=True)

@@ -83,17 +83,14 @@ def uniform_draw(key: int, counter: int) -> float:
 def uniform_draws(keys: np.ndarray, counter) -> np.ndarray:
     """Vectorised `uniform_draw` across many streams.
 
-    A scalar `counter` gives one draw per key, shape (keys.size,).  A 1-D
-    integer array of counters gives shape (len(counter), keys.size), row i
-    being the draws at counter[i]; the offsets (c+1)*GOLDEN wrap mod 2^64 in
-    uint64 arithmetic, exactly as the scalar path's mask does.
+    The result has shape np.shape(counter) + keys.shape: one draw per key
+    for a scalar `counter`, and for a 1-D array of counters row i holds the
+    draws at counter[i].  The offsets (c+1)*GOLDEN wrap mod 2^64 in uint64
+    arithmetic, exactly as `uniform_draw`'s mask does; they are computed on
+    a 1-D array, since numpy warns when a 0-d uint64 product wraps.
     """
-    if np.ndim(counter) == 0:
-        offset = np.uint64(((counter + 1) * GOLDEN) & MASK64)
-        v = _mix64_array(keys + offset)
-    else:
-        offsets = (np.asarray(counter, dtype=np.uint64) + np.uint64(1)) * _UGOLDEN
-        v = _mix64_array(offsets[:, None] + keys)
+    offsets = (np.asarray(counter, dtype=np.uint64).reshape(-1) + np.uint64(1)) * _UGOLDEN
+    v = _mix64_array(offsets[:, None] + keys).reshape(np.shape(counter) + keys.shape)
     v >>= _U11
     u = v.astype(np.float64)
     u += 0.5

@@ -20,11 +20,11 @@ founders' values are i.i.d. draws of the step law, so the conditional
 moments E(S~^p | sizes) are exact and their average estimates E(S~^p)
 with less variance than S~^p itself.  Every Monte Carlo sum has one
 layout: for p = 1..4, column p-1 sums each walk's estimate of E(.^p) and
-column p+3 its square (S~^p, E(S~^p | sizes) or a step's X_t^p), a row
-made by `_power_sums` or `_cluster_sums`.  One driver, `_run_batch`,
-runs every batch in chunks of fixed replicate ranges whose sums come back
-in span order, so every batch statistic has the same bytes for any
-worker count.
+column p+3 its square (S~^p, E(S~^p | sizes), or a step's X_t^p or
+martingale difference eps_t^p), a row made by `_power_sums` or
+`_cluster_sums`.  One driver, `_run_batch`, runs every batch in chunks of
+fixed replicate ranges whose sums come back in span order, so every batch
+statistic has the same bytes for any worker count.
 `sample_stderr` and `z_score` turn the sums into standard errors and
 z-scores for every consumer.
 """
@@ -81,33 +81,27 @@ _SIZE_PASS_FIXED_BYTES = 72 * 1024
 class WalkState:
     """A realized walk prefix: every step plus the running centered sums.
 
-    s = S_n, s_tilde = S_n - n m1, t_tilde and u_tilde are the centered sums
-    of squares and cubes, and q = a_n * s_tilde is the martingale value.
+    s_tilde = S_n - n m1, and t_tilde and u_tilde are the centered sums of
+    squares and cubes.
     """
 
     n: int
     steps: np.ndarray
-    s: float
     s_tilde: float
     t_tilde: float
     u_tilde: float
-    q: float
 
     @classmethod
-    def from_steps(cls, steps, ms: MomentSet, alpha: float) -> "WalkState":
-        alpha = check_alpha(alpha)
+    def from_steps(cls, steps, ms: MomentSet) -> "WalkState":
         arr = np.array(steps, dtype=np.float64)
         n = arr.size
         if n < 1:
             raise ValueError("a walk state needs at least one step")
-        s = float(arr.sum())
-        s_tilde = s - n * ms.m1
+        s_tilde = float(arr.sum()) - n * ms.m1
         t_tilde = float((arr * arr).sum()) - n * ms.m2
         u_tilde = float((arr ** 3).sum()) - n * ms.m3
-        q = martingale_scale(n, alpha) * s_tilde
         arr.flags.writeable = False
-        return cls(n=n, steps=arr, s=s, s_tilde=s_tilde,
-                   t_tilde=t_tilde, u_tilde=u_tilde, q=q)
+        return cls(n=n, steps=arr, s_tilde=s_tilde, t_tilde=t_tilde, u_tilde=u_tilde)
 
 
 def _block_draws(keys: np.ndarray, alpha: float, t_block: np.ndarray):
@@ -321,7 +315,7 @@ def simulate_path(dist: StepDistribution, alpha: float, n: int, seed: int) -> Wa
         raise ValueError(f"n must be a positive integer, got {n}")
     keys = np.array([seed & MASK64], dtype=np.uint64)
     steps = _run_paths(dist, alpha, n, keys)
-    return WalkState.from_steps(steps[:, 0], moment_set(dist), alpha)
+    return WalkState.from_steps(steps[:, 0], moment_set(dist))
 
 
 def check_checkpoints(checkpoints: Sequence[int], n: int | None = None) -> tuple[int, ...]:
@@ -580,46 +574,28 @@ def martingale_diagnostics(
     return MartingaleView(eps=eps, q_direct=q_direct, reconstruction_error=error)
 
 
-def _epsilon_sums(steps: np.ndarray, alpha: float, m1: float) -> np.ndarray:
-    """(3 x n) per-step sums of eps, eps^2 and eps^4 over the walks of one
-    step matrix.
-
-    eps_1 = X_1 - m1 and eps_t = X_t - m1 - (alpha/(t-1)) S~_{t-1}.
-    """
-    sums = np.zeros((3, steps.shape[0]), dtype=np.float64)
+def _martingale_differences(steps: np.ndarray, alpha: float, m1: float) -> Iterator[np.ndarray]:
+    """Yield eps_t for t = 1..n over the walks of one step matrix, a row at
+    a time: eps_1 = X_1 - m1 and eps_t = X_t - m1 - (alpha/(t-1)) S~_{t-1}."""
     s_prev = None
     for t, s_tilde in _centered_sums(steps, m1):
         eps = steps[t - 1] - m1
         if t > 1:
             eps -= (alpha / (t - 1)) * s_prev
-        sq = eps * eps
-        sums[:, t - 1] += (eps.sum(), sq.sum(), (sq * sq).sum())
+        yield eps
         s_prev = s_tilde
-    return sums
 
 
-@dataclass(frozen=True, eq=False)
-class MarginalSums:
-    """Per-step sums over `count` walks, in the one layout: sums[t-1, p-1]
-    is the sum of X_t^p and sums[t-1, p+3] the sum of X_t^(2p), p = 1..4."""
+def _step_sums(dist, alpha, n, replicates, master_seed, rows) -> np.ndarray:
+    """(n, 8) per-step sums over a batch in the one layout: row t-1 adds
+    `_power_sums` of step t's values, which `rows(steps)` yields a step at
+    a time from each chunk's step matrix."""
 
-    count: int
-    sums: np.ndarray
+    def chunk_sums(span):
+        steps = _chunk_steps(dist, alpha, n, master_seed, span)
+        return np.array([_power_sums(values) for values in rows(steps)])
 
-
-@dataclass(frozen=True, eq=False)
-class EpsilonMoments:
-    """Empirical per-step statistics of the martingale differences.
-
-    mean[t-1] estimates E(eps_t), which the martingale property makes zero
-    for every t, since E(Q_t - Q_{t-1}) = a_t E(eps_t).
-    """
-
-    n_replicates: int
-    mean: np.ndarray
-    stderr: np.ndarray
-    abs2: np.ndarray
-    abs4: np.ndarray
+    return sum(chunk for chunk, _ in _run_batch(n, replicates, 1, chunk_sums))
 
 
 def batch_epsilon_moments(
@@ -628,22 +604,19 @@ def batch_epsilon_moments(
     n: int,
     replicates: int,
     master_seed: int,
-) -> EpsilonMoments:
-    """Empirical E(eps_t), E(eps_t^2), E(eps_t^4) for t = 1..n over a batch."""
+) -> np.ndarray:
+    """(n, 8) per-step sums of the martingale differences over a batch:
+    row t-1 holds the sums of eps_t^p (columns 0..3) and eps_t^(2p)
+    (columns 4..7), p = 1..4.
+
+    The martingale property makes E(eps_t) zero for every t, since
+    E(Q_t - Q_{t-1}) = a_t E(eps_t).
+    """
     alpha = check_alpha(alpha)
     m1 = moment_set(dist).m1
-
-    def chunk_sums(span):
-        return _epsilon_sums(_chunk_steps(dist, alpha, n, master_seed, span), alpha, m1)
-
-    sums = sum(chunk for chunk, _ in _run_batch(n, replicates, 1, chunk_sums))
-    mean, abs2, abs4 = sums / replicates
-    return EpsilonMoments(
-        n_replicates=replicates,
-        mean=mean,
-        stderr=sample_stderr(mean, abs2, replicates),
-        abs2=abs2,
-        abs4=abs4,
+    return _step_sums(
+        dist, alpha, n, replicates, master_seed,
+        lambda steps: _martingale_differences(steps, alpha, m1),
     )
 
 
@@ -653,19 +626,14 @@ def marginal_moment_sums(
     n: int,
     replicates: int,
     master_seed: int,
-) -> MarginalSums:
-    """Per-step sums of X_t^p and X_t^(2p) (p = 1..4) across a batch.
+) -> np.ndarray:
+    """(n, 8) per-step sums of X_t^p (columns 0..3) and X_t^(2p) (columns
+    4..7), p = 1..4, across a batch.
 
     The marginal law of every X_t equals the step law, so the per-step
     empirical moments must match the raw moments at Monte Carlo accuracy.
     """
-    alpha = check_alpha(alpha)
-
-    def chunk_sums(span):
-        return np.array([_power_sums(x) for x in _chunk_steps(dist, alpha, n, master_seed, span)])
-
-    sums = sum(chunk for chunk, _ in _run_batch(n, replicates, 1, chunk_sums))
-    return MarginalSums(count=replicates, sums=sums)
+    return _step_sums(dist, check_alpha(alpha), n, replicates, master_seed, iter)
 
 
 @dataclass(frozen=True)

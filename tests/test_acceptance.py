@@ -222,8 +222,8 @@ def test_criterion_6_stochastic_invariants():
     # conditional continuations within 3 SE, including the +1,+1,+1 prefix
     ms_rad = moment_set(RADEMACHER)
     cases = [
-        (RADEMACHER, 0.6, WalkState.from_steps([1.0, 1.0, 1.0], ms_rad, 0.6)),
-        (RADEMACHER, 0.0, WalkState.from_steps([1.0, 1.0, 1.0], ms_rad, 0.0)),
+        (RADEMACHER, 0.6, WalkState.from_steps([1.0, 1.0, 1.0], ms_rad)),
+        (RADEMACHER, 0.0, WalkState.from_steps([1.0, 1.0, 1.0], ms_rad)),
         (TWO_POINT, 0.75, simulate_path(TWO_POINT, 0.75, 5, 3)),
     ]
     for dist, alpha, prefix in cases:

@@ -1,5 +1,6 @@
 """Every public name has a production consumer or is labelled a test oracle,
-and every defaulted parameter is set by some call."""
+every defaulted parameter is set by some call, and scalars and arrays take
+one path through each computation."""
 
 import ast
 import collections
@@ -7,6 +8,7 @@ import inspect
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import erw
@@ -104,3 +106,62 @@ def test_every_default_is_overridden_somewhere():
         if not any(_sets(call, param, position) for call in calls[name])
     ]
     assert never_set == []
+
+
+def test_no_scalar_branches():
+    # a branch on np.isscalar or np.ndim is a second path for scalars,
+    # whose last bits can drift from the array path's
+    forks = sorted({
+        f"{path.stem}.{func.name}"
+        for path in SRC.glob("*.py")
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("isscalar", "ndim")
+        and getattr(node.func.value, "id", None) == "np"
+    })
+    assert forks == []
+
+
+_UNIFORM = erw.moment_set(erw.StepDistribution.uniform(0.0, 1.0))
+_ALPHAS = (0.0, 0.26, 0.75, 1.0)
+#: n below 10, n + delta below 10 and both above, out to 1e12
+_NS = (1.0, 1.5, 2.0, 5.0, 9.5, 10.0, 11.0, 13.0, 31.0, 100.0, 1e3, 1e5, 1e7, 1e12)
+_CF_FIELDS = ("s2", "st", "s3", "su", "t2", "s2t")
+
+#: name -> (x -> list of results, the x to try): a scalar x must give the
+#: bytes of element 0 of the same call on the one-element array [x]
+_ONE_PATH = {
+    "log_gamma_ratio": (
+        lambda n: [
+            erw.log_gamma_ratio(n, d)
+            for d in (-4.0, -0.7, 0.0, 1e-9, 0.3, 1.0, 2.2, 3.6, 4.0)
+            if np.all(n + d > 0.0)
+        ],
+        _NS,
+    ),
+    "martingale_scale": (lambda n: [erw.martingale_scale(n, a) for a in _ALPHAS], _NS),
+    "closed_form_moments": (
+        lambda n: [
+            getattr(erw.closed_form_moments(_UNIFORM, a, n), field)
+            for a in _ALPHAS for field in _CF_FIELDS
+        ],
+        _NS,
+    ),
+    "closed_form_s4": (lambda n: [erw.closed_form_s4(_UNIFORM, a, n) for a in _ALPHAS], _NS),
+    "uniform_draws": (
+        lambda c: [erw.rng.uniform_draws(erw.replicate_keys(977, 3, 5), c)],
+        (0, 1, 11, 2**63 - 1, 2**63, 2**64 - 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _ONE_PATH)
+def test_scalar_is_element_zero_of_one_element_array(name):
+    call, xs = _ONE_PATH[name]
+    for x in xs:
+        for scalar, array in zip(call(x), call(np.array([x])), strict=True):
+            assert np.shape(scalar) == np.shape(array)[1:], (name, x)
+            assert np.asarray(scalar).tobytes() == array[0].tobytes(), (name, x)

@@ -329,7 +329,8 @@ class TestSampling:
         edges = (2.0 ** -54, 0.5, 1.0)
         for u, x in zip(edges, inverse_cdf(dist, np.array(edges))):
             assert in_closed_support(dist, float(x)), (dist, u, x)
-            assert in_closed_support(dist, inverse_cdf(dist, u)), (dist, u)
+            one = inverse_cdf(dist, np.array([u]))
+            assert in_closed_support(dist, float(one[0])), (dist, u)
 
     def test_rademacher_support(self):
         u = np.random.default_rng(1).random(1000)
@@ -343,11 +344,6 @@ class TestSampling:
     def test_point_mass(self):
         u = np.random.default_rng(3).random(64)
         assert np.all(inverse_cdf(StepDistribution.discrete([2.0], [1.0]), u) == 2.0)
-
-    def test_scalar_matches_vector(self):
-        dist = StepDistribution.gaussian(0.5, 2.0)
-        u = 0.371
-        assert inverse_cdf(dist, u) == inverse_cdf(dist, np.array([u]))[0]
 
     def test_norm_inv_cdf_against_mpmath(self):
         import mpmath as mp
@@ -366,12 +362,11 @@ class TestSampling:
         # 1 - 2**-54 rounds to 1.0, the largest value uniform_draws returns
         weight = dict(zip(dist.points, dist.weights))
         for u in (2.0 ** -54, 0.5, 1.0 - 2.0 ** -54):
-            assert weight[inverse_cdf(dist, u)] > 0.0
-        assert weight[float(inverse_cdf(dist, np.array([1.0 - 2.0 ** -54]))[0])] > 0.0
+            assert weight[float(inverse_cdf(dist, np.array([u]))[0])] > 0.0
 
     def test_trailing_zero_weight_at_top(self):
         dist = StepDistribution.discrete((1.0, 2.0, 3.0, 99.0), (0.1, 0.2, 0.7, 0.0))
-        assert inverse_cdf(dist, 1.0 - 2.0 ** -54) == 3.0
+        assert inverse_cdf(dist, np.array([1.0 - 2.0 ** -54])).tolist() == [3.0]
 
     def test_empirical_moments_match(self):
         # four standard errors at one million draws, every builtin kind

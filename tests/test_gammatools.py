@@ -58,8 +58,8 @@ class TestLogGammaRatio:
         assert worst <= 1e-12
 
     def test_against_mpmath_far_out(self):
-        # contract: the same bound up to n = 1e12, on the scalar and array
-        # paths (the fourth-moment asymptote check reads n = 1e8..1e12)
+        # contract: the same bound up to n = 1e12, for scalar and array
+        # arguments (the fourth-moment asymptote check reads n = 1e8..1e12)
         worst = 0.0
         for n in (1e8, 1e9, 1e10, 1e11, 1e12):
             for delta in (-4.0, 1e-9, 0.3, 1.0, 2.4, 3.6, 4.0):
@@ -75,10 +75,10 @@ class TestLogGammaRatio:
             assert err <= 1e-12
 
     def test_array_matches_scalar(self):
-        ns = np.array([1.0, 4.0, 50.0, 2e6])
+        ns = np.array([1.0, 4.0, 8.5, 50.0, 2e6])
         out = log_gamma_ratio(ns, 1.7)
         for n, value in zip(ns, out):
-            assert value == pytest.approx(log_gamma_ratio(float(n), 1.7), rel=1e-14)
+            assert value.tobytes() == log_gamma_ratio(float(n), 1.7).tobytes()
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

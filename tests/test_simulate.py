@@ -43,45 +43,35 @@ LAWS = (
 _LAYOUT = [0, 1, 2, 3, 1, 3, 5, 7]
 
 
-class _EpsilonCollector:
-    """Test oracle: per-step sums of eps, eps^2 and eps^4, fed one step at a time."""
+class _PowerCollector:
+    """Test oracle: per-step power sums (p = 1..8) of one value per walk and
+    step, fed one step at a time; `value(t, x, s_tilde_prev)` gives step
+    t's values from its steps x and the previous centered sums."""
 
-    def __init__(self, alpha: float, m1: float, n: int):
-        self.alpha = alpha
-        self.m1 = m1
-        self.count = 0
-        self.sum1 = np.zeros(n)
-        self.sum2 = np.zeros(n)
-        self.sum4 = np.zeros(n)
-
-    def collect(self, t, x, s_tilde_prev, s_tilde):
-        if t == 1:
-            self.count += x.size
-            eps = x - self.m1
-        else:
-            eps = x - self.m1 - (self.alpha / (t - 1)) * s_tilde_prev
-        sq = eps * eps
-        self.sum1[t - 1] += eps.sum()
-        self.sum2[t - 1] += sq.sum()
-        self.sum4[t - 1] += (sq * sq).sum()
-
-
-class _MarginalCollector:
-    """Test oracle: per-step power sums of the raw step X_t (p = 1..8)."""
-
-    def __init__(self, n: int):
-        self.count = 0
+    def __init__(self, n: int, value):
+        self.value = value
         self.sums = np.zeros((n, 8))
 
     def collect(self, t, x, s_tilde_prev, s_tilde):
-        if t == 1:
-            self.count += x.size
+        values = self.value(t, x, s_tilde_prev)
         row = self.sums[t - 1]
-        p = x.copy()
+        p = values.copy()
         for k in range(8):
             row[k] += p.sum()
             if k < 7:
-                p *= x
+                p *= values
+
+
+def _epsilon(alpha: float, m1: float):
+    """Test oracle: the martingale difference eps_1 = X_1 - m1 and
+    eps_t = X_t - m1 - (alpha/(t-1)) S~_{t-1}, as a collector's value."""
+
+    def value(t, x, s_tilde_prev):
+        if t == 1:
+            return x - m1
+        return x - m1 - (alpha / (t - 1)) * s_tilde_prev
+
+    return value
 
 
 def _reference_run_paths(dist, ms, alpha, n, keys, checkpoint_index=None,
@@ -181,7 +171,7 @@ class TestSimulatePath:
         a = simulate_path(bernoulli03, 0.75, 200, 42)
         b = simulate_path(bernoulli03, 0.75, 200, 42)
         assert np.array_equal(a.steps, b.steps)
-        assert a.q == b.q
+        assert a.s_tilde == b.s_tilde
 
     def test_seed_changes_path(self, bernoulli03):
         a = simulate_path(bernoulli03, 0.75, 200, 42)
@@ -201,11 +191,9 @@ class TestSimulatePath:
         ms = moment_set(uniform01)
         state = simulate_path(uniform01, 0.6, 500, 7)
         steps = np.asarray(state.steps)
-        assert state.s == pytest.approx(steps.sum(), rel=1e-12)
-        assert state.s_tilde == pytest.approx(state.s - 500 * ms.m1, rel=1e-9)
+        assert state.s_tilde == pytest.approx(steps.sum() - 500 * ms.m1, rel=1e-9)
         assert state.t_tilde == pytest.approx((steps ** 2).sum() - 500 * ms.m2, rel=1e-9)
         assert state.u_tilde == pytest.approx((steps ** 3).sum() - 500 * ms.m3, rel=1e-9)
-        assert state.q == pytest.approx(martingale_scale(500, 0.6) * state.s_tilde, rel=1e-12)
 
     def test_rejects_bad_n(self, rademacher):
         with pytest.raises(ValueError):
@@ -230,13 +218,12 @@ class TestBlockedDraws:
         for n in (1, 2, rows - 1, rows, rows + 1, 2 * rows + 3):
             cps = sorted({1, 2, rows - 1, rows, rows + 1, n} & set(range(1, n + 1)))
             cpi = {c: i for i, c in enumerate(cps)}
-            eps = _EpsilonCollector(alpha, ms.m1, n)
-            marginal = _MarginalCollector(n)
+            eps = _PowerCollector(n, _epsilon(alpha, ms.m1))
+            marginal = _PowerCollector(n, lambda t, x, s_tilde_prev: x)
             ref_sums, ref_steps = _reference_run_paths(
                 dist, ms, alpha, n, keys, checkpoint_index=cpi,
                 collectors=(eps, marginal), keep_steps=True,
             )
-            eps_sums = np.stack([eps.sum1, eps.sum2, eps.sum4])
             where = (dist.kind, width, n)
 
             steps = sim._run_paths(dist, alpha, n, keys)
@@ -246,16 +233,11 @@ class TestBlockedDraws:
             acc = simulate_batch(dist, alpha, n, width, seed, cps)
             assert acc._sums.tobytes() == ref_sums.tobytes(), where
 
-            sums = sim._epsilon_sums(steps, alpha, ms.m1)
-            assert sums.tobytes() == eps_sums.tobytes(), where
-            stats = batch_epsilon_moments(dist, alpha, n, width, seed)
-            assert stats.n_replicates == eps.count == width
-            for got, ref in zip((stats.mean, stats.abs2, stats.abs4), eps_sums / eps.count):
-                assert got.tobytes() == ref.tobytes(), where
-
-            batch_marginal = marginal_moment_sums(dist, alpha, n, width, seed)
-            assert batch_marginal.count == marginal.count == width
-            assert batch_marginal.sums.tobytes() == marginal.sums[:, _LAYOUT].tobytes(), where
+            for got, ref in (
+                (batch_epsilon_moments(dist, alpha, n, width, seed), eps),
+                (marginal_moment_sums(dist, alpha, n, width, seed), marginal),
+            ):
+                assert got.tobytes() == ref.sums[:, _LAYOUT].tobytes(), where
 
     def test_chunk_spans_cover_replicates_in_order(self, monkeypatch):
         monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 1000)
@@ -367,7 +349,7 @@ class TestBatch:
         acc = simulate_batch(bernoulli03, 0.6, 50, 1, 999, [25, 50])
         state = simulate_path(bernoulli03, 0.6, 50, replicate_key(999, 0))
         ms = moment_set(bernoulli03)
-        prefix = WalkState.from_steps(state.steps[:25], ms, 0.6)
+        prefix = WalkState.from_steps(state.steps[:25], ms)
         for p in range(1, 5):
             for n, walk in ((50, state), (25, prefix)):
                 mean, mean_sq = acc.moment_and_square(n, p)
@@ -768,35 +750,38 @@ class TestMartingaleDiagnostics:
         ms = moment_set(uniform01)
         state = simulate_path(uniform01, 0.8, 500, 21)
         view = martingale_diagnostics(state, 0.8, ms)
-        assert view.q_direct == pytest.approx(state.q, rel=1e-12)
+        q = martingale_scale(500, 0.8) * state.s_tilde
+        assert view.q_direct == pytest.approx(q, rel=1e-12)
 
 
 class TestEpsilonMoments:
+    """Means of eps_t^p (column p-1) and eps_t^(2p) (column p+3) over a batch."""
+
     def test_memoryless_second_moment(self, bernoulli03):
         ms = moment_set(bernoulli03)
-        stats = batch_epsilon_moments(bernoulli03, 0.0, 100, 20_000, 17)
+        means = batch_epsilon_moments(bernoulli03, 0.0, 100, 20_000, 17) / 20_000
         # E(eps^2) = M2 at every step when there is no memory
-        se = np.sqrt(np.maximum(stats.abs4 - stats.abs2 ** 2, 0.0) / stats.n_replicates)
-        assert np.all(np.abs(stats.abs2 - ms.M2) <= 4.0 * se + 1e-12)
+        se = sample_stderr(means[:, 1], means[:, 5], 20_000)
+        assert np.all(np.abs(means[:, 1] - ms.M2) <= 4.0 * se + 1e-12)
 
     def test_lp_bound(self, rademacher, bernoulli03):
         for dist in (rademacher, bernoulli03):
             m = moment_set(dist)
-            stats = batch_epsilon_moments(dist, 0.75, 128, 10_000, 23)
-            assert np.all(stats.abs2 <= 4.0 * m.m2 + 1e-9)
-            assert np.all(stats.abs4 <= 16.0 * m.m4 + 1e-9)
+            means = batch_epsilon_moments(dist, 0.75, 128, 10_000, 23) / 10_000
+            assert np.all(means[:, 1] <= 4.0 * m.m2 + 1e-9)
+            assert np.all(means[:, 3] <= 16.0 * m.m4 + 1e-9)
 
     def test_martingale_increments_centered(self, skewed_two_point):
-        stats = batch_epsilon_moments(skewed_two_point, 0.8, 150, 20_000, 29)
-        z = np.abs(stats.mean) / np.where(stats.stderr > 0, stats.stderr, np.inf)
-        assert float(z.max()) <= 4.0
+        means = batch_epsilon_moments(skewed_two_point, 0.8, 150, 20_000, 29) / 20_000
+        z = z_score(means[:, 0], sample_stderr(means[:, 0], means[:, 4], 20_000))
+        assert float(np.abs(z).max()) <= 4.0
 
 
 class TestConditionalContinuation:
     def test_rademacher_prefix(self, rademacher):
         # prefix +1,+1,+1 at alpha = 0.6 predicts E(X_4) = 0.6
         ms = moment_set(rademacher)
-        prefix = WalkState.from_steps([1.0, 1.0, 1.0], ms, 0.6)
+        prefix = WalkState.from_steps([1.0, 1.0, 1.0], ms)
         checks = {c.name: c for c in conditional_continuation_test(prefix, rademacher, 0.6, 100_000, 5)}
         assert checks["dx"].predicted == pytest.approx(0.6, rel=1e-15)
         assert abs(checks["dx"].observed - 0.6) <= 3.0 * checks["dx"].stderr
@@ -804,7 +789,7 @@ class TestConditionalContinuation:
 
     def test_zero_prefix_centered(self, rademacher):
         ms = moment_set(rademacher)
-        prefix = WalkState.from_steps([1.0, -1.0], ms, 0.7)
+        prefix = WalkState.from_steps([1.0, -1.0], ms)
         checks = {c.name: c for c in conditional_continuation_test(prefix, rademacher, 0.7, 50_000, 6)}
         assert checks["dx"].predicted == 0.0
         assert abs(checks["dx"].observed) <= 3.0 * checks["dx"].stderr

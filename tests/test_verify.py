@@ -108,12 +108,11 @@ def test_martingale_scale_recurrence_full_size():
 
 
 def _patch_martingale_scale(monkeypatch, mutate):
-    """Replace verify's a_n so that its array results pass through `mutate`."""
+    """Replace verify's a_n so that its results pass through `mutate`."""
     real = erw.verify.martingale_scale
 
     def mutant(n, alpha):
-        a = real(n, alpha)
-        return a if np.isscalar(n) else mutate(np.asarray(n), a)
+        return mutate(np.asarray(n), real(n, alpha))
 
     monkeypatch.setattr(erw.verify, "martingale_scale", mutant)
 
@@ -126,11 +125,11 @@ def test_recurrence_mutant_fails(monkeypatch):
 
 
 def test_array_a1_mutant_fails(monkeypatch):
-    # a uniform rescale keeps every ratio a_{n+1}/a_n; only the comparison
-    # of the array a_1 with the scalar a_1 sees it
+    # a uniform rescale keeps every ratio a_{n+1}/a_n; only the check of
+    # a_1 against 1/Gamma(1 + alpha) sees it
     _patch_martingale_scale(monkeypatch, lambda n, a: a * (1.0 + 1e-13))
     (result,) = check_martingale_scale_recurrence(n_max=10_000)
-    assert result.status == FAIL and "array a_1" in result.detail
+    assert result.status == FAIL and "a_1 wrong" in result.detail
 
 
 def test_gamma_sum_mutant_fails(monkeypatch):
