@@ -2,8 +2,8 @@
 
 Analytic layer: exact moment recursions, their gamma-ratio closed forms,
 and the first four moments of the superdiffusive limit.  Stochastic layer:
-a reproducible counter-based Monte Carlo simulator with martingale
-diagnostics.  The two are built to check each other.
+a reproducible counter-based Monte Carlo simulator.  The two are built to
+check each other.
 """
 
 from .distributions import (
@@ -50,7 +50,6 @@ from .rng import parse_seed, replicate_key, replicate_keys
 from .simulate import (
     BatchAccumulator,
     ContinuationCheck,
-    MartingaleView,
     ScaledMomentEstimate,
     WalkState,
     batch_epsilon_moments,
@@ -58,7 +57,6 @@ from .simulate import (
     cluster_batch,
     conditional_continuation_test,
     empirical_q_moments,
-    martingale_diagnostics,
     sample_stderr,
     simulate_path,
     z_score,

@@ -4,8 +4,9 @@ The walk's moment formulas are built from ratios Gamma(n + delta) / Gamma(n)
 with n up to 1e7.  Forming Gamma(n + delta) directly overflows near n = 170,
 and subtracting two large lgamma values loses up to 8 digits, so ratios are
 evaluated in log space from a Stirling-series difference that never
-cancels.  On top of that sit two closed-form gamma-ratio sums and the
-generic solver for first-order recursions b_{n+1} = (1 + beta/n) b_n + c_n.
+cancels, and exponentiated with np.exp.  On top of that sit one closed form
+of two gamma-ratio sums, and the solution of b_{n+1} = (1 + beta/n) b_n + c_n
+in one form for constant c_n and by a generic solver for any c_n.
 
 Direct-summation / direct-iteration twins of the closed forms are provided
 as testing oracles.  They are O(n): the direct sums evaluate every term in
@@ -136,64 +137,100 @@ def martingale_scale(n, alpha: float):
     return np.exp(-log_gamma_ratio(n, alpha))
 
 
-def _check_sum_domain(a: float, b: float, n: int) -> None:
-    if a < 0.0 or b < 0.0:
+def _check_n(n, name: str):
+    """n as float64, or ValueError unless every element is a finite whole
+    number >= 1: the one rule for the n of the sums and recursions below.
+    A bool is refused rather than read as 0 or 1."""
+    values = np.asarray(n)
+    if values.dtype.kind in "iuf":
+        values = values.astype(np.float64)
+        if (np.isfinite(values) & (values >= 1.0) & (values == np.floor(values))).all():
+            return values[()]
+    raise ValueError(f"{name} must be a positive integer, got {n}")
+
+
+def _refuse_singular(denominator: str, value) -> None:
+    """SingularParameterError if an element of `value` is within SINGULAR_TOL of 0."""
+    value = np.asarray(value)
+    near = np.abs(value) < SINGULAR_TOL
+    if near.any():
+        raise SingularParameterError(denominator, float(value[near][0]))
+
+
+def scaled_gamma_sums(a, b, n, f_a, f_b1):
+    """The one closed form of the two gamma sums to n - 1,
+
+        L = sum_{j<n} Gamma(j+a)/Gamma(j+b)  and  W = sum_{j<n} j Gamma(j+a)/Gamma(j+b),
+
+    as the pair ((b-a-1) f_{b-1}(n) L, (b-a-1)(b-a-2) f_{b-1}(n) W), from
+    the ratios f_c(n) = Gamma(n+c)/Gamma(n) the caller holds (f_a and f_b1)
+    and the lead G = Gamma(a+1)/Gamma(b+1), all of whose arguments are >= 1:
+
+        (b-a-1) f_{b-1} L = b G f_{b-1} - f_a,
+        (b-a-1)(b-a-2) f_{b-1} W = (b-1) (b-a-1) f_{b-1} L - (b-a-1)(n-1) f_a.
+
+    The factors b and b-1 carry the poles of Gamma(b) and Gamma(b-1) at
+    b = 0, 1, and both values are finite for every a, b >= 0, b = a+1 and
+    a+2 included.  `gamma_sum_linear`, `gamma_sum_weighted` and
+    `moments.closed_form_s4` are built on it.
+    """
+    lead = np.exp(log_gamma_ratio(b + 1.0, a - b))
+    linear = b * lead * f_b1 - f_a
+    return linear, (b - 1.0) * linear - (b - a - 1.0) * (n - 1.0) * f_a
+
+
+def _sum_args(a, b, n):
+    """(a, b, n) as float64 arrays of one shape, or ValueError unless
+    a, b >= 0 and n is a whole number >= 1."""
+    n = _check_n(n, "n")
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if (a < 0.0).any() or (b < 0.0).any():
         raise ValueError(f"gamma sums are defined for a, b >= 0, got a={a}, b={b}")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    return np.broadcast_arrays(a, b, n)
 
 
-def _sum_ends(a: float, b: float, n: int) -> tuple[float, float]:
-    """(Gamma(a+1)/Gamma(b+1), Gamma(n+a+1)/Gamma(n+b)), every argument >= 1.
-
-    Both gamma sums are these two ratios times factors of Gamma(x+1) =
-    x Gamma(x): the factors b and (b-1) b carry the poles of Gamma(b) and
-    Gamma(b-1) at b = 0, 1 and the sign of Gamma(b-1) for b < 1.
-    """
-    lead, tail = map(math.exp, log_gamma_ratio((b + 1.0, n + b), (a - b, a + 1.0 - b)))
-    return lead, tail
+def _sums_to_n(a, b, n):
+    """(a, b) as checked by `_sum_args`, `scaled_gamma_sums` of the sums to
+    n, and f_{b-1}(n+1).  Finite for every a, b >= 0."""
+    a, b, n = _sum_args(a, b, n)
+    f_a, f_b1 = np.exp(log_gamma_ratio(n + 1.0, np.stack((a, b - 1.0))))
+    return a, b, scaled_gamma_sums(a, b, n + 1.0, f_a, f_b1), f_b1
 
 
-def gamma_sum_linear(a: float, b: float, n: int) -> float:
+def gamma_sum_linear(a, b, n):
     """Closed form of sum_{j=1..n} Gamma(j+a) / Gamma(j+b), for b != a+1:
-    (Gamma(a+1)/Gamma(b) - Gamma(n+a+1)/Gamma(n+b)) / (b-a-1)."""
-    _check_sum_domain(a, b, n)
+    (Gamma(a+1)/Gamma(b) - Gamma(n+a+1)/Gamma(n+b)) / (b-a-1).  Scalars or
+    arrays, through one path (a scalar gives a numpy float)."""
+    a, b, (linear, _), f_b1 = _sums_to_n(a, b, n)
     d = b - a - 1.0
-    if abs(d) < SINGULAR_TOL:
-        raise SingularParameterError("b - a - 1", d)
-    lead, tail = _sum_ends(a, b, n)
-    return (b * lead - tail) / d
+    _refuse_singular("b - a - 1", d)
+    return (linear / (d * f_b1))[()]
 
 
-def gamma_sum_weighted(a: float, b: float, n: int) -> float:
-    """Closed form of sum_{j=1..n} j * Gamma(j+a) / Gamma(j+b):
+def gamma_sum_weighted(a, b, n):
+    """Closed form of sum_{j=1..n} j * Gamma(j+a) / Gamma(j+b), for
+    b != a+1 and b != a+2:
     (Gamma(a+1)/Gamma(b-1) - Gamma(n+a+1)/Gamma(n+b-1)) / ((b-a-1)(b-a-2))
-    - n Gamma(n+a+1)/Gamma(n+b) / (b-a-1).
-
-    Requires b != a+1 and b != a+2.
-    """
-    _check_sum_domain(a, b, n)
+    - n Gamma(n+a+1)/Gamma(n+b) / (b-a-1).  Scalars or arrays, through one
+    path (a scalar gives a numpy float)."""
+    a, b, (_, weighted), f_b1 = _sums_to_n(a, b, n)
     d1 = b - a - 1.0
     d2 = b - a - 2.0
-    if abs(d1) < SINGULAR_TOL:
-        raise SingularParameterError("b - a - 1", d1)
-    if abs(d2) < SINGULAR_TOL:
-        raise SingularParameterError("b - a - 2", d2)
-    lead, tail = _sum_ends(a, b, n)
-    head = ((b - 1.0) * b * lead - (n + b - 1.0) * tail) / (d1 * d2)
-    return head - n * tail / d1
+    _refuse_singular("b - a - 1", d1)
+    _refuse_singular("b - a - 2", d2)
+    return (weighted / (d1 * d2 * f_b1))[()]
 
 
 def gamma_sum_linear_direct(a: float, b: float, n: int) -> float:
     """Term-by-term evaluation of the linear gamma sum (testing oracle)."""
-    _check_sum_domain(a, b, n)
+    a, b, n = _sum_args(a, b, n)
     j = np.arange(1.0, n + 1.0)
     return math.fsum(np.exp(log_gamma_ratio(j + b, a - b)).tolist())
 
 
 def gamma_sum_weighted_direct(a: float, b: float, n: int) -> float:
     """Term-by-term evaluation of the weighted gamma sum (testing oracle)."""
-    _check_sum_domain(a, b, n)
+    a, b, n = _sum_args(a, b, n)
     j = np.arange(1.0, n + 1.0)
     return math.fsum((j * np.exp(log_gamma_ratio(j + b, a - b))).tolist())
 
@@ -233,37 +270,36 @@ def solve_recursion(spec: RecursionSpec, n: int) -> float:
 
     Costs O(n); the point is exactness, not speed.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = int(_check_n(n, "n"))
     beta = spec.beta
     # Gamma(j+1) / Gamma(j+1+beta) for j = 1..n-1
     factors = np.exp(-log_gamma_ratio(np.arange(2.0, n + 1.0), beta)).tolist()
     terms = [spec.b1 / math.gamma(1.0 + beta)]
     terms.extend(f * spec.c_seq(j) for j, f in enumerate(factors, 1))
-    return math.exp(log_gamma_ratio(n, beta)) * math.fsum(terms)
+    return np.exp(log_gamma_ratio(n, beta)) * math.fsum(terms)
+
+
+def unit_constant_solution(beta: float, n, f_beta):
+    """b_n / c for c_n = b_1 = c and beta != 1, from f_beta = Gamma(n+beta)/Gamma(n):
+    Gamma(n+beta)/Gamma(n) / ((beta-1) Gamma(beta)) - n / (beta-1).  The one
+    form of this solution, which `solve_recursion_constant` scales by c and
+    `moments.closed_form_moments` builds the quadratic moments from."""
+    return recip_gamma(beta) / (beta - 1.0) * f_beta - n / (beta - 1.0)
 
 
 def solve_recursion_constant(beta: float, c: float, n: int) -> float:
-    """b_n for the constant case c_n = c with b1 = c, requiring beta != 1.
-
-        b_n = c / ((beta-1) Gamma(beta)) * Gamma(n+beta)/Gamma(n)
-              - c / (beta-1) * n
-    """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    """b_n for the constant case c_n = c with b1 = c, requiring beta != 1:
+    c times `unit_constant_solution`."""
+    n = _check_n(n, "n")
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    d = beta - 1.0
-    if abs(d) < SINGULAR_TOL:
-        raise SingularParameterError("beta - 1", d)
-    ratio = math.exp(log_gamma_ratio(n, beta))
-    return c * ratio / (d * math.gamma(beta)) - c * n / d
+    _refuse_singular("beta - 1", beta - 1.0)
+    return c * unit_constant_solution(beta, n, np.exp(log_gamma_ratio(n, beta)))
 
 
 def iterate_recursion(spec: RecursionSpec, n_max: int) -> np.ndarray:
     """b_1..b_{n_max} by stepping the recursion directly (testing oracle)."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max}")
+    n_max = int(_check_n(n_max, "n_max"))
     out = np.empty(n_max, dtype=np.float64)
     b = spec.b1
     out[0] = b

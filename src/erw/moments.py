@@ -26,14 +26,16 @@ positive-weight atoms.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .distributions import MomentSet, StepDistribution, as_discrete, moment_set
-from .gammatools import SingularParameterError, check_alpha, log_gamma_ratio, recip_gamma
+from .gammatools import (
+    SingularParameterError, check_alpha, log_gamma_ratio, recip_gamma, scaled_gamma_sums,
+    unit_constant_solution,
+)
 
 #: Alphas within this radius of a vanishing denominator (1/2, 1/3, 1/4 for
 #: the respective formulas) are rejected; the recursion path covers them.
@@ -267,8 +269,9 @@ def closed_form_moments(ms: MomentSet, alpha: float, n) -> ClosedFormMoments:
 
     The quadratic family (s2, st, su, t2) shares
 
-        g2(n) = Gamma(n+2a)/Gamma(n) / ((2a-1) Gamma(2a)) - n / (2a-1)
+        g2(n) = Gamma(n+2a)/Gamma(n) / ((2a-1) Gamma(2a)) - n / (2a-1),
 
+    the solution of b_{n+1} = (1 + 2a/n) b_n + 1 (`unit_constant_solution`),
     scaled by M2, M12, M13, M22 respectively; the cubic family (s3, s2t)
     shares
 
@@ -290,11 +293,10 @@ def closed_form_moments(ms: MomentSet, alpha: float, n) -> ClosedFormMoments:
     r3 = np.exp(log_gamma_ratio(n, 3.0 * alpha))
     n_arr = np.asarray(n, dtype=np.float64)
 
-    a2_coef = recip_gamma(2.0 * alpha) / d2
-    g2 = a2_coef * r2 - n_arr / d2
+    g2 = unit_constant_solution(2.0 * alpha, n_arr, r2)
     h3 = (
         4.0 * recip_gamma(3.0 * alpha) / d3 * r3
-        - 3.0 * a2_coef * r2
+        - 3.0 * (recip_gamma(2.0 * alpha) / d2) * r2
         + (alpha + 1.0) * n_arr / (d2 * d3)
     )
     return ClosedFormMoments(
@@ -322,11 +324,13 @@ def closed_form_s4(ms: MomentSet, alpha: float, n):
     where L(x) = sum_{j<n} Gamma(j+x)/Gamma(j+1+4a), W(x) is the same sum
     weighted by j, P = 6 M112 - 12 m1 M3, Qc = 4 M13 - 12 m1 M12
     + 12 m1^2 M2, A2 = 1/(d2 Gamma(2a)), A3 = 4/(d3 Gamma(3a)), d2 = 2a-1
-    and d3 = 3a-1.  The sums are evaluated through their own closed forms,
-    R4 L(x) and R4 W(x) in terms of Gamma(n+x)/Gamma(n), with the factor a
-    (or 1/Gamma(2a)) folded in so that alpha = 0 gives n M4 + 3 n(n-1) M2^2
-    without a special case.  Raises SingularParameterError when alpha is
-    within 1e-8 of 1/2, 1/3 or 1/4 (d2, d3 and 4a-1 vanish).
+    and d3 = 3a-1.  R4 L(x) and R4 W(x) come from `scaled_gamma_sums`, the
+    form `gamma_sum_linear` and `gamma_sum_weighted` are built on, at
+    b = 1+4a, so each ratio Gamma(n+x)/Gamma(n), x = 4a, 3a, 2a, is
+    evaluated once.  The factor a (or 1/Gamma(2a)) is folded in so that
+    alpha = 0 gives n M4 + 3 n(n-1) M2^2 without a special case.  Raises
+    SingularParameterError when alpha is within 1e-8 of 1/2, 1/3 or 1/4
+    (d2, d3 and 4a-1 vanish).
     """
     alpha = check_alpha(alpha)
     _guard(alpha, 2)
@@ -341,14 +345,10 @@ def closed_form_s4(ms: MomentSet, alpha: float, n):
     r3 = np.exp(log_gamma_ratio(n, 3.0 * alpha))
     r2 = np.exp(log_gamma_ratio(n, 2.0 * alpha))
 
-    def linear(x, rx):
-        # R4 (4a - x) L(x), with rx = Gamma(n+x)/Gamma(n)
-        return math.gamma(1.0 + x) * recip_gamma(1.0 + 4.0 * alpha) * r4 - rx
-
-    def weighted(x, rx):
-        # R4 (4a - x) W(x)
-        head = math.gamma(1.0 + x) * recip_gamma(4.0 * alpha) * r4 - (n_arr + d4) * rx
-        return head / (d4 - x) - (n_arr - 1.0) * rx
+    b = 1.0 + 4.0 * alpha
+    linear_3a, _ = scaled_gamma_sums(3.0 * alpha, b, n_arr, r3, r4)
+    linear_2a, weighted_2a = scaled_gamma_sums(2.0 * alpha, b, n_arr, r2, r4)
+    linear_1, weighted_1 = scaled_gamma_sums(1.0, b, n_arr, n_arr, r4)
 
     m1 = ms.m1
     m2_sq = ms.M2 * ms.M2
@@ -357,14 +357,15 @@ def closed_form_s4(ms: MomentSet, alpha: float, n):
     a2_coef = recip_gamma(2.0 * alpha) / d2
     a3_coef = 4.0 * recip_gamma(3.0 * alpha) / d3
     # a L(3a) and a L(2a) carry the factors 1 and 1/2 of their denominators
-    # a and 2a; A2 W(2a) carries 1/(2a Gamma(2a)) = 1/Gamma(1+2a)
+    # a and 2a; A2 W(2a) carries 1/(2a Gamma(2a)) = 1/Gamma(1+2a); the
+    # weighted sums carry b-x-2, which is d2 at x = 2a and 2 d2 at x = 1
     s4 = (
         ms.M4 * recip_gamma(1.0 + 4.0 * alpha) * r4
-        + p * a3_coef * linear(3.0 * alpha, r3)
-        + 0.5 * (qc - 3.0 * p) * a2_coef * linear(2.0 * alpha, r2)
-        + 6.0 * m2_sq * recip_gamma(1.0 + 2.0 * alpha) / d2 * weighted(2.0 * alpha, r2)
-        + (alpha * (p * (alpha + 1.0) / (d2 * d3) - qc / d2) + ms.M4) * linear(1.0, n_arr) / d4
-        - 6.0 * m2_sq / d2 * weighted(1.0, n_arr) / d4
+        + p * a3_coef * linear_3a
+        + 0.5 * (qc - 3.0 * p) * a2_coef * linear_2a
+        + 6.0 * m2_sq * recip_gamma(1.0 + 2.0 * alpha) / (d2 * d2) * weighted_2a
+        + (alpha * (p * (alpha + 1.0) / (d2 * d3) - qc / d2) + ms.M4) * linear_1 / d4
+        - 3.0 * m2_sq / (d2 * d2) * weighted_1 / d4
     )
     # at n = 1 the sums are empty and the terms cancel only to rounding
     return np.where(n_arr == 1.0, ms.M4, s4)[()]

@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .distributions import MomentSet, StepDistribution, inverse_cdf, moment_set
-from .gammatools import check_alpha, martingale_scale
+from .gammatools import check_alpha
 from .moments import ConditionalStepMoments, conditional_step_moments
 from .rng import MASK64, replicate_keys, uniform_draws
 
@@ -277,14 +277,6 @@ def _cluster_sums(labels: np.ndarray, ms: MomentSet, checkpoints: Sequence[int])
                 row[:4] += e.sum(axis=1)
                 row[4:] += (e * e).sum(axis=1)
     return sums
-
-
-def _centered_sums(steps: np.ndarray, m1: float):
-    """Yield (t, S~_t) for t = 1..n, one row at a time (no matrix-sized temporary)."""
-    s_run = np.zeros(steps.shape[1], dtype=np.float64)
-    for t, x in enumerate(steps, start=1):
-        s_run += x
-        yield t, s_run - t * m1
 
 
 def _power_sums(values: np.ndarray) -> np.ndarray:
@@ -532,58 +524,17 @@ def empirical_q_moments(acc: BatchAccumulator, alpha: float) -> list[ScaledMomen
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class MartingaleView:
-    """Martingale-difference decomposition of one walk.
-
-    eps_1 = X_1 - m1 and eps_k = S~_k - (1 + alpha/(k-1)) S~_{k-1}; the
-    partial sums of a_k eps_k telescope to a_n S~_n.
-    """
-
-    eps: np.ndarray
-    q_direct: float
-    reconstruction_error: float
-
-
-def martingale_diagnostics(
-    state: WalkState,
-    alpha: float,
-    ms: MomentSet,
-) -> MartingaleView:
-    """Per-step martingale differences and the telescoping reconstruction.
-
-    The mismatch between sum(a_k eps_k) and a_n S~_n is measured relative to
-    the larger of |Q_n| and the largest contributing term and reported as
-    `reconstruction_error`; `verify.check_martingale_reconstruction` judges it.
-    """
-    alpha = check_alpha(alpha)
-    steps = np.asarray(state.steps, dtype=np.float64)
-    n = steps.size
-    k = np.arange(1, n + 1, dtype=np.float64)
-    s_tilde = np.cumsum(steps) - k * ms.m1
-    eps = np.empty(n, dtype=np.float64)
-    eps[0] = s_tilde[0]
-    if n > 1:
-        eps[1:] = s_tilde[1:] - (1.0 + alpha / k[:-1]) * s_tilde[:-1]
-    scale_series = martingale_scale(k, alpha)
-    contributions = scale_series * eps
-    weighted = np.cumsum(contributions)
-    q_direct = float(scale_series[-1] * s_tilde[-1])
-    reference = max(abs(q_direct), float(np.max(np.abs(contributions))), 1e-300)
-    error = abs(float(weighted[-1]) - q_direct) / reference
-    return MartingaleView(eps=eps, q_direct=q_direct, reconstruction_error=error)
-
-
 def _martingale_differences(steps: np.ndarray, alpha: float, m1: float) -> Iterator[np.ndarray]:
     """Yield eps_t for t = 1..n over the walks of one step matrix, a row at
-    a time: eps_1 = X_1 - m1 and eps_t = X_t - m1 - (alpha/(t-1)) S~_{t-1}."""
-    s_prev = None
-    for t, s_tilde in _centered_sums(steps, m1):
-        eps = steps[t - 1] - m1
+    a time: eps_1 = X_1 - m1 and eps_t = X_t - m1 - (alpha/(t-1)) S~_{t-1},
+    with no matrix-sized temporary."""
+    s_run = np.zeros(steps.shape[1], dtype=np.float64)  # S_{t-1}
+    for t, x in enumerate(steps, start=1):
+        eps = x - m1
         if t > 1:
-            eps -= (alpha / (t - 1)) * s_prev
+            eps -= (alpha / (t - 1)) * (s_run - (t - 1) * m1)
         yield eps
-        s_prev = s_tilde
+        s_run += x
 
 
 def _step_sums(dist, alpha, n, replicates, master_seed, rows) -> np.ndarray:

@@ -46,10 +46,11 @@ from .moments import (
     fourth_moment_coefficient,
     limit_q_moments,
 )
-from .rng import replicate_keys, uniform_draws
+from .rng import MASK64, replicate_keys, uniform_draws
 from .simulate import (
     ScaledMomentEstimate,
     WalkState,
+    _martingale_differences,
     _run_labels,
     _run_paths,
     batch_epsilon_moments,
@@ -57,7 +58,6 @@ from .simulate import (
     conditional_continuation_test,
     empirical_q_moments,
     marginal_moment_sums,
-    martingale_diagnostics,
     sample_stderr,
     simulate_path,
     z_score,
@@ -198,19 +198,20 @@ def check_sampling_moments(
 
 
 def check_gamma_sums(n_cases: int = 500, seed: int = 7) -> list[CheckResult]:
-    """Both gamma-ratio sum closed forms against term-by-term summation."""
+    """Both gamma-ratio sum closed forms against term-by-term summation:
+    one closed-form call per sum over every case, one direct sum per case."""
     a_all, b_all, u_n = uniform_draws(replicate_keys(seed, 0, n_cases), np.arange(3))
+    a, b = 4.0 * a_all, 4.0 * b_all
+    n = 1 + (u_n * 1000).astype(np.int64)
+    regular = (np.abs(b - a - 1.0) >= 0.05) & (np.abs(b - a - 2.0) >= 0.05)
+    a, b, n = a[regular], b[regular], n[regular]
+    cases = list(zip(a.tolist(), b.tolist(), n.tolist()))
     worst = 0.0
-    for a, b, u in zip((4.0 * a_all).tolist(), (4.0 * b_all).tolist(), u_n.tolist()):
-        if abs(b - a - 1.0) < 0.05 or abs(b - a - 2.0) < 0.05:
-            continue
-        n = 1 + int(u * 1000)
-        closed = gamma_sum_linear(a, b, n)
-        direct = gamma_sum_linear_direct(a, b, n)
-        worst = max(worst, abs(closed - direct) / max(abs(direct), 1e-300))
-        closed_w = gamma_sum_weighted(a, b, n)
-        direct_w = gamma_sum_weighted_direct(a, b, n)
-        worst = max(worst, abs(closed_w - direct_w) / max(abs(direct_w), 1e-300))
+    for closed, oracle in ((gamma_sum_linear, gamma_sum_linear_direct),
+                           (gamma_sum_weighted, gamma_sum_weighted_direct)):
+        direct = np.array([oracle(*case) for case in cases])
+        gap = np.abs(closed(a, b, n) - direct) / np.maximum(np.abs(direct), 1e-300)
+        worst = max(worst, float(gap.max(initial=0.0)))
     return [_result("gamma_sums_vs_direct", worst, 1e-12)]
 
 
@@ -267,7 +268,7 @@ def check_gamma_tail() -> list[CheckResult]:
     """Convergence of sum_j Gamma(j+3a)/Gamma(j+1+4a) to its infinite-n value."""
     alpha, n = 0.75, 100_000
     partial = gamma_sum_linear(3.0 * alpha, 1.0 + 4.0 * alpha, n - 1)
-    limit = math.exp(log_gamma_ratio(4.0 * alpha + 1.0, -alpha)) / alpha
+    limit = np.exp(log_gamma_ratio(4.0 * alpha + 1.0, -alpha)) / alpha
     worst = abs(partial - limit) / abs(limit)
     return [_result("gamma_sum_tail", worst, 0.01, f"alpha={alpha}, n={n}")]
 
@@ -532,15 +533,24 @@ def check_epsilon_bound(replicates: int = 10_000, seed: int = 58) -> list[CheckR
 def check_martingale_reconstruction(
     n: int = 2000, seeds=(1, 2, 3), rel_tol: float = 1e-10
 ) -> list[CheckResult]:
-    """sum(a_k eps_k) telescopes back to a_n S~_n on every sampled path."""
+    """sum(a_t eps_t) telescopes back to a_n S~_n on every sampled walk.
+
+    The eps_t are those of `simulate._martingale_differences`, which the
+    batch eps statistics reduce, over the walks `simulate_path` makes at
+    `seeds`; the sum telescopes only with their coefficient alpha/(t-1).
+    The gap is relative to the larger of |a_n S~_n| and the largest term.
+    """
+    keys = np.array([seed & MASK64 for seed in seeds], dtype=np.uint64)
     worst = 0.0
     for alpha in (0.0, 0.5, 0.75, 1.0):
+        scale = martingale_scale(np.arange(1.0, n + 1.0), alpha)[:, None]
         for _, dist in _STANDARD_DISTS:
-            ms = moment_set(dist)
-            for seed in seeds:
-                state = simulate_path(dist, alpha, n, seed)
-                view = martingale_diagnostics(state, alpha, ms)
-                worst = max(worst, view.reconstruction_error)
+            m1 = moment_set(dist).m1
+            steps = _run_paths(dist, alpha, n, keys)
+            terms = scale * np.stack(list(_martingale_differences(steps, alpha, m1)))
+            q = scale[-1] * (steps.sum(axis=0) - n * m1)
+            reference = np.maximum(np.maximum(np.abs(q), np.abs(terms).max(axis=0)), 1e-300)
+            worst = max(worst, float((np.abs(terms.sum(axis=0) - q) / reference).max()))
     return [_result("martingale_reconstruction", worst, rel_tol)]
 
 

@@ -14,13 +14,15 @@ import numpy as np
 
 from erw.distributions import StepDistribution, moment_set
 from erw.gammatools import check_alpha
-from erw.simulate import (
-    BatchAccumulator,
-    _centered_sums,
-    _chunk_steps,
-    _power_sums,
-    _run_batch,
-)
+from erw.simulate import BatchAccumulator, _chunk_steps, _power_sums, _run_batch
+
+
+def _centered_sums(steps: np.ndarray, m1: float):
+    """Yield (t, S~_t) for t = 1..n, one row at a time (no matrix-sized temporary)."""
+    s_run = np.zeros(steps.shape[1], dtype=np.float64)
+    for t, x in enumerate(steps, start=1):
+        s_run += x
+        yield t, s_run - t * m1
 
 
 def _checkpoint_sums(steps: np.ndarray, m1: float, checkpoint_index: dict[int, int]) -> np.ndarray:

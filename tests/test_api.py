@@ -108,21 +108,30 @@ def test_every_default_is_overridden_somewhere():
     assert never_set == []
 
 
-def test_no_scalar_branches():
-    # a branch on np.isscalar or np.ndim is a second path for scalars,
-    # whose last bits can drift from the array path's
-    forks = sorted({
+def _functions_reading(module: str, attrs: tuple[str, ...]) -> list[str]:
+    """`file.function` of every function in the package that reads
+    `module.attr` for an attr in `attrs`."""
+    return sorted({
         f"{path.stem}.{func.name}"
         for path in SRC.glob("*.py")
         for func in ast.walk(ast.parse(path.read_text()))
         if isinstance(func, ast.FunctionDef)
         for node in ast.walk(func)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("isscalar", "ndim")
-        and getattr(node.func.value, "id", None) == "np"
+        if isinstance(node, ast.Attribute) and node.attr in attrs
+        and getattr(node.value, "id", None) == module
     })
-    assert forks == []
+
+
+def test_no_scalar_branches():
+    # a branch on np.isscalar or np.ndim is a second path for scalars,
+    # whose last bits can drift from the array path's
+    assert _functions_reading("np", ("isscalar", "ndim")) == []
+
+
+def test_no_math_exp():
+    # every gamma ratio is exponentiated by np.exp, the array path; math.exp
+    # differs from it in the last bit on some arguments
+    assert _functions_reading("math", ("exp",)) == []
 
 
 _UNIFORM = erw.moment_set(erw.StepDistribution.uniform(0.0, 1.0))
@@ -130,6 +139,8 @@ _ALPHAS = (0.0, 0.26, 0.75, 1.0)
 #: n below 10, n + delta below 10 and both above, out to 1e12
 _NS = (1.0, 1.5, 2.0, 5.0, 9.5, 10.0, 11.0, 13.0, 31.0, 100.0, 1e3, 1e5, 1e7, 1e12)
 _CF_FIELDS = ("s2", "st", "s3", "su", "t2", "s2t")
+#: (a, b) of the gamma sums: b = 0 and 1 and b - a - 1 < 0 among them
+_SUM_ARGS = ((0.0, 2.5), (0.5, 3.2), (2.25, 4.0), (1.3, 0.0), (0.6, 1.0), (4.0, 0.5))
 
 #: name -> (x -> list of results, the x to try): a scalar x must give the
 #: bytes of element 0 of the same call on the one-element array [x]
@@ -151,6 +162,14 @@ _ONE_PATH = {
         _NS,
     ),
     "closed_form_s4": (lambda n: [erw.closed_form_s4(_UNIFORM, a, n) for a in _ALPHAS], _NS),
+    "gamma_sum_linear": (
+        lambda n: [erw.gamma_sum_linear(a, b, n) for a, b in _SUM_ARGS],
+        (1, 2, 9, 10, 11, 1000, 100_000),
+    ),
+    "gamma_sum_weighted": (
+        lambda n: [erw.gamma_sum_weighted(a, b, n) for a, b in _SUM_ARGS],
+        (1, 2, 9, 10, 11, 1000, 100_000),
+    ),
     "uniform_draws": (
         lambda c: [erw.rng.uniform_draws(erw.replicate_keys(977, 3, 5), c)],
         (0, 1, 11, 2**63 - 1, 2**63, 2**64 - 1),

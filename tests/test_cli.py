@@ -14,6 +14,7 @@ import pytest
 
 import erw.cli as cli
 import erw.simulate as sim
+import erw.verify
 from erw.cli import main
 from erw.verify import CheckResult, row_relerr
 from table_csv import read_table_csv
@@ -301,17 +302,21 @@ class TestVerifyCommand:
 
 
     def test_broken_reconstruction_fails_the_check(self, capsys, monkeypatch):
-        # a martingale scale off by 1e-6 k on arrays breaks the telescoping
-        # reconstruction; verify reports it as a FAIL and exits 1, with
-        # every check in the report
-        scale = sim.martingale_scale
+        # eps_t with the memory coefficient alpha/t in place of alpha/(t-1)
+        # in the simulator: the eps statistics stay centered, but the sum of
+        # a_t eps_t no longer telescopes; verify reports it as a FAIL and
+        # exits 1, with every check in the report
+        def alpha_over_t(steps, alpha, m1):
+            s_run = np.zeros(steps.shape[1])
+            for t, x in enumerate(steps, start=1):
+                eps = x - m1
+                if t > 1:
+                    eps -= (alpha / t) * (s_run - (t - 1) * m1)
+                yield eps
+                s_run += x
 
-        def broken(n, alpha):
-            if np.isscalar(n):
-                return scale(n, alpha)
-            return scale(n, alpha) * (1.0 + 1e-6 * np.asarray(n))
-
-        monkeypatch.setattr(sim, "martingale_scale", broken)
+        monkeypatch.setattr(sim, "_martingale_differences", alpha_over_t)
+        monkeypatch.setattr(erw.verify, "_martingale_differences", alpha_over_t)
         code, out, err = run_cli(capsys, "verify", "--fast", "--seed", "2024")
         assert (code, err) == (1, "")
         checks = json.loads(out)["checks"]

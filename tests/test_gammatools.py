@@ -256,6 +256,32 @@ class TestRecursionSolver:
             RecursionSpec.constant(0.0, 1.0, 1.0)
 
 
+class TestWholeNumberRule:
+    def test_one_rule_for_n(self):
+        # the sums, their oracles and the recursions take n >= 1 whole, as an
+        # int, a float or a numpy integer; half a term or step, and a bool,
+        # are refused rather than interpolated or read as 0 or 1
+        spec = RecursionSpec.constant(2.0, 1.0, 1.0)
+        calls = (
+            lambda n: gamma_sum_linear(0.5, 3.2, n),
+            lambda n: gamma_sum_weighted(0.5, 3.2, n),
+            lambda n: gamma_sum_linear_direct(0.5, 3.2, n),
+            lambda n: gamma_sum_weighted_direct(0.5, 3.2, n),
+            lambda n: solve_recursion(spec, n),
+            lambda n: solve_recursion_constant(2.0, 1.0, n),
+            lambda n: iterate_recursion(spec, n),
+        )
+        for call in calls:
+            for bad in (10.5, True, False, 0, -3, math.nan, math.inf, "10"):
+                with pytest.raises(ValueError, match="must be a positive integer"):
+                    call(bad)
+            want = np.asarray(call(10)).tobytes()
+            assert np.asarray(call(10.0)).tobytes() == want
+            assert np.asarray(call(np.int64(10))).tobytes() == want
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            gamma_sum_linear(0.5, 3.2, np.array([3.0, 10.5]))
+
+
 class TestTailAsymptotics:
     def test_linear_sum_tail(self):
         # sum_{j=1}^{n-1} Gamma(j+3a)/Gamma(j+1+4a) converges to

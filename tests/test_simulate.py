@@ -17,8 +17,6 @@ from erw import (
     conditional_continuation_test,
     empirical_q_moments,
     exact_moments_upto,
-    martingale_diagnostics,
-    martingale_scale,
     moment_set,
     simulate_path,
 )
@@ -728,30 +726,13 @@ class TestStatistics:
         assert z.tolist() == [0.0, math.inf, 0.5, 0.0]
 
 
-class TestMartingaleDiagnostics:
-    def test_reconstruction_all_regimes(self, standard_moment_sets, rademacher,
-                                         bernoulli03, uniform01):
-        dists = {"rademacher": rademacher, "bernoulli": bernoulli03, "uniform": uniform01}
-        for name, dist in dists.items():
-            ms = standard_moment_sets[name]
-            for alpha in (0.0, 0.5, 0.75, 1.0):
-                for seed in (1, 2):
-                    state = simulate_path(dist, alpha, 2000, seed)
-                    view = martingale_diagnostics(state, alpha, ms)
-                    assert view.reconstruction_error <= 1e-10
-
+class TestMartingaleDifferences:
     def test_memoryless_eps_is_centered_step(self, bernoulli03):
-        ms = moment_set(bernoulli03)
-        state = simulate_path(bernoulli03, 0.0, 300, 8)
-        view = martingale_diagnostics(state, 0.0, ms)
-        assert np.allclose(view.eps, np.asarray(state.steps) - ms.m1, rtol=0.0, atol=1e-12)
-
-    def test_q_direct_matches_state(self, uniform01):
-        ms = moment_set(uniform01)
-        state = simulate_path(uniform01, 0.8, 500, 21)
-        view = martingale_diagnostics(state, 0.8, ms)
-        q = martingale_scale(500, 0.8) * state.s_tilde
-        assert view.q_direct == pytest.approx(q, rel=1e-12)
+        # at alpha = 0 eps_t = X_t - m1 byte for byte: the memory term is a zero
+        m1 = moment_set(bernoulli03).m1
+        steps = sim._run_paths(bernoulli03, 0.0, 300, np.array([8], dtype=np.uint64))
+        eps = np.stack(list(sim._martingale_differences(steps, 0.0, m1)))
+        assert eps.tobytes() == (steps - m1).tobytes()
 
 
 class TestEpsilonMoments:

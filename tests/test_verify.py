@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import erw.gammatools
+import erw.moments
 import erw.verify
 from erw import StepDistribution, derive_moment_set, log_gamma_ratio, moment_set
 from erw.verify import (
@@ -14,6 +16,7 @@ from erw.verify import (
     SKIP,
     check_brute_force,
     check_closed_form_vs_recursion,
+    check_constant_recursion,
     check_fourth_moment_asymptote,
     check_gamma_sums,
     check_limit_consistency,
@@ -139,6 +142,43 @@ def test_gamma_sum_mutant_fails(monkeypatch):
     )
     (result,) = check_gamma_sums(n_cases=20)
     assert result.status == FAIL and result.worst_error > 1e-10
+
+
+_UNIFORM = moment_set(StepDistribution.uniform(0.0, 1.0))
+_NS = np.arange(1.0, 50.0)
+
+
+def test_shared_sum_form_mutant_fails(monkeypatch):
+    # a 1e-9 error in the one closed form of the two gamma sums fails their
+    # check and reaches the s4 closed form, which is built on the same form
+    real = erw.gammatools.scaled_gamma_sums
+    before = erw.moments.closed_form_s4(_UNIFORM, 0.75, _NS)
+
+    def mutant(a, b, n, f_a, f_b1):
+        return tuple(v * (1.0 + 1e-9) for v in real(a, b, n, f_a, f_b1))
+
+    monkeypatch.setattr(erw.gammatools, "scaled_gamma_sums", mutant)
+    monkeypatch.setattr(erw.moments, "scaled_gamma_sums", mutant)
+    (result,) = check_gamma_sums(n_cases=50)
+    assert result.status == FAIL and result.worst_error > 1e-10
+    assert not np.array_equal(erw.moments.closed_form_s4(_UNIFORM, 0.75, _NS), before)
+
+
+def test_constant_form_mutant_fails(monkeypatch):
+    # a 1e-9 error in the one form of the constant-recursion solution fails
+    # the shortcut check and reaches the quadratic closed forms built on it
+    real = erw.gammatools.unit_constant_solution
+    before = erw.moments.closed_form_moments(_UNIFORM, 0.75, _NS).s2
+
+    def mutant(beta, n, f_beta):
+        return real(beta, n, f_beta) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(erw.gammatools, "unit_constant_solution", mutant)
+    monkeypatch.setattr(erw.moments, "unit_constant_solution", mutant)
+    (result,) = check_constant_recursion()
+    assert result.status == FAIL and result.worst_error > 1e-10
+    after = erw.moments.closed_form_moments(_UNIFORM, 0.75, _NS).s2
+    assert not np.array_equal(after, before)
 
 
 def test_s4_term_mutant_fails(monkeypatch):
