@@ -31,6 +31,7 @@ from .moments import (
     CSV_COLUMNS,
     RegimeError,
     closed_form_moments,
+    exact_moments_bytes,
     exact_moments_upto,
     format_csv_rows,
     limit_q_moments,
@@ -291,8 +292,11 @@ def _refuse_nonfinite(command: str, blocks, columns) -> None:
 
 def cmd_exact(config: ExperimentConfig) -> int:
     alpha = _require_alpha(config)
-    # the (n, 7) float64 table; --compare adds as many closed-form values
-    _check_request_bytes("exact", 56 * config.n * (2 if config.compare else 1))
+    # the recursion's working set, its (n, 7) table included; --compare
+    # adds as many closed-form values
+    _check_request_bytes(
+        "exact", exact_moments_bytes(config.n) + (56 * config.n if config.compare else 0)
+    )
     ms = moment_set(config.dist)
     table = exact_moments_upto(ms, alpha, config.n)
     if not config.compare:
@@ -327,12 +331,12 @@ def cmd_exact(config: ExperimentConfig) -> int:
 def cmd_simulate(config: ExperimentConfig) -> int:
     alpha = _require_alpha(config)
     checkpoints = check_checkpoints(config.checkpoints or [config.n], config.n)
-    # the label matrices and size passes, then the (n, 7) exact table to
-    # the last checkpoint
+    # the label matrices and size passes, then the recursion's working set
+    # for the exact table to the last checkpoint
     _check_request_bytes(
         "simulate",
         batch_step_bytes(config.n, config.replicates, checkpoints[-1], config.workers)
-        + 56 * checkpoints[-1],
+        + exact_moments_bytes(checkpoints[-1]),
     )
     if config.replicates < 2:
         raise ConfigError(

@@ -25,7 +25,7 @@ positive-weight atoms.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
@@ -41,9 +41,8 @@ from .gammatools import (
 #: the respective formulas) are rejected; the recursion path covers them.
 ALPHA_TOL = 1e-8
 
-#: Rows per block when the recursion fills its table and when a table is
-#: written as CSV.  Only one block of rows is ever held as Python floats,
-#: so memory stays flat in n.
+#: Rows per block when a table is written as CSV.  Only one block of rows
+#: is ever held as Python floats and text, so memory stays flat in n.
 _ROW_BLOCK = 4096
 
 
@@ -125,91 +124,107 @@ class ExactMomentTable:
 
 
 def exact_moments_upto(ms: MomentSet, alpha: float, n_max: int) -> ExactMomentTable:
-    """Iterate the seven coupled moment recursions from n = 1 to n_max.
+    """Solve the seven coupled moment recursions from n = 1 to n_max.
 
-    Row 1 is (M2, M12, M3, M13, M22, M112, M4); each later row applies one
-    simultaneous step of all seven recursions.  Valid for every alpha in
-    [0, 1].  Runs in doubles with compensated accumulation of the additive
-    increments; relative drift at n = 1e4 stays far below 1e-8.
+    Row 1 is (M2, M12, M3, M13, M22, M112, M4); row n + 1 is one step of
+    all seven, x <- x + (c a x + forcing) with a = alpha / n, c = 2, 3 or 4
+    and a forcing from the columns of lower order.  Valid for every alpha
+    in [0, 1]; no closed form is used.  Solved level by level (s2, st, su,
+    t2; s3, s2t; s4) as a blocked scan with compensated additions, in about
+    sqrt(n_max) blocks of as many steps, so row n may differ in its last bit
+    between tables of different n_max (README, "Numerical notes").
     """
     alpha = check_alpha(alpha)
     if n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
-    m1, m2 = ms.m1, ms.m2
-    M2, M3, M4 = ms.M2, ms.M3, ms.M4
+    m1, m2, M2, M3, M4 = ms.m1, ms.m2, ms.M2, ms.M3, ms.M4
     M12, M13, M22, M112 = ms.M12, ms.M13, ms.M22, ms.M112
-
     values = np.empty((n_max, 7), dtype=np.float64)
-    flat = values.reshape(-1)
-    s2, st, s3, su, t2, s2t, s4 = M2, M12, M3, M13, M22, M112, M4
-    cs2 = cst = cs3 = csu = ct2 = cs2t = cs4 = 0.0
-    values[0] = (s2, st, s3, su, t2, s2t, s4)
-    six_m2 = 6.0 * M2
-
-    # the loop runs in the interpreter, so its cost is per bytecode: the
-    # compensated additions are written out in place rather than called,
-    # terms used twice are computed once (each product keeps its operand
-    # order, so the rounding is unchanged), and rows are kept as tuples and
-    # copied into `values` a block at a time
-    for first in range(1, n_max, _ROW_BLOCK):
-        last = min(first + _ROW_BLOCK, n_max)
-        block = []
-        append = block.append
-        for n in range(first, last):
-            a = alpha / n
-            a2 = 2.0 * a
-            a3 = 3.0 * a
-            a4 = 4.0 * a
-            a6 = 6.0 * a
-            a12m1 = 12.0 * a * m1
-            inc_s2 = a2 * s2 + M2
-            inc_st = a2 * st + M12
-            inc_s3 = a3 * s3 + a3 * st - a6 * m1 * s2 + M3
-            inc_su = a2 * su + M13
-            inc_t2 = a2 * t2 + M22
-            inc_s2t = a3 * s2t + a2 * su + a * t2 - a4 * m1 * st - a2 * m2 * s2 + M112
-            inc_s4 = (
-                a4 * s4
-                + a6 * s2t
-                + a4 * su
-                - a12m1 * (s3 + st)
-                + (a12m1 * m1 + six_m2) * s2
-                + M4
-            )
-            y = inc_s2 - cs2
-            t = s2 + y
-            cs2 = (t - s2) - y
-            s2 = t
-            y = inc_st - cst
-            t = st + y
-            cst = (t - st) - y
-            st = t
-            y = inc_s3 - cs3
-            t = s3 + y
-            cs3 = (t - s3) - y
-            s3 = t
-            y = inc_su - csu
-            t = su + y
-            csu = (t - su) - y
-            su = t
-            y = inc_t2 - ct2
-            t = t2 + y
-            ct2 = (t - t2) - y
-            t2 = t
-            y = inc_s2t - cs2t
-            t = s2t + y
-            cs2t = (t - s2t) - y
-            s2t = t
-            y = inc_s4 - cs4
-            t = s4 + y
-            cs4 = (t - s4) - y
-            s4 = t
-            append((s2, st, s3, su, t2, s2t, s4))
-        flat[7 * first : 7 * last] = np.fromiter(
-            itertools.chain.from_iterable(block), np.float64, 7 * (last - first)
+    values[0] = (M2, M12, M3, M13, M22, M112, M4)
+    width = math.isqrt(n_max - 1) + 1
+    blocks = -(-(n_max - 1) // width)
+    a = alpha / np.arange(1, n_max)
+    # an overflow gives inf and inf - inf gives nan: the table keeps both,
+    # without a warning, for its callers to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_blocked = _blocked(a, width, blocks)
+        forcing = np.broadcast_to(np.array([M2, M12, M13, M22])[:, None, None], (4, width, blocks))
+        _solve_level(values, [0, 1, 3, 4], 2.0, a_blocked, forcing)
+        # a step's increment less its c a x term, row n forcing step n + 1;
+        # views of rows 1 .. n_max - 1, s3 and s2t read once filled
+        s2, st, s3, su, t2, s2t = values[:-1, :6].T
+        forcing = _blocked(np.stack((
+            3.0 * a * st - 6.0 * a * m1 * s2 + M3,
+            2.0 * a * su + a * t2 - 4.0 * a * m1 * st - 2.0 * a * m2 * s2 + M112,
+        )), width, blocks)
+        _solve_level(values, [2, 5], 3.0, a_blocked, forcing)
+        a12m1 = 12.0 * a * m1
+        forcing = _blocked(
+            6.0 * a * s2t + 4.0 * a * su - a12m1 * (s3 + st) + (a12m1 * m1 + 6.0 * M2) * s2 + M4,
+            width, blocks,
         )
-
+        _solve_level(values, [6], 4.0, a_blocked, forcing[None])
     return ExactMomentTable(values)
+
+
+def exact_moments_bytes(n_max: int) -> int:
+    """Bytes `exact_moments_upto` holds at once for n_max rows, computed
+    without allocating anything: the table and alpha / n, 24 columns over
+    the steps padded to whole blocks, and 8 KiB of small arrays.  The first
+    level's chain holds 15 of those columns (the blocked alpha / n, five
+    columns of scan, 1 + e and two four-column temporaries); below 2^15
+    steps, where numpy makes a new temporary for each operation of an
+    expression, tracemalloc measures up to 9 more."""
+    width = math.isqrt(n_max - 1) + 1
+    padded = width * -(-(n_max - 1) // width)
+    return 8 * (8 * n_max + 24 * padded) + 8192
+
+
+def _blocked(v: np.ndarray, width: int, blocks: int) -> np.ndarray:
+    """v's last axis, steps 1 .. n_max - 1, as (..., width, blocks): [i, k]
+    is step k width + i + 1, and the padding past the end is 0."""
+    padded = np.zeros(v.shape[:-1] + (blocks * width,))
+    padded[..., : v.shape[-1]] = v
+    return padded.reshape(v.shape[:-1] + (blocks, width)).swapaxes(-1, -2).copy()
+
+
+def _solve_level(
+    values: np.ndarray, cols: list, c: float, a: np.ndarray, forcing: np.ndarray
+) -> None:
+    """Fill rows 2 .. n_max of `values`' columns `cols`, which step as
+    x <- x + (c a x + forcing), from row 1.
+
+    Every block runs at once from 0, compensated, beside a first column e
+    (forced by c a): the homogeneous solution less 1.  Then the block
+    starts are chained in Python floats, x <- x + (e x + p) at each block's
+    end, compensated, and each row is start + (e start + p), the start's
+    compensation (times 1 + e) added back.
+    """
+    level = np.concatenate((c * a[None], forcing))  # steps overwrite it
+    x = comp = np.zeros(level[:, 0].shape)
+    for i in range(len(a)):
+        y = (c * a[i] * x + level[:, i]) - comp
+        t = x + y
+        comp = (t - x) - y
+        x = level[:, i] = t
+    e, p = level[0], level[1:]
+    starts, lost = [], []
+    for x, p_end in zip(values[0, cols].tolist(), p[:, -1].tolist()):
+        comp = 0.0
+        for e_k, p_k in zip(e[-1].tolist(), p_end):
+            starts.append(x)
+            lost.append(comp)
+            y = (e_k * x + p_k) - comp
+            t = x + y
+            comp = (t - x) - y
+            x = t
+    # rows in step order, block by block: transposed as they are built
+    starts, lost = (np.reshape(v, (len(cols), -1, 1)) for v in (starts, lost))
+    rows = np.multiply(e.T, starts, out=np.empty((len(cols),) + e.T.shape))
+    rows += p.swapaxes(1, 2)
+    rows -= (e.T + 1.0) * lost
+    rows += starts
+    values[1:, cols] = rows.reshape(len(cols), e.size)[:, : len(values) - 1].T
 
 
 def _guard(alpha: float, k: int) -> None:

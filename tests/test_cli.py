@@ -16,6 +16,7 @@ import erw.cli as cli
 import erw.simulate as sim
 import erw.verify
 from erw.cli import main
+from erw.moments import CSV_COLUMNS, ExactMomentTable, exact_moments_bytes
 from erw.verify import CheckResult, row_relerr
 from table_csv import read_table_csv
 
@@ -194,11 +195,21 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err == "error: simulate needs at least 2 replicates for a standard error, got 1\n"
 
-    def test_zero_stderr_writes_empty_z(self, capsys):
+    def test_zero_stderr_writes_empty_z(self, capsys, monkeypatch):
         # alpha = 1: every walk is one cluster of n steps, so both walks have
-        # the same conditional moments and the stderr is 0.  Those moments
-        # are exact: at p = 1 the gap is exactly 0 and z is 0; at p = 2..4
-        # they miss the recursion's values by rounding and z is empty
+        # the same conditional moments and the stderr is 0.  At p = 1 the
+        # exact value is 0, the gap is exactly 0 and z is 0.  At p = 2..4 the
+        # exact values come from the table, here moved by 2^-40 relative so
+        # that the gap is not 0 whatever the recursion's last bit: z is empty
+        real = cli.exact_moments_upto
+
+        def moved(ms, alpha, n_max):
+            values = real(ms, alpha, n_max).values.copy()
+            moved_columns = [CSV_COLUMNS.index(name) - 1 for name in ("s2", "s3", "s4")]
+            values[:, moved_columns] *= 1.0 + 2.0**-40
+            return ExactMomentTable(values)
+
+        monkeypatch.setattr(cli, "exact_moments_upto", moved)
         code, out, _ = run_cli(
             capsys, "simulate", "--dist", '{"kind":"bernoulli","p":0.3}', "--alpha", "1",
             "--n", "10", "--replicates", "2", "--seed", "3",
@@ -210,7 +221,7 @@ class TestSimulate:
             assert float(row["stderr"]) == 0.0
             gap = float(row["estimate"]) - float(row["exact"])
             assert (gap == 0.0) == (row["p"] == "1")
-            assert row["z"] == ("0.0" if gap == 0.0 else "")
+            assert row["z"] == ("0.0" if row["p"] == "1" else "")
 
     def test_third_moment_exactly_zero_when_m3_is_zero(self, capsys):
         # uniform(0, 1) has M3 = 0, so every walk's E(S~^3 | sizes) and the
@@ -245,9 +256,9 @@ class TestSimulate:
             "--replicates", "200", "--checkpoints", "1000", "--seed", "5",
         )
         assert code == 0 and rows == [1000, 1000]
-        # the bytes written when all 3000 steps are simulated
+        # the bytes `--n 1000` writes, the same 1000 steps in wider chunks
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c7fccc733c005e5992436ac4d0d5aeb2d62f38d73ab2b50a814599f3aff81fe1"
+            "295ca80214d7450c1decfda761b8e79c05d5bf8dd1da241e3b62f4397038f773"
         )
 
     def test_checkpoint_bounds(self, capsys):
@@ -669,16 +680,17 @@ class TestRequestSizeCap:
         ("exact", "--n", "1000", "--compare"),
         ("simulate", "--n", "20000", "--replicates", "1"),
         ("simulate", "--n", "100", "--replicates", "200"),
-        # two chunks of 50 walks: 500 bytes of 1-byte labels and 91 kB of
-        # size pass per busy worker, 91 kB at one worker and 186 kB at two
-        ("simulate", "--n", "160000", "--replicates", "100", "--checkpoints", "10",
+        # two chunks of 32 walks: 320 bytes of 1-byte labels and 85 kB of
+        # size pass per busy worker, and 11 kB for the recursion to n = 10:
+        # 96 kB at one worker and 185 kB at two
+        ("simulate", "--n", "250000", "--replicates", "64", "--checkpoints", "10",
          "--workers", "2"),
         # 1000 one-walk chunks of one step: 74 kB of labels and size pass
         # per busy worker, and the pool's record of 1000 chunks, about 2 MB
         ("simulate", "--n", "8000000", "--replicates", "1000", "--checkpoints", "1",
          "--workers", "2"),
-        # the shapes of test_simulate_at_cap_runs with one walk more: 167 kB
-        # and 162 kB, more labels and a wider tile
+        # the shapes of test_simulate_at_cap_runs with one walk more: 179 kB
+        # and 177 kB, more labels and a wider tile
         ("simulate", "--n", "20", "--replicates", "849"),
         ("simulate", "--n", "32", "--replicates", "94"),
     ], ids=["exact", "exact-compare", "simulate-long", "simulate-wide", "simulate-workers",
@@ -693,21 +705,21 @@ class TestRequestSizeCap:
     def test_simulate_at_cap_runs(self, n, replicates, capsys, monkeypatch):
         # a cap of exactly the request runs, and one walk more exits 2: 1-byte
         # labels, the size pass of one tile (at most _TILE_WALKS walks wide)
-        # and the exact table to n.  With 848 walks one more adds 20 bytes
-        # of labels; with 93 it also widens the tile, 920 bytes in all.
+        # and the recursion's working set to n.  With 848 walks one more adds
+        # 20 bytes of labels; with 93 it also widens the tile, 920 bytes in all.
         monkeypatch.undo()
-        cap = sim.batch_step_bytes(n, replicates, n) + 56 * n
+        cap = sim.batch_step_bytes(n, replicates, n) + exact_moments_bytes(n)
         monkeypatch.setattr(cli, "MAX_REQUEST_BYTES", cap)
         argv = ("simulate", "--dist", "rademacher", "--alpha", "0.75", "--n", str(n))
         code, out, _ = run_cli(capsys, *argv, "--replicates", str(replicates))
         assert code == 0 and len(out.splitlines()) == 6
-        over = sim.batch_step_bytes(n, replicates + 1, n) + 56 * n - cap
+        over = sim.batch_step_bytes(n, replicates + 1, n) + exact_moments_bytes(n) - cap
         assert over == (20 if replicates > sim._TILE_WALKS else 920)
         assert_one_error_line(capsys, (*argv, "--replicates", str(replicates + 1)), "cap")
 
     def test_below_cap_runs(self, capsys, monkeypatch):
         monkeypatch.undo()
-        monkeypatch.setattr(cli, "MAX_REQUEST_BYTES", 8 * 7 * 1000)
+        monkeypatch.setattr(cli, "MAX_REQUEST_BYTES", exact_moments_bytes(1000))
         code, out, _ = run_cli(
             capsys, "exact", "--dist", "rademacher", "--alpha", "0.75", "--n", "1000",
         )
@@ -824,17 +836,17 @@ class TestGoldenOutput:
          "2ff313b2c4b3005754a912efbd9c25c0a4be441ddb9a95414068acb7b6439ecc"),
         (("simulate", "--dist", SKEWED, "--alpha", "0.6", "--n", "200",
           "--replicates", "500", "--checkpoints", "50,200", "--seed", "7"),
-         "afc634fa798c5a9f511d2d9a96f574d3aaae6c45980173ea88ec604b8741b0ea"),
+         "81330041605e2f55c1f4deb5f433a2a49a2c745714fd29a5e54b6f64a21e1bf2"),
         (("simulate", "--dist", GAUSSIAN, "--alpha", "0.3", "--n", "200",
           "--replicates", "500", "--checkpoints", "100,200", "--seed", "0xbeef"),
-         "7f4d49a7d81a482690ed74e8f53e24c1bc5d712a65e51ff5c53cc350d703dd07"),
+         "95dc93ed5fa7a1c0bc8e6b4b3c893b52354f744735ff0132d4e9f4c9db472f08"),
         (("exact", "--dist", SKEWED, "--alpha", "0.75", "--n", "200"),
-         "bae94fd1a49b032c568d4f13ae91ca4522d68e1bc7a823fd74a09ed24df9cc86"),
-        # 10000 rows cross the row blocks of the recursion and the writers
+         "8b694c55c32b0237c865ad1e55387793d323414307cf6073b127799748ad16db"),
+        # 10000 rows cross the writers' row blocks and 100 of the recursion's blocks
         (("exact", "--dist", SKEWED, "--alpha", "0.75", "--n", "10000"),
-         "5d8da701ec2afdb041a1e684c735c8651584a2da2985be9c5ef2d40ad6f85dfd"),
+         "89377fbbb49a00a5651a8c2380e32c80a8acd9b18c77d5902ba44963e740e40a"),
         (("exact", "--dist", SKEWED, "--alpha", "0.75", "--n", "10000", "--compare"),
-         "5dbd978c6dd18045783672c1f57aa3e80e1dd8163991be5fda1f3304488aeabe"),
+         "8923c9a35c7d7169fbe1bd41c4153cf5b11a6684408ec2529af25b5e6fadc3dc"),
     ], ids=["simulate-rademacher", "simulate-skewed", "simulate-gaussian", "exact-skewed",
             "exact-skewed-blocks", "exact-skewed-blocks-compare"])
     def test_sha256(self, argv, digest, tmp_path, capsys):

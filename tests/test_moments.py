@@ -3,7 +3,9 @@
 import csv
 import io
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,10 +27,13 @@ from erw import (
     log_gamma_ratio,
     moment_set,
 )
+from erw import gammatools, moments
 from erw import simulate as sim
 from erw.gammatools import check_alpha, martingale_scale
 from erw.moments import (
     _ROW_BLOCK,
+    CSV_COLUMNS,
+    exact_moments_bytes,
     format_csv_rows,
     second_moment_coefficient,
     third_moment_coefficient,
@@ -46,6 +51,10 @@ ORACLE_LAWS = {
     "skewed": StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4)),
     "gaussian": StepDistribution.gaussian(0.5, 2.0),
 }
+ORACLE_ALPHAS = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.6, 0.75, 1.0)
+#: no step, one step, and tables whose last block of steps is full (3,
+#: 13, 241) or partial
+ORACLE_SIZES = (1, 2, 3, 10, 13, 49, 100, 241, 257, 500)
 
 
 def _kahan_add(value, comp, increment):
@@ -56,8 +65,8 @@ def _kahan_add(value, comp, increment):
 
 def _reference_exact_moments(ms, alpha, n_max):
     """Test oracle: the seven recursions in their plain form, one call per
-    compensated addition and one numpy row stored per step.
-    `exact_moments_upto` must reproduce its bytes."""
+    compensated addition and one numpy row stored per step: the loop the
+    blocked scan of `exact_moments_upto` replaced."""
     m1, m2 = ms.m1, ms.m2
     M2, M3, M4 = ms.M2, ms.M3, ms.M4
     M12, M13, M22, M112 = ms.M12, ms.M13, ms.M22, ms.M112
@@ -93,6 +102,50 @@ def _reference_exact_moments(ms, alpha, n_max):
         s4, cs4 = _kahan_add(s4, cs4, inc_s4)
         values[n] = (s2, st, s3, su, t2, s2t, s4)
     return values
+
+
+def _mpmath_exact_moments(ms, alpha, n_max):
+    """Test oracle: the seven recursions iterated in 40-digit mpmath from
+    the law's double moments and alpha, as (hi, lo): two float64 tables
+    whose sum is each cell to about 1e-32 relative."""
+    mpf = mpmath.mpf
+    with mpmath.workdps(40):
+        m1, m2, M2, M3, M4, M12, M13, M22, M112 = (mpf(getattr(ms, name)) for name in (
+            "m1", "m2", "M2", "M3", "M4", "M12", "M13", "M22", "M112"))
+        x = [M2, M12, M3, M13, M22, M112, M4]
+        rows = [x]
+        for n in range(1, n_max):
+            a = mpf(alpha) / n
+            s2, st, s3, su, t2, s2t, s4 = x
+            x = [
+                s2 + 2 * a * s2 + M2,
+                st + 2 * a * st + M12,
+                s3 + 3 * a * s3 + 3 * a * st - 6 * a * m1 * s2 + M3,
+                su + 2 * a * su + M13,
+                t2 + 2 * a * t2 + M22,
+                s2t + 3 * a * s2t + 2 * a * su + a * t2 - 4 * a * m1 * st - 2 * a * m2 * s2 + M112,
+                s4 + 4 * a * s4 + 6 * a * s2t + 4 * a * su - 12 * a * m1 * (s3 + st)
+                + (12 * a * m1 * m1 + 6 * M2) * s2 + M4,
+            ]
+            rows.append(x)
+        hi = np.array([[float(v) for v in row] for row in rows])
+        lo = np.array([[float(v - mpf(float(v))) for v in row] for row in rows])
+    return hi, lo
+
+
+#: Columns whose forcing cancels for a law: uniform(0, 1) has M3 = 0, so
+#: its s3 is the residue of rounding in its inputs, and its s2t's forcing
+#: cancels to a few ulps (the literal loop is 4.6 ulps off there at
+#: alpha = 1).  These cells are measured against their row's largest cell.
+CANCELLING = {"uniform": [CSV_COLUMNS.index("s3") - 1, CSV_COLUMNS.index("s2t") - 1]}
+
+
+def _oracle_relerr(law, values, hi, lo):
+    """Each cell's error against the mpmath oracle (hi + lo), relative to
+    the cell, or to its row for the law's cancelling columns."""
+    scale = np.abs(hi)
+    scale[:, CANCELLING.get(law, [])] = np.abs(hi).max(axis=1, keepdims=True)
+    return np.abs((values - hi) - lo) / np.where(scale == 0.0, 1.0, scale)
 
 
 _RAD = StepDistribution.rademacher()
@@ -177,16 +230,76 @@ class TestExactRecursion:
         with pytest.raises(ValueError):
             exact_moments_upto(standard_moment_sets["rademacher"], 0.5, 0)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0 / 3.0, 0.5, 0.6, 0.75, 1.0])
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    @pytest.mark.parametrize("law", sorted(ORACLE_LAWS))
+    def test_matches_mpmath_oracle(self, law, alpha):
+        ms = moment_set(ORACLE_LAWS[law])
+        # the oracle's table is a prefix of every longer one
+        hi, lo = _mpmath_exact_moments(ms, alpha, ORACLE_SIZES[-1])
+        for n in ORACLE_SIZES:
+            values = exact_moments_upto(ms, alpha, n).values
+            assert np.array_equal(values == 0.0, hi[:n] == 0.0), n
+            assert _oracle_relerr(law, values, hi[:n], lo[:n]).max() <= 1e-15, n
+
+    @pytest.mark.slow
+    def test_matches_mpmath_oracle_at_2e4(self):
+        n = 20_000
+        ms = moment_set(ORACLE_LAWS["skewed"])
+        hi, lo = _mpmath_exact_moments(ms, 0.75, n)
+        values = exact_moments_upto(ms, 0.75, n).values
+        assert _oracle_relerr("skewed", values, hi, lo).max() <= 1e-15
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
     @pytest.mark.parametrize("law", sorted(ORACLE_LAWS))
     def test_bytes_match_oracle(self, law, alpha):
+        # against the literal loop the scan replaced: the cells the loop
+        # holds exactly (row 1 and the exact zeros) keep its bytes, and
+        # every other cell is within 1e-15 of its row
         ms = moment_set(ORACLE_LAWS[law])
         sizes = (1, 2, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3)
-        # a table is a prefix of every longer table, so one oracle run serves all sizes
         oracle = _reference_exact_moments(ms, alpha, sizes[-1])
         for n in sizes:
             values = exact_moments_upto(ms, alpha, n).values
-            assert values.tobytes() == oracle[:n].tobytes(), n
+            assert values[0].tobytes() == oracle[0].tobytes()
+            assert np.array_equal(values == 0.0, oracle[:n] == 0.0), n
+            assert row_relerr(oracle[:n], values).max() <= 1e-15, n
+
+    @pytest.mark.parametrize("law", sorted(ORACLE_LAWS))
+    def test_tables_of_any_length_agree(self, law):
+        # the blocks follow n_max, so a table is no longer a byte prefix of
+        # a longer one; its cells agree to 1e-15, measured as against the
+        # mpmath oracle
+        ms = moment_set(ORACLE_LAWS[law])
+        for alpha in ORACLE_ALPHAS:
+            longest = exact_moments_upto(ms, alpha, 2000).values
+            for n in ORACLE_SIZES + (1296, 1999):
+                values = exact_moments_upto(ms, alpha, n).values
+                assert _oracle_relerr(law, values, longest[:n], 0.0).max() <= 1e-15, (alpha, n)
+
+    def test_uses_no_gamma_function(self, monkeypatch):
+        # the recursion is the path `verify` holds the closed forms to, so
+        # it must not be built from them
+        def refuse(*args, **kwargs):
+            raise AssertionError("the recursion called a gamma-function routine")
+
+        for name in ("log_gamma_ratio", "recip_gamma", "scaled_gamma_sums",
+                     "unit_constant_solution"):
+            monkeypatch.setattr(gammatools, name, refuse)
+            monkeypatch.setattr(moments, name, refuse)
+        ms = moment_set(ORACLE_LAWS["skewed"])
+        assert len(exact_moments_upto(ms, 0.75, 1000)) == 1000
+
+    @pytest.mark.parametrize("n", [2, 1000, 100_000])
+    def test_peak_within_exact_moments_bytes(self, n):
+        ms = moment_set(ORACLE_LAWS["skewed"])
+        exact_moments_upto(ms, 0.75, 10)  # first-call allocations aside
+        tracemalloc.start()
+        try:
+            exact_moments_upto(ms, 0.75, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= exact_moments_bytes(n)
 
     def test_rademacher_degeneracy_exact(self, standard_moment_sets):
         # T~ == 0 for steps in {-1, +1}: st, t2, s2t vanish and su == s2
