@@ -80,22 +80,58 @@ def uniform_draw(key: int, counter: int) -> float:
     return ((v >> 11) + 0.5) * _TO_UNIT
 
 
+def mixed_words(keys: np.ndarray, counter, out: np.ndarray | None = None) -> np.ndarray:
+    """The mixed 64-bit words behind `uniform_draws(keys, counter)`, of the
+    same shape, made in `out` (a C-contiguous uint64 array of that shape)
+    when it is given.
+
+    The offsets (c+1)*GOLDEN wrap mod 2^64 in uint64 arithmetic, exactly as
+    `uniform_draw`'s mask does; they are computed on a 1-D array, since
+    numpy warns when a 0-d uint64 product wraps.
+    """
+    offsets = (np.asarray(counter, dtype=np.uint64).reshape(-1) + np.uint64(1)) * _UGOLDEN
+    shape = np.shape(counter) + keys.shape
+    if out is None:
+        out = np.empty(shape, dtype=np.uint64)
+    np.add(offsets[:, None], keys, out=out.reshape(offsets.size, keys.size))
+    return _mix64_array(out)
+
+
+def unit_floats(words: np.ndarray) -> np.ndarray:
+    """The uniforms in (0, 1] of mixed words, as a new float64 array; the
+    words are spent (shifted in place).  The 53-bit integers convert
+    through a signed view, exact and faster than from uint64."""
+    words >>= _U11
+    u = words.view(np.int64).astype(np.float64)
+    u += 0.5
+    u *= _TO_UNIT
+    return u
+
+
+def words_below(x: float) -> int:
+    """The word bound of `u < x`: a uniform is below x exactly when its
+    mixed word is below the returned integer, K << 11, where K counts the
+    53-bit integers k with (k + 0.5) 2^-53 < x.  That rule, `uniform_draw`'s
+    own float arithmetic, is non-decreasing in k, so K is found by
+    bisection.  K < 2^53 for x <= 1, since the top k gives exactly 1.0."""
+    lo, hi = 0, 2**53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mid + 0.5) * _TO_UNIT < x:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo << 11
+
+
 def uniform_draws(keys: np.ndarray, counter) -> np.ndarray:
     """Vectorised `uniform_draw` across many streams.
 
     The result has shape np.shape(counter) + keys.shape: one draw per key
     for a scalar `counter`, and for a 1-D array of counters row i holds the
-    draws at counter[i].  The offsets (c+1)*GOLDEN wrap mod 2^64 in uint64
-    arithmetic, exactly as `uniform_draw`'s mask does; they are computed on
-    a 1-D array, since numpy warns when a 0-d uint64 product wraps.
+    draws at counter[i].
     """
-    offsets = (np.asarray(counter, dtype=np.uint64).reshape(-1) + np.uint64(1)) * _UGOLDEN
-    v = _mix64_array(offsets[:, None] + keys).reshape(np.shape(counter) + keys.shape)
-    v >>= _U11
-    u = v.astype(np.float64)
-    u += 0.5
-    u *= _TO_UNIT
-    return u
+    return unit_floats(mixed_words(keys, counter))
 
 
 def parse_seed(text: str) -> int:

@@ -42,7 +42,7 @@ import numpy as np
 from .distributions import MomentSet, StepDistribution, inverse_cdf, moment_set
 from .gammatools import check_alpha
 from .moments import ConditionalStepMoments, conditional_step_moments
-from .rng import MASK64, replicate_keys, uniform_draws
+from .rng import MASK64, mixed_words, replicate_keys, uniform_draws, unit_floats, words_below
 
 #: Upper bound on elements of the per-chunk step matrix; chunk boundaries
 #: depend only on (n, replicates), never on the worker count, which is what
@@ -104,27 +104,6 @@ class WalkState:
         return cls(n=n, steps=arr, s_tilde=s_tilde, t_tilde=t_tilde, u_tilde=u_tilde)
 
 
-def _block_draws(keys: np.ndarray, alpha: float, t_block: np.ndarray):
-    """The draws of steps t_block (consecutive, 1-based) of every walk, the
-    same for both engines: (u_val, repeat, src), each (steps x walks).
-
-    Step t reads draw counter 2(t-1) for the branch uniform and 2(t-1)+1
-    for the index-or-sample uniform u_val.  repeat says whether the step
-    copies (the branch uniform is below alpha; never at t = 1) and src is
-    the 0-based row it copies, floor(u_val (t-1)) capped at t-2.  None of
-    these depends on the walk's history, so a block of steps is drawn in
-    one call per array.
-    """
-    u_val = uniform_draws(keys, 2 * t_block - 1)
-    repeat = uniform_draws(keys, 2 * t_block - 2) < alpha
-    prev = (t_block - 1)[:, None]
-    src = (u_val * prev).astype(np.int64)
-    np.minimum(src, prev - 1, out=src)
-    if t_block[0] == 1:
-        repeat[0] = False  # the first step is always fresh
-    return u_val, repeat, src
-
-
 def _block_rows(width: int) -> int:
     """Steps per block of draws: about _BLOCK_ELEMENTS values per array."""
     return max(1, _BLOCK_ELEMENTS // max(width, 1))
@@ -132,28 +111,44 @@ def _block_rows(width: int) -> int:
 
 def _fill_walks(out: np.ndarray, keys: np.ndarray, alpha: float, fresh) -> np.ndarray:
     """Fill `out`, an (n, len(keys)) matrix, with len(keys) walks by the step
-    rule, vectorised across walks, and return it.
+    rule, vectorised across walks, and return it; both engines run it.
 
-    The draws are made a block of steps at a time (`_block_draws`).  Each
-    block's rows are first set to `fresh(u_val, own)`, the values of fresh
-    steps (`own` is each row's 0-based index, as a column), and a fresh
-    step then reads its value at its own position, so every step is one
-    `take` from the walk's own history, without a select.  The counters,
-    and so the bytes, are the same as drawing one step at a time.
+    Step t reads draw counter 2(t-1) for the branch uniform and 2(t-1)+1
+    for the index-or-sample uniform u_val.  None of these depends on the
+    walk's history, so they are drawn a block of steps at a time.  The
+    step repeats when its branch uniform is below alpha, never at t = 1,
+    which is tested on the mixed word against `words_below(alpha)`, and
+    the value words are then mixed in the same buffer.  Each block's rows
+    are first set to `fresh(u_val, own)`, the values of fresh steps (`own`
+    is each row's 0-based index, as a column).  A repeat copies row
+    floor(u_val (t-1)), capped at t-2 for u_val = 1, made in the spent
+    words' buffer; a fresh step reads its value at its own position, one
+    select, so every step is one `take` from the walk's own history.  The
+    counters, and so the bytes, are the same as drawing one step at a time.
     """
     n, width = out.shape
     flat = out.reshape(-1)
     cols = np.arange(width)
     rows = _block_rows(width)
+    bound = np.uint64(words_below(alpha))
 
-    for first in range(1, n + 1, rows):
-        t_block = np.arange(first, min(first + rows, n + 1))
-        u_val, repeat, src = _block_draws(keys, alpha, t_block)
-        own = (t_block - 1)[:, None]
-        block = out[first - 1 : first - 1 + t_block.size]
+    for first in range(0, n, rows):
+        steps = np.arange(first, min(first + rows, n))  # t - 1
+        words = mixed_words(keys, 2 * steps)
+        repeat = words < bound
+        if first == 0:
+            repeat[0] = False  # the first step is always fresh
+        u_val = unit_floats(mixed_words(keys, 2 * steps + 1, out=words))
+        own = steps[:, None]
+        block = out[first : first + steps.size]
         block[...] = fresh(u_val, own)
-        np.copyto(src, own, where=~repeat)
-        del u_val, repeat
+        src = words.view(np.int64)
+        u_val *= own.astype(np.float64)  # an int column would be cast per element
+        np.copyto(src, u_val, casting="unsafe")  # truncates, as astype does
+        del u_val, words
+        np.minimum(src, own - 1, out=src)
+        src = np.where(repeat, src, own)
+        del repeat
         src *= width
         src += cols
         for i, row in enumerate(block):
@@ -203,6 +198,16 @@ def _size_pass_bytes(width: int, last: int) -> int:
     return width * per_walk + _SIZE_PASS_FIXED_BYTES
 
 
+def _add_rows(total: np.ndarray, block: np.ndarray) -> None:
+    """total += the rows of `block`, added one row at a time in order, so
+    the sum of a column is the same for any number of columns and any
+    block edges (numpy's column sum adds a lone contiguous column
+    pairwise).  `block` is left holding the running sums."""
+    block[0] += total
+    np.cumsum(block, axis=0, out=block)
+    total[...] = block[-1]
+
+
 def _cluster_size_sums(labels: np.ndarray, checkpoints: Sequence[int]):
     """Yield (S2, S3, S4) at each checkpoint c, one float64 value per walk
     (column of `labels`): S_k = sum of N^k over the walk's clusters, where
@@ -215,7 +220,8 @@ def _cluster_size_sums(labels: np.ndarray, checkpoints: Sequence[int]):
     O(new rows), and sums the powers of the first c rows of counts,
     O(walks * c), a block of rows at a time.  While the counts fit 16 bits
     the sums are exact uint64 integers (S4 <= c^4 < 2^64), rounded once,
-    when converted to float64; beyond, they are float64 sums.
+    when converted to float64; beyond, they are float64 sums added row by
+    row (`_add_rows`), so a walk's sums do not depend on its tile's width.
     """
     width = labels.shape[1]
     last = checkpoints[-1]
@@ -224,7 +230,8 @@ def _cluster_size_sums(labels: np.ndarray, checkpoints: Sequence[int]):
     one = counts.dtype.type(1)  # of the counts' type: np.add.at's fast path
     cols = np.arange(width)
     rows = min(_block_rows(width), last)
-    sum_type = np.uint64 if counts.itemsize <= 2 else np.float64
+    exact = counts.itemsize <= 2
+    sum_type = np.uint64 if exact else np.float64
     sizes, squares = np.empty((2, rows, width), dtype=sum_type)
     sums = np.empty((3, width), dtype=sum_type)
     start = 0
@@ -241,11 +248,19 @@ def _cluster_size_sums(labels: np.ndarray, checkpoints: Sequence[int]):
             size, square = sizes[: stop - r], squares[: stop - r]
             np.copyto(size, counts[r:stop])
             np.multiply(size, size, out=square)
-            sums[0] += square.sum(axis=0)
-            size *= square
-            sums[1] += size.sum(axis=0)
-            square *= square
-            sums[2] += square.sum(axis=0)
+            if exact:
+                sums[0] += square.sum(axis=0)
+                size *= square
+                sums[1] += size.sum(axis=0)
+                square *= square
+                sums[2] += square.sum(axis=0)
+            else:  # each add spends its block: N^3, then N^2, then N^4
+                size *= square
+                _add_rows(sums[1], size)
+                np.copyto(size, square)
+                _add_rows(sums[0], size)
+                square *= square
+                _add_rows(sums[2], square)
         yield tuple(sums.astype(np.float64))
 
 

@@ -51,6 +51,7 @@ from .simulate import (
     ScaledMomentEstimate,
     WalkState,
     _martingale_differences,
+    _power_sums,
     _run_labels,
     _run_paths,
     batch_epsilon_moments,
@@ -185,13 +186,12 @@ def check_sampling_moments(
     )
     uniforms = uniform_draws(replicate_keys(seed, 0, n_samples), 0)
     for label, dist in dists:
-        samples = inverse_cdf(dist, uniforms)
+        sums = _power_sums(inverse_cdf(dist, uniforms))
         exact = raw_moments(dist)
         worst = 0.0
         for k in range(1, 5):
-            powers = samples ** k
-            mean = float(powers.mean())
-            stderr = sample_stderr(mean, float((powers * powers).mean()), n_samples)
+            mean = float(sums[k - 1]) / n_samples
+            stderr = sample_stderr(mean, float(sums[k + 3]) / n_samples, n_samples)
             worst = max(worst, abs(float(z_score(mean - exact[k - 1], stderr))))
         out.append(_result(f"sampling_moments[{label}]", worst, z_max, "worst |z|"))
     return out

@@ -22,7 +22,10 @@ from erw import (
 )
 import erw.simulate as sim
 from erw.distributions import inverse_cdf
-from erw.rng import mix64, parse_seed, replicate_key, replicate_keys, uniform_draw, uniform_draws
+from erw.rng import (
+    MASK64, mix64, parse_seed, replicate_key, replicate_keys, uniform_draw, uniform_draws, unit_floats,
+    words_below,
+)
 from erw.simulate import WalkState, marginal_moment_sums, sample_stderr, z_score
 from erw.verify import cluster_label_mismatches, compare_with_exact
 from literal_batch import _checkpoint_sums, simulate_batch
@@ -156,6 +159,34 @@ class TestRng:
         u = uniform_draws(keys, 0)
         assert np.all(u > 0.0) and np.all(u <= 1.0)
 
+    @pytest.mark.parametrize("alpha", [
+        0.0, 2.0**-60, 1e-9, 0.25, 1 / 3, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+        0.75, 1 - 2.0**-53, 1.0,
+    ])
+    def test_word_bound_is_the_float_rule(self, alpha):
+        # the engine's branch test `word < words_below(alpha)` against
+        # u < alpha for the 53-bit integers k around the bound, each at
+        # its lowest and highest word; from 1/2 up, k + 0.5 rounds to even
+        bound = words_below(alpha)
+        K = bound >> 11
+        assert bound == K << 11
+        ks = [k for k in range(K - 2, K + 2) if 0 <= k < 2**53]
+        words = np.array([(k << 11) | low for k in ks for low in (0, 2**11 - 1)], dtype=np.uint64)
+        by_word = words < np.uint64(bound)
+        by_float = [(k + 0.5) * 2.0**-53 < alpha for k in ks for _ in range(2)]
+        assert by_word.tolist() == by_float
+        assert (unit_floats(words.copy()) < alpha).tolist() == by_float, alpha
+
+    def test_top_word_is_never_a_repeat(self):
+        # k = 2**53 - 1 gives u = 1.0, which is not below alpha = 1
+        top = np.array([MASK64], dtype=np.uint64)
+        assert unit_floats(top.copy())[0] == 1.0
+        assert words_below(1.0) == (2**53 - 1) << 11
+        assert not (top < np.uint64(words_below(1.0)))[0]
+        # from 2**52 up, k + 0.5 is a tie that rounds to even: at alpha =
+        # 0.75 the odd k = 3 * 2**51 - 1 rounds up to the bound itself
+        assert words_below(0.75) == (3 * 2**51 - 1) << 11
+
     def test_parse_seed(self):
         assert parse_seed("123") == 123
         assert parse_seed("0xff") == 255
@@ -207,10 +238,21 @@ class TestBlockedDraws:
     @pytest.mark.parametrize("width,budget", [(1, 600), (7, 600), (300, 600), (300, None)])
     @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
     def test_matches_step_at_a_time_oracle(self, dist, width, budget, monkeypatch):
+        self._check_against_oracle(dist, 0.6, width, budget, monkeypatch)
+
+    # no repeats, some, and every step a repeat but u = 1.0's
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("width,budget", [(1, 600), (7, 600), (300, 600), (300, None)])
+    @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
+    def test_matches_oracle_at_other_alphas(self, dist, width, budget, alpha, monkeypatch):
+        self._check_against_oracle(dist, alpha, width, budget, monkeypatch)
+
+    @staticmethod
+    def _check_against_oracle(dist, alpha, width, budget, monkeypatch):
         if budget is not None:
             monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", budget)
         ms = moment_set(dist)
-        alpha, seed = 0.6, 2718
+        seed = 2718
         keys = replicate_keys(seed, 0, width)
         rows = max(1, sim._BLOCK_ELEMENTS // width)
         for n in (1, 2, rows - 1, rows, rows + 1, 2 * rows + 3):
@@ -236,6 +278,14 @@ class TestBlockedDraws:
                 (marginal_moment_sums(dist, alpha, n, width, seed), marginal),
             ):
                 assert got.tobytes() == ref.sums[:, _LAYOUT].tobytes(), where
+
+    def test_value_uniform_one_copies_the_step_before(self, monkeypatch):
+        # u_val = 1 (probability 2**-53) makes floor(u_val (t-1)) = t-1, the
+        # step itself; the cap makes the repeat copy step t-1, so at alpha
+        # = 1 every step joins the first cluster
+        monkeypatch.setattr(sim, "unit_floats", lambda words: np.ones(words.shape))
+        labels = sim._run_labels(1.0, 50, replicate_keys(3, 0, 4))
+        assert not labels.any()
 
     def test_chunk_spans_cover_replicates_in_order(self, monkeypatch):
         monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 1000)
@@ -302,14 +352,18 @@ class TestBlockedDraws:
         # the mc shape: the label matrix is the label term of
         # batch_step_bytes, and the only other arrays alive are `cols` (8
         # bytes per walk) and one block of draws.  The previous block is
-        # freed before the next is drawn, and while one is drawn u_val, at
-        # most two other 8-byte arrays and the 1-byte `repeat` are alive:
-        # 25 bytes per element of a block, 25.2 measured.  With 4-byte
-        # labels the peak would be 12 MB higher.
+        # freed before the next is drawn, and while one is drawn at most
+        # two 8-byte arrays and the 1-byte `repeat` are alive (the words
+        # and a shift of them, the words and u_val, the sources and the
+        # select's result), 17 bytes per element of a block, and np.where
+        # fills a 64 KiB buffer, 4.1 more at 16,000 elements: 21.26
+        # measured (25.2 when the branch uniform was a float and the
+        # select a masked copy).  With 4-byte labels the peak would be
+        # 12 MB higher.
         n, width = 3000, 2000
         label_term = (sim.batch_step_bytes(n, width, n)
                       - sim._size_pass_bytes(sim._TILE_WALKS, n))
-        block = 26 * sim._block_rows(width) * width + 8 * width
+        block = 21.3 * sim._block_rows(width) * width + 8 * width
         keys = replicate_keys(1, 0, width)
         tracemalloc.start()
         try:
@@ -507,7 +561,7 @@ class TestSizePass:
         (0.95, 65_535, 16, (30_000, 65_535), 1, None),
         (1.0, 70_000, 130, (35_000, 70_000), 3, None),
         (0.95, 65_537, 129, (1000, 65_537), 4,
-         "0acd18990e8efdb71d0d09e7b5c2da858472869690df22ababbbe10a1a5b5684"),
+         "48f84dd4d67ee67bac0f0f76281a0140bd27fee6ff8cfa1935f03d52878036d5"),
         (0.99, 70_000, 1, (70_000,), 5, None),
         (0.99, 70_000, 3, (20_000, 70_000), 5, None),
     ], ids=["mc-rademacher", "mc-gaussian", "100-checkpoints", "S4-above-2**53", "last-uint16",
@@ -525,6 +579,18 @@ class TestSizePass:
         if digest is not None:
             sums = np.stack([np.stack(s) for s in sim._cluster_size_sums(labels, checkpoints)])
             assert hashlib.sha256(sums.tobytes()).hexdigest() == digest
+
+    def test_float_sums_do_not_depend_on_tile_width(self):
+        # above 65,535 steps the sums are float64: a walk's (S2, S3, S4)
+        # are the same bytes from a tile of one walk, whose column numpy
+        # would add pairwise, and from a tile of three, whose block edges
+        # lie elsewhere
+        n = 70_000
+        labels = sim._run_labels(0.99, n, replicate_keys(5, 0, 3))
+        wide = next(sim._cluster_size_sums(labels, (n,)))
+        for j in range(3):
+            alone = next(sim._cluster_size_sums(labels[:, j : j + 1], (n,)))
+            assert np.stack(alone)[:, 0].tobytes() == np.stack(wide)[:, j].tobytes(), j
 
     @pytest.mark.parametrize("last,dtype", [
         (255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32),
