@@ -16,18 +16,15 @@ from .distributions import (
     raw_moments,
 )
 from .gammatools import (
-    RecursionSpec,
     SingularParameterError,
     check_alpha,
     gamma_sum_linear,
     gamma_sum_linear_direct,
     gamma_sum_weighted,
     gamma_sum_weighted_direct,
-    iterate_recursion,
     log_gamma_ratio,
     martingale_scale,
     solve_recursion,
-    solve_recursion_constant,
 )
 from .moments import (
     ClosedFormMoments,

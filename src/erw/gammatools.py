@@ -6,18 +6,18 @@ and subtracting two large lgamma values loses up to 8 digits, so ratios are
 evaluated in log space from a Stirling-series difference that never
 cancels, and exponentiated with np.exp.  On top of that sit one closed form
 of two gamma-ratio sums, and the solution of b_{n+1} = (1 + beta/n) b_n + c_n
-in one form for constant c_n and by a generic solver for any c_n.
+for constant c_n in one form.  That recursion is solved for any c_n by one
+solver, the blocked scan of `moments`.
 
-Direct-summation / direct-iteration twins of the closed forms are provided
-as testing oracles.  They are O(n): the direct sums evaluate every term in
-one array call and add the terms exactly with math.fsum.
+Direct-summation twins of the closed forms, and the gamma-ratio sum that
+solves the recursion for any c_n, are provided as test oracles.  They are
+O(n): they evaluate every term in one array call and add the terms exactly
+with math.fsum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -139,8 +139,8 @@ def martingale_scale(n, alpha: float):
 
 def _check_n(n, name: str):
     """n as float64, or ValueError unless every element is a finite whole
-    number >= 1: the one rule for the n of the sums and recursions below.
-    A bool is refused rather than read as 0 or 1."""
+    number >= 1: the one rule for the n of the sums below and the n_max of
+    the tables of `moments`.  A bool is refused rather than read as 0 or 1."""
     values = np.asarray(n)
     if values.dtype.kind in "iuf":
         values = values.astype(np.float64)
@@ -235,75 +235,27 @@ def gamma_sum_weighted_direct(a: float, b: float, n: int) -> float:
     return math.fsum((j * np.exp(log_gamma_ratio(j + b, a - b))).tolist())
 
 
-@dataclass(frozen=True)
-class RecursionSpec:
-    """The recursion b_{n+1} = (1 + beta/n) b_n + c_n with initial value b1.
-
-    `c_seq` maps the 1-based index n to c_n; `constant` builds the common
-    special case c_n = c.
-    """
-
-    beta: float
-    b1: float
-    c_seq: Callable[[int], float]
-
-    def __post_init__(self) -> None:
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-
-    @classmethod
-    def constant(cls, beta: float, b1: float, c: float) -> "RecursionSpec":
-        return cls(beta=beta, b1=b1, c_seq=lambda _n, _c=c: _c)
-
-    @classmethod
-    def from_sequence(cls, beta: float, b1: float, values: Sequence[float]) -> "RecursionSpec":
-        """c_n read from values[n-1]; handy for tabulated inhomogeneities."""
-        vals = tuple(float(v) for v in values)
-        return cls(beta=beta, b1=b1, c_seq=lambda n, _v=vals: _v[n - 1])
-
-
-def solve_recursion(spec: RecursionSpec, n: int) -> float:
-    """b_n via the explicit gamma-ratio solution of the recursion.
+def solve_recursion(beta: float, b1: float, c) -> float:
+    """Test oracle: b_n of b_{k+1} = (1 + beta/k) b_k + c_k from b_1 and the
+    forcing c = (c_1, ..., c_{n-1}), by the explicit gamma-ratio solution
 
         b_n = Gamma(n+beta)/Gamma(n) * (b1/Gamma(1+beta)
-              + sum_{j=1..n-1} Gamma(j+1)/Gamma(j+1+beta) * c_j)
+              + sum_{j=1..n-1} Gamma(j+1)/Gamma(j+1+beta) * c_j).
 
-    Costs O(n); the point is exactness, not speed.
+    Every ratio Gamma(k)/Gamma(k+beta), k = 1..n, comes from one array call
+    and the terms are added exactly with math.fsum.  The recursion itself
+    is solved by the blocked scan of `moments`, which this is checked
+    against.
     """
-    n = int(_check_n(n, "n"))
-    beta = spec.beta
-    # Gamma(j+1) / Gamma(j+1+beta) for j = 1..n-1
-    factors = np.exp(-log_gamma_ratio(np.arange(2.0, n + 1.0), beta)).tolist()
-    terms = [spec.b1 / math.gamma(1.0 + beta)]
-    terms.extend(f * spec.c_seq(j) for j, f in enumerate(factors, 1))
-    return np.exp(log_gamma_ratio(n, beta)) * math.fsum(terms)
+    terms = np.concatenate(([b1], np.asarray(c, dtype=np.float64)))
+    ratios = np.exp(-log_gamma_ratio(np.arange(1.0, terms.size + 1.0), beta))
+    return math.fsum((terms * ratios).tolist()) / ratios[-1]
 
 
 def unit_constant_solution(beta: float, n, f_beta):
     """b_n / c for c_n = b_1 = c and beta != 1, from f_beta = Gamma(n+beta)/Gamma(n):
     Gamma(n+beta)/Gamma(n) / ((beta-1) Gamma(beta)) - n / (beta-1).  The one
-    form of this solution, which `solve_recursion_constant` scales by c and
-    `moments.closed_form_moments` builds the quadratic moments from."""
+    form of this solution: `moments.closed_form_moments` builds the
+    quadratic moments from it, and `verify` holds it to the blocked scan
+    that solves the recursion."""
     return recip_gamma(beta) / (beta - 1.0) * f_beta - n / (beta - 1.0)
-
-
-def solve_recursion_constant(beta: float, c: float, n: int) -> float:
-    """b_n for the constant case c_n = c with b1 = c, requiring beta != 1:
-    c times `unit_constant_solution`."""
-    n = _check_n(n, "n")
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    _refuse_singular("beta - 1", beta - 1.0)
-    return c * unit_constant_solution(beta, n, np.exp(log_gamma_ratio(n, beta)))
-
-
-def iterate_recursion(spec: RecursionSpec, n_max: int) -> np.ndarray:
-    """b_1..b_{n_max} by stepping the recursion directly (testing oracle)."""
-    n_max = int(_check_n(n_max, "n_max"))
-    out = np.empty(n_max, dtype=np.float64)
-    b = spec.b1
-    out[0] = b
-    for n in range(1, n_max):
-        b = (1.0 + spec.beta / n) * b + spec.c_seq(n)
-        out[n] = b
-    return out

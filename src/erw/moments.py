@@ -33,8 +33,8 @@ import numpy as np
 
 from .distributions import MomentSet, StepDistribution, as_discrete, moment_set
 from .gammatools import (
-    SingularParameterError, check_alpha, log_gamma_ratio, recip_gamma, scaled_gamma_sums,
-    unit_constant_solution,
+    SingularParameterError, _check_n, check_alpha, log_gamma_ratio, recip_gamma,
+    scaled_gamma_sums, unit_constant_solution,
 )
 
 #: Alphas within this radius of a vanishing denominator (1/2, 1/3, 1/4 for
@@ -135,14 +135,12 @@ def exact_moments_upto(ms: MomentSet, alpha: float, n_max: int) -> ExactMomentTa
     between tables of different n_max (README, "Numerical notes").
     """
     alpha = check_alpha(alpha)
-    if n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max}")
+    n_max = int(_check_n(n_max, "n_max"))
     m1, m2, M2, M3, M4 = ms.m1, ms.m2, ms.M2, ms.M3, ms.M4
     M12, M13, M22, M112 = ms.M12, ms.M13, ms.M22, ms.M112
     values = np.empty((n_max, 7), dtype=np.float64)
     values[0] = (M2, M12, M3, M13, M22, M112, M4)
-    width = math.isqrt(n_max - 1) + 1
-    blocks = -(-(n_max - 1) // width)
+    width, blocks = _block_shape(n_max)
     a = alpha / np.arange(1, n_max)
     # an overflow gives inf and inf - inf gives nan: the table keeps both,
     # without a warning, for its callers to refuse
@@ -175,9 +173,15 @@ def exact_moments_bytes(n_max: int) -> int:
     columns of scan, 1 + e and two four-column temporaries); below 2^15
     steps, where numpy makes a new temporary for each operation of an
     expression, tracemalloc measures up to 9 more."""
+    width, blocks = _block_shape(n_max)
+    return 8 * (8 * n_max + 24 * width * blocks) + 8192
+
+
+def _block_shape(n_max: int) -> tuple[int, int]:
+    """(width, blocks) of the scan over the n_max - 1 steps to row n_max:
+    about sqrt(n_max) blocks of as many steps."""
     width = math.isqrt(n_max - 1) + 1
-    padded = width * -(-(n_max - 1) // width)
-    return 8 * (8 * n_max + 24 * padded) + 8192
+    return width, -(-(n_max - 1) // width)
 
 
 def _blocked(v: np.ndarray, width: int, blocks: int) -> np.ndarray:
@@ -225,6 +229,22 @@ def _solve_level(
     rows -= (e.T + 1.0) * lost
     rows += starts
     values[1:, cols] = rows.reshape(len(cols), e.size)[:, : len(values) - 1].T
+
+
+def _solve_recursion_scan(beta: float, b1: float, c) -> np.ndarray:
+    """b_1 .. b_n of b_{k+1} = (1 + beta/k) b_k + c_k from b_1 and the
+    forcing c_1 .. c_{n-1}, by the blocked scan `exact_moments_upto` runs:
+    `_solve_level` with c = beta and a = 1/k."""
+    c = np.asarray(c, dtype=np.float64)
+    n = c.size + 1
+    width, blocks = _block_shape(n)
+    values = np.empty((n, 1))
+    values[0] = b1
+    _solve_level(
+        values, [0], beta, _blocked(1.0 / np.arange(1, n), width, blocks),
+        _blocked(c[None], width, blocks),
+    )
+    return values[:, 0]
 
 
 def _guard(alpha: float, k: int) -> None:
@@ -499,8 +519,7 @@ def _chain_steps(dist: StepDistribution, alpha: float, n: int) -> Iterator[np.nd
     """
     alpha = check_alpha(alpha)
     _, _, w = _two_atoms(dist)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = int(_check_n(n, "n"))
     counts = np.arange(n, dtype=np.float64)
     law = np.zeros(n + 1, dtype=np.float64)
     law[0], law[1] = 1.0 - w, w

@@ -25,20 +25,19 @@ from .distributions import (
     raw_moments,
 )
 from .gammatools import (
-    RecursionSpec,
     SingularParameterError,
     gamma_sum_linear,
     gamma_sum_linear_direct,
     gamma_sum_weighted,
     gamma_sum_weighted_direct,
-    iterate_recursion,
     log_gamma_ratio,
     martingale_scale,
     solve_recursion,
-    solve_recursion_constant,
+    unit_constant_solution,
 )
 from .moments import (
     ExactMomentTable,
+    _solve_recursion_scan,
     closed_form_moments,
     closed_form_s4,
     brute_force_moments,
@@ -216,36 +215,33 @@ def check_gamma_sums(n_cases: int = 500, seed: int = 7) -> list[CheckResult]:
 
 
 def check_recursion_solver(n_specs: int = 100, seed: int = 13) -> list[CheckResult]:
-    """Explicit gamma-ratio solution vs direct iteration of the recursion."""
+    """The blocked scan that solves the moment recursions, run on
+    b_{n+1} = (1 + beta/n) b_n + c_n with random beta, b_1 and c_n, against
+    the explicit gamma-ratio solution at the last n."""
     u_beta, u_b1, u_n = uniform_draws(replicate_keys(seed, 0, n_specs), np.arange(3)).tolist()
     worst = 0.0
     for i in range(n_specs):
         beta = 0.05 + 3.95 * u_beta[i]
         b1 = 0.1 + 1.9 * u_b1[i]
         n = 2 + int(u_n[i] * 398)
-        c_values = 3.0 * uniform_draws(replicate_keys(seed + i + 1, 0, n), 3)
-        spec = RecursionSpec.from_sequence(beta, b1, c_values)
-        direct = iterate_recursion(spec, n)[-1]
-        solved = solve_recursion(spec, n)
-        worst = max(worst, abs(solved - direct) / max(abs(direct), 1e-300))
+        c = 3.0 * uniform_draws(replicate_keys(seed + i + 1, 0, n - 1), 3)
+        scan = _solve_recursion_scan(beta, b1, c)[-1]
+        oracle = solve_recursion(beta, b1, c)
+        worst = max(worst, abs(scan - oracle) / max(abs(oracle), 1e-300))
     return [_result("recursion_solver_vs_iteration", worst, 1e-10)]
 
 
 def check_constant_recursion() -> list[CheckResult]:
-    """Constant-inhomogeneity shortcut vs the general solution and iteration."""
+    """The constant-forcing form `unit_constant_solution`, scaled by c,
+    against the blocked scan with c_n = b_1 = c, at every n <= 500."""
     n = 500
+    ns = np.arange(1.0, n + 1.0)
     worst = 0.0
     for beta in (0.5, 1.5, 2.0, 3.25):
+        form = unit_constant_solution(beta, ns, np.exp(log_gamma_ratio(ns, beta)))
         for c in (0.5, 2.0):
-            spec = RecursionSpec.constant(beta, c, c)
-            direct = iterate_recursion(spec, n)[-1]
-            short = solve_recursion_constant(beta, c, n)
-            general = solve_recursion(spec, n)
-            worst = max(
-                worst,
-                abs(short - direct) / abs(direct),
-                abs(general - direct) / abs(direct),
-            )
+            scan = _solve_recursion_scan(beta, c, np.full(n - 1, c))
+            worst = max(worst, float((np.abs(c * form - scan) / np.abs(scan)).max()))
     return [_result("constant_recursion_shortcut", worst, 1e-10)]
 
 

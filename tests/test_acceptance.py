@@ -20,14 +20,13 @@ from erw import (
     gamma_sum_linear_direct,
     gamma_sum_weighted,
     gamma_sum_weighted_direct,
-    iterate_recursion,
     limit_q_moments,
     moment_set,
     simulate_path,
     solve_recursion,
 )
 from erw.cli import main as cli_main
-from erw.gammatools import RecursionSpec
+from erw.moments import _solve_recursion_scan
 from erw.rng import replicate_keys, uniform_draws
 from erw.simulate import WalkState
 from erw.verify import (
@@ -171,7 +170,8 @@ def test_criterion_4_rademacher_three_quarters():
 
 
 def test_criterion_5_gamma_identities():
-    """500 random gamma-sum cases and 100 recursion specs vs direct oracles."""
+    """500 random gamma-sum cases vs direct sums, and 100 recursion specs:
+    the blocked scan vs the gamma-ratio solution."""
     keys = replicate_keys(777, 0, 4000)
     worst_sum = 0.0
     accepted = 0
@@ -198,16 +198,17 @@ def test_criterion_5_gamma_identities():
         beta = 0.05 + 3.95 * uniform_draws(kj, 0)[0]
         b1 = 0.1 + 1.9 * uniform_draws(kj, 1)[0]
         n = 2 + int(uniform_draws(kj, 2)[0] * 398)
-        c_values = 3.0 * uniform_draws(replicate_keys(900 + j, 0, n), 0)
-        spec = RecursionSpec.from_sequence(beta, b1, c_values)
-        direct = iterate_recursion(spec, n)[-1]
-        worst_solver = max(worst_solver, abs(solve_recursion(spec, n) - direct) / abs(direct))
+        c = 3.0 * uniform_draws(replicate_keys(900 + j, 0, n - 1), 0)
+        oracle = solve_recursion(beta, b1, c)
+        scan = _solve_recursion_scan(beta, b1, c)[-1]
+        worst_solver = max(worst_solver, abs(scan - oracle) / abs(oracle))
     assert worst_solver <= 1e-10
     report(
         5,
         True,
         f"gamma sums: 500 random cases worst rel {worst_sum:.2e} (<=1e-10); "
-        f"recursion solver: 100 specs worst rel {worst_solver:.2e} (<=1e-10)",
+        f"recursion scan vs gamma-ratio solution: 100 specs worst rel "
+        f"{worst_solver:.2e} (<=1e-10)",
     )
 
 

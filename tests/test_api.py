@@ -108,6 +108,21 @@ def test_every_default_is_overridden_somewhere():
     assert never_set == []
 
 
+def test_run_all_calls_every_check():
+    # a check that run_all does not call drops out of `erw verify` unseen
+    tree = ast.parse((SRC / "verify.py").read_text())
+    defined = {
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
+    }
+    [run_all] = [node for node in tree.body if getattr(node, "name", None) == "run_all"]
+    called = {
+        node.func.id for node in ast.walk(run_all)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert defined and sorted(defined - called) == []
+
+
 def _functions_reading(module: str, attrs: tuple[str, ...]) -> list[str]:
     """`file.function` of every function in the package that reads
     `module.attr` for an attr in `attrs`."""

@@ -9,20 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erw import (
-    RecursionSpec,
     SingularParameterError,
+    StepDistribution,
+    brute_force_moments,
+    exact_law,
+    exact_moments_upto,
     gamma_sum_linear,
     gamma_sum_linear_direct,
     gamma_sum_weighted,
     gamma_sum_weighted_direct,
-    iterate_recursion,
     log_gamma_ratio,
     martingale_scale,
+    moment_set,
     solve_recursion,
-    solve_recursion_constant,
 )
 from erw import verify
-from erw.gammatools import recip_gamma
+from erw.gammatools import recip_gamma, unit_constant_solution
+from erw.moments import _solve_recursion_scan
+from erw.rng import replicate_keys, uniform_draws
 
 mp.mp.dps = 40
 
@@ -214,25 +218,37 @@ class TestGammaSums:
 
 
 class TestRecursionSolver:
+    """The blocked scan that solves b_{n+1} = (1 + beta/n) b_n + c_n, the
+    solver behind every moment table, against the gamma-ratio oracle."""
+
     def test_initial_value(self):
-        spec = RecursionSpec.constant(2.0, 1.0, 1.0)
-        assert solve_recursion(spec, 1) == pytest.approx(1.0, rel=1e-14)
+        # n = 1: no forcing, no step
+        assert _solve_recursion_scan(2.0, 1.5, []).tolist() == [1.5]
+        assert solve_recursion(2.0, 1.5, []) == pytest.approx(1.5, rel=1e-14)
 
     def test_one_step_by_hand(self):
         # b_2 = (1 + 2/1) * 1 + 1 = 4
-        spec = RecursionSpec.constant(2.0, 1.0, 1.0)
-        assert solve_recursion(spec, 2) == pytest.approx(4.0, rel=1e-14)
+        assert _solve_recursion_scan(2.0, 1.0, [1.0]).tolist() == [1.0, 4.0]
+        assert solve_recursion(2.0, 1.0, [1.0]) == pytest.approx(4.0, rel=1e-14)
 
     def test_constant_case_long_run(self):
         beta, c = 1.5, 2.0
-        spec = RecursionSpec.constant(beta, c, c)
-        iterated = iterate_recursion(spec, 500)[-1]
-        assert solve_recursion_constant(beta, c, 500) == pytest.approx(iterated, rel=1e-10)
-        assert solve_recursion(spec, 500) == pytest.approx(iterated, rel=1e-10)
+        ns = np.arange(1.0, 501.0)
+        scan = _solve_recursion_scan(beta, c, np.full(499, c))
+        form = c * unit_constant_solution(beta, ns, np.exp(log_gamma_ratio(ns, beta)))
+        np.testing.assert_allclose(scan, form, rtol=1e-13, atol=0.0)
+        assert solve_recursion(beta, c, np.full(499, c)) == pytest.approx(scan[-1], rel=1e-13)
 
-    def test_constant_case_beta_one_guard(self):
-        with pytest.raises(SingularParameterError, match="beta - 1"):
-            solve_recursion_constant(1.0 + 1e-12, 1.0, 10)
+    @pytest.mark.parametrize("beta", [0.05, 1.0, 2.5, 4.0])
+    def test_block_edges_match_oracle(self, beta):
+        # n - 1 one short of, at and one past a perfect square w^2, where the
+        # block width steps up to w + 1 and the last block holds one step,
+        # and n - 1 = w (w + 1), where the blocks end flush with the steps
+        for n in (16, 17, 18, 21, 401, 402, 421):
+            c = 3.0 * uniform_draws(replicate_keys(n, 0, n - 1), 3)
+            scan = _solve_recursion_scan(beta, 0.7, c)
+            oracle = [solve_recursion(beta, 0.7, c[:k]) for k in range(n)]
+            np.testing.assert_allclose(scan, oracle, rtol=1e-13, atol=0.0, err_msg=f"n={n}")
 
     @pytest.mark.slow
     @settings(max_examples=100, deadline=None)
@@ -243,34 +259,29 @@ class TestRecursionSolver:
         st.lists(st.floats(0.0, 3.0), min_size=300, max_size=300),
     )
     def test_solution_satisfies_recursion(self, beta, b1, n, c_values):
-        spec = RecursionSpec.from_sequence(beta, b1, c_values)
-        iterated = iterate_recursion(spec, n)
-        solved = solve_recursion(spec, n)
-        assert solved == pytest.approx(iterated[-1], rel=1e-10, abs=1e-12)
+        c = np.array(c_values[: n - 1])
+        scan = _solve_recursion_scan(beta, b1, c)
+        assert scan[-1] == pytest.approx(solve_recursion(beta, b1, c), rel=1e-10, abs=1e-12)
         # stepping the solved value forward reproduces the recursion
-        if n >= 2:
-            forward = (1.0 + beta / (n - 1)) * solve_recursion(spec, n - 1) + spec.c_seq(n - 1)
-            assert solved == pytest.approx(forward, rel=1e-10, abs=1e-12)
-
-    def test_rejects_nonpositive_beta(self):
-        with pytest.raises(ValueError):
-            RecursionSpec.constant(0.0, 1.0, 1.0)
+        forward = (1.0 + beta / (n - 1)) * scan[-2] + c[-1]
+        assert scan[-1] == pytest.approx(forward, rel=1e-10, abs=1e-12)
 
 
 class TestWholeNumberRule:
     def test_one_rule_for_n(self):
-        # the sums, their oracles and the recursions take n >= 1 whole, as an
-        # int, a float or a numpy integer; half a term or step, and a bool,
-        # are refused rather than interpolated or read as 0 or 1
-        spec = RecursionSpec.constant(2.0, 1.0, 1.0)
+        # the sums, their oracles, the moment table and the count chain take
+        # n >= 1 whole, as an int, a float or a numpy integer; half a term
+        # or step, and a bool or a string, are refused rather than
+        # interpolated or read as 0 or 1
+        dist = StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4))
         calls = (
             lambda n: gamma_sum_linear(0.5, 3.2, n),
             lambda n: gamma_sum_weighted(0.5, 3.2, n),
             lambda n: gamma_sum_linear_direct(0.5, 3.2, n),
             lambda n: gamma_sum_weighted_direct(0.5, 3.2, n),
-            lambda n: solve_recursion(spec, n),
-            lambda n: solve_recursion_constant(2.0, 1.0, n),
-            lambda n: iterate_recursion(spec, n),
+            lambda n: exact_moments_upto(moment_set(dist), 0.75, n).values,
+            lambda n: brute_force_moments(dist, 0.75, n).values,
+            lambda n: exact_law(dist, 0.75, n),
         )
         for call in calls:
             for bad in (10.5, True, False, 0, -3, math.nan, math.inf, "10"):

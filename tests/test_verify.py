@@ -1,6 +1,7 @@
 """The invariant suites themselves: green path, skip path, negative controls."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -173,11 +174,26 @@ def test_constant_form_mutant_fails(monkeypatch):
     def mutant(beta, n, f_beta):
         return real(beta, n, f_beta) * (1.0 + 1e-9)
 
-    monkeypatch.setattr(erw.gammatools, "unit_constant_solution", mutant)
+    monkeypatch.setattr(erw.verify, "unit_constant_solution", mutant)
     monkeypatch.setattr(erw.moments, "unit_constant_solution", mutant)
     (result,) = check_constant_recursion()
     assert result.status == FAIL and result.worst_error > 1e-10
     after = erw.moments.closed_form_moments(_UNIFORM, 0.75, _NS).s2
+    assert not np.array_equal(after, before)
+
+
+def test_scan_chaining_mutant_fails(monkeypatch):
+    # a 1e-9 relative error in the block starts that the scan chains fails
+    # the solver check and moves the moment table, which the same scan makes
+    source = inspect.getsource(erw.moments._solve_level)
+    assert source.count("starts.append(x)") == 1
+    namespace = dict(vars(erw.moments))
+    exec(source.replace("starts.append(x)", "starts.append(x * (1.0 + 1e-9))"), namespace)
+    before = erw.moments.exact_moments_upto(_UNIFORM, 0.75, 200).values
+    monkeypatch.setattr(erw.moments, "_solve_level", namespace["_solve_level"])
+    (result,) = check_recursion_solver(n_specs=20)
+    assert result.status == FAIL and result.worst_error > 1e-10
+    after = erw.moments.exact_moments_upto(_UNIFORM, 0.75, 200).values
     assert not np.array_equal(after, before)
 
 
