@@ -22,6 +22,10 @@ import numpy as np
 #: is rejected rather than silently renormalised.
 WEIGHT_TOL = 1e-12
 
+#: A discrete law with at most this many atoms up to its last positive
+#: weight samples by counting comparisons; a wider one by binary search.
+_COMPARE_ATOMS = 16
+
 #: Each kind and the fields of its JSON descriptor, in constructor order.
 _KINDS = {"rademacher": (), "bernoulli": ("p",), "uniform": ("lo", "hi"),
           "gaussian": ("mean", "stddev"), "discrete": ("points", "weights")}
@@ -310,6 +314,12 @@ def inverse_cdf(dist: StepDistribution, u):
     """Map an array of uniforms in (0, 1] to samples of `dist` (quantile
     transform), elementwise.  Exactly one uniform is consumed per sample
     for every kind.
+
+    A discrete law's atom is the number of its cumulative weights before
+    the last positive-weight atom that are <= u.  For laws of up to
+    _COMPARE_ATOMS atoms it is counted by one comparison per weight, which
+    costs less than a binary search; wider laws use `np.searchsorted`.
+    Both give the same atom for every u.
     """
     u = np.asarray(u, dtype=np.float64)
     if dist.kind == "rademacher":
@@ -328,6 +338,13 @@ def inverse_cdf(dist: StepDistribution, u):
         # the rounded cumsum can stop short of 1 and u can round up to 1, so
         # the CDF is 1 from `top` on and no u lands on a trailing zero weight
         cum[top:] = 1.0
-        idx = np.searchsorted(cum, u, side="right")
-        out = np.asarray(dist.points)[np.minimum(idx, top)]
+        if top < _COMPARE_ATOMS:
+            idx = np.zeros(u.shape, dtype=np.uint8)
+            at_or_above = np.empty(u.shape, dtype=bool)
+            for c in cum[:top]:
+                np.greater_equal(u, c, out=at_or_above)
+                idx += at_or_above.view(np.uint8)  # a bool is one byte, 0 or 1
+        else:
+            idx = np.minimum(np.searchsorted(cum, u, side="right"), top)
+        out = np.asarray(dist.points).take(idx)
     return out

@@ -482,8 +482,7 @@ def conditional_step_moments(
         dt_dx = a U - a m1 T - a m2 S + M12
         du    = a U
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = int(_check_n(n, "n"))
     alpha = check_alpha(alpha)
     s, t, u = (float(v) for v in sums)
     a = alpha / n

@@ -11,20 +11,20 @@ chunking or thread count.
 
 Two engines share these draws.  The literal engine (`_run_paths`, behind
 `simulate_path` and the per-step statistics) builds a chunk's float64
-step matrix, and every statistic is reduced from that matrix a row at a
-time.  The cluster engine (`_run_labels`, behind `cluster_batch`) keeps
-only which fresh step founded each step's cluster, in the narrowest
-unsigned type that holds n - 1 (one byte per walk-step to n = 256, two
-to 65,536), and draws no sample: given the cluster sizes the
-founders' values are i.i.d. draws of the step law, so the conditional
-moments E(S~^p | sizes) are exact and their average estimates E(S~^p)
-with less variance than S~^p itself.  Every Monte Carlo sum has one
-layout: for p = 1..4, column p-1 sums each walk's estimate of E(.^p) and
-column p+3 its square (S~^p, E(S~^p | sizes), or a step's X_t^p or
-martingale difference eps_t^p), a row made by `_power_sums` or
-`_cluster_sums`.  One driver, `_run_batch`, runs every batch in chunks of
-fixed replicate ranges whose sums come back in span order, so every batch
-statistic has the same bytes for any worker count.
+step matrix, and every statistic is reduced from that matrix a block of
+`_block_rows` steps at a time.  The cluster engine (`_run_labels`,
+behind `cluster_batch`) keeps only which fresh step founded each step's
+cluster, in the narrowest unsigned type that holds n - 1 (one byte per
+walk-step to n = 256, two to 65,536), and draws no sample: given the
+cluster sizes the founders' values are i.i.d. draws of the step law, so
+the conditional moments E(S~^p | sizes) are exact and their average
+estimates E(S~^p) with less variance than S~^p itself.  Every Monte
+Carlo sum has one layout: for p = 1..4, column p-1 sums each walk's
+estimate of E(.^p) and column p+3 its square (S~^p, E(S~^p | sizes), or
+a step's X_t^p or martingale difference eps_t^p), rows made by
+`_power_sums` or `_cluster_sums`.  One driver, `_run_batch`, runs every
+batch in chunks of fixed replicate ranges whose sums come back in span
+order, so every batch statistic has the same bytes for any worker count.
 `sample_stderr` and `z_score` turn the sums into standard errors and
 z-scores for every consumer.
 """
@@ -39,8 +39,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .distributions import MomentSet, StepDistribution, inverse_cdf, moment_set
-from .gammatools import check_alpha
+from .distributions import MomentSet, StepDistribution, _is_number, inverse_cdf, moment_set
+from .gammatools import _check_n, check_alpha
 from .moments import ConditionalStepMoments, conditional_step_moments
 from .rng import MASK64, mixed_words, replicate_keys, uniform_draws, unit_floats, words_below
 
@@ -161,7 +161,7 @@ def _run_paths(
     dist: StepDistribution, alpha: float, n: int, keys: np.ndarray
 ) -> np.ndarray:
     """The (n, len(keys)) float64 step matrix of len(keys) walks.  Every
-    statistic is computed from it afterwards, a row at a time."""
+    statistic is computed from it afterwards, a block of steps at a time."""
     steps = np.empty((n, keys.size), dtype=np.float64)
     return _fill_walks(steps, keys, alpha, lambda u_val, own: inverse_cdf(dist, u_val))
 
@@ -295,19 +295,24 @@ def _cluster_sums(labels: np.ndarray, ms: MomentSet, checkpoints: Sequence[int])
 
 
 def _power_sums(values: np.ndarray) -> np.ndarray:
-    """One row of the Monte Carlo layout from a vector of values:
-    sum(values ** p) for p = 1..4, then sum(values ** (2p)) for p = 1..4,
-    each power by repeated multiplication.  Powers that overflow give inf
-    or nan sums, without a warning."""
-    sums = {}
+    """Rows of the Monte Carlo layout from the last axis of `values`: for
+    (..., walks) values, the (..., 8) sums of values ** p for p = 1..4,
+    then of values ** (2p) for p = 1..4, each power made once by repeated
+    multiplication.  A row of a block has the bytes of its 1-D vector's
+    row.  Powers that overflow give inf or nan sums, without a warning."""
+    sums = np.empty(values.shape[:-1] + (8,), dtype=np.float64)
     power = values.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, 9):
             if k > 1:
                 power *= values
             if k <= 4 or k % 2 == 0:
-                sums[k] = power.sum()
-    return np.array([sums[k] for k in (1, 2, 3, 4, 2, 4, 6, 8)])
+                total = power.sum(axis=-1)
+                if k <= 4:
+                    sums[..., k - 1] = total
+                if k % 2 == 0:
+                    sums[..., 3 + k // 2] = total
+    return sums
 
 
 def simulate_path(dist: StepDistribution, alpha: float, n: int, seed: int) -> WalkState:
@@ -318,8 +323,7 @@ def simulate_path(dist: StepDistribution, alpha: float, n: int, seed: int) -> Wa
     batch bit-for-bit.
     """
     alpha = check_alpha(alpha)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = int(_check_n(n, "n"))
     keys = np.array([seed & MASK64], dtype=np.uint64)
     steps = _run_paths(dist, alpha, n, keys)
     return WalkState.from_steps(steps[:, 0], moment_set(dist))
@@ -425,13 +429,13 @@ def _run_batch(n, replicates, workers, chunk_sums, checkpoints=()):
     """The one chunk driver: yield (chunk_sums(span), walks in span) for the
     spans of `_chunk_spans(n, replicates)` in span order (`pool.map` keeps
     it), so sums added as they come are bit-identical for any `workers`.
-    It first checks that n and replicates are at least 1 and that the
-    checkpoints, if any, lie in [1, n]: walks may stop at the last one, but
-    n sets the chunk layout."""
-    if replicates < 1:
+    It first checks that replicates and n are whole numbers of at least 1
+    (`_check_n`'s rule) and that the checkpoints, if any, lie in [1, n]:
+    walks may stop at the last one, but n sets the chunk layout."""
+    if _is_number(replicates) and replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    replicates = int(_check_n(replicates, "replicates"))
+    n = int(_check_n(n, "n"))
     if checkpoints:
         check_checkpoints(checkpoints, n)
 
@@ -539,27 +543,48 @@ def empirical_q_moments(acc: BatchAccumulator, alpha: float) -> list[ScaledMomen
     return out
 
 
+def _row_blocks(steps: np.ndarray) -> Iterator[np.ndarray]:
+    """The step matrix as views of `_block_rows(walks)` steps each."""
+    rows = _block_rows(steps.shape[1])
+    return (steps[first : first + rows] for first in range(0, steps.shape[0], rows))
+
+
 def _martingale_differences(steps: np.ndarray, alpha: float, m1: float) -> Iterator[np.ndarray]:
-    """Yield eps_t for t = 1..n over the walks of one step matrix, a row at
-    a time: eps_1 = X_1 - m1 and eps_t = X_t - m1 - (alpha/(t-1)) S~_{t-1},
-    with no matrix-sized temporary."""
-    s_run = np.zeros(steps.shape[1], dtype=np.float64)  # S_{t-1}
-    for t, x in enumerate(steps, start=1):
-        eps = x - m1
-        if t > 1:
-            eps -= (alpha / (t - 1)) * (s_run - (t - 1) * m1)
+    """Yield eps_t for t = 1..n over the walks of one step matrix, as
+    (rows, walks) blocks of `_row_blocks`: eps_1 = X_1 - m1 and
+    eps_t = X_t - m1 - (alpha/(t-1)) S~_{t-1}.
+
+    S_{t-1} is carried from block to block and added a step at a time, in
+    the order of a running sum, and every eps_t takes the operations of a
+    one-step loop in its order, so the bytes do not depend on the block
+    edges.  No temporary is bigger than a block."""
+    carry = np.zeros(steps.shape[1], dtype=np.float64)  # S_{t-1} at the block's first t
+    first = 0
+    for block in _row_blocks(steps):
+        s_prev = np.empty_like(block)  # S_{t-1}
+        s_prev[0] = carry
+        s_prev[1:] = block[:-1]
+        np.cumsum(s_prev, axis=0, out=s_prev)
+        np.add(s_prev[-1], block[-1], out=carry)
+        eps = block - m1
+        t_less_1 = np.arange(first, first + block.shape[0], dtype=np.float64)[:, None]
+        lo = 1 if first == 0 else 0  # eps_1 has no memory term
+        s_prev -= t_less_1 * m1
+        s_prev[lo:] *= alpha / t_less_1[lo:]
+        eps[lo:] -= s_prev[lo:]
         yield eps
-        s_run += x
+        first += block.shape[0]
 
 
-def _step_sums(dist, alpha, n, replicates, master_seed, rows) -> np.ndarray:
+def _step_sums(dist, alpha, n, replicates, master_seed, blocks) -> np.ndarray:
     """(n, 8) per-step sums over a batch in the one layout: row t-1 adds
-    `_power_sums` of step t's values, which `rows(steps)` yields a step at
-    a time from each chunk's step matrix."""
+    `_power_sums` of step t's values, which `blocks(steps)` yields from
+    each chunk's step matrix a block of steps (or one step) at a time."""
+    n = int(_check_n(n, "n"))
 
     def chunk_sums(span):
         steps = _chunk_steps(dist, alpha, n, master_seed, span)
-        return np.array([_power_sums(values) for values in rows(steps)])
+        return np.vstack([_power_sums(values) for values in blocks(steps)])
 
     return sum(chunk for chunk, _ in _run_batch(n, replicates, 1, chunk_sums))
 
@@ -599,7 +624,7 @@ def marginal_moment_sums(
     The marginal law of every X_t equals the step law, so the per-step
     empirical moments must match the raw moments at Monte Carlo accuracy.
     """
-    return _step_sums(dist, check_alpha(alpha), n, replicates, master_seed, iter)
+    return _step_sums(dist, check_alpha(alpha), n, replicates, master_seed, _row_blocks)
 
 
 @dataclass(frozen=True)

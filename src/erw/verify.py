@@ -543,7 +543,7 @@ def check_martingale_reconstruction(
         for _, dist in _STANDARD_DISTS:
             m1 = moment_set(dist).m1
             steps = _run_paths(dist, alpha, n, keys)
-            terms = scale * np.stack(list(_martingale_differences(steps, alpha, m1)))
+            terms = scale * np.vstack(list(_martingale_differences(steps, alpha, m1)))
             q = scale[-1] * (steps.sum(axis=0) - n * m1)
             reference = np.maximum(np.maximum(np.abs(q), np.abs(terms).max(axis=0)), 1e-300)
             worst = max(worst, float((np.abs(terms.sum(axis=0) - q) / reference).max()))

@@ -368,6 +368,46 @@ class TestSampling:
         dist = StepDistribution.discrete((1.0, 2.0, 3.0, 99.0), (0.1, 0.2, 0.7, 0.0))
         assert inverse_cdf(dist, np.array([1.0 - 2.0 ** -54])).tolist() == [3.0]
 
+    def test_atom_count_matches_binary_search(self, monkeypatch):
+        # the atom is the number of cumulative weights before the last
+        # positive-weight atom that are <= u: for laws of up to 16 atoms it
+        # is counted by comparisons, beyond by np.searchsorted, and both
+        # give the binary search's atom, at u = 1.0, at u equal to a
+        # cumulative weight and past trailing zero weights
+        def searched(dist, u):
+            weights = np.asarray(dist.weights)
+            top = np.flatnonzero(weights)[-1]
+            cum = np.cumsum(weights)
+            cum[top:] = 1.0
+            return np.minimum(np.searchsorted(cum, u, side="right"), top)
+
+        rng = np.random.default_rng(11)
+        laws = []
+        for size in range(2, 41):
+            raw = rng.random(size)
+            raw[rng.random(size) < 0.2] = 0.0  # zero weights, some of them trailing
+            live = size - 2 if size % 3 == 0 else size
+            raw[live:] = 0.0
+            raw[rng.integers(0, live)] = 0.5
+            laws.append(StepDistribution.discrete(np.arange(size), raw / math.fsum(raw)))
+        by_comparison = []
+        for dist in laws:
+            cum = np.cumsum(dist.weights)
+            u = np.concatenate((1.0 - rng.random(4096), cum, np.nextafter(cum, 0.0), [1.0]))
+            u = u[(u > 0.0) & (u <= 1.0)]
+            want = searched(dist, u)
+            assert inverse_cdf(dist, u).tolist() == want.tolist(), dist
+            if np.flatnonzero(dist.weights)[-1] < 16:
+                by_comparison.append((dist, u, want))
+        assert 0 < len(by_comparison) < len(laws)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("binary search used")
+
+        monkeypatch.setattr(np, "searchsorted", refused)
+        for dist, u, want in by_comparison:
+            assert inverse_cdf(dist, u).tolist() == want.tolist()
+
     def test_empirical_moments_match(self):
         # four standard errors at one million draws, every builtin kind
         dists = [

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from erw import (
     SingularParameterError,
     StepDistribution,
+    batch_epsilon_moments,
     brute_force_moments,
+    cluster_batch,
+    conditional_step_moments,
     exact_law,
     exact_moments_upto,
     gamma_sum_linear,
@@ -21,12 +24,14 @@ from erw import (
     log_gamma_ratio,
     martingale_scale,
     moment_set,
+    simulate_path,
     solve_recursion,
 )
 from erw import verify
 from erw.gammatools import recip_gamma, unit_constant_solution
 from erw.moments import _solve_recursion_scan
 from erw.rng import replicate_keys, uniform_draws
+from erw.simulate import marginal_moment_sums
 
 mp.mp.dps = 40
 
@@ -269,22 +274,38 @@ class TestRecursionSolver:
 
 class TestWholeNumberRule:
     def test_one_rule_for_n(self):
-        # the sums, their oracles, the moment table and the count chain take
-        # n >= 1 whole, as an int, a float or a numpy integer; half a term
-        # or step, and a bool or a string, are refused rather than
-        # interpolated or read as 0 or 1
+        # the sums, their oracles, the moment table, the count chain, the
+        # conditional moments, the walks and the batches take n (and a
+        # batch its replicates) >= 1 whole, as an int, a float or a numpy
+        # integer; half a term or step, and a bool or a string, are refused
+        # rather than interpolated or read as 0 or 1
         dist = StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4))
+        ms = moment_set(dist)
         calls = (
             lambda n: gamma_sum_linear(0.5, 3.2, n),
             lambda n: gamma_sum_weighted(0.5, 3.2, n),
             lambda n: gamma_sum_linear_direct(0.5, 3.2, n),
             lambda n: gamma_sum_weighted_direct(0.5, 3.2, n),
-            lambda n: exact_moments_upto(moment_set(dist), 0.75, n).values,
+            lambda n: exact_moments_upto(ms, 0.75, n).values,
             lambda n: brute_force_moments(dist, 0.75, n).values,
             lambda n: exact_law(dist, 0.75, n),
+            lambda n: list(
+                conditional_step_moments((1.0, 0.0, 1.0), n, ms, 0.5).as_dict().values()
+            ),
+            lambda n: simulate_path(dist, 0.5, n, 7).steps,
+            lambda n: cluster_batch(dist, 0.5, n, 20, 7, [1])._sums,
+            lambda n: marginal_moment_sums(dist, 0.5, n, 20, 7),
         )
-        for call in calls:
-            for bad in (10.5, True, False, 0, -3, math.nan, math.inf, "10"):
+        not_whole = (10.5, True, False, math.nan, math.inf, "10")
+        cases = [(call, not_whole + (0, -3)) for call in calls]
+        # a count of 0 or less keeps "replicates must be >= 1"
+        # (TestBatch::test_empty_batches_refused)
+        cases += [(call, not_whole) for call in (
+            lambda replicates: marginal_moment_sums(dist, 0.5, 12, replicates, 7),
+            lambda replicates: batch_epsilon_moments(dist, 0.5, 12, replicates, 7),
+        )]
+        for call, refused in cases:
+            for bad in refused:
                 with pytest.raises(ValueError, match="must be a positive integer"):
                     call(bad)
             want = np.asarray(call(10)).tobytes()

@@ -432,6 +432,24 @@ class TestBatch:
         acc = simulate_batch(dist, alpha, 200, 500, seed, checkpoints)
         assert hashlib.sha256(acc._sums.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("dist,alpha,seed,eps_digest,marginal_digest", [
+        (StepDistribution.rademacher(), 0.75, 0xFEED,
+         "c2f03ab7c85144be9620a0ad1496f093bbe01d120009627b9bd890a0567cedfc",
+         "f61f36e66c81c085912961c9bec1fcead5b0c125aacb9891ffb6f0d6d7f03c67"),
+        (StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4)), 0.6, 7,
+         "3e07e51e61feebb3d12e6e8aba9ad631c184242a5b8a2313ab3d03cbb4ee915d",
+         "3ad53c54e2984c975c1b44cf4c15d0df838980639f9764befcfe3ffd22a39bc5"),
+    ], ids=["rademacher", "skewed"])
+    def test_golden_step_sums(self, dist, alpha, seed, eps_digest, marginal_digest):
+        # the per-step sums of eps_t and X_t, pinned across versions, at a
+        # width whose blocks hold 32 steps; the skewed law also pins the
+        # sampler's bytes
+        assert sim._block_rows(500) == 32
+        eps = batch_epsilon_moments(dist, alpha, 200, 500, seed)
+        marginal = marginal_moment_sums(dist, alpha, 200, 500, seed)
+        assert hashlib.sha256(eps.tobytes()).hexdigest() == eps_digest
+        assert hashlib.sha256(marginal.tobytes()).hexdigest() == marginal_digest
+
     def test_checkpoint_validation(self, rademacher):
         # one rule, `check_checkpoints`, for both engines and the CLI
         for bad in ([30, 20], [5, 5], [0, 5], [-3, 5], [], [1.7, 3], [1, 5.0], ["5"],
@@ -794,11 +812,50 @@ class TestStatistics:
 
 class TestMartingaleDifferences:
     def test_memoryless_eps_is_centered_step(self, bernoulli03):
-        # at alpha = 0 eps_t = X_t - m1 byte for byte: the memory term is a zero
+        # at alpha = 0 eps_t = X_t - m1 byte for byte: the memory term is a
+        # zero; one walk is one block of all 300 steps
         m1 = moment_set(bernoulli03).m1
         steps = sim._run_paths(bernoulli03, 0.0, 300, np.array([8], dtype=np.uint64))
-        eps = np.stack(list(sim._martingale_differences(steps, 0.0, m1)))
+        eps = np.vstack(list(sim._martingale_differences(steps, 0.0, m1)))
         assert eps.tobytes() == (steps - m1).tobytes()
+
+    @pytest.mark.parametrize("dist", [StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4)),
+                                      StepDistribution.uniform(-1.0, 2.0)],
+                             ids=["skewed", "uniform"])
+    @pytest.mark.parametrize("n,width", [(1, 3), (300, 2000), (301, 2000), (97, 5000),
+                                         (40, 20_000)])
+    def test_blocks_match_one_step_loop(self, dist, n, width):
+        # the blocks hold _block_rows(width) steps each (8 at width 2000, 1
+        # at 20,000), and their bytes are those of a one-step loop over the
+        # rows; the uniform law's running sums round, so S_{t-1} must be
+        # added in the loop's order
+        m1 = moment_set(dist).m1
+        keys = replicate_keys(3, 0, width)
+        steps = sim._run_paths(dist, 0.75, n, keys)
+        blocks = list(sim._martingale_differences(steps, 0.75, m1))
+        assert len(blocks) == -(-n // sim._block_rows(width))
+        want = []
+        s_run = np.zeros(width)
+        for t, x in enumerate(steps, start=1):
+            eps = x - m1
+            if t > 1:
+                eps -= (0.75 / (t - 1)) * (s_run - (t - 1) * m1)
+            want.append(eps)
+            s_run += x
+        assert np.vstack(blocks).tobytes() == np.stack(want).tobytes()
+
+    def test_power_sums_of_a_block(self):
+        # a block's rows have the bytes of each row's own sums; a row whose
+        # powers overflow gives inf or nan in that row only, without a warning
+        values = np.random.default_rng(4).normal(size=(9, 301))
+        values[4, :5] = (1e300, -1e300, 3e299, 1e-300, 2.0)
+        block = sim._power_sums(values)
+        rows = np.stack([sim._power_sums(row) for row in values])
+        assert block.shape == (9, 8)
+        assert block.tobytes() == rows.tobytes()
+        assert not np.isfinite(block[4, 1:]).any()
+        assert np.isfinite(np.delete(block, 4, axis=0)).all()
+        assert sim._power_sums(values[0]).shape == (8,)
 
 
 class TestEpsilonMoments:
