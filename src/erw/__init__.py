@@ -39,6 +39,7 @@ from .moments import (
     closed_form_s4,
     conditional_step_moments,
     exact_law,
+    exact_moment_tables,
     exact_moments_upto,
     fourth_moment_coefficient,
     limit_q_moments,

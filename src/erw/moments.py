@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -132,37 +132,52 @@ def exact_moments_upto(ms: MomentSet, alpha: float, n_max: int) -> ExactMomentTa
     in [0, 1]; no closed form is used.  Solved level by level (s2, st, su,
     t2; s3, s2t; s4) as a blocked scan with compensated additions, in about
     sqrt(n_max) blocks of as many steps, so row n may differ in its last bit
-    between tables of different n_max (README, "Numerical notes").
+    between tables of different n_max (README, "Numerical notes").  This is
+    the batch of one of `exact_moment_tables`.
     """
-    alpha = check_alpha(alpha)
+    return exact_moment_tables([(ms, alpha)], n_max)[0]
+
+
+def exact_moment_tables(
+    pairs: Iterable[tuple[MomentSet, float]], n_max: int
+) -> list[ExactMomentTable]:
+    """`exact_moments_upto(ms, alpha, n_max)` for each (ms, alpha) of
+    `pairs`, in order, from one blocked scan: every level's arrays carry a
+    leading table axis, so a level makes its numpy calls once for the whole
+    batch.  Each cell goes through the same operations in the same order as
+    in a batch of one, so a table's bytes do not depend on the batch.
+    """
+    pairs = [(ms, check_alpha(alpha)) for ms, alpha in pairs]
     n_max = int(_check_n(n_max, "n_max"))
-    m1, m2, M2, M3, M4 = ms.m1, ms.m2, ms.M2, ms.M3, ms.M4
-    M12, M13, M22, M112 = ms.M12, ms.M13, ms.M22, ms.M112
-    values = np.empty((n_max, 7), dtype=np.float64)
-    values[0] = (M2, M12, M3, M13, M22, M112, M4)
+    values = np.empty((len(pairs), n_max, 7), dtype=np.float64)
+    values[:, 0] = [(ms.M2, ms.M12, ms.M3, ms.M13, ms.M22, ms.M112, ms.M4) for ms, _ in pairs]
     width, blocks = _block_shape(n_max)
-    a = alpha / np.arange(1, n_max)
+    alpha_n = np.array([alpha for _, alpha in pairs])[:, None] / np.arange(1, n_max)
     # an overflow gives inf and inf - inf gives nan: the table keeps both,
     # without a warning, for its callers to refuse
     with np.errstate(over="ignore", invalid="ignore"):
-        a_blocked = _blocked(a, width, blocks)
-        forcing = np.broadcast_to(np.array([M2, M12, M13, M22])[:, None, None], (4, width, blocks))
+        a_blocked = _blocked(alpha_n, width, blocks)
+        forcing = np.array([(ms.M2, ms.M12, ms.M13, ms.M22) for ms, _ in pairs])
+        forcing = np.broadcast_to(forcing[:, :, None, None], (len(pairs), 4, width, blocks))
         _solve_level(values, [0, 1, 3, 4], 2.0, a_blocked, forcing)
-        # a step's increment less its c a x term, row n forcing step n + 1;
+        # a step's increment less its c a x term, row n forcing step n + 1,
+        # built a table at a time from the law's constants as Python floats;
         # views of rows 1 .. n_max - 1, s3 and s2t read once filled
-        s2, st, s3, su, t2, s2t = values[:-1, :6].T
-        forcing = _blocked(np.stack((
-            3.0 * a * st - 6.0 * a * m1 * s2 + M3,
-            2.0 * a * su + a * t2 - 4.0 * a * m1 * st - 2.0 * a * m2 * s2 + M112,
-        )), width, blocks)
-        _solve_level(values, [2, 5], 3.0, a_blocked, forcing)
-        a12m1 = 12.0 * a * m1
-        forcing = _blocked(
-            6.0 * a * s2t + 4.0 * a * su - a12m1 * (s3 + st) + (a12m1 * m1 + 6.0 * M2) * s2 + M4,
-            width, blocks,
-        )
-        _solve_level(values, [6], 4.0, a_blocked, forcing[None])
-    return ExactMomentTable(values)
+        tables = list(zip(pairs, alpha_n, values[:, :-1, :6].transpose(0, 2, 1)))
+        forcing = np.empty((len(pairs), 2, n_max - 1))
+        for ((ms, _), a, (s2, st, s3, su, t2, s2t)), f in zip(tables, forcing):
+            f[0] = 3.0 * a * st - 6.0 * a * ms.m1 * s2 + ms.M3
+            f[1] = 2.0 * a * su + a * t2 - 4.0 * a * ms.m1 * st - 2.0 * a * ms.m2 * s2 + ms.M112
+        _solve_level(values, [2, 5], 3.0, a_blocked, _blocked(forcing, width, blocks))
+        forcing = np.empty((len(pairs), 1, n_max - 1))
+        for ((ms, _), a, (s2, st, s3, su, t2, s2t)), f in zip(tables, forcing):
+            a12m1 = 12.0 * a * ms.m1
+            f[0] = (
+                6.0 * a * s2t + 4.0 * a * su - a12m1 * (s3 + st)
+                + (a12m1 * ms.m1 + 6.0 * ms.M2) * s2 + ms.M4
+            )
+        _solve_level(values, [6], 4.0, a_blocked, _blocked(forcing, width, blocks))
+    return [ExactMomentTable(table) for table in values]
 
 
 def exact_moments_bytes(n_max: int) -> int:
@@ -172,7 +187,8 @@ def exact_moments_bytes(n_max: int) -> int:
     level's chain holds 15 of those columns (the blocked alpha / n, five
     columns of scan, 1 + e and two four-column temporaries); below 2^15
     steps, where numpy makes a new temporary for each operation of an
-    expression, tracemalloc measures up to 9 more."""
+    expression, tracemalloc measures up to 9 more.  A batch of T tables
+    (`exact_moment_tables`) holds at most T times as much."""
     width, blocks = _block_shape(n_max)
     return 8 * (8 * n_max + 24 * width * blocks) + 8192
 
@@ -195,8 +211,10 @@ def _blocked(v: np.ndarray, width: int, blocks: int) -> np.ndarray:
 def _solve_level(
     values: np.ndarray, cols: list, c: float, a: np.ndarray, forcing: np.ndarray
 ) -> None:
-    """Fill rows 2 .. n_max of `values`' columns `cols`, which step as
-    x <- x + (c a x + forcing), from row 1.
+    """Fill rows 2 .. n_max of the columns `cols` of each table of `values`
+    (tables, n_max, columns), which step as x <- x + (c a x + forcing), from
+    row 1; `a` is (tables, width, blocks) and `forcing` (tables, len(cols),
+    width, blocks), each table's a broadcast over its columns.
 
     Every block runs at once from 0, compensated, beside a first column e
     (forced by c a): the homogeneous solution less 1.  Then the block
@@ -204,47 +222,52 @@ def _solve_level(
     end, compensated, and each row is start + (e start + p), the start's
     compensation (times 1 + e) added back.
     """
-    level = np.concatenate((c * a[None], forcing))  # steps overwrite it
-    x = comp = np.zeros(level[:, 0].shape)
-    for i in range(len(a)):
-        y = (c * a[i] * x + level[:, i]) - comp
+    tables, width, blocks = a.shape
+    level = np.concatenate((c * a[:, None], forcing), axis=1)  # steps overwrite it
+    x = comp = np.zeros(level[:, :, 0].shape)
+    for i in range(width):
+        step = level[:, :, i]  # its first column c a, read before the step
+        y = (step[:, :1] * x + step) - comp
         t = x + y
         comp = (t - x) - y
-        x = level[:, i] = t
-    e, p = level[0], level[1:]
+        x = level[:, :, i] = t
+    e, p = level[:, 0], level[:, 1:]
     starts, lost = [], []
-    for x, p_end in zip(values[0, cols].tolist(), p[:, -1].tolist()):
-        comp = 0.0
-        for e_k, p_k in zip(e[-1].tolist(), p_end):
-            starts.append(x)
-            lost.append(comp)
-            y = (e_k * x + p_k) - comp
-            t = x + y
-            comp = (t - x) - y
-            x = t
+    for table, firsts in enumerate(values[:, 0, cols].tolist()):
+        for x, p_end in zip(firsts, p[table, :, -1].tolist()):
+            comp = 0.0
+            for e_k, p_k in zip(e[table, -1].tolist(), p_end):
+                starts.append(x)
+                lost.append(comp)
+                y = (e_k * x + p_k) - comp
+                t = x + y
+                comp = (t - x) - y
+                x = t
     # rows in step order, block by block: transposed as they are built
-    starts, lost = (np.reshape(v, (len(cols), -1, 1)) for v in (starts, lost))
-    rows = np.multiply(e.T, starts, out=np.empty((len(cols),) + e.T.shape))
-    rows += p.swapaxes(1, 2)
-    rows -= (e.T + 1.0) * lost
+    starts, lost = (np.reshape(v, (tables, len(cols), blocks, 1)) for v in (starts, lost))
+    e_rows = e.swapaxes(1, 2)[:, None]
+    rows = np.multiply(e_rows, starts, out=np.empty((tables, len(cols), blocks, width)))
+    rows += p.swapaxes(2, 3)
+    rows -= (e_rows + 1.0) * lost
     rows += starts
-    values[1:, cols] = rows.reshape(len(cols), e.size)[:, : len(values) - 1].T
+    rows = rows.reshape(tables, len(cols), blocks * width)[:, :, : values.shape[1] - 1]
+    values[:, 1:, cols] = rows.swapaxes(1, 2)
 
 
 def _solve_recursion_scan(beta: float, b1: float, c) -> np.ndarray:
     """b_1 .. b_n of b_{k+1} = (1 + beta/k) b_k + c_k from b_1 and the
     forcing c_1 .. c_{n-1}, by the blocked scan `exact_moments_upto` runs:
-    `_solve_level` with c = beta and a = 1/k."""
+    `_solve_level` on one table of one column, with c = beta and a = 1/k."""
     c = np.asarray(c, dtype=np.float64)
     n = c.size + 1
     width, blocks = _block_shape(n)
-    values = np.empty((n, 1))
-    values[0] = b1
+    values = np.empty((1, n, 1))
+    values[0, 0] = b1
     _solve_level(
-        values, [0], beta, _blocked(1.0 / np.arange(1, n), width, blocks),
-        _blocked(c[None], width, blocks),
+        values, [0], beta, _blocked(1.0 / np.arange(1, n)[None], width, blocks),
+        _blocked(c[None, None], width, blocks),
     )
-    return values[:, 0]
+    return values[0, :, 0]
 
 
 def _guard(alpha: float, k: int) -> None:

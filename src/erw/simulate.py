@@ -656,11 +656,12 @@ def conditional_continuation_test(
         (prefix.s_tilde, prefix.t_tilde, prefix.u_tilde), n, ms, alpha
     )
     keys = replicate_keys(master_seed, 0, n_continuations)
-    u_branch = uniform_draws(keys, 0)
+    # the engines' branch rule: the uniform at counter 0 is below alpha
+    repeat = mixed_words(keys, 0) < np.uint64(words_below(alpha))
     u_val = uniform_draws(keys, 1)
     idx = np.minimum((u_val * n).astype(np.int64), n - 1)
     fresh = inverse_cdf(dist, u_val)
-    x = np.where(u_branch < alpha, np.asarray(prefix.steps)[idx], fresh)
+    x = np.where(repeat, np.asarray(prefix.steps)[idx], fresh)
 
     dx = x - ms.m1
     dt = x * x - ms.m2

@@ -41,7 +41,7 @@ from .moments import (
     closed_form_moments,
     closed_form_s4,
     brute_force_moments,
-    exact_moments_upto,
+    exact_moment_tables,
     fourth_moment_coefficient,
     limit_q_moments,
 )
@@ -283,15 +283,17 @@ def row_relerr(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
         return np.abs(reference - other) / row_scale[:, None]
 
 
-def _compare_table_to_closed_form(ms: MomentSet, alpha: float, n_max: int) -> tuple[float, float]:
+def _compare_table_to_closed_form(
+    ms: MomentSet, alpha: float, table: ExactMomentTable
+) -> tuple[float, float]:
     """Worst gaps between the recursion table and the seven closed forms
     (the six of `closed_form_moments` and `closed_form_s4`).
 
     Returns (worst `row_relerr`, worst strict per-cell relative gap over
     cells that are not tiny compared to their row).
     """
-    rec = exact_moments_upto(ms, alpha, n_max).values
-    ns = np.arange(1, n_max + 1, dtype=np.float64)
+    rec = table.values
+    ns = np.arange(1, len(table) + 1, dtype=np.float64)
     cf = closed_form_moments(ms, alpha, ns)
     closed = np.column_stack(
         [cf.s2, cf.st, cf.s3, cf.su, cf.t2, cf.s2t, closed_form_s4(ms, alpha, ns)]
@@ -309,18 +311,20 @@ def check_closed_form_vs_recursion(
     n_max: int = 10_000,
     rel_tol: float = 1e-8,
 ) -> list[CheckResult]:
-    """The seven closed forms against the iterated recursions for n <= n_max."""
+    """The seven closed forms against the iterated recursions for n <= n_max,
+    every table from one blocked scan."""
+    cases = [(alpha, label, moment_set(dist)) for alpha in alphas for label, dist in dists]
+    tables = exact_moment_tables([(ms, alpha) for alpha, _, ms in cases], n_max)
     out = []
-    for alpha in alphas:
-        for label, dist in dists:
-            name = f"closed_form_vs_recursion[alpha={alpha},{label}]"
-            try:
-                worst = max(_compare_table_to_closed_form(moment_set(dist), alpha, n_max))
-            except SingularParameterError as exc:
-                out.append(CheckResult(name, SKIP, None, str(exc)))
-                continue
-            detail = f"row-scaled and per-cell tolerance {rel_tol:g}"
-            out.append(_result(name, worst, rel_tol, detail))
+    for (alpha, label, ms), table in zip(cases, tables):
+        name = f"closed_form_vs_recursion[alpha={alpha},{label}]"
+        try:
+            worst = max(_compare_table_to_closed_form(ms, alpha, table))
+        except SingularParameterError as exc:
+            out.append(CheckResult(name, SKIP, None, str(exc)))
+            continue
+        detail = f"row-scaled and per-cell tolerance {rel_tol:g}"
+        out.append(_result(name, worst, rel_tol, detail))
     return out
 
 
@@ -332,19 +336,20 @@ def check_brute_force(
 ) -> list[CheckResult]:
     """The seven moments of `brute_force_moments`, one run of the two-point
     count chain, against the recursion table: the worst `row_relerr` over
-    every n <= n_max must be at most rel_tol."""
+    every n <= n_max must be at most rel_tol.  The recursion tables come
+    from one blocked scan."""
+    cases = [(alpha, label, dist) for alpha in alphas for label, dist in dists]
+    tables = exact_moment_tables([(moment_set(dist), alpha) for alpha, _, dist in cases], n_max)
     out = []
-    for alpha in alphas:
-        for label, dist in dists:
-            table = exact_moments_upto(moment_set(dist), alpha, n_max)
-            brute = brute_force_moments(dist, alpha, n_max)
-            worst = float(row_relerr(table.values, brute.values).max())
-            out.append(
-                _result(
-                    f"brute_force_vs_recursion[alpha={alpha},{label}]", worst, rel_tol,
-                    f"row-scaled tolerance {rel_tol:g}, n <= {n_max}",
-                )
+    for (alpha, label, dist), table in zip(cases, tables):
+        brute = brute_force_moments(dist, alpha, n_max)
+        worst = float(row_relerr(table.values, brute.values).max())
+        out.append(
+            _result(
+                f"brute_force_vs_recursion[alpha={alpha},{label}]", worst, rel_tol,
+                f"row-scaled tolerance {rel_tol:g}, n <= {n_max}",
             )
+        )
     return out
 
 
@@ -352,9 +357,9 @@ def check_rademacher_degeneracy(n_max: int = 10_000) -> list[CheckResult]:
     """For steps in {-1,+1}: T~ == 0 identically, so st = t2 = s2t = 0 and
     su = s2, exactly, in both computation paths."""
     ms = moment_set(StepDistribution.rademacher())
+    alphas = (0.0, 0.3, 0.6, 0.75, 1.0)
     worst = 0.0
-    for alpha in (0.0, 0.3, 0.6, 0.75, 1.0):
-        table = exact_moments_upto(ms, alpha, n_max)
+    for alpha, table in zip(alphas, exact_moment_tables([(ms, alpha) for alpha in alphas], n_max)):
         worst = max(
             worst,
             float(np.max(np.abs(table.column("st")))),
@@ -625,12 +630,12 @@ def check_cluster_engine(
     alpha, n = 0.75, 100
     out = []
     cps = (n // 2, n)
-    for i, (label, dist) in enumerate(dists):
+    sets = [moment_set(dist) for _, dist in dists]
+    tables = exact_moment_tables([(ms, alpha) for ms in sets], n)
+    for i, ((label, dist), ms, table) in enumerate(zip(dists, sets, tables)):
         keys = replicate_keys(seed + i, 0, 16)
         bad = cluster_label_mismatches(dist, alpha, n, keys)
         out.append(_result(f"cluster_engine_paths[{label}]", bad, 0, "steps that differ"))
-        ms = moment_set(dist)
-        table = exact_moments_upto(ms, alpha, n)
         acc = cluster_batch(dist, alpha, n, replicates, seed + i, cps)
         worst = 0.0
         for est in empirical_q_moments(acc, alpha):

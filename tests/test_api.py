@@ -143,6 +143,30 @@ def test_no_scalar_branches():
     assert _functions_reading("np", ("isscalar", "ndim")) == []
 
 
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _calls_in_loops(tree: ast.AST, name: str) -> list[int]:
+    """Line of every call of `name`, as a name or an attribute, inside a
+    loop or a comprehension of `tree`."""
+    return sorted({
+        node.lineno
+        for loop in ast.walk(tree) if isinstance(loop, _LOOPS)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    })
+
+
+def test_verify_makes_no_table_in_a_loop():
+    # a check makes all of its recursion tables with one call of
+    # exact_moment_tables; a call of exact_moments_upto per table pays the
+    # scan's numpy calls once per table
+    assert _calls_in_loops(ast.parse("for a in x:\n    t = m.exact_moments_upto(s, a, n)\n"),
+                           "exact_moments_upto") == [2]
+    assert _calls_in_loops(ast.parse((SRC / "verify.py").read_text()), "exact_moments_upto") == []
+
+
 def test_no_math_exp():
     # every gamma ratio is exponentiated by np.exp, the array path; math.exp
     # differs from it in the last bit on some arguments

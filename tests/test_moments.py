@@ -21,6 +21,7 @@ from erw import (
     closed_form_s4,
     conditional_step_moments,
     exact_law,
+    exact_moment_tables,
     exact_moments_upto,
     fourth_moment_coefficient,
     limit_q_moments,
@@ -55,6 +56,16 @@ ORACLE_ALPHAS = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.6, 0.75, 1.0)
 #: no step, one step, and tables whose last block of steps is full (3,
 #: 13, 241) or partial
 ORACLE_SIZES = (1, 2, 3, 10, 13, 49, 100, 241, 257, 500)
+
+#: the laws and alphas of the batch tests; `_W` (_W + 1) rows give blocks of
+#: _W + 1 steps with one step of padding, one more row none
+_BATCH_LAWS = ("rademacher", "bernoulli", "uniform", "skewed")
+_BATCH_ALPHAS = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0)
+_W = 31
+
+
+def _batch_pairs(laws):
+    return [(moment_set(ORACLE_LAWS[law]), alpha) for law in laws for alpha in _BATCH_ALPHAS]
 
 
 def _kahan_add(value, comp, increment):
@@ -300,6 +311,43 @@ class TestExactRecursion:
         finally:
             tracemalloc.stop()
         assert peak <= exact_moments_bytes(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, _W * (_W + 1), _W * (_W + 1) + 1, 10_000])
+    def test_batch_bytes_match_single_tables(self, n):
+        # one scan for the batch, the operations of one table for each cell
+        pairs = _batch_pairs(_BATCH_LAWS)
+        tables = exact_moment_tables(pairs, n)
+        assert len(tables) == len(pairs)
+        for (ms, alpha), table in zip(pairs, tables):
+            single = exact_moments_upto(ms, alpha, n).values
+            assert table.values.tobytes() == single.tobytes(), (alpha, n)
+
+    def test_table_bytes_independent_of_batch(self):
+        # 18 tables, each made alone, in the batch of all 18 in both orders
+        # and in batches of three at every position
+        n = 1000
+        pairs = _batch_pairs(_BATCH_LAWS[:3])
+        alone = [exact_moment_tables([pair], n)[0].values.tobytes() for pair in pairs]
+        order = list(range(len(pairs)))
+        batches = [order, order[::-1]] + [
+            order[k + shift : k + 3] + order[k : k + shift]
+            for k in range(0, len(pairs), 3) for shift in range(3)
+        ]
+        for batch in batches:
+            tables = exact_moment_tables([pairs[i] for i in batch], n)
+            assert [t.values.tobytes() for t in tables] == [alone[i] for i in batch], batch
+
+    @pytest.mark.parametrize(("tables", "n"), [(3, 2), (3, 1000), (3, 20_000), (18, 1000)])
+    def test_batch_peak_within_exact_moments_bytes(self, tables, n):
+        pairs = _batch_pairs(_BATCH_LAWS[:3])
+        exact_moment_tables(pairs[:2], 10)  # first-call allocations aside
+        tracemalloc.start()
+        try:
+            exact_moment_tables(pairs[:tables], n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= tables * exact_moments_bytes(n)
 
     def test_rademacher_degeneracy_exact(self, standard_moment_sets):
         # T~ == 0 for steps in {-1, +1}: st, t2, s2t vanish and su == s2

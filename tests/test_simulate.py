@@ -23,8 +23,8 @@ from erw import (
 import erw.simulate as sim
 from erw.distributions import inverse_cdf
 from erw.rng import (
-    MASK64, mix64, parse_seed, replicate_key, replicate_keys, uniform_draw, uniform_draws, unit_floats,
-    words_below,
+    MASK64, mix64, mixed_words, parse_seed, replicate_key, replicate_keys, uniform_draw,
+    uniform_draws, unit_floats, words_below,
 )
 from erw.simulate import WalkState, marginal_moment_sums, sample_stderr, z_score
 from erw.verify import cluster_label_mismatches, compare_with_exact
@@ -882,6 +882,15 @@ class TestEpsilonMoments:
 
 
 class TestConditionalContinuation:
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.6, 0.75, 1.0])
+    def test_branch_words_decide_as_uniforms(self, alpha):
+        # the continuations branch on the word at counter 0 against
+        # words_below(alpha), the engines' rule; the uniform of that word
+        # below alpha makes the same decision for every key
+        keys = replicate_keys(8, 0, 100_000)
+        by_word = mixed_words(keys, 0) < np.uint64(words_below(alpha))
+        assert np.array_equal(by_word, uniform_draws(keys, 0) < alpha)
+
     def test_rademacher_prefix(self, rademacher):
         # prefix +1,+1,+1 at alpha = 0.6 predicts E(X_4) = 0.6
         ms = moment_set(rademacher)

@@ -184,17 +184,27 @@ def test_constant_form_mutant_fails(monkeypatch):
 
 def test_scan_chaining_mutant_fails(monkeypatch):
     # a 1e-9 relative error in the block starts that the scan chains fails
-    # the solver check and moves the moment table, which the same scan makes
+    # the solver check and moves the moment tables, alone or in a batch,
+    # which the same scan makes; the closed forms' check, at a tolerance
+    # the true tables pass (their gap is ~1e-14), fails with them
     source = inspect.getsource(erw.moments._solve_level)
     assert source.count("starts.append(x)") == 1
     namespace = dict(vars(erw.moments))
     exec(source.replace("starts.append(x)", "starts.append(x * (1.0 + 1e-9))"), namespace)
+    batch = [(_UNIFORM, 0.4), (_UNIFORM, 0.75), (moment_set(StepDistribution.rademacher()), 1.0)]
+    closed = {"alphas": (0.4, 0.75), "n_max": 200, "rel_tol": 1e-10}
+    assert all(r.status == PASS for r in check_closed_form_vs_recursion(**closed))
     before = erw.moments.exact_moments_upto(_UNIFORM, 0.75, 200).values
+    before_batch = erw.moments.exact_moment_tables(batch, 200)[1].values
     monkeypatch.setattr(erw.moments, "_solve_level", namespace["_solve_level"])
     (result,) = check_recursion_solver(n_specs=20)
     assert result.status == FAIL and result.worst_error > 1e-10
     after = erw.moments.exact_moments_upto(_UNIFORM, 0.75, 200).values
     assert not np.array_equal(after, before)
+    after_batch = erw.moments.exact_moment_tables(batch, 200)[1].values
+    assert not np.array_equal(after_batch, before_batch)
+    results = check_closed_form_vs_recursion(**closed)
+    assert results and all(r.status == FAIL for r in results), results
 
 
 def test_s4_term_mutant_fails(monkeypatch):
