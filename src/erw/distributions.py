@@ -24,7 +24,10 @@ WEIGHT_TOL = 1e-12
 
 #: A discrete law with at most this many atoms up to its last positive
 #: weight samples by counting comparisons; a wider one by binary search.
-_COMPARE_ATOMS = 16
+#: The count ties `searchsorted` near 200 atoms on the engines' draw
+#: blocks of 16,384 uniforms (near 130 on 10^6 uniforms, which no engine
+#: draws at once); it is a uint8, so this may not exceed 256.
+_COMPARE_ATOMS = 192
 
 #: Each kind and the fields of its JSON descriptor, in constructor order.
 _KINDS = {"rademacher": (), "bernoulli": ("p",), "uniform": ("lo", "hi"),

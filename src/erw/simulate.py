@@ -122,8 +122,9 @@ def _fill_walks(out: np.ndarray, keys: np.ndarray, alpha: float, fresh) -> np.nd
     are first set to `fresh(u_val, own)`, the values of fresh steps (`own`
     is each row's 0-based index, as a column).  A repeat copies row
     floor(u_val (t-1)), capped at t-2 for u_val = 1, made in the spent
-    words' buffer; a fresh step reads its value at its own position, one
-    select, so every step is one `take` from the walk's own history.  The
+    words' buffer as an offset from the step, which the bool `repeat`
+    zeroes for a fresh step; a fresh step so reads its value at its own
+    position, and every step is one `take` from the walk's own history.  The
     counters, and so the bytes, are the same as drawing one step at a time.
     """
     n, width = out.shape
@@ -146,9 +147,11 @@ def _fill_walks(out: np.ndarray, keys: np.ndarray, alpha: float, fresh) -> np.nd
         u_val *= own.astype(np.float64)  # an int column would be cast per element
         np.copyto(src, u_val, casting="unsafe")  # truncates, as astype does
         del u_val, words
-        np.minimum(src, own - 1, out=src)
-        src = np.where(repeat, src, own)
+        src -= own
+        np.minimum(src, -1, out=src)  # the source's offset from the step, below 0
+        src *= repeat  # and 0 for a fresh step
         del repeat
+        src += own
         src *= width
         src += cols
         for i, row in enumerate(block):
@@ -646,7 +649,14 @@ def conditional_continuation_test(
     master_seed: int,
 ) -> list[ContinuationCheck]:
     """Freeze a prefix, sample one-step continuations, compare all six
-    conditional moments against their predictions."""
+    conditional moments against their predictions.
+
+    Each continuation draws its branch word at counter 0 and its value
+    uniform u at counter 1 of its own key, where step n+1 of a kernel walk
+    reads 2n and 2n+1.  A repeat copies prefix step min(floor(u n), n-1),
+    0-based: `_fill_walks`'s index rule for step n+1, computed here rather
+    than by the kernel.
+    """
     alpha = check_alpha(alpha)
     if n_continuations < 1:
         raise ValueError("need at least one continuation")

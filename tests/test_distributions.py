@@ -21,6 +21,7 @@ from erw import (
     moment_set,
     raw_moments,
 )
+from erw import distributions
 from erw.rng import replicate_keys, uniform_draws
 from erw.verify import check_moment_identities
 
@@ -370,10 +371,13 @@ class TestSampling:
 
     def test_atom_count_matches_binary_search(self, monkeypatch):
         # the atom is the number of cumulative weights before the last
-        # positive-weight atom that are <= u: for laws of up to 16 atoms it
-        # is counted by comparisons, beyond by np.searchsorted, and both
-        # give the binary search's atom, at u = 1.0, at u equal to a
-        # cumulative weight and past trailing zero weights
+        # positive-weight atom that are <= u: for laws of up to
+        # _COMPARE_ATOMS atoms it is counted by comparisons, beyond by
+        # np.searchsorted, and both give the binary search's atom, at u =
+        # 1.0, at u equal to a cumulative weight and past trailing zero
+        # weights; the laws run to one atom past the switch
+        switch = distributions._COMPARE_ATOMS
+        assert switch <= 256  # the count is a uint8
         def searched(dist, u):
             weights = np.asarray(dist.weights)
             top = np.flatnonzero(weights)[-1]
@@ -383,12 +387,14 @@ class TestSampling:
 
         rng = np.random.default_rng(11)
         laws = []
-        for size in range(2, 41):
+        for size in (*range(2, 41), switch, switch + 1):
             raw = rng.random(size)
             raw[rng.random(size) < 0.2] = 0.0  # zero weights, some of them trailing
             live = size - 2 if size % 3 == 0 else size
             raw[live:] = 0.0
             raw[rng.integers(0, live)] = 0.5
+            if size >= switch:
+                raw[-1] = 0.5  # the last atom is live: one law each side of the switch
             laws.append(StepDistribution.discrete(np.arange(size), raw / math.fsum(raw)))
         by_comparison = []
         for dist in laws:
@@ -397,9 +403,9 @@ class TestSampling:
             u = u[(u > 0.0) & (u <= 1.0)]
             want = searched(dist, u)
             assert inverse_cdf(dist, u).tolist() == want.tolist(), dist
-            if np.flatnonzero(dist.weights)[-1] < 16:
+            if np.flatnonzero(dist.weights)[-1] < switch:
                 by_comparison.append((dist, u, want))
-        assert 0 < len(by_comparison) < len(laws)
+        assert len(by_comparison) == len(laws) - 1  # all but the widest law
 
         def refused(*args, **kwargs):
             raise AssertionError("binary search used")

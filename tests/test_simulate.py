@@ -354,12 +354,11 @@ class TestBlockedDraws:
         # bytes per walk) and one block of draws.  The previous block is
         # freed before the next is drawn, and while one is drawn at most
         # two 8-byte arrays and the 1-byte `repeat` are alive (the words
-        # and a shift of them, the words and u_val, the sources and the
-        # select's result), 17 bytes per element of a block, and np.where
-        # fills a 64 KiB buffer, 4.1 more at 16,000 elements: 21.26
-        # measured (25.2 when the branch uniform was a float and the
-        # select a masked copy).  With 4-byte labels the peak would be
-        # 12 MB higher.
+        # and a shift of them, the words and u_val), 17 bytes per element
+        # of a block; scaling u_val by the column `own` fills a 64 KiB
+        # buffer, 4.1 more at 16,000 elements: 21.17 measured.  The
+        # sources are then made in place in the words' buffer.  With
+        # 4-byte labels the peak would be 12 MB higher.
         n, width = 3000, 2000
         label_term = (sim.batch_step_bytes(n, width, n)
                       - sim._size_pass_bytes(sim._TILE_WALKS, n))
@@ -374,6 +373,33 @@ class TestBlockedDraws:
             tracemalloc.stop()
         assert labels.dtype == np.uint16 and labels.nbytes == label_term
         assert label_term < peak <= label_term + block
+
+    @pytest.mark.parametrize("law,sampler_bytes", [
+        (StepDistribution.bernoulli(0.3), 1 + 8),
+        (StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4)), 1 + 1 + 8 + 8),
+    ])
+    def test_paths_within_step_bytes(self, law, sampler_bytes):
+        # check_marginal_moments' shape and laws, one step per block: the
+        # step matrix, `cols` (8 bytes per walk) and one block of draws.
+        # The peak is while the fresh values are sampled: the words,
+        # `repeat` and u_val (17 bytes per element) and the sampler's own
+        # arrays, for Bernoulli the comparison and the values, for a
+        # discrete law the uint8 count, the comparison, the count cast to
+        # intp by `take` and the values.  16 KiB more holds the small
+        # arrays and Python objects of a step, which vary from run to run:
+        # 26.31-26.44 and 35.24-36.03 bytes per element were measured in all
+        n, width = 100, 10_000
+        keys = replicate_keys(31, 0, width)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            steps = sim._run_paths(law, 0.75, n, keys)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sim._block_rows(width) == 1 and steps.nbytes == 8 * n * width
+        block = (17 + sampler_bytes) * width + 8 * width + 16384
+        assert steps.nbytes < peak <= steps.nbytes + block
 
     @pytest.mark.parametrize("width,checkpoints", [
         (2000, (1000, 3000)), (128, (10, 20, 3000)), (50, (1500, 3000)), (40, (70_000,)),
@@ -890,6 +916,34 @@ class TestConditionalContinuation:
         keys = replicate_keys(8, 0, 100_000)
         by_word = mixed_words(keys, 0) < np.uint64(words_below(alpha))
         assert np.array_equal(by_word, uniform_draws(keys, 0) < alpha)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 2**20])
+    @pytest.mark.parametrize("u", [1.0, np.nextafter(1.0, 0.0)])
+    def test_repeat_index_is_the_kernels(self, monkeypatch, rademacher, n, u):
+        # with the draws fixed, step n+1 of a kernel walk repeats and every
+        # earlier step is fresh, so its label is the row it copies; a
+        # continuation of the prefix 0, 1, ..., n-1 repeats, so its step is
+        # the row it copies: both are min(floor(u n), n-1) = n-1 at these u
+        def words(keys, counter, out=None):
+            # 0 (below every bound) at the repeating counter, 2^64-1 elsewhere
+            hit = np.asarray(counter)[..., None] == repeat_at
+            w = np.where(hit, np.uint64(0), np.uint64(MASK64)) + np.zeros(keys.shape, np.uint64)
+            if out is None:
+                return w
+            out[...] = w
+            return out
+
+        repeat_at = 2 * n
+        monkeypatch.setattr(sim, "mixed_words", words)
+        monkeypatch.setattr(sim, "unit_floats", lambda w: np.full(w.shape, u))
+        labels = sim._run_labels(1.0, n + 1, replicate_keys(1, 0, 1))
+        assert labels[:n, 0].tolist() == list(range(n))
+
+        repeat_at = 0
+        monkeypatch.setattr(sim, "uniform_draws", lambda keys, counter: np.full(keys.shape, u))
+        prefix = WalkState.from_steps(np.arange(n), moment_set(rademacher))
+        checks = {c.name: c for c in conditional_continuation_test(prefix, rademacher, 1.0, 1, 0)}
+        assert labels[n, 0] == checks["dx"].observed == n - 1
 
     def test_rademacher_prefix(self, rademacher):
         # prefix +1,+1,+1 at alpha = 0.6 predicts E(X_4) = 0.6
