@@ -25,8 +25,10 @@ a step's X_t^p or martingale difference eps_t^p), rows made by
 `_power_sums` or `_cluster_sums`.  One driver, `_run_batch`, runs every
 batch in chunks of fixed replicate ranges whose sums come back in span
 order, so every batch statistic has the same bytes for any worker count.
-`sample_stderr` and `z_score` turn the sums into standard errors and
-z-scores for every consumer.
+`layout_moments` is the one reader of the layout: it turns any such sums
+into the means of the four estimates and their `sample_stderr`s, for
+`empirical_q_moments` and the `verify` checks of such sums; `z_score`
+turns gaps into z-scores.
 """
 
 from __future__ import annotations
@@ -358,7 +360,7 @@ class BatchAccumulator:
     """Per-checkpoint Monte Carlo sums in the one layout, added a chunk at a
     time: for p = 1..4, column p-1 sums each walk's estimate of E(S~^p)
     (E(S~^p | cluster sizes) from `cluster_batch`, or S~^p of literal
-    walks) and column p+3 sums its square.
+    walks) and column p+3 sums its square; `layout_moments` reads them.
 
     Chunks are added in span order, which the fixed chunk layout and the
     ordered results of the pool make the same for every worker count, so the
@@ -376,18 +378,6 @@ class BatchAccumulator:
         with np.errstate(over="ignore", invalid="ignore"):
             self._sums += sums
         self.n_replicates += count
-
-    def moment_and_square(self, n: int, p: int) -> tuple[float, float]:
-        """Means over the replicates of the per-walk estimate of E(S~_n^p)
-        and of its square, p = 1..4."""
-        if self.n_replicates < 1:
-            raise ValueError("accumulator is empty")
-        if not 1 <= p <= 4:
-            raise ValueError(f"p must be in 1..4, got {p}")
-        if n not in self.checkpoints:
-            raise ValueError(f"n = {n} is not one of the checkpoints {list(self.checkpoints)}")
-        row = self._sums[self.checkpoints.index(n)]
-        return float(row[p - 1]) / self.n_replicates, float(row[p + 3]) / self.n_replicates
 
 
 def _chunk_width(n: int, replicates: int) -> int:
@@ -421,11 +411,6 @@ def _chunk_keys(master_seed: int, span: tuple[int, int]) -> np.ndarray:
     """Stream keys of the replicates in `span`: replicate_key(master_seed, i)."""
     start, stop = span
     return replicate_keys(master_seed, start, stop - start)
-
-
-def _chunk_steps(dist, alpha, n, master_seed, span) -> np.ndarray:
-    """Step matrix of the replicates in `span`."""
-    return _run_paths(dist, alpha, n, _chunk_keys(master_seed, span))
 
 
 def _run_batch(n, replicates, workers, chunk_sums, checkpoints=()):
@@ -513,6 +498,15 @@ def sample_stderr(mean, mean_sq, count: int):
     return np.sqrt(variance / count)
 
 
+def layout_moments(sums, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one reader of the layout: for (..., 8) sums over `count` walks,
+    the (..., 4) means of the walks' estimates of E(.^p), p = 1..4, and
+    their `sample_stderr`s."""
+    means = np.divide(sums, count)
+    mean = means[..., :4]
+    return mean, sample_stderr(mean, means[..., 4:], count)
+
+
 def z_score(gap, stderr):
     """gap / stderr (scalars or arrays).  Where stderr is not positive (0 or
     nan), z is 0 for a gap of exactly 0 and inf otherwise."""
@@ -536,13 +530,12 @@ def empirical_q_moments(acc: BatchAccumulator, alpha: float) -> list[ScaledMomen
     count = acc.n_replicates
     if count < 1:
         raise ValueError("accumulator is empty")
+    means, stderrs = layout_moments(acc._sums, count)
     out = []
-    for n in acc.checkpoints:
-        for p in (1, 2, 3, 4):
+    for n, mean, stderr in zip(acc.checkpoints, means.tolist(), stderrs.tolist()):
+        for p, m, se in zip((1, 2, 3, 4), mean, stderr):
             scale = float(n) ** (-p * alpha)
-            mean, mean_sq = acc.moment_and_square(n, p)
-            stderr = float(scale * sample_stderr(mean, mean_sq, count))
-            out.append(ScaledMomentEstimate(n, p, scale * mean, stderr, count))
+            out.append(ScaledMomentEstimate(n, p, scale * m, scale * se, count))
     return out
 
 
@@ -586,7 +579,7 @@ def _step_sums(dist, alpha, n, replicates, master_seed, blocks) -> np.ndarray:
     n = int(_check_n(n, "n"))
 
     def chunk_sums(span):
-        steps = _chunk_steps(dist, alpha, n, master_seed, span)
+        steps = _run_paths(dist, alpha, n, _chunk_keys(master_seed, span))
         return np.vstack([_power_sums(values) for values in blocks(steps)])
 
     return sum(chunk for chunk, _ in _run_batch(n, replicates, 1, chunk_sums))
@@ -658,8 +651,9 @@ def conditional_continuation_test(
     than by the kernel.
     """
     alpha = check_alpha(alpha)
-    if n_continuations < 1:
+    if _is_number(n_continuations) and n_continuations < 1:
         raise ValueError("need at least one continuation")
+    n_continuations = int(_check_n(n_continuations, "n_continuations"))
     ms = moment_set(dist)
     n = prefix.n
     predicted: ConditionalStepMoments = conditional_step_moments(

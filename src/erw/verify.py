@@ -57,8 +57,8 @@ from .simulate import (
     cluster_batch,
     conditional_continuation_test,
     empirical_q_moments,
+    layout_moments,
     marginal_moment_sums,
-    sample_stderr,
     simulate_path,
     z_score,
 )
@@ -185,13 +185,8 @@ def check_sampling_moments(
     )
     uniforms = uniform_draws(replicate_keys(seed, 0, n_samples), 0)
     for label, dist in dists:
-        sums = _power_sums(inverse_cdf(dist, uniforms))
-        exact = raw_moments(dist)
-        worst = 0.0
-        for k in range(1, 5):
-            mean = float(sums[k - 1]) / n_samples
-            stderr = sample_stderr(mean, float(sums[k + 3]) / n_samples, n_samples)
-            worst = max(worst, abs(float(z_score(mean - exact[k - 1], stderr))))
+        mean, stderr = layout_moments(_power_sums(inverse_cdf(dist, uniforms)), n_samples)
+        worst = float(z_score(np.abs(mean - raw_moments(dist)), stderr).max())
         out.append(_result(f"sampling_moments[{label}]", worst, z_max, "worst |z|"))
     return out
 
@@ -490,9 +485,9 @@ def check_marginal_moments(
     out = []
     for label, dist in (("bernoulli(0.3)", StepDistribution.bernoulli(0.3)),
                         ("discrete(-1,2)", _SKEWED_TWO_POINT)):
-        means = marginal_moment_sums(dist, alpha, n, replicates, seed) / replicates
-        stderr = sample_stderr(means[:, :4], means[:, 4:], replicates)
-        worst = float(z_score(np.abs(means[:, :4] - raw_moments(dist)), stderr).max())
+        sums = marginal_moment_sums(dist, alpha, n, replicates, seed)
+        mean, stderr = layout_moments(sums, replicates)
+        worst = float(z_score(np.abs(mean - raw_moments(dist)), stderr).max())
         out.append(
             _result(f"marginal_moments[{label}]", worst, z_max, f"worst |z| over t<=({n}) p<=4")
         )
@@ -506,8 +501,8 @@ def check_martingale_property(
     Monte Carlo accuracy, for Bernoulli(0.3) steps at alpha = 0.75.  The
     factor a_t cancels in the z-score of E(eps_t)."""
     sums = batch_epsilon_moments(StepDistribution.bernoulli(0.3), 0.75, 200, replicates, seed)
-    mean, mean_sq = sums[:, 0] / replicates, sums[:, 4] / replicates
-    z = z_score(np.abs(mean), sample_stderr(mean, mean_sq, replicates))
+    mean, stderr = layout_moments(sums, replicates)
+    z = z_score(np.abs(mean[:, 0]), stderr[:, 0])
     return [_result("martingale_property", float(z.max()), z_max, "worst |z| over steps")]
 
 
@@ -518,7 +513,8 @@ def check_epsilon_bound(replicates: int = 10_000, seed: int = 58) -> list[CheckR
     for label, dist in (("rademacher", StepDistribution.rademacher()),
                         ("bernoulli(0.3)", StepDistribution.bernoulli(0.3))):
         m = raw_moments(dist)
-        means = batch_epsilon_moments(dist, 0.75, 256, replicates, seed) / replicates
+        sums = batch_epsilon_moments(dist, 0.75, 256, replicates, seed)
+        means, _ = layout_moments(sums, replicates)
         bound2 = 4.0 * m[1]
         bound4 = 16.0 * m[3]
         excess = max(

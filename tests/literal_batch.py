@@ -14,7 +14,7 @@ import numpy as np
 
 from erw.distributions import StepDistribution, moment_set
 from erw.gammatools import check_alpha
-from erw.simulate import BatchAccumulator, _chunk_steps, _power_sums, _run_batch
+from erw.simulate import BatchAccumulator, _chunk_keys, _power_sums, _run_batch, _run_paths
 
 
 def _centered_sums(steps: np.ndarray, m1: float):
@@ -56,7 +56,9 @@ def simulate_batch(
     last = acc.checkpoints[-1]
     for sums, count in _run_batch(
         n, replicates, 1,
-        lambda span: _checkpoint_sums(_chunk_steps(dist, alpha, last, master_seed, span), m1, cpi),
+        lambda span: _checkpoint_sums(
+            _run_paths(dist, alpha, last, _chunk_keys(master_seed, span)), m1, cpi
+        ),
         acc.checkpoints,
     ):
         acc.add_chunk(sums, count)

@@ -146,15 +146,20 @@ def test_no_scalar_branches():
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
+def _is_call_of(node: ast.AST, name: str) -> bool:
+    """Whether `node` calls `name`, as a name or an attribute."""
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
 def _calls_in_loops(tree: ast.AST, name: str) -> list[int]:
-    """Line of every call of `name`, as a name or an attribute, inside a
-    loop or a comprehension of `tree`."""
+    """Line of every call of `name` inside a loop or a comprehension of `tree`."""
     return sorted({
         node.lineno
         for loop in ast.walk(tree) if isinstance(loop, _LOOPS)
         for node in ast.walk(loop)
-        if isinstance(node, ast.Call)
-        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        if _is_call_of(node, name)
     })
 
 
@@ -165,6 +170,18 @@ def test_verify_makes_no_table_in_a_loop():
     assert _calls_in_loops(ast.parse("for a in x:\n    t = m.exact_moments_upto(s, a, n)\n"),
                            "exact_moments_upto") == [2]
     assert _calls_in_loops(ast.parse((SRC / "verify.py").read_text()), "exact_moments_upto") == []
+
+
+def test_one_reader_of_the_layout():
+    # only simulate knows that column p-1 of a Monte Carlo sum holds the
+    # estimate of E(.^p) and column p+3 its square: every other module
+    # reads the sums through layout_moments, which calls sample_stderr
+    calling = sorted({
+        path.name for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _is_call_of(node, "sample_stderr")
+    })
+    assert calling == ["simulate.py"]
 
 
 def test_no_math_exp():

@@ -14,6 +14,7 @@ from erw import (
     batch_epsilon_moments,
     brute_force_moments,
     cluster_batch,
+    conditional_continuation_test,
     conditional_step_moments,
     exact_law,
     exact_moments_upto,
@@ -299,10 +300,16 @@ class TestWholeNumberRule:
         not_whole = (10.5, True, False, math.nan, math.inf, "10")
         cases = [(call, not_whole + (0, -3)) for call in calls]
         # a count of 0 or less keeps "replicates must be >= 1"
-        # (TestBatch::test_empty_batches_refused)
+        # (TestBatch::test_empty_batches_refused) or "need at least one
+        # continuation"
+        prefix = simulate_path(dist, 0.5, 10, 7)
         cases += [(call, not_whole) for call in (
             lambda replicates: marginal_moment_sums(dist, 0.5, 12, replicates, 7),
             lambda replicates: batch_epsilon_moments(dist, 0.5, 12, replicates, 7),
+            lambda count: [
+                (c.observed, c.stderr, c.z)
+                for c in conditional_continuation_test(prefix, dist, 0.5, count, 7)
+            ],
         )]
         for call, refused in cases:
             for bad in refused:

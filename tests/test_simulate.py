@@ -26,7 +26,7 @@ from erw.rng import (
     MASK64, mix64, mixed_words, parse_seed, replicate_key, replicate_keys, uniform_draw,
     uniform_draws, unit_floats, words_below,
 )
-from erw.simulate import WalkState, marginal_moment_sums, sample_stderr, z_score
+from erw.simulate import WalkState, layout_moments, marginal_moment_sums, sample_stderr, z_score
 from erw.verify import cluster_label_mismatches, compare_with_exact
 from literal_batch import _checkpoint_sums, simulate_batch
 
@@ -428,11 +428,12 @@ class TestBatch:
         state = simulate_path(bernoulli03, 0.6, 50, replicate_key(999, 0))
         ms = moment_set(bernoulli03)
         prefix = WalkState.from_steps(state.steps[:25], ms)
+        mean, _ = layout_moments(acc._sums, acc.n_replicates)
         for p in range(1, 5):
-            for n, walk in ((50, state), (25, prefix)):
-                mean, mean_sq = acc.moment_and_square(n, p)
-                assert mean == pytest.approx(walk.s_tilde ** p, rel=1e-12)
-                assert mean_sq == pytest.approx(walk.s_tilde ** (2 * p), rel=1e-12)
+            for row, walk in ((1, state), (0, prefix)):
+                assert mean[row, p - 1] == pytest.approx(walk.s_tilde ** p, rel=1e-12)
+                # one walk: the sum of squares is its square
+                assert acc._sums[row, p + 3] == pytest.approx(walk.s_tilde ** (2 * p), rel=1e-12)
 
     def test_chunks_added_in_span_order(self, bernoulli03, monkeypatch):
         monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 80 * 128)
@@ -440,7 +441,7 @@ class TestBatch:
         ms = moment_set(bernoulli03)
         total = np.zeros((2, 8))
         for span in sim._chunk_spans(80, 700):
-            steps = sim._chunk_steps(bernoulli03, 0.7, 80, 5, span)
+            steps = sim._run_paths(bernoulli03, 0.7, 80, sim._chunk_keys(5, span))
             total += _checkpoint_sums(steps, ms.m1, {40: 0, 80: 1})
         assert acc.n_replicates == 700
         assert acc._sums.tobytes() == total.tobytes()
@@ -511,7 +512,7 @@ class TestBatch:
         # independent steps: Var(S_n) = n M2; 1e5 replicates at n = 1000
         ms = moment_set(bernoulli03)
         acc = simulate_batch(bernoulli03, 0.0, 1000, 100_000, 31337, [1000])
-        mean, mean_sq = acc.moment_and_square(1000, 1)
+        mean, mean_sq = acc._sums[0, [0, 4]] / acc.n_replicates
         var = mean_sq - mean * mean
         assert var / 1000 == pytest.approx(ms.M2, rel=0.03)
 
@@ -752,14 +753,17 @@ class TestClusterEngine:
             assert alone._sums.tobytes() == together._sums[i].tobytes(), c
 
     def test_accumulator_reads(self, uniform01):
-        acc = cluster_batch(uniform01, 0.6, 50, 40, 3, [50])
-        assert acc.moment_and_square(50, 1)[0] == 0.0
-        mean, mean_sq = acc.moment_and_square(50, 4)
-        assert mean == acc._sums[0, 3] / 40 and mean_sq == acc._sums[0, 7] / 40
-        with pytest.raises(ValueError):
-            acc.moment_and_square(50, 5)
-        with pytest.raises(ValueError, match=r"^n = 49 is not one of the checkpoints \[50\]$"):
-            acc.moment_and_square(49, 2)
+        # layout_moments reads column p-1 as the estimate of E(S~^p) and
+        # column p+3 as its square, for a row or a table of rows
+        acc = cluster_batch(uniform01, 0.6, 50, 40, 3, [20, 50])
+        mean, stderr = layout_moments(acc._sums, 40)
+        assert mean.shape == stderr.shape == (2, 4)
+        assert mean[1, 0] == 0.0 and stderr[1, 0] == 0.0
+        assert mean[1, 3] == acc._sums[1, 3] / 40
+        assert stderr[1, 3] == sample_stderr(mean[1, 3], acc._sums[1, 7] / 40, 40)
+        row_mean, row_stderr = layout_moments(acc._sums[1], 40)
+        assert row_mean.tobytes() == mean[1].tobytes()
+        assert row_stderr.tobytes() == stderr[1].tobytes()
 
     def test_smaller_stderr_than_literal(self):
         # the conditional moment of each walk has S~^p's mean and less variance
@@ -889,10 +893,10 @@ class TestEpsilonMoments:
 
     def test_memoryless_second_moment(self, bernoulli03):
         ms = moment_set(bernoulli03)
-        means = batch_epsilon_moments(bernoulli03, 0.0, 100, 20_000, 17) / 20_000
+        sums = batch_epsilon_moments(bernoulli03, 0.0, 100, 20_000, 17)
+        means, se = layout_moments(sums, 20_000)
         # E(eps^2) = M2 at every step when there is no memory
-        se = sample_stderr(means[:, 1], means[:, 5], 20_000)
-        assert np.all(np.abs(means[:, 1] - ms.M2) <= 4.0 * se + 1e-12)
+        assert np.all(np.abs(means[:, 1] - ms.M2) <= 4.0 * se[:, 1] + 1e-12)
 
     def test_lp_bound(self, rademacher, bernoulli03):
         for dist in (rademacher, bernoulli03):
@@ -902,8 +906,9 @@ class TestEpsilonMoments:
             assert np.all(means[:, 3] <= 16.0 * m.m4 + 1e-9)
 
     def test_martingale_increments_centered(self, skewed_two_point):
-        means = batch_epsilon_moments(skewed_two_point, 0.8, 150, 20_000, 29) / 20_000
-        z = z_score(means[:, 0], sample_stderr(means[:, 0], means[:, 4], 20_000))
+        sums = batch_epsilon_moments(skewed_two_point, 0.8, 150, 20_000, 29)
+        means, se = layout_moments(sums, 20_000)
+        z = z_score(means[:, 0], se[:, 0])
         assert float(np.abs(z).max()) <= 4.0
 
 
