@@ -6,7 +6,10 @@ of (master seed, replicate index).  Nothing is stateful, so results cannot
 depend on chunking, vectorisation width, or thread count.
 
 The mixer is the splitmix64 finalizer (the SplittableRandom core), which is
-bijective on 64-bit words and passes BigCrush.
+bijective on 64-bit words and passes BigCrush.  The simulator mixes one word
+per walk-step, at counter t-1 for step t: the word decides the branch
+(`words_below`) and its uniform, split at alpha, gives the repeat index or
+the fresh sample.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ _UGOLDEN = np.uint64(GOLDEN)
 
 # (v >> 11) is a 53-bit integer; +0.5 keeps the result above 0.  Above 2^52
 # the +0.5 rounds to even, so the top integer 2^53 - 1 gives exactly 1.0
-# (probability 2^-53): samplers and index maps must accept u = 1.
+# (probability 2^-53): samplers and index maps must accept u = 1.  Some
+# uniforms are themselves round numbers (0.75 is k = 3 * 2^51 - 1), so a
+# split of u at alpha meets u == alpha.
 _TO_UNIT = 2.0 ** -53
 
 
@@ -80,19 +85,16 @@ def uniform_draw(key: int, counter: int) -> float:
     return ((v >> 11) + 0.5) * _TO_UNIT
 
 
-def mixed_words(keys: np.ndarray, counter, out: np.ndarray | None = None) -> np.ndarray:
+def mixed_words(keys: np.ndarray, counter) -> np.ndarray:
     """The mixed 64-bit words behind `uniform_draws(keys, counter)`, of the
-    same shape, made in `out` (a C-contiguous uint64 array of that shape)
-    when it is given.
+    same shape, as a new array.
 
     The offsets (c+1)*GOLDEN wrap mod 2^64 in uint64 arithmetic, exactly as
     `uniform_draw`'s mask does; they are computed on a 1-D array, since
     numpy warns when a 0-d uint64 product wraps.
     """
     offsets = (np.asarray(counter, dtype=np.uint64).reshape(-1) + np.uint64(1)) * _UGOLDEN
-    shape = np.shape(counter) + keys.shape
-    if out is None:
-        out = np.empty(shape, dtype=np.uint64)
+    out = np.empty(np.shape(counter) + keys.shape, dtype=np.uint64)
     np.add(offsets[:, None], keys, out=out.reshape(offsets.size, keys.size))
     return _mix64_array(out)
 

@@ -3,11 +3,12 @@
 Paths follow the repeat-or-fresh step rule exactly: the first step is a
 fresh draw, and step t+1 copies a uniformly chosen earlier step with
 probability alpha, otherwise draws fresh.  All randomness comes from the
-counter-based streams in `rng`, with a fixed two-draw pattern per step (one
-uniform decides the branch, a second supplies the repeat index or the fresh
-sample), so a path is a pure function of (distribution, alpha, n, stream
-key) and a batch is a pure function of (.., master seed) regardless of
-chunking or thread count.
+counter-based streams in `rng`, with one draw per step: its uniform u
+decides the branch (u < alpha repeats) and is split at alpha, u/alpha
+giving the repeat index and `_fresh_uniforms` the fresh sample's uniform,
+so a path is a pure function of (distribution, alpha, n, stream key) and a
+batch is a pure function of (.., master seed) regardless of chunking or
+thread count.
 
 Two engines share these draws.  The literal engine (`_run_paths`, behind
 `simulate_path` and the per-step statistics) builds a chunk's float64
@@ -44,7 +45,7 @@ import numpy as np
 from .distributions import MomentSet, StepDistribution, _is_number, inverse_cdf, moment_set
 from .gammatools import _check_n, check_alpha
 from .moments import ConditionalStepMoments, conditional_step_moments
-from .rng import MASK64, mixed_words, replicate_keys, uniform_draws, unit_floats, words_below
+from .rng import MASK64, mixed_words, replicate_keys, unit_floats, words_below
 
 #: Upper bound on elements of the per-chunk step matrix; chunk boundaries
 #: depend only on (n, replicates), never on the worker count, which is what
@@ -111,23 +112,57 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(width, 1))
 
 
-def _fill_walks(out: np.ndarray, keys: np.ndarray, alpha: float, fresh) -> np.ndarray:
+def _fresh_uniforms(u, alpha: float, step_one: bool = False, out=None) -> np.ndarray:
+    """The uniforms v in (0, 1] that fresh steps sample the step law at,
+    from their draws u, made in `out` (a float64 array of u's shape) or a
+    new array; every sampling consumer maps its draws through this one rule.
+
+    A fresh step after the first has u >= alpha, and v = (u - a)/(1 - a),
+    where a is the double just below alpha: the conditional uniform
+    (u - alpha)/(1 - alpha), kept above 0 where u == alpha and defined at
+    alpha = 1, where only u = 1 is fresh and gives v = 1.  Step 1 is always
+    fresh and takes v = u; with `step_one`, the first row of u is step 1's.
+    Rows of repeats (u < alpha) get values below 0 that no caller reads.
+    """
+    a = np.nextafter(alpha, -1.0)
+    v = np.subtract(u, a, out=out)
+    v /= 1.0 - a
+    if step_one:
+        v[0] = u[0]
+    return v
+
+
+def _repeat_reach(t_less_1, alpha: float):
+    """(t-1)/alpha, the factor that takes a repeat's uniform u < alpha to
+    (u/alpha)(t-1), whose floor is the row it copies.  A fresh step's
+    u >= alpha takes it to at least (t-1)(1 - 2^-52) > t-2.  It is inf
+    where no step repeats, since no uniform is below alpha <= 2^-54, the
+    least one, and so it still takes every u above t-2."""
+    if alpha > 2.0**-54:
+        return np.divide(t_less_1, alpha)
+    return np.full(np.shape(t_less_1), np.inf)
+
+
+def _fill_walks(
+    out: np.ndarray, keys: np.ndarray, alpha: float, dist: StepDistribution | None = None
+) -> np.ndarray:
     """Fill `out`, an (n, len(keys)) matrix, with len(keys) walks by the step
     rule, vectorised across walks, and return it; both engines run it.
 
-    Step t reads draw counter 2(t-1) for the branch uniform and 2(t-1)+1
-    for the index-or-sample uniform u_val.  None of these depends on the
-    walk's history, so they are drawn a block of steps at a time.  The
-    step repeats when its branch uniform is below alpha, never at t = 1,
-    which is tested on the mixed word against `words_below(alpha)`, and
-    the value words are then mixed in the same buffer.  Each block's rows
-    are first set to `fresh(u_val, own)`, the values of fresh steps (`own`
-    is each row's 0-based index, as a column).  A repeat copies row
-    floor(u_val (t-1)), capped at t-2 for u_val = 1, made in the spent
-    words' buffer as an offset from the step, which the bool `repeat`
-    zeroes for a fresh step; a fresh step so reads its value at its own
-    position, and every step is one `take` from the walk's own history.  The
-    counters, and so the bytes, are the same as drawing one step at a time.
+    Step t reads one draw, at counter t-1, whose uniform u both decides
+    and carries out the step.  None of these depends on the walk's history,
+    so they are drawn a block of steps at a time.  The step repeats when u
+    is below alpha, never at t = 1, which is tested on the mixed word
+    against `words_below(alpha)`.  Each block's rows are first set to the
+    values of fresh steps: samples of `dist` at `_fresh_uniforms(u, ...)`,
+    made in the spent words' buffer, or without a law each row's own
+    0-based index, a cluster label.  A repeat copies row
+    floor((u/alpha)(t-1)), capped at t-2 before the cast into the words'
+    buffer.  Every fresh step lands on t-2 there (`_repeat_reach`), so
+    adding the bool `fresh` moves it to its own row, t-1: it reads its
+    value at its own position, and every step is one `take` from the walk's
+    own history.  The counters, and so the bytes, are the same as drawing
+    one step at a time.
     """
     n, width = out.shape
     flat = out.reshape(-1)
@@ -137,23 +172,26 @@ def _fill_walks(out: np.ndarray, keys: np.ndarray, alpha: float, fresh) -> np.nd
 
     for first in range(0, n, rows):
         steps = np.arange(first, min(first + rows, n))  # t - 1
-        words = mixed_words(keys, 2 * steps)
-        repeat = words < bound
+        words = mixed_words(keys, steps)
+        fresh = words >= bound
         if first == 0:
-            repeat[0] = False  # the first step is always fresh
-        u_val = unit_floats(mixed_words(keys, 2 * steps + 1, out=words))
+            fresh[0] = True  # the first step is always fresh
+        u = unit_floats(words)
         own = steps[:, None]
         block = out[first : first + steps.size]
-        block[...] = fresh(u_val, own)
+        if dist is None:
+            block[...] = own
+        else:
+            v = _fresh_uniforms(u, alpha, step_one=first == 0, out=words.view(np.float64))
+            block[...] = inverse_cdf(dist, v)
+            del v
         src = words.view(np.int64)
-        u_val *= own.astype(np.float64)  # an int column would be cast per element
-        np.copyto(src, u_val, casting="unsafe")  # truncates, as astype does
-        del u_val, words
-        src -= own
-        np.minimum(src, -1, out=src)  # the source's offset from the step, below 0
-        src *= repeat  # and 0 for a fresh step
-        del repeat
-        src += own
+        u *= _repeat_reach(own, alpha)
+        np.minimum(u, own - 1.0, out=u)  # t-2, where every fresh step lands
+        np.copyto(src, u, casting="unsafe")  # truncates, as astype does
+        del u, words
+        src += fresh  # a fresh step reads its own row, t-1
+        del fresh
         src *= width
         src += cols
         for i, row in enumerate(block):
@@ -167,8 +205,7 @@ def _run_paths(
 ) -> np.ndarray:
     """The (n, len(keys)) float64 step matrix of len(keys) walks.  Every
     statistic is computed from it afterwards, a block of steps at a time."""
-    steps = np.empty((n, keys.size), dtype=np.float64)
-    return _fill_walks(steps, keys, alpha, lambda u_val, own: inverse_cdf(dist, u_val))
+    return _fill_walks(np.empty((n, keys.size), dtype=np.float64), keys, alpha, dist)
 
 
 def _label_dtype(n: int) -> np.dtype:
@@ -189,7 +226,7 @@ def _run_labels(alpha: float, n: int, keys: np.ndarray) -> np.ndarray:
     if n > 2**32:
         raise ValueError(f"cluster labels are at most uint32: n must be at most 2**32, got {n}")
     labels = np.empty((n, keys.size), dtype=_label_dtype(n))
-    return _fill_walks(labels, keys, alpha, lambda u_val, own: own)
+    return _fill_walks(labels, keys, alpha)
 
 
 def _size_pass_bytes(width: int, last: int) -> int:
@@ -644,11 +681,12 @@ def conditional_continuation_test(
     """Freeze a prefix, sample one-step continuations, compare all six
     conditional moments against their predictions.
 
-    Each continuation draws its branch word at counter 0 and its value
-    uniform u at counter 1 of its own key, where step n+1 of a kernel walk
-    reads 2n and 2n+1.  A repeat copies prefix step min(floor(u n), n-1),
-    0-based: `_fill_walks`'s index rule for step n+1, computed here rather
-    than by the kernel.
+    Each continuation draws one word, at counter 0 of its own key, where
+    step n+1 of a kernel walk reads counter n.  It repeats when the word is
+    below `words_below(alpha)` and then copies prefix step
+    min(floor((u/alpha) n), n-1), 0-based, for the word's uniform u:
+    `_fill_walks`'s index rule for step n+1, computed here rather than by
+    the kernel.  Otherwise it samples at `_fresh_uniforms(u, alpha)`.
     """
     alpha = check_alpha(alpha)
     if _is_number(n_continuations) and n_continuations < 1:
@@ -660,11 +698,11 @@ def conditional_continuation_test(
         (prefix.s_tilde, prefix.t_tilde, prefix.u_tilde), n, ms, alpha
     )
     keys = replicate_keys(master_seed, 0, n_continuations)
-    # the engines' branch rule: the uniform at counter 0 is below alpha
-    repeat = mixed_words(keys, 0) < np.uint64(words_below(alpha))
-    u_val = uniform_draws(keys, 1)
-    idx = np.minimum((u_val * n).astype(np.int64), n - 1)
-    fresh = inverse_cdf(dist, u_val)
+    words = mixed_words(keys, 0)
+    repeat = words < np.uint64(words_below(alpha))
+    u = unit_floats(words)
+    idx = np.minimum(u * _repeat_reach(n, alpha), n - 1.0).astype(np.int64)
+    fresh = inverse_cdf(dist, _fresh_uniforms(u, alpha))
     x = np.where(repeat, np.asarray(prefix.steps)[idx], fresh)
 
     dx = x - ms.m1

@@ -49,6 +49,7 @@ from .rng import MASK64, replicate_keys, uniform_draws
 from .simulate import (
     ScaledMomentEstimate,
     WalkState,
+    _fresh_uniforms,
     _martingale_differences,
     _power_sums,
     _run_labels,
@@ -499,11 +500,27 @@ def check_martingale_property(
 ) -> list[CheckResult]:
     """E(Q_{t} - Q_{t-1}) = a_t E(eps_t) = 0 at every step t <= 200, at
     Monte Carlo accuracy, for Bernoulli(0.3) steps at alpha = 0.75.  The
-    factor a_t cancels in the z-score of E(eps_t)."""
-    sums = batch_epsilon_moments(StepDistribution.bernoulli(0.3), 0.75, 200, replicates, seed)
+    factor a_t cancels in the z-score of E(eps_t).
+
+    E(eps_t) = 0 holds for any coefficient of S~_{t-1}, so the second
+    moment is tested too: eps_t = Y_t - mu_t with Y_t = X_t - m1 and
+    mu_t = (alpha/(t-1)) S~_{t-1} = E(Y_t | F_{t-1}), so E(eps_t^2) =
+    M2 - (alpha/(t-1))^2 s2(t-1) (M2 at t = 1), with s2 from the exact
+    table (Bercu 2018)."""
+    dist, alpha, n = StepDistribution.bernoulli(0.3), 0.75, 200
+    ms = moment_set(dist)
+    sums = batch_epsilon_moments(dist, alpha, n, replicates, seed)
     mean, stderr = layout_moments(sums, replicates)
+    (table,) = exact_moment_tables([(ms, alpha)], n - 1)
+    coefficient = alpha / np.arange(1.0, n)  # alpha/(t-1) for t = 2..n
+    second = np.concatenate(([ms.M2], ms.M2 - coefficient * coefficient * table.column("s2")))
     z = z_score(np.abs(mean[:, 0]), stderr[:, 0])
-    return [_result("martingale_property", float(z.max()), z_max, "worst |z| over steps")]
+    z2 = z_score(np.abs(mean[:, 1] - second), stderr[:, 1])
+    return [
+        _result("martingale_property", float(z.max()), z_max, "worst |z| over steps"),
+        _result("martingale_second_moment", float(z2.max()), z_max,
+                "worst |z| of E(eps_t^2) against the exact table over steps"),
+    ]
 
 
 def check_epsilon_bound(replicates: int = 10_000, seed: int = 58) -> list[CheckResult]:
@@ -599,10 +616,12 @@ def cluster_label_mismatches(
 ) -> int:
     """Steps where the literal engine's step matrix differs, in any bit,
     from the fresh samples of the same draws gathered at the cluster
-    engine's labels (0 when the engines agree)."""
+    engine's labels (0 when the engines agree).  Step t's fresh sample is
+    drawn here from its uniform at counter t-1, by the engines' fresh map."""
     steps = _run_paths(dist, alpha, n, keys)
     labels = _run_labels(alpha, n, keys)
-    fresh = _run_paths(dist, 0.0, n, keys)  # alpha 0: every step is fresh
+    u = uniform_draws(keys, np.arange(n))
+    fresh = inverse_cdf(dist, _fresh_uniforms(u, alpha, step_one=True))
     gathered = fresh[labels, np.arange(keys.size)]
     return int(np.count_nonzero(gathered.view(np.uint64) != steps.view(np.uint64)))
 

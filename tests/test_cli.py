@@ -259,10 +259,41 @@ class TestSimulate:
             "--replicates", "200", "--checkpoints", "1000", "--seed", "5",
         )
         assert code == 0 and rows == [1000, 1000]
-        # the bytes `--n 1000` writes, the same 1000 steps in wider chunks
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "295ca80214d7450c1decfda761b8e79c05d5bf8dd1da241e3b62f4397038f773"
+            "ad73c257ff6eac83a1e70f63504ff853b89432696c574114741d82bf13efbb73"
         )
+        # the bytes `--n 1000` writes in the same two chunks of 100 walks:
+        # in one chunk of 200, sums of E(S~^4 | sizes)^2 above 2**53 round
+        # in another order (p = 4's stderr moves in its last digit)
+        monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 100_000)
+        rows.clear()
+        assert run_cli(
+            capsys, "simulate", "--dist", "rademacher", "--alpha", "0.75", "--n", "1000",
+            "--replicates", "200", "--checkpoints", "1000", "--seed", "5",
+        )[:2] == (0, out)
+        assert rows == [1000, 1000]
+
+    @pytest.mark.parametrize("dist,alpha,replicates", [
+        ("rademacher", "0.75", "2000"),
+        ('{"kind":"gaussian","mean":0,"stddev":1}', "0.3", "1000"),
+    ], ids=["rademacher", "gaussian"])
+    def test_benchmark_commands_same_bytes(self, dist, alpha, replicates, capsys):
+        # the benchmark's two mc commands print the same bytes twice in this
+        # process, once in a new interpreter and with two workers
+        argv = ("simulate", "--dist", dist, "--alpha", alpha, "--n", "3000",
+                "--replicates", replicates, "--checkpoints", "1000,3000", "--seed", "1")
+        first = run_cli(capsys, *argv, "--workers", "1")
+        assert first[0] == 0 and first[1].count("\n") == 10
+        assert run_cli(capsys, *argv, "--workers", "1") == first
+        assert run_cli(capsys, *argv, "--workers", "2") == first
+        src = str(Path(erw.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        script = "import sys; from erw.cli import main; sys.exit(main(sys.argv[1:]))"
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--workers", "1"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == first
 
     def test_checkpoint_bounds(self, capsys):
         code, _, err = run_cli(
@@ -334,9 +365,10 @@ class TestVerifyCommand:
 
     def test_broken_reconstruction_fails_the_check(self, capsys, monkeypatch):
         # eps_t with the memory coefficient alpha/t in place of alpha/(t-1)
-        # in the simulator: the eps statistics stay centered, but the sum of
-        # a_t eps_t no longer telescopes; verify reports it as a FAIL and
-        # exits 1, with every check in the report
+        # in the simulator: the eps statistics stay centered, but E(eps_t^2)
+        # misses the exact table and the sum of a_t eps_t no longer
+        # telescopes; verify reports both as FAILs and exits 1, with every
+        # check in the report
         def alpha_over_t(steps, alpha, m1):
             s_run = np.zeros(steps.shape[1])
             for t, x in enumerate(steps, start=1):
@@ -352,7 +384,7 @@ class TestVerifyCommand:
         assert (code, err) == (1, "")
         checks = json.loads(out)["checks"]
         assert [c["name"] for c in checks if c["status"] == "FAIL"] == [
-            "martingale_reconstruction"
+            "martingale_second_moment", "martingale_reconstruction"
         ]
         assert checks[-1]["name"].startswith("cluster_engine_moments")
 
@@ -853,13 +885,13 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("argv,digest", [
         (("simulate", "--dist", "rademacher", "--alpha", "0.75", "--n", "200",
           "--replicates", "500", "--checkpoints", "100,200", "--seed", "0xfeed"),
-         "2ff313b2c4b3005754a912efbd9c25c0a4be441ddb9a95414068acb7b6439ecc"),
+         "7ba608861f965c543e46f1f539b4c3f6db9a9693accd74cba96c5bc8c455bbe1"),
         (("simulate", "--dist", SKEWED, "--alpha", "0.6", "--n", "200",
           "--replicates", "500", "--checkpoints", "50,200", "--seed", "7"),
-         "81330041605e2f55c1f4deb5f433a2a49a2c745714fd29a5e54b6f64a21e1bf2"),
+         "0eec317750a0f33a66afce86d079ffecc4c1f57bafbdb02aef49dd573a7713c1"),
         (("simulate", "--dist", GAUSSIAN, "--alpha", "0.3", "--n", "200",
           "--replicates", "500", "--checkpoints", "100,200", "--seed", "0xbeef"),
-         "95dc93ed5fa7a1c0bc8e6b4b3c893b52354f744735ff0132d4e9f4c9db472f08"),
+         "033cfa6ef1d865936780880365d8d366d92377faa9be0f30b244b56eea78d396"),
         (("exact", "--dist", SKEWED, "--alpha", "0.75", "--n", "200"),
          "8b694c55c32b0237c865ad1e55387793d323414307cf6073b127799748ad16db"),
         # 10000 rows cross the writers' row blocks and 100 of the recursion's blocks

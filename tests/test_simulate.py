@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -86,7 +87,8 @@ def _reference_run_paths(dist, ms, alpha, n, keys, checkpoint_index=None,
     """
     width = keys.size
     steps = np.empty((n, width), dtype=np.float64)
-    cols = np.arange(width)
+    key_list = [int(key) for key in keys]
+    below = math.nextafter(alpha, -math.inf)  # the fresh map's shifted alpha
     s_run = np.zeros(width, dtype=np.float64)
     power_sums = (
         np.zeros((len(checkpoint_index), 8), dtype=np.float64)
@@ -98,15 +100,17 @@ def _reference_run_paths(dist, ms, alpha, n, keys, checkpoint_index=None,
     m1 = ms.m1
 
     for t in range(1, n + 1):
-        u_val = uniform_draws(keys, 2 * (t - 1) + 1)
-        fresh = inverse_cdf(dist, u_val)
-        if t == 1:
-            x = fresh
-        else:
-            u_branch = uniform_draws(keys, 2 * (t - 1))
-            idx = (u_val * (t - 1)).astype(np.int64)
-            np.minimum(idx, t - 2, out=idx)
-            x = np.where(u_branch < alpha, steps[idx, cols], fresh)
+        # one draw per step: u < alpha repeats (never at t = 1) and copies
+        # row floor((u/alpha)(t-1)), at most t-2; otherwise the step samples
+        # at (u - a)/(1 - a), a the double below alpha, or at u for t = 1
+        us = [uniform_draw(key, t - 1) for key in key_list]
+        repeats = [t > 1 and u < alpha for u in us]
+        v = [u if t == 1 or repeat else (u - below) / (1.0 - below)
+             for u, repeat in zip(us, repeats)]
+        x = inverse_cdf(dist, np.array(v))
+        for j, (u, repeat) in enumerate(zip(us, repeats)):
+            if repeat:
+                x[j] = steps[min(int(u * ((t - 1) / alpha)), t - 2), j]
         steps[t - 1] = x
         s_run += x
         s_tilde = s_run - t * m1
@@ -279,13 +283,24 @@ class TestBlockedDraws:
             ):
                 assert got.tobytes() == ref.sums[:, _LAYOUT].tobytes(), where
 
-    def test_value_uniform_one_copies_the_step_before(self, monkeypatch):
-        # u_val = 1 (probability 2**-53) makes floor(u_val (t-1)) = t-1, the
-        # step itself; the cap makes the repeat copy step t-1, so at alpha
-        # = 1 every step joins the first cluster
-        monkeypatch.setattr(sim, "unit_floats", lambda words: np.ones(words.shape))
-        labels = sim._run_labels(1.0, 50, replicate_keys(3, 0, 4))
-        assert not labels.any()
+    @pytest.mark.parametrize("alpha,t", [(0.9, 2), (0.6, 42)])
+    def test_rounded_up_index_copies_the_step_before(self, alpha, t, monkeypatch):
+        # the largest uniform below alpha repeats, and at these steps its
+        # (u/alpha)(t-1) rounds up to t-1, the step itself; the cap makes
+        # it copy step t-1 (0-based t-2).  Every other step is fresh.
+        word = ((words_below(alpha) >> 11) - 1) << 11
+        u = unit_floats(np.array([word], dtype=np.uint64))[0]
+        assert u < alpha and u * ((t - 1) / alpha) >= t - 1
+
+        def words(keys, counter):
+            top = np.full(np.shape(counter) + keys.shape, MASK64, dtype=np.uint64)
+            top[np.asarray(counter) == t - 1] = word
+            return top
+
+        monkeypatch.setattr(sim, "mixed_words", words)
+        labels = sim._run_labels(alpha, t + 1, replicate_keys(3, 0, 4))
+        assert (labels[:, 0] == [*range(t - 1), t - 2, t]).all()
+        assert (labels == labels[:, :1]).all()
 
     def test_chunk_spans_cover_replicates_in_order(self, monkeypatch):
         monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 1000)
@@ -353,12 +368,12 @@ class TestBlockedDraws:
         # batch_step_bytes, and the only other arrays alive are `cols` (8
         # bytes per walk) and one block of draws.  The previous block is
         # freed before the next is drawn, and while one is drawn at most
-        # two 8-byte arrays and the 1-byte `repeat` are alive (the words
-        # and a shift of them, the words and u_val), 17 bytes per element
-        # of a block; scaling u_val by the column `own` fills a 64 KiB
-        # buffer, 4.1 more at 16,000 elements: 21.17 measured.  The
-        # sources are then made in place in the words' buffer.  With
-        # 4-byte labels the peak would be 12 MB higher.
+        # two 8-byte arrays and the 1-byte `fresh` are alive (the words
+        # and a shift of them, the words and u), 17 bytes per element of a
+        # block; scaling u by a column fills a 64 KiB buffer, 4.1 more at
+        # 16,000 elements: 21.16-21.25 measured.  The sources are then
+        # made in place in the words' buffer.  With 4-byte labels the peak
+        # would be 12 MB higher.
         n, width = 3000, 2000
         label_term = (sim.batch_step_bytes(n, width, n)
                       - sim._size_pass_bytes(sim._TILE_WALKS, n))
@@ -381,13 +396,14 @@ class TestBlockedDraws:
     def test_paths_within_step_bytes(self, law, sampler_bytes):
         # check_marginal_moments' shape and laws, one step per block: the
         # step matrix, `cols` (8 bytes per walk) and one block of draws.
-        # The peak is while the fresh values are sampled: the words,
-        # `repeat` and u_val (17 bytes per element) and the sampler's own
-        # arrays, for Bernoulli the comparison and the values, for a
-        # discrete law the uint8 count, the comparison, the count cast to
-        # intp by `take` and the values.  16 KiB more holds the small
-        # arrays and Python objects of a step, which vary from run to run:
-        # 26.31-26.44 and 35.24-36.03 bytes per element were measured in all
+        # The peak is while the fresh values are sampled: the words (which
+        # hold the fresh uniforms v), `fresh` and u (17 bytes per element)
+        # and the sampler's own arrays, for Bernoulli the comparison and
+        # the values, for a discrete law the uint8 count, the comparison,
+        # the count cast to intp by `take` and the values.  16 KiB more
+        # holds the small arrays and Python objects of a step, which vary
+        # from run to run: 26.30-26.44 and 35.24-36.03 bytes per element
+        # were measured in all
         n, width = 100, 10_000
         keys = replicate_keys(31, 0, width)
         tracemalloc.start()
@@ -448,9 +464,9 @@ class TestBatch:
 
     @pytest.mark.parametrize("dist,alpha,checkpoints,seed,digest", [
         (StepDistribution.rademacher(), 0.75, [100, 200], 0xFEED,
-         "1a42f3a3572d548aad049867bd2da33374ff9a027dc5cd03d438143f8c90bb56"),
+         "17fcd1853f64cd8e5bd4d5f000d70d58c2f687482960d5758e12c56c7d78e2ca"),
         (StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4)), 0.6, [50, 200], 7,
-         "fe19f1ca85f77753d6106e1414e4c576ba5e7511dd7ecd04d3b47727c89415c3"),
+         "1357bc2ba1162d723467bfdd1da8ee9f103d30228de46cd0c37329b8cfd5abc6"),
     ], ids=["rademacher", "skewed"])
     def test_golden_power_sums(self, dist, alpha, checkpoints, seed, digest):
         # the literal engine's sums of S~^p and S~^(2p), pinned across
@@ -461,11 +477,11 @@ class TestBatch:
 
     @pytest.mark.parametrize("dist,alpha,seed,eps_digest,marginal_digest", [
         (StepDistribution.rademacher(), 0.75, 0xFEED,
-         "c2f03ab7c85144be9620a0ad1496f093bbe01d120009627b9bd890a0567cedfc",
-         "f61f36e66c81c085912961c9bec1fcead5b0c125aacb9891ffb6f0d6d7f03c67"),
+         "53935fafca3902647b6569ce7960d9b6db937dde275a2d588d6972bd8eba1f89",
+         "0b013935e1abc585f38608755c8a3d0b78827aa4ec1a87806d212772be5e2057"),
         (StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4)), 0.6, 7,
-         "3e07e51e61feebb3d12e6e8aba9ad631c184242a5b8a2313ab3d03cbb4ee915d",
-         "3ad53c54e2984c975c1b44cf4c15d0df838980639f9764befcfe3ffd22a39bc5"),
+         "c8b7fc07000515a174510307bb971ddc3176c73b2cf40746c6c5aa110288d865",
+         "cfd8622ff68d3ee72d09b1a13c0ecdb8202a2f20d195f9da33c331f2b5935126"),
     ], ids=["rademacher", "skewed"])
     def test_golden_step_sums(self, dist, alpha, seed, eps_digest, marginal_digest):
         # the per-step sums of eps_t and X_t, pinned across versions, at a
@@ -606,7 +622,7 @@ class TestSizePass:
         (0.95, 65_535, 16, (30_000, 65_535), 1, None),
         (1.0, 70_000, 130, (35_000, 70_000), 3, None),
         (0.95, 65_537, 129, (1000, 65_537), 4,
-         "48f84dd4d67ee67bac0f0f76281a0140bd27fee6ff8cfa1935f03d52878036d5"),
+         "cc98055b4a0a9a7c15e585a4c267fad7259c6c57d701d881ef2fbc7a33fd5ebf"),
         (0.99, 70_000, 1, (70_000,), 5, None),
         (0.99, 70_000, 3, (20_000, 70_000), 5, None),
     ], ids=["mc-rademacher", "mc-gaussian", "100-checkpoints", "S4-above-2**53", "last-uint16",
@@ -923,32 +939,32 @@ class TestConditionalContinuation:
         assert np.array_equal(by_word, uniform_draws(keys, 0) < alpha)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 2**20])
-    @pytest.mark.parametrize("u", [1.0, np.nextafter(1.0, 0.0)])
-    def test_repeat_index_is_the_kernels(self, monkeypatch, rademacher, n, u):
+    @pytest.mark.parametrize("alpha", [1.0, np.nextafter(1.0, 0.0)])
+    def test_repeat_index_is_the_kernels(self, monkeypatch, rademacher, n, alpha):
         # with the draws fixed, step n+1 of a kernel walk repeats and every
         # earlier step is fresh, so its label is the row it copies; a
         # continuation of the prefix 0, 1, ..., n-1 repeats, so its step is
-        # the row it copies: both are min(floor(u n), n-1) = n-1 at these u
-        def words(keys, counter, out=None):
-            # 0 (below every bound) at the repeating counter, 2^64-1 elsewhere
-            hit = np.asarray(counter)[..., None] == repeat_at
-            w = np.where(hit, np.uint64(0), np.uint64(MASK64)) + np.zeros(keys.shape, np.uint64)
-            if out is None:
-                return w
-            out[...] = w
-            return out
+        # the row it copies.  The repeating word is the largest below the
+        # bound, and both rows are min(floor((u/alpha) n), n-1) of its u.
+        word = ((words_below(alpha) >> 11) - 1) << 11
+        u = unit_floats(np.array([word], dtype=np.uint64))[0]
+        expected = min(int(u * (n / alpha)), n - 1)
 
-        repeat_at = 2 * n
+        def words(keys, counter):
+            # `word` at the repeating counter, 2^64-1 (fresh) elsewhere
+            hit = np.asarray(counter)[..., None] == repeat_at
+            fresh = np.uint64(MASK64)
+            return np.where(hit, np.uint64(word), fresh) + np.zeros(keys.shape, np.uint64)
+
+        repeat_at = n
         monkeypatch.setattr(sim, "mixed_words", words)
-        monkeypatch.setattr(sim, "unit_floats", lambda w: np.full(w.shape, u))
-        labels = sim._run_labels(1.0, n + 1, replicate_keys(1, 0, 1))
+        labels = sim._run_labels(alpha, n + 1, replicate_keys(1, 0, 1))
         assert labels[:n, 0].tolist() == list(range(n))
 
         repeat_at = 0
-        monkeypatch.setattr(sim, "uniform_draws", lambda keys, counter: np.full(keys.shape, u))
         prefix = WalkState.from_steps(np.arange(n), moment_set(rademacher))
-        checks = {c.name: c for c in conditional_continuation_test(prefix, rademacher, 1.0, 1, 0)}
-        assert labels[n, 0] == checks["dx"].observed == n - 1
+        checks = {c.name: c for c in conditional_continuation_test(prefix, rademacher, alpha, 1, 0)}
+        assert labels[n, 0] == checks["dx"].observed == expected
 
     def test_rademacher_prefix(self, rademacher):
         # prefix +1,+1,+1 at alpha = 0.6 predicts E(X_4) = 0.6
@@ -974,3 +990,82 @@ class TestConditionalContinuation:
         assert by_name["dx"].predicted == 0.0
         assert by_name["dx2"].predicted == ms.M2
         assert all(abs(c.z) <= 3.5 for c in checks)
+
+
+#: Alphas at the edges of the fresh map: no memory, full memory, the double
+#: below 1, and two that a uniform equals, 0.25 + 2**-54 (k = 2**51) and
+#: 0.75 (k = 3 * 2**51 - 1, whose k + 0.5 rounds to even), where u == alpha
+#: is fresh.
+_EDGE_ALPHAS = [0.0, 1.0, 1 - 2.0**-53, 0.25 + 2.0**-54, 0.75]
+
+
+def _edge_words(alpha):
+    """The lowest and highest fresh words at alpha (u = 1 is the top), the
+    next fresh words, the top repeating word and word 0 (u = 2**-54)."""
+    K = words_below(alpha) >> 11
+    ks = {K, K + 1, K - 1, 0, 2**52, 2**53 - 2, 2**53 - 1}
+    return np.array([(k << 11) | low for k in sorted(ks) if 0 <= k < 2**53
+                     for low in (0, 2**11 - 1)], dtype=np.uint64)
+
+
+class TestFreshUniforms:
+    """The one fresh map: (u - a)/(1 - a), a the double below alpha."""
+
+    @pytest.mark.parametrize("alpha", _EDGE_ALPHAS)
+    def test_fresh_uniforms_in_unit_interval(self, alpha):
+        words = np.concatenate([_edge_words(alpha), mixed_words(replicate_keys(4, 0, 100_000), 0)])
+        words = words[words >= np.uint64(words_below(alpha))]  # the fresh ones
+        u = unit_floats(words)
+        v = sim._fresh_uniforms(u, alpha)
+        assert (u >= alpha).all() and (v > 0.0).all() and (v <= 1.0).all()
+        assert (v[u == 1.0] == 1.0).all() and (u == 1.0).any()
+        assert (u == alpha).any() == (alpha in (0.25 + 2.0**-54, 0.75, 1.0))
+        if alpha == 0.0:
+            assert v.tobytes() == u.tobytes()
+        # step 1 keeps its draw whatever alpha is
+        both = np.stack([u, u])
+        assert sim._fresh_uniforms(both, alpha, step_one=True)[0].tobytes() == u.tobytes()
+
+    @pytest.mark.parametrize("alpha", _EDGE_ALPHAS)
+    @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
+    def test_edge_words_warn_nothing(self, dist, alpha, monkeypatch):
+        # every step of every walk reads one of the edge words, in turn;
+        # no sampler, kernel or continuation warns, the literal steps are
+        # the fresh samples gathered at the labels, and fresh samples are
+        # finite values of the law
+        edge = _edge_words(alpha)
+
+        def words(keys, counter):
+            c = np.asarray(counter, dtype=np.int64).reshape(-1, 1)
+            pick = (c + np.arange(keys.size)) % edge.size
+            return edge[pick].reshape(np.shape(counter) + keys.shape)
+
+        monkeypatch.setattr(sim, "mixed_words", words)
+        keys = replicate_keys(2, 0, edge.size)
+        n = 3 * edge.size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            steps = sim._run_paths(dist, alpha, n, keys)
+            labels = sim._run_labels(alpha, n, keys)
+            v = sim._fresh_uniforms(unit_floats(words(keys, np.arange(n))), alpha, step_one=True)
+            fresh = inverse_cdf(dist, v)
+            prefix = WalkState.from_steps(steps[:, 0], moment_set(dist))
+            checks = conditional_continuation_test(prefix, dist, alpha, 3, 1)
+        assert fresh[labels, np.arange(keys.size)].tobytes() == steps.tobytes()
+        assert np.isfinite(steps).all() and all(math.isfinite(c.observed) for c in checks)
+
+    def test_fresh_steps_keep_the_step_law_at_high_alpha(self):
+        # at alpha = 0.999 a fresh step's u lies in [alpha, 1], 0.1% of the
+        # draws: stretched to (0, 1] it must still give the law's mean and
+        # variance.  Fresh steps after the first are those labelled with
+        # their own row: 3932 of them here (|z| 0.68 and 0.81).
+        dist, alpha, n = StepDistribution.gaussian(0.5, 2.0), 0.999, 500
+        ms = moment_set(dist)
+        keys = replicate_keys(12, 0, 8000)
+        steps = sim._run_paths(dist, alpha, n, keys)[1:]
+        own = sim._run_labels(alpha, n, keys)[1:] == np.arange(1, n)[:, None]
+        centred = steps[own] - ms.m1
+        assert centred.size > 3500
+        mean, stderr = layout_moments(sim._power_sums(centred), centred.size)
+        z = z_score(mean[:2] - np.array([0.0, ms.M2]), stderr[:2])
+        assert np.abs(z).max() <= 4.0, z

@@ -9,6 +9,7 @@ import pytest
 
 import erw.gammatools
 import erw.moments
+import erw.simulate
 import erw.verify
 from erw import StepDistribution, derive_moment_set, log_gamma_ratio, moment_set
 from erw.verify import (
@@ -21,6 +22,7 @@ from erw.verify import (
     check_fourth_moment_asymptote,
     check_gamma_sums,
     check_limit_consistency,
+    check_martingale_property,
     check_martingale_scale_recurrence,
     check_moment_convergence,
     check_moment_identities,
@@ -240,3 +242,20 @@ def test_k4_mutant_fails(monkeypatch):
     # 5% error fails at every alpha
     results = check_fourth_moment_asymptote()
     assert results and all(r.status == FAIL for r in results), results
+
+
+def test_martingale_coefficient_mutant_fails(monkeypatch):
+    # eps_t with alpha/t in place of alpha/(t-1) still has mean 0, so only
+    # the second moment against the exact table sees it (|z| 9.8 here)
+    source = inspect.getsource(erw.simulate._martingale_differences)
+    assert source.count("alpha / t_less_1[lo:]") == 1
+    namespace = dict(vars(erw.simulate))
+    exec(source.replace("alpha / t_less_1[lo:]", "alpha / (t_less_1[lo:] + 1.0)"), namespace)
+    kwargs = {"replicates": 2000, "seed": 57}
+    assert [r.status for r in check_martingale_property(**kwargs)] == [PASS, PASS]
+    mutant = namespace["_martingale_differences"]
+    monkeypatch.setattr(erw.simulate, "_martingale_differences", mutant)
+    first, second = check_martingale_property(**kwargs)
+    assert (first.name, first.status) == ("martingale_property", PASS)
+    assert (second.name, second.status) == ("martingale_second_moment", FAIL)
+    assert second.worst_error > 8.0
