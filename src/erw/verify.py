@@ -10,6 +10,7 @@ All randomised checks take an explicit seed and are fully deterministic.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -133,11 +134,8 @@ def check_moment_identities(
                 worst = abs(residual)
                 worst_name = f"{identity} on {label}"
         if ms.M2 < -atol or ms.M22 < -atol or ms.M4 < ms.M2 ** 2 - atol:
-            return [
-                CheckResult(
-                    "moment_identities", FAIL, None, f"sign constraint violated on {label}"
-                )
-            ]
+            detail = f"sign constraint violated on {label}"
+            return [CheckResult("moment_identities", FAIL, None, detail)]
     return [_result("moment_identities", worst, atol, f"worst: {worst_name}")]
 
 
@@ -354,26 +352,18 @@ def check_rademacher_degeneracy(n_max: int = 10_000) -> list[CheckResult]:
     su = s2, exactly, in both computation paths."""
     ms = moment_set(StepDistribution.rademacher())
     alphas = (0.0, 0.3, 0.6, 0.75, 1.0)
+
+    def gap(st, t2, s2t, su, s2):
+        return max(float(np.max(np.abs(x))) for x in (st, t2, s2t, su - s2))
+
     worst = 0.0
     for alpha, table in zip(alphas, exact_moment_tables([(ms, alpha) for alpha in alphas], n_max)):
-        worst = max(
-            worst,
-            float(np.max(np.abs(table.column("st")))),
-            float(np.max(np.abs(table.column("t2")))),
-            float(np.max(np.abs(table.column("s2t")))),
-            float(np.max(np.abs(table.column("su") - table.column("s2")))),
-        )
+        worst = max(worst, gap(*(table.column(c) for c in ("st", "t2", "s2t", "su", "s2"))))
         try:
             cf = closed_form_moments(ms, alpha, np.arange(1, 50, dtype=float))
         except SingularParameterError:
             continue
-        worst = max(
-            worst,
-            float(np.max(np.abs(cf.st))),
-            float(np.max(np.abs(cf.t2))),
-            float(np.max(np.abs(cf.s2t))),
-            float(np.max(np.abs(cf.su - cf.s2))),
-        )
+        worst = max(worst, gap(cf.st, cf.t2, cf.s2t, cf.su, cf.s2))
     return [_result("rademacher_degeneracy", worst, 0.0, "must be exact")]
 
 
@@ -431,14 +421,8 @@ def check_moment_convergence() -> list[CheckResult]:
         gap2 = abs(s2 * float(n) ** (-2 * alpha) - limits.q2) / limits.q2
         gap4 = abs(s4 * float(n) ** (-4 * alpha) - limits.q4) / limits.q4
         worst = max(gap2, gap4)
-        out.append(
-            CheckResult(
-                f"moment_convergence[{label}]",
-                PASS if worst <= 0.01 else FAIL,
-                worst,
-                f"q2 gap {gap2:.2e} (tol 0.01), q4 gap {gap4:.2e} (tol 0.01)",
-            )
-        )
+        detail = f"q2 gap {gap2:.2e} (tol 0.01), q4 gap {gap4:.2e} (tol 0.01)"
+        out.append(_result(f"moment_convergence[{label}]", worst, 0.01, detail))
     return out
 
 
@@ -573,15 +557,11 @@ def check_conditional_continuation(
 ) -> list[CheckResult]:
     """Empirical one-step conditional moments vs their predictions."""
     rad = StepDistribution.rademacher()
+    plus3 = WalkState.from_steps([1.0, 1.0, 1.0], moment_set(rad))
     cases = [
-        ("rademacher+++@0.6", rad, 0.6, WalkState.from_steps([1.0, 1.0, 1.0], moment_set(rad))),
-        ("rademacher+++@0", rad, 0.0, WalkState.from_steps([1.0, 1.0, 1.0], moment_set(rad))),
-        (
-            "skewed@0.75",
-            _SKEWED_TWO_POINT,
-            0.75,
-            simulate_path(_SKEWED_TWO_POINT, 0.75, 5, 2024),
-        ),
+        ("rademacher+++@0.6", rad, 0.6, plus3),
+        ("rademacher+++@0", rad, 0.0, plus3),
+        ("skewed@0.75", _SKEWED_TWO_POINT, 0.75, simulate_path(_SKEWED_TWO_POINT, 0.75, 5, 2024)),
     ]
     out = []
     for label, dist, alpha, prefix in cases:
@@ -688,46 +668,64 @@ def tolerance_limits(tolerances: dict[str, float]) -> dict[str, float]:
     return limits
 
 
+#: Every suite of `run_all`, in its order: (the check's name in this module,
+#: the keyword that takes its size, its seed's offset from run_all's seed,
+#: the `_DEFAULT_TOLERANCES` key its z_max takes), None where it takes none.
+SUITES = (
+    ("check_moment_identities", "n_laws", 0, None),
+    ("check_shift_covariance", "n_laws", 1, None),
+    ("check_sampling_moments", "n_samples", 2, "z_max"),
+    ("check_gamma_sums", "n_cases", 3, None),
+    ("check_recursion_solver", "n_specs", 4, None),
+    ("check_constant_recursion", None, None, None),
+    ("check_martingale_scale_recurrence", "n_max", None, None),
+    ("check_gamma_tail", None, None, None),
+    ("check_closed_form_vs_recursion", "n_max", None, None),
+    ("check_brute_force", "n_max", None, None),
+    ("check_rademacher_degeneracy", "n_max", None, None),
+    ("check_fourth_moment_asymptote", None, None, None),
+    # convergence to the limit moments is ~n^(-1/2); n cannot be reduced,
+    # but the check reads closed forms at n, so it is O(1)
+    ("check_moment_convergence", None, None, None),
+    ("check_limit_consistency", None, None, None),
+    ("check_marginal_moments", "replicates", 5, "z_max"),
+    ("check_martingale_property", "replicates", 6, "z_max"),
+    ("check_epsilon_bound", "replicates", 7, None),
+    ("check_martingale_reconstruction", "n", None, None),
+    ("check_conditional_continuation", "n_continuations", 8, "continuation_z_max"),
+    ("check_cluster_engine", "replicates", 9, "z_max"),
+)
+
+#: A sized suite's full size, its check's own default, read at import: by
+#: run time the name may be bound to a wrapper with no signature of its own.
+_FULL_SIZES = {
+    check: inspect.signature(globals()[check]).parameters[size].default
+    for check, size, _, _ in SUITES if size is not None
+}
+
+
 def run_all(
     fast: bool = False,
     seed: int = 2024,
     tolerances: dict[str, float] | None = None,
 ) -> list[CheckResult]:
-    """Every suite at default (or reduced) sizes, in a deterministic order.
+    """Every suite of `SUITES` in its order, at its full size or, when
+    `fast`, a tenth of it (at least 2).  Each check is looked up by name
+    as it runs, so a rebound check is the one that runs.
 
     `tolerances` may override the Monte Carlo z-score limits; see
     `tolerance_limits`.
     """
     limits = tolerance_limits(tolerances or {})
-    z_max = limits["z_max"]
-    continuation_z = limits["continuation_z_max"]
-
-    def size(full: int) -> int:
-        return max(2, int(full * (0.1 if fast else 1.0)))
-
     results: list[CheckResult] = []
-    results += check_moment_identities(n_laws=size(1000), seed=seed)
-    results += check_shift_covariance(n_laws=size(200), seed=seed + 1)
-    results += check_sampling_moments(n_samples=size(1_000_000), seed=seed + 2, z_max=z_max)
-    results += check_gamma_sums(n_cases=size(500), seed=seed + 3)
-    results += check_recursion_solver(n_specs=size(100), seed=seed + 4)
-    results += check_constant_recursion()
-    results += check_martingale_scale_recurrence(n_max=size(100_000))
-    results += check_gamma_tail()
-    results += check_closed_form_vs_recursion(n_max=size(10_000))
-    results += check_brute_force(n_max=size(100))
-    results += check_rademacher_degeneracy(n_max=size(10_000))
-    results += check_fourth_moment_asymptote()
-    # convergence to the limit moments is ~n^(-1/2); n cannot be reduced,
-    # but the check reads closed forms at n, so it is O(1)
-    results += check_moment_convergence()
-    results += check_limit_consistency()
-    results += check_marginal_moments(replicates=size(100_000), seed=seed + 5, z_max=z_max)
-    results += check_martingale_property(replicates=size(20_000), seed=seed + 6, z_max=z_max)
-    results += check_epsilon_bound(replicates=size(10_000), seed=seed + 7)
-    results += check_martingale_reconstruction(n=size(2000))
-    results += check_conditional_continuation(
-        n_continuations=size(100_000), seed=seed + 8, z_max=continuation_z
-    )
-    results += check_cluster_engine(replicates=size(5000), seed=seed + 9, z_max=z_max)
+    for check, size, offset, limit in SUITES:
+        kwargs = {}
+        if size is not None:
+            full = _FULL_SIZES[check]
+            kwargs[size] = max(2, full // 10) if fast else full
+        if offset is not None:
+            kwargs["seed"] = seed + offset
+        if limit is not None:
+            kwargs["z_max"] = limits[limit]
+        results += globals()[check](**kwargs)
     return results

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import erw
+import erw.verify
 
 SRC = Path(erw.__file__).parent
 #: Where the calls that may set a parameter live: the package, the tests
@@ -89,12 +90,25 @@ def _sets(call: ast.Call, param: str, position: int | None) -> bool:
     )
 
 
+def _suite_keywords() -> list[tuple[str, list[str]]]:
+    """(check, keywords) of the call `run_all` makes for each row of
+    `verify.SUITES`: the size keyword, seed when the row has an offset and
+    z_max when it has a limit."""
+    return [
+        (check, [name for name in (size, offset is not None and "seed", limit and "z_max") if name])
+        for check, size, offset, limit in erw.verify.SUITES
+    ]
+
+
 def test_every_default_is_overridden_somewhere():
     # a default that no call in the package, the tests or the benchmark
     # overrides is a knob that changes nothing: it belongs in the body as a
     # constant.  Parameters only tests set stay; they are the hooks of
-    # mutant and acceptance tests.
+    # mutant and acceptance tests.  A row of verify.SUITES counts as a call.
     calls = collections.defaultdict(list)
+    for check, names in _suite_keywords():
+        keywords = [ast.keyword(name, ast.Constant(None)) for name in names]
+        calls[check].append(ast.Call(ast.Name(check), [], keywords))
     for directory in _CALLERS:
         for path in directory.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -106,21 +120,27 @@ def test_every_default_is_overridden_somewhere():
         if not any(_sets(call, param, position) for call in calls[name])
     ]
     assert never_set == []
+    # a row's keyword that its check lacks makes run_all raise,
+    # and a tolerance no row reads is a knob that changes nothing
+    unknown = [
+        f"{check}({name})" for check, names in _suite_keywords() for name in names
+        if name not in inspect.signature(getattr(erw.verify, check)).parameters
+    ]
+    assert unknown == []
+    limits = {limit for *_, limit in erw.verify.SUITES} - {None}
+    assert limits == set(erw.verify._DEFAULT_TOLERANCES)
 
 
 def test_run_all_calls_every_check():
-    # a check that run_all does not call drops out of `erw verify` unseen
+    # a check that no row of verify.SUITES names drops out of `erw verify`
+    # unseen, and one named twice runs twice
     tree = ast.parse((SRC / "verify.py").read_text())
     defined = {
         node.name for node in tree.body
         if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
     }
-    [run_all] = [node for node in tree.body if getattr(node, "name", None) == "run_all"]
-    called = {
-        node.func.id for node in ast.walk(run_all)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-    }
-    assert defined and sorted(defined - called) == []
+    named = collections.Counter(check for check, *_ in erw.verify.SUITES)
+    assert defined and named == collections.Counter(defined)
 
 
 def _functions_reading(module: str, attrs: tuple[str, ...]) -> list[str]:

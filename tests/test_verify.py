@@ -18,6 +18,7 @@ from erw.verify import (
     SKIP,
     check_brute_force,
     check_closed_form_vs_recursion,
+    check_cluster_engine,
     check_constant_recursion,
     check_fourth_moment_asymptote,
     check_gamma_sums,
@@ -45,6 +46,77 @@ def test_run_all_refuses_bad_tolerances(tolerances, monkeypatch):
     monkeypatch.setattr(erw.verify, "check_moment_identities", None)  # nothing may run
     with pytest.raises(ValueError, match="tolerance"):
         run_all(fast=True, tolerances=tolerances)
+
+
+def _call_plan(monkeypatch, **kwargs) -> list[tuple[str, dict]]:
+    """(check, keywords) of every call `run_all(**kwargs)` makes, with each
+    `check_*` of erw.verify replaced by a recorder that returns no result."""
+    calls = []
+
+    def recorder(name):
+        def check(**keywords):
+            calls.append((name, keywords))
+            return []
+        return check
+
+    for name in dir(erw.verify):
+        if name.startswith("check_"):
+            monkeypatch.setattr(erw.verify, name, recorder(name))
+    assert run_all(**kwargs) == []
+    return calls
+
+
+def test_run_all_call_plan(monkeypatch):
+    # the order, sizes, seeds and limits of every suite; the checks are
+    # looked up as run_all runs, so the recorders see every call
+    fast = _call_plan(monkeypatch, fast=True, seed=7)
+    assert fast == [
+        ("check_moment_identities", {"n_laws": 100, "seed": 7}),
+        ("check_shift_covariance", {"n_laws": 20, "seed": 8}),
+        ("check_sampling_moments", {"n_samples": 100_000, "seed": 9, "z_max": 4.0}),
+        ("check_gamma_sums", {"n_cases": 50, "seed": 10}),
+        ("check_recursion_solver", {"n_specs": 10, "seed": 11}),
+        ("check_constant_recursion", {}),
+        ("check_martingale_scale_recurrence", {"n_max": 10_000}),
+        ("check_gamma_tail", {}),
+        ("check_closed_form_vs_recursion", {"n_max": 1000}),
+        ("check_brute_force", {"n_max": 10}),
+        ("check_rademacher_degeneracy", {"n_max": 1000}),
+        ("check_fourth_moment_asymptote", {}),
+        ("check_moment_convergence", {}),
+        ("check_limit_consistency", {}),
+        ("check_marginal_moments", {"replicates": 10_000, "seed": 12, "z_max": 4.0}),
+        ("check_martingale_property", {"replicates": 2000, "seed": 13, "z_max": 4.0}),
+        ("check_epsilon_bound", {"replicates": 1000, "seed": 14}),
+        ("check_martingale_reconstruction", {"n": 200}),
+        ("check_conditional_continuation", {"n_continuations": 10_000, "seed": 15, "z_max": 3.0}),
+        ("check_cluster_engine", {"replicates": 500, "seed": 16, "z_max": 4.0}),
+    ]
+    full = _call_plan(
+        monkeypatch, fast=False, seed=7, tolerances={"z_max": 5.0, "continuation_z_max": 4.0}
+    )
+    assert full == [
+        ("check_moment_identities", {"n_laws": 1000, "seed": 7}),
+        ("check_shift_covariance", {"n_laws": 200, "seed": 8}),
+        ("check_sampling_moments", {"n_samples": 1_000_000, "seed": 9, "z_max": 5.0}),
+        ("check_gamma_sums", {"n_cases": 500, "seed": 10}),
+        ("check_recursion_solver", {"n_specs": 100, "seed": 11}),
+        ("check_constant_recursion", {}),
+        ("check_martingale_scale_recurrence", {"n_max": 100_000}),
+        ("check_gamma_tail", {}),
+        ("check_closed_form_vs_recursion", {"n_max": 10_000}),
+        ("check_brute_force", {"n_max": 100}),
+        ("check_rademacher_degeneracy", {"n_max": 10_000}),
+        ("check_fourth_moment_asymptote", {}),
+        ("check_moment_convergence", {}),
+        ("check_limit_consistency", {}),
+        ("check_marginal_moments", {"replicates": 100_000, "seed": 12, "z_max": 5.0}),
+        ("check_martingale_property", {"replicates": 20_000, "seed": 13, "z_max": 5.0}),
+        ("check_epsilon_bound", {"replicates": 10_000, "seed": 14}),
+        ("check_martingale_reconstruction", {"n": 2000}),
+        ("check_conditional_continuation", {"n_continuations": 100_000, "seed": 15, "z_max": 4.0}),
+        ("check_cluster_engine", {"replicates": 5000, "seed": 16, "z_max": 5.0}),
+    ]
 
 
 def test_tolerance_limits_over_defaults():
@@ -259,3 +331,38 @@ def test_martingale_coefficient_mutant_fails(monkeypatch):
     assert (first.name, first.status) == ("martingale_property", PASS)
     assert (second.name, second.status) == ("martingale_second_moment", FAIL)
     assert second.worst_error > 8.0
+
+
+def test_s2t_forcing_mutant_fails_only_non_two_point_laws(monkeypatch):
+    # s3 in place of s2t in the s4 forcing: for a two-point law T~ is a
+    # multiple of S~, so s2t carries nothing beyond s3 and the brute-force
+    # entries, all two-point, pass; only the uniform closed forms see it
+    source = inspect.getsource(erw.moments.exact_moment_tables)
+    assert source.count("6.0 * a * s2t") == 1
+    namespace = dict(vars(erw.moments))
+    exec(source.replace("6.0 * a * s2t", "6.0 * a * s3"), namespace)
+    monkeypatch.setattr(erw.verify, "exact_moment_tables", namespace["exact_moment_tables"])
+    failed = [r.name for r in check_closed_form_vs_recursion(n_max=1000) if r.status == FAIL]
+    assert len(failed) == 6 and all(name.endswith(",uniform(0,1)]") for name in failed), failed
+    assert all(r.status == PASS for r in check_brute_force(n_max=10))
+
+
+@pytest.mark.parametrize("seed", [91, 10, 11, 12, 2033])
+def test_cluster_engine_passes_and_fails_e4_mutant(seed, monkeypatch):
+    # 2 M2^2 in place of 3 M2^2 in E4 = M4 S4 + 3 M2^2 (S2^2 - S4) moves
+    # both p = 4 estimates by |z| 6.9-15.5 at the full 5000 walks; the
+    # clean engine passes with |z| <= 2.7 and the step matrices agree
+    clean = check_cluster_engine(seed=seed)
+    assert [r.status for r in clean] == [PASS] * 4, clean
+    source = inspect.getsource(erw.simulate._conditional_moments)
+    assert source.count("3.0 * ms.M2 * ms.M2") == 1
+    namespace = dict(vars(erw.simulate))
+    exec(source.replace("3.0 * ms.M2 * ms.M2", "2.0 * ms.M2 * ms.M2"), namespace)
+    monkeypatch.setattr(erw.simulate, "_conditional_moments", namespace["_conditional_moments"])
+    mutant = {r.name: r.status for r in check_cluster_engine(seed=seed)}
+    assert mutant == {
+        "cluster_engine_paths[bernoulli(0.3)]": PASS,
+        "cluster_engine_moments[bernoulli(0.3)]": FAIL,
+        "cluster_engine_paths[discrete(-1,2)]": PASS,
+        "cluster_engine_moments[discrete(-1,2)]": FAIL,
+    }
