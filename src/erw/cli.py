@@ -371,7 +371,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["n", "p", "estimate", "stderr", "n_replicates", "exact", "limit", "z"])
         for est in estimates:
-            exact, z = compare_with_exact(est, table, ms, alpha)
+            exact, z = compare_with_exact(est, table, alpha)
             limit = limit_by_p.get(est.p)
             writer.writerow([
                 est.n, est.p, _fmt(est.estimate), _fmt(est.stderr), est.n_replicates,

@@ -13,14 +13,19 @@ the seven mixed expectations
     s2  = E(S~_n^2)    st  = E(S~_n T~_n)   s3 = E(S~_n^3)   su = E(S~_n U~_n)
     t2  = E(T~_n^2)    s2t = E(S~_n^2 T~_n) s4 = E(S~_n^4)
 
-satisfy coupled first-order recursions in n whose coefficients involve only
-alpha and the step law's moment set.  This module iterates those recursions
-exactly, evaluates the gamma-ratio closed forms they solve to (all seven:
-the six of `closed_form_moments` and s4 in `closed_form_s4`), computes the
-first four moments of the superdiffusive limit Q = lim S~_n / n^alpha, and
-gives all seven moments at every n <= n_max from one run of a count chain
-(`brute_force_moments`, O(n_max^2) time), for laws of at most two
-positive-weight atoms.
+satisfy coupled first-order recursions in n whose forcings carry the step
+law's raw moments m1 and m2.  Let N_j be the cluster sizes: the j-th fresh
+step and the steps that copy it, directly or through other copies.  Then
+S~_n = sum_j N_j (xi_j - m1) with i.i.d. founder values xi_j, so each of
+the seven is a law constant times one of four sequences of alpha alone:
+E S2, E S3 and E S4, with S_k = sum_j N_j^k, and E(S2^2 - S4).  This module
+iterates those four sequences exactly and maps them to the seven columns,
+evaluates the gamma-ratio closed forms the coupled recursions solve to (all
+seven: the six of `closed_form_moments` and s4 in `closed_form_s4`),
+computes the first four moments of the superdiffusive limit
+Q = lim S~_n / n^alpha, and gives all seven moments at every n <= n_max
+from one run of a count chain (`brute_force_moments`, O(n_max^2) time),
+for laws of at most two positive-weight atoms.
 """
 
 from __future__ import annotations
@@ -124,16 +129,22 @@ class ExactMomentTable:
 
 
 def exact_moments_upto(ms: MomentSet, alpha: float, n_max: int) -> ExactMomentTable:
-    """Solve the seven coupled moment recursions from n = 1 to n_max.
+    """The seven moments at n = 1 .. n_max from the four law-free sequences
+    (module docstring).  With a = alpha / n and D = E(S2^2 - S4), from
+    (1, 1, 1, 0) at n = 1, every forcing >= 0 since S3 <= n S2:
 
-    Row 1 is (M2, M12, M3, M13, M22, M112, M4); row n + 1 is one step of
-    all seven, x <- x + (c a x + forcing) with a = alpha / n, c = 2, 3 or 4
-    and a forcing from the columns of lower order.  Valid for every alpha
-    in [0, 1]; no closed form is used.  Solved level by level (s2, st, su,
-    t2; s3, s2t; s4) as a blocked scan with compensated additions, in about
-    sqrt(n_max) blocks of as many steps, so row n may differ in its last bit
-    between tables of different n_max (README, "Numerical notes").  This is
-    the batch of one of `exact_moment_tables`.
+        E S2' = (1 + 2a) E S2 + 1
+        E S3' = (1 + 3a) E S3 + 3a E S2 + 1
+        E S4' = (1 + 4a) E S4 + 6a E S3 + 4a E S2 + 1
+        D'    = (1 + 4a) D + 2 E S2 - 2a E S3
+
+    s2, st, su and t2 are M2, M12, M13 and M22 times E S2, s3 and s2t are
+    M3 and M112 times E S3, and s4 = M4 E S4 + 3 M2^2 D.  Valid for every
+    alpha in [0, 1]; no closed form is used.  Solved a level at a time
+    (E S2; E S3; E S4 and D) as a blocked scan with compensated additions,
+    in about sqrt(n_max) blocks of as many steps, so row n may differ in its
+    last bit between tables of different n_max (README, "Numerical notes").
+    This is the batch of one of `exact_moment_tables`.
     """
     return exact_moment_tables([(ms, alpha)], n_max)[0]
 
@@ -149,46 +160,37 @@ def exact_moment_tables(
     """
     pairs = [(ms, check_alpha(alpha)) for ms, alpha in pairs]
     n_max = int(_check_n(n_max, "n_max"))
-    values = np.empty((len(pairs), n_max, 7), dtype=np.float64)
-    values[:, 0] = [(ms.M2, ms.M12, ms.M3, ms.M13, ms.M22, ms.M112, ms.M4) for ms, _ in pairs]
+    sizes = np.empty((len(pairs), n_max, 4), dtype=np.float64)  # E S2, E S3, E S4, D
+    sizes[:, 0] = (1.0, 1.0, 1.0, 0.0)
     width, blocks = _block_shape(n_max)
-    alpha_n = np.array([alpha for _, alpha in pairs])[:, None] / np.arange(1, n_max)
-    # an overflow gives inf and inf - inf gives nan: the table keeps both,
-    # without a warning, for its callers to refuse
+    a = np.array([alpha for _, alpha in pairs])[:, None] / np.arange(1, n_max)
+    a_blocked = _blocked(a, width, blocks)
+    # row n forces step n + 1: views of rows 1 .. n_max - 1, read once filled
+    s2, s3 = sizes[:, :-1, 0], sizes[:, :-1, 1]
+    _solve_level(sizes, [0], 2.0, a_blocked, np.broadcast_to(1.0, (len(pairs), 1, width, blocks)))
+    _solve_level(sizes, [1], 3.0, a_blocked, _blocked((3.0 * a * s2 + 1.0)[:, None], width, blocks))
+    forcing = np.stack((6.0 * a * s3 + 4.0 * a * s2 + 1.0, 2.0 * s2 - 2.0 * a * s3), axis=1)
+    _solve_level(sizes, [2, 3], 4.0, a_blocked, _blocked(forcing, width, blocks))
+    values = np.empty((len(pairs), n_max, 7), dtype=np.float64)
+    # an overflow gives inf (inf times 0, nan), kept without a warning for callers to refuse
     with np.errstate(over="ignore", invalid="ignore"):
-        a_blocked = _blocked(alpha_n, width, blocks)
-        forcing = np.array([(ms.M2, ms.M12, ms.M13, ms.M22) for ms, _ in pairs])
-        forcing = np.broadcast_to(forcing[:, :, None, None], (len(pairs), 4, width, blocks))
-        _solve_level(values, [0, 1, 3, 4], 2.0, a_blocked, forcing)
-        # a step's increment less its c a x term, row n forcing step n + 1,
-        # built a table at a time from the law's constants as Python floats;
-        # views of rows 1 .. n_max - 1, s3 and s2t read once filled
-        tables = list(zip(pairs, alpha_n, values[:, :-1, :6].transpose(0, 2, 1)))
-        forcing = np.empty((len(pairs), 2, n_max - 1))
-        for ((ms, _), a, (s2, st, s3, su, t2, s2t)), f in zip(tables, forcing):
-            f[0] = 3.0 * a * st - 6.0 * a * ms.m1 * s2 + ms.M3
-            f[1] = 2.0 * a * su + a * t2 - 4.0 * a * ms.m1 * st - 2.0 * a * ms.m2 * s2 + ms.M112
-        _solve_level(values, [2, 5], 3.0, a_blocked, _blocked(forcing, width, blocks))
-        forcing = np.empty((len(pairs), 1, n_max - 1))
-        for ((ms, _), a, (s2, st, s3, su, t2, s2t)), f in zip(tables, forcing):
-            a12m1 = 12.0 * a * ms.m1
-            f[0] = (
-                6.0 * a * s2t + 4.0 * a * su - a12m1 * (s3 + st)
-                + (a12m1 * ms.m1 + 6.0 * ms.M2) * s2 + ms.M4
-            )
-        _solve_level(values, [6], 4.0, a_blocked, _blocked(forcing, width, blocks))
+        for (ms, _), table, (e2, e3, e4, d) in zip(pairs, values, sizes.transpose(0, 2, 1)):
+            columns = ((ms.M2, e2), (ms.M12, e2), (ms.M3, e3), (ms.M13, e2), (ms.M22, e2),
+                       (ms.M112, e3), (ms.M4, e4))
+            for k, (scale, sequence) in enumerate(columns):
+                np.multiply(sequence, scale, out=table[:, k])
+            table[:, 6] += 3.0 * ms.M2 * ms.M2 * d
     return [ExactMomentTable(table) for table in values]
 
 
 def exact_moments_bytes(n_max: int) -> int:
     """Bytes `exact_moments_upto` holds at once for n_max rows, computed
-    without allocating anything: the table and alpha / n, 24 columns over
-    the steps padded to whole blocks, and 8 KiB of small arrays.  The first
-    level's chain holds 15 of those columns (the blocked alpha / n, five
-    columns of scan, 1 + e and two four-column temporaries); below 2^15
-    steps, where numpy makes a new temporary for each operation of an
-    expression, tracemalloc measures up to 9 more.  A batch of T tables
-    (`exact_moment_tables`) holds at most T times as much."""
+    without allocating anything: 8 columns over the rows, 24 over the steps
+    padded to whole blocks, and 8 KiB of small arrays.  The law-free scan
+    peaks below that, at its last level (E S4 and D): tracemalloc measures
+    18 columns in all from 2^15 steps, and more below, where numpy makes a
+    new temporary for each operation.  A batch of T tables holds at most T
+    times as much."""
     width, blocks = _block_shape(n_max)
     return 8 * (8 * n_max + 24 * width * blocks) + 8192
 

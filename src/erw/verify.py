@@ -574,16 +574,13 @@ def check_conditional_continuation(
 
 
 def compare_with_exact(
-    est: ScaledMomentEstimate, table: ExactMomentTable, ms: MomentSet, alpha: float
+    est: ScaledMomentEstimate, table: ExactMomentTable, alpha: float
 ) -> tuple[float, float]:
     """The exact n^{-p alpha} E(S~_n^p) at the estimate's n and p, read from
-    `table` (the recursion for the law with moment set `ms`), and the
-    z-score of the estimate's gap to it.
-
-    E(S~) = 0, and E(S~^3) = M3 E(sum_j N_j^3) is exactly 0 when M3 = 0,
-    where the recursion carries rounding noise instead.
+    `table` (the exact table of the estimate's law), and the z-score of the
+    estimate's gap to it.  E(S~) = 0, which the table has no column for.
     """
-    if est.p == 1 or (est.p == 3 and ms.M3 == 0.0):
+    if est.p == 1:
         exact = 0.0
     else:
         field = ("s2", "s3", "s4")[est.p - 2]
@@ -625,9 +622,8 @@ def check_cluster_engine(
     alpha, n = 0.75, 100
     out = []
     cps = (n // 2, n)
-    sets = [moment_set(dist) for _, dist in dists]
-    tables = exact_moment_tables([(ms, alpha) for ms in sets], n)
-    for i, ((label, dist), ms, table) in enumerate(zip(dists, sets, tables)):
+    tables = exact_moment_tables([(moment_set(dist), alpha) for _, dist in dists], n)
+    for i, ((label, dist), table) in enumerate(zip(dists, tables)):
         keys = replicate_keys(seed + i, 0, 16)
         bad = cluster_label_mismatches(dist, alpha, n, keys)
         out.append(_result(f"cluster_engine_paths[{label}]", bad, 0, "steps that differ"))
@@ -635,7 +631,7 @@ def check_cluster_engine(
         worst = 0.0
         for est in empirical_q_moments(acc, alpha):
             if est.p > 1:
-                worst = max(worst, abs(compare_with_exact(est, table, ms, alpha)[1]))
+                worst = max(worst, abs(compare_with_exact(est, table, alpha)[1]))
         out.append(
             _result(f"cluster_engine_moments[{label}]", worst, z_max, "worst |z| over p=2..4")
         )

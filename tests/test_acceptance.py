@@ -148,7 +148,7 @@ def test_criterion_4_rademacher_three_quarters():
     mc_report = []
     for p in (2, 4):
         est = estimates[p]
-        exact, _ = compare_with_exact(est, table_mc, ms, alpha)
+        exact, _ = compare_with_exact(est, table_mc, alpha)
         budget = max(3.0 * est.stderr, 0.03 * abs(exact))
         gap = abs(est.estimate - exact)
         assert gap <= budget, (p, gap, budget)

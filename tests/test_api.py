@@ -192,6 +192,18 @@ def test_verify_makes_no_table_in_a_loop():
     assert _calls_in_loops(ast.parse((SRC / "verify.py").read_text()), "exact_moments_upto") == []
 
 
+def test_exact_table_reads_no_raw_moment():
+    # the exact table is four law-free sequences times the law's centred
+    # and mixed moments; a forcing that carries m1 or m2 cancels only in
+    # exact arithmetic, so it may not come back
+    tree = ast.parse(inspect.getsource(erw.moments.exact_moment_tables))
+    attrs = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert {node.attr for node in attrs if getattr(node.value, "id", None) == "ms"} == {
+        "M2", "M12", "M3", "M13", "M22", "M112", "M4"
+    }
+    assert not {node.attr for node in attrs} & {"m1", "m2", "m3", "m4"}
+
+
 def test_one_reader_of_the_layout():
     # only simulate knows that column p-1 of a Monte Carlo sum holds the
     # estimate of E(.^p) and column p+3 its square: every other module

@@ -260,7 +260,7 @@ class TestSimulate:
         )
         assert code == 0 and rows == [1000, 1000]
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "ad73c257ff6eac83a1e70f63504ff853b89432696c574114741d82bf13efbb73"
+            "28e6b6c6f1bc344291f787a5457314e37d3817d9f0b74ff7171b6b433cbd8438"
         )
         # the bytes `--n 1000` writes in the same two chunks of 100 walks:
         # in one chunk of 200, sums of E(S~^4 | sizes)^2 above 2**53 round
@@ -657,8 +657,8 @@ class TestNonFiniteMoments:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and "not finite" in err
 
-    # finite moments, but s4 leaves the double range at n = 116 (inf, then
-    # nan from inf - inf in the compensated sum)
+    # finite moments, but s4 = M4 E S4 + 3 M2^2 D leaves the double range at
+    # n = 116 (inf from there on)
     HUGE = '{"kind":"discrete","points":[-1e75,1e75],"weights":[0.5,0.5]}'
 
     @pytest.mark.parametrize("argv", [
@@ -888,17 +888,17 @@ class TestGoldenOutput:
          "7ba608861f965c543e46f1f539b4c3f6db9a9693accd74cba96c5bc8c455bbe1"),
         (("simulate", "--dist", SKEWED, "--alpha", "0.6", "--n", "200",
           "--replicates", "500", "--checkpoints", "50,200", "--seed", "7"),
-         "0eec317750a0f33a66afce86d079ffecc4c1f57bafbdb02aef49dd573a7713c1"),
+         "4a2da89b45178c3da54f3f291679ecaf0027a59db0e0b8a5d2714e5c9b9b2b08"),
         (("simulate", "--dist", GAUSSIAN, "--alpha", "0.3", "--n", "200",
           "--replicates", "500", "--checkpoints", "100,200", "--seed", "0xbeef"),
          "033cfa6ef1d865936780880365d8d366d92377faa9be0f30b244b56eea78d396"),
         (("exact", "--dist", SKEWED, "--alpha", "0.75", "--n", "200"),
-         "8b694c55c32b0237c865ad1e55387793d323414307cf6073b127799748ad16db"),
+         "3535bf45da0e6e486bb557e0e54dbd83d83ca4f223221ed986ddc79c064bf141"),
         # 10000 rows cross the writers' row blocks and 100 of the recursion's blocks
         (("exact", "--dist", SKEWED, "--alpha", "0.75", "--n", "10000"),
-         "89377fbbb49a00a5651a8c2380e32c80a8acd9b18c77d5902ba44963e740e40a"),
+         "859617e894da44478b35a9a2e24600d37b66ef288a1253da8735f319322253ff"),
         (("exact", "--dist", SKEWED, "--alpha", "0.75", "--n", "10000", "--compare"),
-         "8923c9a35c7d7169fbe1bd41c4153cf5b11a6684408ec2529af25b5e6fadc3dc"),
+         "2931f9a006cc6473518b4d4998dd7ddbcb392810e87eb26bd9deb2129bf5463a"),
     ], ids=["simulate-rademacher", "simulate-skewed", "simulate-gaussian", "exact-skewed",
             "exact-skewed-blocks", "exact-skewed-blocks-compare"])
     def test_sha256(self, argv, digest, tmp_path, capsys):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from erw import (
     EnumerationSizeError,
+    MomentSet,
     RegimeError,
     SingularParameterError,
     StepDistribution,
@@ -20,6 +21,7 @@ from erw import (
     closed_form_moments,
     closed_form_s4,
     conditional_step_moments,
+    derive_moment_set,
     exact_law,
     exact_moment_tables,
     exact_moments_upto,
@@ -33,7 +35,6 @@ from erw import simulate as sim
 from erw.gammatools import check_alpha, martingale_scale
 from erw.moments import (
     _ROW_BLOCK,
-    CSV_COLUMNS,
     exact_moments_bytes,
     format_csv_rows,
     second_moment_coefficient,
@@ -51,6 +52,7 @@ ORACLE_LAWS = {
     "uniform": StepDistribution.uniform(0.0, 1.0),
     "skewed": StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4)),
     "gaussian": StepDistribution.gaussian(0.5, 2.0),
+    "shifted": StepDistribution.gaussian(1000.0, 1.0),
 }
 ORACLE_ALPHAS = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.6, 0.75, 1.0)
 #: no step, one step, and tables whose last block of steps is full (3,
@@ -74,89 +76,120 @@ def _kahan_add(value, comp, increment):
     return t, (t - value) - y
 
 
+def _law_map(ms, e2, e3, e4, d):
+    """Test oracle: the seven columns from the four cluster-size sequences
+    (E S2, E S3, E S4 and D = E(S2^2 - S4)), by the products
+    `exact_moment_tables` writes; numpy arrays or mpmath numbers."""
+    return (
+        ms.M2 * e2, ms.M12 * e2, ms.M3 * e3, ms.M13 * e2, ms.M22 * e2, ms.M112 * e3,
+        ms.M4 * e4 + 3.0 * ms.M2 * ms.M2 * d,
+    )
+
+
 def _reference_exact_moments(ms, alpha, n_max):
-    """Test oracle: the seven recursions in their plain form, one call per
-    compensated addition and one numpy row stored per step: the loop the
-    blocked scan of `exact_moments_upto` replaced."""
-    m1, m2 = ms.m1, ms.m2
-    M2, M3, M4 = ms.M2, ms.M3, ms.M4
-    M12, M13, M22, M112 = ms.M12, ms.M13, ms.M22, ms.M112
-    values = np.empty((n_max, 7), dtype=np.float64)
-    s2, st, s3, su, t2, s2t, s4 = M2, M12, M3, M13, M22, M112, M4
-    cs2 = cst = cs3 = csu = ct2 = cs2t = cs4 = 0.0
-    values[0] = (s2, st, s3, su, t2, s2t, s4)
+    """Test oracle: the four cluster-size sequences in their plain form, one
+    call per compensated addition and one numpy row stored per step (the
+    loop the blocked scan of `exact_moments_upto` replaced), mapped by
+    `_law_map`."""
+    sizes = np.empty((n_max, 4), dtype=np.float64)
+    e2 = e3 = e4 = 1.0
+    d = c2 = c3 = c4 = cd = 0.0
+    sizes[0] = (e2, e3, e4, d)
     for n in range(1, n_max):
         a = alpha / n
-        a2 = 2.0 * a
-        a3 = 3.0 * a
-        a4 = 4.0 * a
-        inc_s2 = a2 * s2 + M2
-        inc_st = a2 * st + M12
-        inc_s3 = a3 * s3 + a3 * st - 6.0 * a * m1 * s2 + M3
-        inc_su = a2 * su + M13
-        inc_t2 = a2 * t2 + M22
-        inc_s2t = a3 * s2t + a2 * su + a * t2 - a4 * m1 * st - a2 * m2 * s2 + M112
-        inc_s4 = (
-            a4 * s4
-            + 6.0 * a * s2t
-            + a4 * su
-            - 12.0 * a * m1 * (s3 + st)
-            + (12.0 * a * m1 * m1 + 6.0 * M2) * s2
-            + M4
+        inc2 = 2.0 * a * e2 + 1.0
+        inc3 = 3.0 * a * e3 + 3.0 * a * e2 + 1.0
+        inc4 = 4.0 * a * e4 + 6.0 * a * e3 + 4.0 * a * e2 + 1.0
+        inc_d = 4.0 * a * d + 2.0 * e2 - 2.0 * a * e3
+        e2, c2 = _kahan_add(e2, c2, inc2)
+        e3, c3 = _kahan_add(e3, c3, inc3)
+        e4, c4 = _kahan_add(e4, c4, inc4)
+        d, cd = _kahan_add(d, cd, inc_d)
+        sizes[n] = (e2, e3, e4, d)
+    return np.column_stack(_law_map(ms, *sizes.T))
+
+
+def _law_free_moments(ms, alpha, n_max):
+    """Test oracle: rows 1 .. n_max of the four cluster-size sequences,
+    iterated in mpmath's working precision from (1, 1, 1, 0) at n = 1 with
+    a = alpha / n, each mapped by `_law_map`; `ms` and `alpha` hold mpmath
+    numbers."""
+    e2, e3, e4, d = mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(0)
+    rows = [_law_map(ms, e2, e3, e4, d)]
+    for n in range(1, n_max):
+        a = alpha / n
+        e2, e3, e4, d = (
+            e2 + 2 * a * e2 + 1,
+            e3 + 3 * a * e3 + 3 * a * e2 + 1,
+            e4 + 4 * a * e4 + 6 * a * e3 + 4 * a * e2 + 1,
+            d + 4 * a * d + 2 * e2 - 2 * a * e3,
         )
-        s2, cs2 = _kahan_add(s2, cs2, inc_s2)
-        st, cst = _kahan_add(st, cst, inc_st)
-        s3, cs3 = _kahan_add(s3, cs3, inc_s3)
-        su, csu = _kahan_add(su, csu, inc_su)
-        t2, ct2 = _kahan_add(t2, ct2, inc_t2)
-        s2t, cs2t = _kahan_add(s2t, cs2t, inc_s2t)
-        s4, cs4 = _kahan_add(s4, cs4, inc_s4)
-        values[n] = (s2, st, s3, su, t2, s2t, s4)
-    return values
+        rows.append(_law_map(ms, e2, e3, e4, d))
+    return rows
+
+
+def _coupled_recursions(ms, alpha, n_max):
+    """Test oracle: rows 1 .. n_max of the paper's seven coupled recursions,
+    whose forcings carry the raw moments m1 and m2, iterated in mpmath's
+    working precision; `ms` and `alpha` hold mpmath numbers."""
+    m1, m2, M2, M3, M4 = ms.m1, ms.m2, ms.M2, ms.M3, ms.M4
+    M12, M13, M22, M112 = ms.M12, ms.M13, ms.M22, ms.M112
+    x = [M2, M12, M3, M13, M22, M112, M4]
+    rows = [x]
+    for n in range(1, n_max):
+        a = alpha / n
+        s2, st, s3, su, t2, s2t, s4 = x
+        x = [
+            s2 + 2 * a * s2 + M2,
+            st + 2 * a * st + M12,
+            s3 + 3 * a * s3 + 3 * a * st - 6 * a * m1 * s2 + M3,
+            su + 2 * a * su + M13,
+            t2 + 2 * a * t2 + M22,
+            s2t + 3 * a * s2t + 2 * a * su + a * t2 - 4 * a * m1 * st - 2 * a * m2 * s2 + M112,
+            s4 + 4 * a * s4 + 6 * a * s2t + 4 * a * su - 12 * a * m1 * (s3 + st)
+            + (12 * a * m1 * m1 + 6 * M2) * s2 + M4,
+        ]
+        rows.append(x)
+    return rows
 
 
 def _mpmath_exact_moments(ms, alpha, n_max):
-    """Test oracle: the seven recursions iterated in 40-digit mpmath from
-    the law's double moments and alpha, as (hi, lo): two float64 tables
-    whose sum is each cell to about 1e-32 relative."""
+    """Test oracle: `_law_free_moments` in 40-digit mpmath from the law's
+    double moments and alpha, as (hi, lo): two float64 tables whose sum is
+    each cell to about 1e-32 relative."""
     mpf = mpmath.mpf
     with mpmath.workdps(40):
-        m1, m2, M2, M3, M4, M12, M13, M22, M112 = (mpf(getattr(ms, name)) for name in (
-            "m1", "m2", "M2", "M3", "M4", "M12", "M13", "M22", "M112"))
-        x = [M2, M12, M3, M13, M22, M112, M4]
-        rows = [x]
-        for n in range(1, n_max):
-            a = mpf(alpha) / n
-            s2, st, s3, su, t2, s2t, s4 = x
-            x = [
-                s2 + 2 * a * s2 + M2,
-                st + 2 * a * st + M12,
-                s3 + 3 * a * s3 + 3 * a * st - 6 * a * m1 * s2 + M3,
-                su + 2 * a * su + M13,
-                t2 + 2 * a * t2 + M22,
-                s2t + 3 * a * s2t + 2 * a * su + a * t2 - 4 * a * m1 * st - 2 * a * m2 * s2 + M112,
-                s4 + 4 * a * s4 + 6 * a * s2t + 4 * a * su - 12 * a * m1 * (s3 + st)
-                + (12 * a * m1 * m1 + 6 * M2) * s2 + M4,
-            ]
-            rows.append(x)
+        exact = MomentSet(**{name: mpf(value) for name, value in vars(ms).items()})
+        rows = _law_free_moments(exact, mpf(alpha), n_max)
         hi = np.array([[float(v) for v in row] for row in rows])
         lo = np.array([[float(v - mpf(float(v))) for v in row] for row in rows])
     return hi, lo
 
 
-#: Columns whose forcing cancels for a law: uniform(0, 1) has M3 = 0, so
-#: its s3 is the residue of rounding in its inputs, and its s2t's forcing
-#: cancels to a few ulps (the literal loop is 4.6 ulps off there at
-#: alpha = 1).  These cells are measured against their row's largest cell.
-CANCELLING = {"uniform": [CSV_COLUMNS.index("s3") - 1, CSV_COLUMNS.index("s2t") - 1]}
-
-
-def _oracle_relerr(law, values, hi, lo):
+def _oracle_relerr(values, hi, lo):
     """Each cell's error against the mpmath oracle (hi + lo), relative to
-    the cell, or to its row for the law's cancelling columns."""
+    the cell (an exact zero of the oracle: absolute)."""
     scale = np.abs(hi)
-    scale[:, CANCELLING.get(law, [])] = np.abs(hi).max(axis=1, keepdims=True)
     return np.abs((values - hi) - lo) / np.where(scale == 0.0, 1.0, scale)
+
+
+def _gaussian_raw(mu, sigma):
+    v = sigma * sigma
+    return (mu, mu * mu + v, mu ** 3 + 3 * mu * v, mu ** 4 + 6 * mu * mu * v + 3 * v * v)
+
+
+#: the exact raw moments (m1, m2, m3, m4) of four laws, made in mpmath's
+#: working precision when called
+EXACT_RAW_MOMENTS = {
+    "uniform(0,1)": lambda: tuple(mpmath.mpf(1) / (k + 1) for k in range(1, 5)),
+    "gaussian(0.5,2)": lambda: _gaussian_raw(mpmath.mpf("0.5"), mpmath.mpf(2)),
+    "gaussian(1000,1)": lambda: _gaussian_raw(mpmath.mpf(1000), mpmath.mpf(1)),
+    "discrete(-1,0.5,2)": lambda: tuple(
+        sum(mpmath.mpf(w) * mpmath.mpf(x) ** k
+            for x, w in (("-1", "0.3"), ("0.5", "0.5"), ("2", "0.2")))
+        for k in range(1, 5)
+    ),
+}
 
 
 _RAD = StepDistribution.rademacher()
@@ -250,7 +283,25 @@ class TestExactRecursion:
         for n in ORACLE_SIZES:
             values = exact_moments_upto(ms, alpha, n).values
             assert np.array_equal(values == 0.0, hi[:n] == 0.0), n
-            assert _oracle_relerr(law, values, hi[:n], lo[:n]).max() <= 1e-15, n
+            assert _oracle_relerr(values, hi[:n], lo[:n]).max() <= 1e-15, n
+
+    @pytest.mark.parametrize("alpha", [(0, 1), (1, 4), (1, 3), (1, 2), (3, 4), (1, 1)],
+                             ids=["0", "1/4", "1/3", "1/2", "3/4", "1"])
+    @pytest.mark.parametrize("law", sorted(EXACT_RAW_MOMENTS))
+    def test_coupled_recursions_derive_law_free_map(self, law, alpha):
+        # the paper's seven recursions, whose forcings carry m1 and m2, and
+        # the law-free sequences give the same moments in 50 digits, from
+        # moment sets derived from exact raw moments
+        with mpmath.workdps(50):
+            ms = derive_moment_set(*EXACT_RAW_MOMENTS[law]())
+            a = mpmath.mpf(alpha[0]) / alpha[1]
+            coupled = _coupled_recursions(ms, a, 200)
+            law_free = _law_free_moments(ms, a, 200)
+            worst = max(
+                max(abs(x - y) for x, y in zip(row, free)) / max(abs(x) for x in row)
+                for row, free in zip(coupled, law_free)
+            )
+        assert worst <= 1e-30, worst
 
     @pytest.mark.slow
     def test_matches_mpmath_oracle_at_2e4(self):
@@ -258,7 +309,7 @@ class TestExactRecursion:
         ms = moment_set(ORACLE_LAWS["skewed"])
         hi, lo = _mpmath_exact_moments(ms, 0.75, n)
         values = exact_moments_upto(ms, 0.75, n).values
-        assert _oracle_relerr("skewed", values, hi, lo).max() <= 1e-15
+        assert _oracle_relerr(values, hi, lo).max() <= 1e-15
 
     @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
     @pytest.mark.parametrize("law", sorted(ORACLE_LAWS))
@@ -285,7 +336,7 @@ class TestExactRecursion:
             longest = exact_moments_upto(ms, alpha, 2000).values
             for n in ORACLE_SIZES + (1296, 1999):
                 values = exact_moments_upto(ms, alpha, n).values
-                assert _oracle_relerr(law, values, longest[:n], 0.0).max() <= 1e-15, (alpha, n)
+                assert _oracle_relerr(values, longest[:n], 0.0).max() <= 1e-15, (alpha, n)
 
     def test_uses_no_gamma_function(self, monkeypatch):
         # the recursion is the path `verify` holds the closed forms to, so

@@ -814,7 +814,7 @@ class TestEmpiricalMoments:
         table = exact_moments_upto(ms, alpha, n)
         for e in empirical_q_moments(acc, alpha):
             if e.p in (2, 3, 4):
-                exact, _ = compare_with_exact(e, table, ms, alpha)
+                exact, _ = compare_with_exact(e, table, alpha)
                 assert abs(e.estimate - exact) <= 4.0 * e.stderr, e
 
     def test_degenerate_flag(self, rademacher):

@@ -333,18 +333,39 @@ def test_martingale_coefficient_mutant_fails(monkeypatch):
     assert second.worst_error > 8.0
 
 
-def test_s2t_forcing_mutant_fails_only_non_two_point_laws(monkeypatch):
-    # s3 in place of s2t in the s4 forcing: for a two-point law T~ is a
-    # multiple of S~, so s2t carries nothing beyond s3 and the brute-force
-    # entries, all two-point, pass; only the uniform closed forms see it
+def _exact_table_mutant(monkeypatch, text, mutant):
+    """Rebind `verify.exact_moment_tables` to a copy of it whose source has
+    its one `text` replaced by `mutant`."""
     source = inspect.getsource(erw.moments.exact_moment_tables)
-    assert source.count("6.0 * a * s2t") == 1
+    assert source.count(text) == 1
     namespace = dict(vars(erw.moments))
-    exec(source.replace("6.0 * a * s2t", "6.0 * a * s3"), namespace)
+    exec(source.replace(text, mutant), namespace)
     monkeypatch.setattr(erw.verify, "exact_moment_tables", namespace["exact_moment_tables"])
+
+
+def test_s2t_law_map_mutant_fails_only_non_two_point_laws(monkeypatch):
+    # M3 in place of M112 in the s2t column: for a two-point law T~ is a
+    # multiple of S~, so M112 = M3 for the laws of the brute-force entries,
+    # which pass; only the uniform closed forms see it
+    _exact_table_mutant(monkeypatch, "(ms.M112, e3)", "(ms.M3, e3)")
     failed = [r.name for r in check_closed_form_vs_recursion(n_max=1000) if r.status == FAIL]
     assert len(failed) == 6 and all(name.endswith(",uniform(0,1)]") for name in failed), failed
     assert all(r.status == PASS for r in check_brute_force(n_max=10))
+
+
+def test_s4_sequence_forcing_mutant_fails(monkeypatch):
+    # 6a E S2 in place of 6a E S3 in E S4's forcing: a law-free fault, so
+    # every law's s4 moves, and all 18 closed-form entries and the
+    # brute-force entries see it wherever a = alpha / n is not 0
+    _exact_table_mutant(monkeypatch, "6.0 * a * s3", "6.0 * a * s2")
+    closed = [r.status for r in check_closed_form_vs_recursion(n_max=1000)]
+    assert closed == [FAIL] * 18
+    brute = {r.name: r.status for r in check_brute_force(n_max=10)}
+    assert len(brute) == 10
+    assert {name for name, status in brute.items() if status == PASS} == {
+        "brute_force_vs_recursion[alpha=0.0,rademacher]",
+        "brute_force_vs_recursion[alpha=0.0,discrete(-1,2)]",
+    }
 
 
 @pytest.mark.parametrize("seed", [91, 10, 11, 12, 2033])
