@@ -185,14 +185,19 @@ def exact_moment_tables(
 
 def exact_moments_bytes(n_max: int) -> int:
     """Bytes `exact_moments_upto` holds at once for n_max rows, computed
-    without allocating anything: 8 columns over the rows, 24 over the steps
-    padded to whole blocks, and 8 KiB of small arrays.  The law-free scan
-    peaks below that, at its last level (E S4 and D): tracemalloc measures
-    18 columns in all from 2^15 steps, and more below, where numpy makes a
-    new temporary for each operation.  A batch of T tables holds at most T
-    times as much."""
+    without allocating anything.  The scan peaks where `_solve_level`
+    builds the last level's rows (E S4 and D).  It then holds 7 columns over
+    the rows: the four sequences, a and the stacked forcing.  It holds 11
+    over the steps padded to whole blocks: a, the forcing and the level,
+    blocked (1 + 2 + 3), the two rows being built, and the correction
+    (1 + e) lost with its factor (2 + 1).  Two of numpy's ufunc buffers of
+    up to 8192 values, which that broadcast product fills, the block starts
+    and their compensations as Python floats (128 bytes a block) and 8 KiB
+    of small arrays come on top.  tracemalloc measures over 98% of it from
+    2^15 steps.  A batch of T tables holds at most T times as much."""
     width, blocks = _block_shape(n_max)
-    return 8 * (8 * n_max + 24 * width * blocks) + 8192
+    steps = width * blocks
+    return 8 * (7 * n_max + 11 * steps + 2 * min(2 * steps, 8192) + 16 * blocks) + 8192
 
 
 def _block_shape(n_max: int) -> tuple[int, int]:

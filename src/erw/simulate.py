@@ -10,10 +10,13 @@ so a path is a pure function of (distribution, alpha, n, stream key) and a
 batch is a pure function of (.., master seed) regardless of chunking or
 thread count.
 
-Two engines share these draws.  The literal engine (`_run_paths`, behind
-`simulate_path` and the per-step statistics) builds a chunk's float64
-step matrix, and every statistic is reduced from that matrix a block of
-`_block_rows` steps at a time.  The cluster engine (`_run_labels`,
+Two engines share these draws, and neither knows the step law while it
+fills a walk.  The literal engine (`_run_uniforms`) gathers a chunk's
+float64 matrix of the uniforms its steps sample at, and the law is applied
+after the gather by the element-wise `inverse_cdf`, a block of
+`_block_rows` steps at a time: in place for `simulate_path`, and once per
+law of a batch for the per-step statistics, so laws that share the draws
+share one fill.  The cluster engine (`_run_labels`,
 behind `cluster_batch`) keeps only which fresh step founded each step's
 cluster, in the narrowest unsigned type that holds n - 1 (one byte per
 walk-step to n = 256, two to 65,536), and draws no sample: given the
@@ -38,7 +41,8 @@ import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -112,6 +116,12 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(width, 1))
 
 
+def _row_blocks(steps: np.ndarray) -> Iterator[np.ndarray]:
+    """A step or uniform matrix as views of `_block_rows(walks)` steps each."""
+    rows = _block_rows(steps.shape[1])
+    return (steps[first : first + rows] for first in range(0, steps.shape[0], rows))
+
+
 def _fresh_uniforms(u, alpha: float, step_one: bool = False, out=None) -> np.ndarray:
     """The uniforms v in (0, 1] that fresh steps sample the step law at,
     from their draws u, made in `out` (a float64 array of u's shape) or a
@@ -143,20 +153,20 @@ def _repeat_reach(t_less_1, alpha: float):
     return np.full(np.shape(t_less_1), np.inf)
 
 
-def _fill_walks(
-    out: np.ndarray, keys: np.ndarray, alpha: float, dist: StepDistribution | None = None
-) -> np.ndarray:
+def _fill_walks(out: np.ndarray, keys: np.ndarray, alpha: float) -> np.ndarray:
     """Fill `out`, an (n, len(keys)) matrix, with len(keys) walks by the step
-    rule, vectorised across walks, and return it; both engines run it.
+    rule, vectorised across walks, and return it; both engines run it.  It
+    knows no step law: a float64 `out` gets the uniform each step samples
+    its law at (`_run_uniforms`), any other type cluster labels.
 
     Step t reads one draw, at counter t-1, whose uniform u both decides
     and carries out the step.  None of these depends on the walk's history,
     so they are drawn a block of steps at a time.  The step repeats when u
     is below alpha, never at t = 1, which is tested on the mixed word
     against `words_below(alpha)`.  Each block's rows are first set to the
-    values of fresh steps: samples of `dist` at `_fresh_uniforms(u, ...)`,
-    made in the spent words' buffer, or without a law each row's own
-    0-based index, a cluster label.  A repeat copies row
+    values of fresh steps: in a float64 `out` their uniforms
+    `_fresh_uniforms(u, ...)`, written straight into the block, otherwise
+    each row's own 0-based index, a cluster label.  A repeat copies row
     floor((u/alpha)(t-1)), capped at t-2 before the cast into the words'
     buffer.  Every fresh step lands on t-2 there (`_repeat_reach`), so
     adding the bool `fresh` moves it to its own row, t-1: it reads its
@@ -169,6 +179,7 @@ def _fill_walks(
     cols = np.arange(width)
     rows = _block_rows(width)
     bound = np.uint64(words_below(alpha))
+    uniforms = out.dtype == np.float64
 
     for first in range(0, n, rows):
         steps = np.arange(first, min(first + rows, n))  # t - 1
@@ -179,12 +190,10 @@ def _fill_walks(
         u = unit_floats(words)
         own = steps[:, None]
         block = out[first : first + steps.size]
-        if dist is None:
-            block[...] = own
+        if uniforms:
+            _fresh_uniforms(u, alpha, step_one=first == 0, out=block)
         else:
-            v = _fresh_uniforms(u, alpha, step_one=first == 0, out=words.view(np.float64))
-            block[...] = inverse_cdf(dist, v)
-            del v
+            block[...] = own
         src = words.view(np.int64)
         u *= _repeat_reach(own, alpha)
         np.minimum(u, own - 1.0, out=u)  # t-2, where every fresh step lands
@@ -200,12 +209,26 @@ def _fill_walks(
     return out
 
 
+def _run_uniforms(alpha: float, n: int, keys: np.ndarray) -> np.ndarray:
+    """The (n, len(keys)) float64 matrix of the uniforms at which the steps
+    of len(keys) walks sample their law: a fresh step's own, a repeat's
+    copied from the step it repeats.  The step law is applied afterwards,
+    by `inverse_cdf`, which acts element by element: every law that samples
+    one such matrix gets the steps `_run_paths` gives it alone."""
+    return _fill_walks(np.empty((n, keys.size), dtype=np.float64), keys, alpha)
+
+
 def _run_paths(
     dist: StepDistribution, alpha: float, n: int, keys: np.ndarray
 ) -> np.ndarray:
-    """The (n, len(keys)) float64 step matrix of len(keys) walks.  Every
-    statistic is computed from it afterwards, a block of steps at a time."""
-    return _fill_walks(np.empty((n, keys.size), dtype=np.float64), keys, alpha, dist)
+    """The (n, len(keys)) float64 step matrix of len(keys) walks: the
+    gathered uniforms of `_run_uniforms`, sampled in place a block at a
+    time, so no second matrix is held.  Every statistic is computed from
+    it afterwards, a block of steps at a time."""
+    steps = _run_uniforms(alpha, n, keys)
+    for block in _row_blocks(steps):
+        block[...] = inverse_cdf(dist, block)
+    return steps
 
 
 def _label_dtype(n: int) -> np.dtype:
@@ -576,29 +599,25 @@ def empirical_q_moments(acc: BatchAccumulator, alpha: float) -> list[ScaledMomen
     return out
 
 
-def _row_blocks(steps: np.ndarray) -> Iterator[np.ndarray]:
-    """The step matrix as views of `_block_rows(walks)` steps each."""
-    rows = _block_rows(steps.shape[1])
-    return (steps[first : first + rows] for first in range(0, steps.shape[0], rows))
-
-
-def _martingale_differences(steps: np.ndarray, alpha: float, m1: float) -> Iterator[np.ndarray]:
-    """Yield eps_t for t = 1..n over the walks of one step matrix, as
-    (rows, walks) blocks of `_row_blocks`: eps_1 = X_1 - m1 and
-    eps_t = X_t - m1 - (alpha/(t-1)) S~_{t-1}.
+def _martingale_differences(
+    blocks: Iterable[np.ndarray], alpha: float, m1: float
+) -> Iterator[np.ndarray]:
+    """Yield eps_t for t = 1..n over the walks of a step matrix given as
+    consecutive (rows, walks) blocks, one block of eps_t per block of
+    steps: eps_1 = X_1 - m1 and eps_t = X_t - m1 - (alpha/(t-1)) S~_{t-1}.
 
     S_{t-1} is carried from block to block and added a step at a time, in
     the order of a running sum, and every eps_t takes the operations of a
     one-step loop in its order, so the bytes do not depend on the block
     edges.  No temporary is bigger than a block."""
-    carry = np.zeros(steps.shape[1], dtype=np.float64)  # S_{t-1} at the block's first t
+    carry = 0.0  # S_{t-1} at the block's first t
     first = 0
-    for block in _row_blocks(steps):
+    for block in blocks:
         s_prev = np.empty_like(block)  # S_{t-1}
         s_prev[0] = carry
         s_prev[1:] = block[:-1]
         np.cumsum(s_prev, axis=0, out=s_prev)
-        np.add(s_prev[-1], block[-1], out=carry)
+        carry = s_prev[-1] + block[-1]
         eps = block - m1
         t_less_1 = np.arange(first, first + block.shape[0], dtype=np.float64)[:, None]
         lo = 1 if first == 0 else 0  # eps_1 has no memory term
@@ -609,55 +628,68 @@ def _martingale_differences(steps: np.ndarray, alpha: float, m1: float) -> Itera
         first += block.shape[0]
 
 
-def _step_sums(dist, alpha, n, replicates, master_seed, blocks) -> np.ndarray:
-    """(n, 8) per-step sums over a batch in the one layout: row t-1 adds
-    `_power_sums` of step t's values, which `blocks(steps)` yields from
-    each chunk's step matrix a block of steps (or one step) at a time."""
+def _step_sums(laws, alpha, n, replicates, master_seed) -> list[np.ndarray]:
+    """One (n, 8) array of per-step sums over a batch in the one layout for
+    each (dist, values) pair of `laws`: row t-1 adds `_power_sums` of step
+    t's values, which `values(steps)` yields from the law's steps, given as
+    blocks of `_row_blocks`.  Each chunk fills one uniform matrix
+    (`_run_uniforms`), and every law samples it a block at a time, so laws
+    share the draws and the fill, and each law's sums are those of a batch
+    of one."""
     n = int(_check_n(n, "n"))
 
     def chunk_sums(span):
-        steps = _run_paths(dist, alpha, n, _chunk_keys(master_seed, span))
-        return np.vstack([_power_sums(values) for values in blocks(steps)])
+        uniforms = _run_uniforms(alpha, n, _chunk_keys(master_seed, span))
+        sums = []
+        for dist, values in laws:
+            steps = (inverse_cdf(dist, block) for block in _row_blocks(uniforms))
+            sums.append(np.vstack([_power_sums(v) for v in values(steps)]))
+        return np.stack(sums)
 
-    return sum(chunk for chunk, _ in _run_batch(n, replicates, 1, chunk_sums))
+    return list(sum(chunk for chunk, _ in _run_batch(n, replicates, 1, chunk_sums)))
 
 
 def batch_epsilon_moments(
-    dist: StepDistribution,
+    dists: Sequence[StepDistribution],
     alpha: float,
     n: int,
     replicates: int,
     master_seed: int,
-) -> np.ndarray:
-    """(n, 8) per-step sums of the martingale differences over a batch:
-    row t-1 holds the sums of eps_t^p (columns 0..3) and eps_t^(2p)
-    (columns 4..7), p = 1..4.
+) -> list[np.ndarray]:
+    """For each law of `dists`, in order, the (n, 8) per-step sums of the
+    martingale differences over a batch: row t-1 holds the sums of eps_t^p
+    (columns 0..3) and eps_t^(2p) (columns 4..7), p = 1..4.  The laws
+    share the walks' draws, and a law's sums are the same in any batch of
+    laws; a single law is a batch of one.
 
     The martingale property makes E(eps_t) zero for every t, since
     E(Q_t - Q_{t-1}) = a_t E(eps_t).
     """
     alpha = check_alpha(alpha)
-    m1 = moment_set(dist).m1
-    return _step_sums(
-        dist, alpha, n, replicates, master_seed,
-        lambda steps: _martingale_differences(steps, alpha, m1),
-    )
+    laws = [
+        (dist, partial(_martingale_differences, alpha=alpha, m1=moment_set(dist).m1))
+        for dist in dists
+    ]
+    return _step_sums(laws, alpha, n, replicates, master_seed)
 
 
 def marginal_moment_sums(
-    dist: StepDistribution,
+    dists: Sequence[StepDistribution],
     alpha: float,
     n: int,
     replicates: int,
     master_seed: int,
-) -> np.ndarray:
-    """(n, 8) per-step sums of X_t^p (columns 0..3) and X_t^(2p) (columns
-    4..7), p = 1..4, across a batch.
+) -> list[np.ndarray]:
+    """For each law of `dists`, in order, the (n, 8) per-step sums of X_t^p
+    (columns 0..3) and X_t^(2p) (columns 4..7), p = 1..4, across a batch.
+    The laws share the walks' draws, and a law's sums are the same in any
+    batch of laws; a single law is a batch of one.
 
     The marginal law of every X_t equals the step law, so the per-step
     empirical moments must match the raw moments at Monte Carlo accuracy.
     """
-    return _step_sums(dist, check_alpha(alpha), n, replicates, master_seed, _row_blocks)
+    laws = [(dist, lambda steps: steps) for dist in dists]
+    return _step_sums(laws, check_alpha(alpha), n, replicates, master_seed)
 
 
 @dataclass(frozen=True)

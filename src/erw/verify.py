@@ -53,8 +53,10 @@ from .simulate import (
     _fresh_uniforms,
     _martingale_differences,
     _power_sums,
+    _row_blocks,
     _run_labels,
     _run_paths,
+    _run_uniforms,
     batch_epsilon_moments,
     cluster_batch,
     conditional_continuation_test,
@@ -467,10 +469,11 @@ def check_marginal_moments(
     """Marginal preservation: E(X_t^p) = E(xi^p) for every t <= 100 and
     p <= 4, for two laws at alpha = 0.75."""
     alpha, n = 0.75, 100
+    laws = (("bernoulli(0.3)", StepDistribution.bernoulli(0.3)),
+            ("discrete(-1,2)", _SKEWED_TWO_POINT))
     out = []
-    for label, dist in (("bernoulli(0.3)", StepDistribution.bernoulli(0.3)),
-                        ("discrete(-1,2)", _SKEWED_TWO_POINT)):
-        sums = marginal_moment_sums(dist, alpha, n, replicates, seed)
+    batch = marginal_moment_sums([dist for _, dist in laws], alpha, n, replicates, seed)
+    for (label, dist), sums in zip(laws, batch):
         mean, stderr = layout_moments(sums, replicates)
         worst = float(z_score(np.abs(mean - raw_moments(dist)), stderr).max())
         out.append(
@@ -493,7 +496,7 @@ def check_martingale_property(
     table (Bercu 2018)."""
     dist, alpha, n = StepDistribution.bernoulli(0.3), 0.75, 200
     ms = moment_set(dist)
-    sums = batch_epsilon_moments(dist, alpha, n, replicates, seed)
+    (sums,) = batch_epsilon_moments([dist], alpha, n, replicates, seed)
     mean, stderr = layout_moments(sums, replicates)
     (table,) = exact_moment_tables([(ms, alpha)], n - 1)
     coefficient = alpha / np.arange(1.0, n)  # alpha/(t-1) for t = 2..n
@@ -510,11 +513,12 @@ def check_martingale_property(
 def check_epsilon_bound(replicates: int = 10_000, seed: int = 58) -> list[CheckResult]:
     """Martingale differences stay inside E|eps|^p <= 2^p E|xi|^p (p = 2, 4)
     at every step t <= 256, for two laws at alpha = 0.75."""
+    laws = (("rademacher", StepDistribution.rademacher()),
+            ("bernoulli(0.3)", StepDistribution.bernoulli(0.3)))
     out = []
-    for label, dist in (("rademacher", StepDistribution.rademacher()),
-                        ("bernoulli(0.3)", StepDistribution.bernoulli(0.3))):
+    batch = batch_epsilon_moments([dist for _, dist in laws], 0.75, 256, replicates, seed)
+    for (label, dist), sums in zip(laws, batch):
         m = raw_moments(dist)
-        sums = batch_epsilon_moments(dist, 0.75, 256, replicates, seed)
         means, _ = layout_moments(sums, replicates)
         bound2 = 4.0 * m[1]
         bound4 = 16.0 * m[3]
@@ -536,16 +540,20 @@ def check_martingale_reconstruction(
     The eps_t are those of `simulate._martingale_differences`, which the
     batch eps statistics reduce, over the walks `simulate_path` makes at
     `seeds`; the sum telescopes only with their coefficient alpha/(t-1).
-    The gap is relative to the larger of |a_n S~_n| and the largest term.
+    The laws of an alpha sample one matrix of gathered uniforms, as the
+    batch statistics do.  The gap is relative to the larger of |a_n S~_n|
+    and the largest term.
     """
     keys = np.array([seed & MASK64 for seed in seeds], dtype=np.uint64)
     worst = 0.0
     for alpha in (0.0, 0.5, 0.75, 1.0):
         scale = martingale_scale(np.arange(1.0, n + 1.0), alpha)[:, None]
+        uniforms = _run_uniforms(alpha, n, keys)
         for _, dist in _STANDARD_DISTS:
             m1 = moment_set(dist).m1
-            steps = _run_paths(dist, alpha, n, keys)
-            terms = scale * np.vstack(list(_martingale_differences(steps, alpha, m1)))
+            steps = inverse_cdf(dist, uniforms)
+            eps = _martingale_differences(_row_blocks(steps), alpha, m1)
+            terms = scale * np.vstack(list(eps))
             q = scale[-1] * (steps.sum(axis=0) - n * m1)
             reference = np.maximum(np.maximum(np.abs(q), np.abs(terms).max(axis=0)), 1e-300)
             worst = max(worst, float((np.abs(terms.sum(axis=0) - q) / reference).max()))

@@ -216,6 +216,23 @@ def test_one_reader_of_the_layout():
     assert calling == ["simulate.py"]
 
 
+def test_fill_kernel_knows_no_law():
+    # the one fill gathers uniforms (or labels) for every law, and the
+    # law is applied after the gather: a law parameter or a sampling call
+    # in it would be a per-law fill, and a second function that draws the
+    # step words would be a second kernel beside it
+    func = ast.parse(inspect.getsource(erw.simulate._fill_walks)).body[0]
+    args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+    assert [a.arg for a in args] == ["out", "keys", "alpha"]
+    assert not any(_is_call_of(node, "inverse_cdf") for node in ast.walk(func))
+    drawing = sorted(
+        node.name for node in ast.walk(ast.parse((SRC / "simulate.py").read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and any(_is_call_of(call, "mixed_words") for call in ast.walk(node))
+    )
+    assert drawing == ["_fill_walks", "conditional_continuation_test"]
+
+
 def test_no_math_exp():
     # every gamma ratio is exponentiated by np.exp, the array path; math.exp
     # differs from it in the last bit on some arguments

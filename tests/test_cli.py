@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -368,15 +369,16 @@ class TestVerifyCommand:
         # in the simulator: the eps statistics stay centered, but E(eps_t^2)
         # misses the exact table and the sum of a_t eps_t no longer
         # telescopes; verify reports both as FAILs and exits 1, with every
-        # check in the report
-        def alpha_over_t(steps, alpha, m1):
-            s_run = np.zeros(steps.shape[1])
-            for t, x in enumerate(steps, start=1):
+        # check in the report.  It takes the steps as blocks and yields
+        # one step's eps at a time
+        def alpha_over_t(blocks, alpha, m1):
+            s_run = 0.0
+            for t, x in enumerate(itertools.chain.from_iterable(blocks), start=1):
                 eps = x - m1
                 if t > 1:
                     eps -= (alpha / t) * (s_run - (t - 1) * m1)
                 yield eps
-                s_run += x
+                s_run = s_run + x
 
         monkeypatch.setattr(sim, "_martingale_differences", alpha_over_t)
         monkeypatch.setattr(erw.verify, "_martingale_differences", alpha_over_t)

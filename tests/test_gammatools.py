@@ -295,7 +295,7 @@ class TestWholeNumberRule:
             ),
             lambda n: simulate_path(dist, 0.5, n, 7).steps,
             lambda n: cluster_batch(dist, 0.5, n, 20, 7, [1])._sums,
-            lambda n: marginal_moment_sums(dist, 0.5, n, 20, 7),
+            lambda n: marginal_moment_sums([dist], 0.5, n, 20, 7),
         )
         not_whole = (10.5, True, False, math.nan, math.inf, "10")
         cases = [(call, not_whole + (0, -3)) for call in calls]
@@ -304,8 +304,8 @@ class TestWholeNumberRule:
         # continuation"
         prefix = simulate_path(dist, 0.5, 10, 7)
         cases += [(call, not_whole) for call in (
-            lambda replicates: marginal_moment_sums(dist, 0.5, 12, replicates, 7),
-            lambda replicates: batch_epsilon_moments(dist, 0.5, 12, replicates, 7),
+            lambda replicates: marginal_moment_sums([dist], 0.5, 12, replicates, 7),
+            lambda replicates: batch_epsilon_moments([dist], 0.5, 12, replicates, 7),
             lambda count: [
                 (c.observed, c.stderr, c.z)
                 for c in conditional_continuation_test(prefix, dist, 0.5, count, 7)

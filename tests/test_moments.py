@@ -216,8 +216,8 @@ ALPHA_TAKERS = {
     "empirical_q_moments": lambda a: sim.empirical_q_moments(
         sim.cluster_batch(_RAD, 0.75, 3, 2, 1, [3]), a
     ),
-    "batch_epsilon_moments": lambda a: sim.batch_epsilon_moments(_RAD, a, 3, 2, 1),
-    "marginal_moment_sums": lambda a: sim.marginal_moment_sums(_RAD, a, 3, 2, 1),
+    "batch_epsilon_moments": lambda a: sim.batch_epsilon_moments([_RAD], a, 3, 2, 1),
+    "marginal_moment_sums": lambda a: sim.marginal_moment_sums([_RAD], a, 3, 2, 1),
     "conditional_continuation_test": lambda a: sim.conditional_continuation_test(
         sim.simulate_path(_RAD, 0.75, 3, 1), _RAD, a, 2, 1
     ),
@@ -351,8 +351,12 @@ class TestExactRecursion:
         ms = moment_set(ORACLE_LAWS["skewed"])
         assert len(exact_moments_upto(ms, 0.75, 1000)) == 1000
 
-    @pytest.mark.parametrize("n", [2, 1000, 100_000])
+    @pytest.mark.parametrize("n", [2, 1000, 4096, 2**15, 100_000])
     def test_peak_within_exact_moments_bytes(self, n):
+        # the bound counts what the scan holds: from 2^15 steps, where
+        # numpy reuses temporaries, the peak fills it to over 98% (98.4% at
+        # 2^15, 99.4% at 1e5), so a loose formula or a memory regression
+        # fails here.  The closest below is 99.2% at 4096.
         ms = moment_set(ORACLE_LAWS["skewed"])
         exact_moments_upto(ms, 0.75, 10)  # first-call allocations aside
         tracemalloc.start()
@@ -362,6 +366,8 @@ class TestExactRecursion:
         finally:
             tracemalloc.stop()
         assert peak <= exact_moments_bytes(n)
+        if n >= 2**15:
+            assert peak >= 0.98 * exact_moments_bytes(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, _W * (_W + 1), _W * (_W + 1) + 1, 10_000])
     def test_batch_bytes_match_single_tables(self, n):

@@ -21,6 +21,7 @@ from erw import (
     moment_set,
     simulate_path,
 )
+import erw.distributions as distributions
 import erw.simulate as sim
 from erw.distributions import inverse_cdf
 from erw.rng import (
@@ -277,9 +278,9 @@ class TestBlockedDraws:
             acc = simulate_batch(dist, alpha, n, width, seed, cps)
             assert acc._sums.tobytes() == ref_sums.tobytes(), where
 
-            for got, ref in (
-                (batch_epsilon_moments(dist, alpha, n, width, seed), eps),
-                (marginal_moment_sums(dist, alpha, n, width, seed), marginal),
+            for (got,), ref in (
+                (batch_epsilon_moments([dist], alpha, n, width, seed), eps),
+                (marginal_moment_sums([dist], alpha, n, width, seed), marginal),
             ):
                 assert got.tobytes() == ref.sums[:, _LAYOUT].tobytes(), where
 
@@ -417,6 +418,28 @@ class TestBlockedDraws:
         block = (17 + sampler_bytes) * width + 8 * width + 16384
         assert steps.nbytes < peak <= steps.nbytes + block
 
+    def test_laws_share_one_uniform_matrix(self):
+        # check_marginal_moments' call: its two laws sample one chunk's
+        # uniform matrix a block at a time, so the peak is one matrix and
+        # per-block temporaries, within the single-law bound above (the
+        # discrete law's) and one float64 block more for the second law.
+        # It is reached while the uniforms are gathered: the matrix and
+        # 33.5 bytes per walk (the words, u, `fresh`, `cols` and the keys)
+        n, width = 100, 10_000
+        laws = (StepDistribution.bernoulli(0.3), StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4)))
+        marginal_moment_sums(laws, 0.75, 10, 10, 31)  # first-call allocations aside
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sums = marginal_moment_sums(laws, 0.75, n, width, 31)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sim._block_rows(width) == 1 and len(sums) == len(laws)
+        matrix = 8 * n * width
+        single = (17 + 1 + 1 + 8 + 8) * width + 8 * width + 16384
+        assert matrix < peak <= matrix + single + 8 * width * (len(laws) - 1)
+
     @pytest.mark.parametrize("width,checkpoints", [
         (2000, (1000, 3000)), (128, (10, 20, 3000)), (50, (1500, 3000)), (40, (70_000,)),
     ])
@@ -436,6 +459,72 @@ class TestBlockedDraws:
             tracemalloc.stop()
         tile = sim._size_pass_bytes(min(width, sim._TILE_WALKS), checkpoints[-1])
         assert 0.98 * tile < peak <= tile
+
+
+def _binary_search_law() -> StepDistribution:
+    """A discrete law one atom wider than `inverse_cdf` counts by
+    comparisons, so it samples by np.searchsorted."""
+    atoms = distributions._COMPARE_ATOMS + 1
+    weights = np.random.default_rng(5).random(atoms)
+    return StepDistribution.discrete(np.linspace(-2.0, 3.0, atoms), weights / math.fsum(weights))
+
+
+#: One law of each sampler branch: the two-point kinds, the continuous
+#: ones, a discrete law counted by comparisons and one by binary search.
+SHARED_LAWS = (
+    StepDistribution.rademacher(),
+    StepDistribution.bernoulli(0.3),
+    StepDistribution.uniform(-1.0, 2.0),
+    StepDistribution.gaussian(0.5, 2.0),
+    StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4)),
+    _binary_search_law(),
+)
+
+
+class TestSharedUniforms:
+    """The fill knows no law: every law samples the gathered uniforms after
+    the gather, and laws that share the draws share one fill."""
+
+    def test_wide_law_takes_binary_search(self):
+        weights = np.asarray(SHARED_LAWS[-1].weights)
+        assert np.flatnonzero(weights)[-1] >= distributions._COMPARE_ATOMS
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("width,budget", [(1, 600), (7, 600), (300, 600), (300, None)])
+    def test_paths_are_sampled_uniforms(self, width, budget, alpha, monkeypatch):
+        # the step matrix is the law's inverse CDF of the whole uniform
+        # matrix, byte for byte, for walks that end before, at and after
+        # a block edge
+        if budget is not None:
+            monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", budget)
+        keys = replicate_keys(2718, 0, width)
+        rows = sim._block_rows(width)
+        for n in sorted({1, 2, max(1, rows - 1), rows, rows + 1, 2 * rows + 3}):
+            uniforms = sim._run_uniforms(alpha, n, keys)
+            for dist in SHARED_LAWS:
+                steps = sim._run_paths(dist, alpha, n, keys)
+                assert steps.tobytes() == inverse_cdf(dist, uniforms).tobytes(), (dist.kind, n)
+
+    # (steps, walks, walks per chunk, steps per block): one chunk and
+    # one block, then ragged chunks and blocks, then one-walk chunks
+    @pytest.mark.parametrize("n,replicates,chunk,rows", [
+        (20, 9, 9, 20), (37, 50, 16, 6), (37, 50, 7, 1), (12, 5, 1, 5),
+    ])
+    @pytest.mark.parametrize("statistic", [batch_epsilon_moments, marginal_moment_sums],
+                             ids=["epsilon", "marginal"])
+    def test_batch_of_laws_matches_each_law_alone(
+        self, statistic, n, replicates, chunk, rows, monkeypatch
+    ):
+        monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", n * chunk)
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", rows * chunk)
+        assert sim._chunk_width(n, replicates) == chunk and sim._block_rows(chunk) == rows
+        batch = statistic(SHARED_LAWS, 0.6, n, replicates, 41)
+        reverse = statistic(SHARED_LAWS[::-1], 0.6, n, replicates, 41)[::-1]
+        assert len(batch) == len(reverse) == len(SHARED_LAWS)
+        for dist, sums, backwards in zip(SHARED_LAWS, batch, reverse):
+            (alone,) = statistic([dist], 0.6, n, replicates, 41)
+            assert sums.shape == (n, 8)
+            assert sums.tobytes() == alone.tobytes() == backwards.tobytes(), dist.kind
 
 
 class TestBatch:
@@ -488,8 +577,8 @@ class TestBatch:
         # width whose blocks hold 32 steps; the skewed law also pins the
         # sampler's bytes
         assert sim._block_rows(500) == 32
-        eps = batch_epsilon_moments(dist, alpha, 200, 500, seed)
-        marginal = marginal_moment_sums(dist, alpha, 200, 500, seed)
+        (eps,) = batch_epsilon_moments([dist], alpha, 200, 500, seed)
+        (marginal,) = marginal_moment_sums([dist], alpha, 200, 500, seed)
         assert hashlib.sha256(eps.tobytes()).hexdigest() == eps_digest
         assert hashlib.sha256(marginal.tobytes()).hexdigest() == marginal_digest
 
@@ -514,8 +603,8 @@ class TestBatch:
     @pytest.mark.parametrize("batch", [
         lambda n, reps: simulate_batch(StepDistribution.bernoulli(0.3), 0.75, n, reps, 1, [1]),
         lambda n, reps: cluster_batch(StepDistribution.bernoulli(0.3), 0.75, n, reps, 1, [1]),
-        lambda n, reps: batch_epsilon_moments(StepDistribution.bernoulli(0.3), 0.75, n, reps, 1),
-        lambda n, reps: marginal_moment_sums(StepDistribution.bernoulli(0.3), 0.75, n, reps, 1),
+        lambda n, reps: batch_epsilon_moments([StepDistribution.bernoulli(0.3)], 0.75, n, reps, 1),
+        lambda n, reps: marginal_moment_sums([StepDistribution.bernoulli(0.3)], 0.75, n, reps, 1),
     ], ids=["simulate_batch", "cluster_batch", "batch_epsilon_moments", "marginal_moment_sums"])
     def test_empty_batches_refused(self, batch, n, replicates, message):
         # every batch statistic goes through one driver, which refuses an
@@ -862,7 +951,7 @@ class TestMartingaleDifferences:
         # zero; one walk is one block of all 300 steps
         m1 = moment_set(bernoulli03).m1
         steps = sim._run_paths(bernoulli03, 0.0, 300, np.array([8], dtype=np.uint64))
-        eps = np.vstack(list(sim._martingale_differences(steps, 0.0, m1)))
+        eps = np.vstack(list(sim._martingale_differences(sim._row_blocks(steps), 0.0, m1)))
         assert eps.tobytes() == (steps - m1).tobytes()
 
     @pytest.mark.parametrize("dist", [StepDistribution.discrete((-1.0, 2.0), (0.6, 0.4)),
@@ -878,7 +967,7 @@ class TestMartingaleDifferences:
         m1 = moment_set(dist).m1
         keys = replicate_keys(3, 0, width)
         steps = sim._run_paths(dist, 0.75, n, keys)
-        blocks = list(sim._martingale_differences(steps, 0.75, m1))
+        blocks = list(sim._martingale_differences(sim._row_blocks(steps), 0.75, m1))
         assert len(blocks) == -(-n // sim._block_rows(width))
         want = []
         s_run = np.zeros(width)
@@ -909,20 +998,21 @@ class TestEpsilonMoments:
 
     def test_memoryless_second_moment(self, bernoulli03):
         ms = moment_set(bernoulli03)
-        sums = batch_epsilon_moments(bernoulli03, 0.0, 100, 20_000, 17)
+        (sums,) = batch_epsilon_moments([bernoulli03], 0.0, 100, 20_000, 17)
         means, se = layout_moments(sums, 20_000)
         # E(eps^2) = M2 at every step when there is no memory
         assert np.all(np.abs(means[:, 1] - ms.M2) <= 4.0 * se[:, 1] + 1e-12)
 
     def test_lp_bound(self, rademacher, bernoulli03):
-        for dist in (rademacher, bernoulli03):
+        laws = (rademacher, bernoulli03)
+        for dist, sums in zip(laws, batch_epsilon_moments(laws, 0.75, 128, 10_000, 23)):
             m = moment_set(dist)
-            means = batch_epsilon_moments(dist, 0.75, 128, 10_000, 23) / 10_000
+            means = sums / 10_000
             assert np.all(means[:, 1] <= 4.0 * m.m2 + 1e-9)
             assert np.all(means[:, 3] <= 16.0 * m.m4 + 1e-9)
 
     def test_martingale_increments_centered(self, skewed_two_point):
-        sums = batch_epsilon_moments(skewed_two_point, 0.8, 150, 20_000, 29)
+        (sums,) = batch_epsilon_moments([skewed_two_point], 0.8, 150, 20_000, 29)
         means, se = layout_moments(sums, 20_000)
         z = z_score(means[:, 0], se[:, 0])
         assert float(np.abs(z).max()) <= 4.0
