@@ -46,16 +46,12 @@ from .moments import (
 )
 from .rng import parse_seed, replicate_key, replicate_keys
 from .simulate import (
-    BatchAccumulator,
-    ContinuationCheck,
-    ScaledMomentEstimate,
     WalkState,
     batch_epsilon_moments,
     check_checkpoints,
     cluster_batch,
     conditional_continuation_test,
     empirical_q_moments,
-    sample_stderr,
     simulate_path,
     z_score,
 )

@@ -345,19 +345,22 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     ms = moment_set(config.dist)
     table = exact_moments_upto(ms, alpha, checkpoints[-1])
     _refuse_nonfinite("simulate", table.row_blocks(), CSV_COLUMNS[1:])
-    acc = cluster_batch(
+    sums = cluster_batch(
         config.dist, alpha, config.n, config.replicates, config.seed,
         checkpoints, workers=config.workers,
     )
-    estimates = empirical_q_moments(acc, alpha)
+    estimate, stderr = empirical_q_moments(sums, config.replicates, checkpoints, alpha)
+    exact, z = compare_with_exact(estimate, stderr, table, checkpoints, alpha)
+    # one (n, p, estimate, stderr, exact, z) row per cell of the grid
+    cells = np.stack((estimate, stderr, exact, z), axis=-1).tolist()
+    rows = [(n, p, *cell) for n, row in zip(checkpoints, cells) for p, cell in enumerate(row, 1)]
     # overflowed conditional moments of the walks: refuse before anything
     # is written
-    for est in estimates:
-        for name in ("estimate", "stderr"):
-            value = getattr(est, name)
+    for n, p, est, se, _, _ in rows:
+        for name, value in (("estimate", est), ("stderr", se)):
             if not math.isfinite(value):
                 raise ConfigError(
-                    f"simulate: {name} of p = {est.p} at n = {est.n} is {value}, "
+                    f"simulate: {name} of p = {p} at n = {n} is {value}, "
                     f"not finite in double precision"
                 )
     try:
@@ -370,13 +373,12 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         handle.write(f"# master_seed=0x{config.seed:016x}\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["n", "p", "estimate", "stderr", "n_replicates", "exact", "limit", "z"])
-        for est in estimates:
-            exact, z = compare_with_exact(est, table, alpha)
-            limit = limit_by_p.get(est.p)
+        for n, p, est, se, ex, zz in rows:
+            limit = limit_by_p.get(p)
             writer.writerow([
-                est.n, est.p, _fmt(est.estimate), _fmt(est.stderr), est.n_replicates,
-                _fmt(exact), "" if limit is None else _fmt(limit),
-                _fmt(z) if math.isfinite(z) else "",
+                n, p, _fmt(est), _fmt(se), config.replicates,
+                _fmt(ex), "" if limit is None else _fmt(limit),
+                _fmt(zz) if math.isfinite(zz) else "",
             ])
     return 0
 

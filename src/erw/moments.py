@@ -31,7 +31,7 @@ for laws of at most two positive-weight atoms.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -490,9 +490,6 @@ class ConditionalStepMoments:
     dt: float
     dt_dx: float
     du: float
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 def conditional_step_moments(

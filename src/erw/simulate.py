@@ -26,12 +26,13 @@ estimates E(S~^p) with less variance than S~^p itself.  Every Monte
 Carlo sum has one layout: for p = 1..4, column p-1 sums each walk's
 estimate of E(.^p) and column p+3 its square (S~^p, E(S~^p | sizes), or
 a step's X_t^p or martingale difference eps_t^p), rows made by
-`_power_sums` or `_cluster_sums`.  One driver, `_run_batch`, runs every
-batch in chunks of fixed replicate ranges whose sums come back in span
-order, so every batch statistic has the same bytes for any worker count.
-`layout_moments` is the one reader of the layout: it turns any such sums
-into the means of the four estimates and their `sample_stderr`s, for
-`empirical_q_moments` and the `verify` checks of such sums; `z_score`
+`_power_sums` or `_cluster_sums`, and a batch's result is that array.  One
+driver and reducer, `_run_batch`, runs every batch in chunks of fixed
+replicate ranges and adds their sums in span order, so every batch
+statistic has the same bytes for any worker count.  `layout_moments` is
+the one reader of the layout: it turns any such sums into the means of
+the four estimates and their standard errors, for `empirical_q_moments`,
+the continuation test and the `verify` checks of such sums; `z_score`
 turns gaps into z-scores.
 """
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 from typing import Iterable, Iterator, Sequence
 
@@ -48,7 +49,7 @@ import numpy as np
 
 from .distributions import MomentSet, StepDistribution, _is_number, inverse_cdf, moment_set
 from .gammatools import _check_n, check_alpha
-from .moments import ConditionalStepMoments, conditional_step_moments
+from .moments import conditional_step_moments
 from .rng import MASK64, mixed_words, replicate_keys, unit_floats, words_below
 
 #: Upper bound on elements of the per-chunk step matrix; chunk boundaries
@@ -416,30 +417,6 @@ def check_checkpoints(checkpoints: Sequence[int], n: int | None = None) -> tuple
     return cps
 
 
-class BatchAccumulator:
-    """Per-checkpoint Monte Carlo sums in the one layout, added a chunk at a
-    time: for p = 1..4, column p-1 sums each walk's estimate of E(S~^p)
-    (E(S~^p | cluster sizes) from `cluster_batch`, or S~^p of literal
-    walks) and column p+3 sums its square; `layout_moments` reads them.
-
-    Chunks are added in span order, which the fixed chunk layout and the
-    ordered results of the pool make the same for every worker count, so the
-    float64 sums are bit-identical across workers.
-    """
-
-    def __init__(self, checkpoints: Sequence[int]):
-        self.checkpoints = check_checkpoints(checkpoints)
-        self.n_replicates = 0
-        self._sums = np.zeros((len(self.checkpoints), 8), dtype=np.float64)
-
-    def add_chunk(self, sums: np.ndarray, count: int) -> None:
-        """Add one chunk's (checkpoints x 8) sums of `count` walks; sums that
-        overflow stay inf or nan, without a warning."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._sums += sums
-        self.n_replicates += count
-
-
 def _chunk_width(n: int, replicates: int) -> int:
     """Walks per chunk: at most _CHUNK_TARGET_ELEMENTS steps, at least one walk."""
     return max(1, min(replicates, _CHUNK_TARGET_ELEMENTS // max(n, 1)))
@@ -473,29 +450,43 @@ def _chunk_keys(master_seed: int, span: tuple[int, int]) -> np.ndarray:
     return replicate_keys(master_seed, start, stop - start)
 
 
-def _run_batch(n, replicates, workers, chunk_sums, checkpoints=()):
-    """The one chunk driver: yield (chunk_sums(span), walks in span) for the
-    spans of `_chunk_spans(n, replicates)` in span order (`pool.map` keeps
-    it), so sums added as they come are bit-identical for any `workers`.
-    It first checks that replicates and n are whole numbers of at least 1
-    (`_check_n`'s rule) and that the checkpoints, if any, lie in [1, n]:
-    walks may stop at the last one, but n sets the chunk layout."""
-    if _is_number(replicates) and replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    replicates = int(_check_n(replicates, "replicates"))
-    n = int(_check_n(n, "n"))
-    if checkpoints:
-        check_checkpoints(checkpoints, n)
+def _check_count(count, name: str) -> int:
+    """`count` as an int, or ValueError unless it is a whole number of at
+    least 1: `name must be >= 1, got ...` below 1, `_check_n`'s message
+    otherwise."""
+    if _is_number(count) and count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    return int(_check_n(count, name))
 
-    def run(span: tuple[int, int]):
-        return chunk_sums(span), span[1] - span[0]
+
+def _run_batch(n, replicates, workers, chunk_sums, checkpoints=None) -> np.ndarray:
+    """The one chunk driver and reducer: the sum of `chunk_sums(span, cps)`
+    over the spans of `_chunk_spans(n, replicates)`, added in span order
+    from zeros (`pool.map` keeps the order), so it is bit-identical for any
+    `workers`; sums that overflow give inf or nan, without a warning.  It
+    first checks that replicates and n are whole numbers of at least 1 and,
+    unless `checkpoints` is None, that they pass `check_checkpoints` within
+    [1, n]: walks may stop at the last one, but n sets the chunk layout.
+    cps is the checked tuple of checkpoints, () without them."""
+    replicates = _check_count(replicates, "replicates")
+    n = int(_check_n(n, "n"))
+    cps = () if checkpoints is None else check_checkpoints(checkpoints, n)
+
+    def run(span: tuple[int, int]) -> np.ndarray:
+        return chunk_sums(span, cps)
+
+    def add(chunks: Iterable[np.ndarray]) -> np.ndarray:
+        total = 0.0
+        for sums in chunks:
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = total + sums
+        return total
 
     spans = _chunk_spans(n, replicates)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(run, spans)
-    else:
-        yield from map(run, spans)
+            return add(pool.map(run, spans))
+    return add(map(run, spans))
 
 
 def cluster_batch(
@@ -506,9 +497,10 @@ def cluster_batch(
     master_seed: int,
     checkpoints: Sequence[int],
     workers: int = 1,
-) -> BatchAccumulator:
-    """Accumulate the conditional moments E(S~^p | cluster sizes), p = 1..4,
-    and their squares over many replicates at the checkpoints.
+) -> np.ndarray:
+    """The (checkpoints x 8) sums over `replicates` walks of the
+    conditional moments E(S~^p | cluster sizes), p = 1..4, and of their
+    squares at the checkpoints, in the one layout.
 
     The walks, chunks and draws are those of the literal engine
     (`_run_paths`) with the same arguments, but only cluster labels are
@@ -520,51 +512,28 @@ def cluster_batch(
     themselves.  Bit-identical for any `workers`.
     """
     alpha = check_alpha(alpha)
-    acc = BatchAccumulator(checkpoints)
     ms = moment_set(dist)
-    last = acc.checkpoints[-1]
-    for sums, count in _run_batch(
+    return _run_batch(
         n, replicates, workers,
-        lambda span: _cluster_sums(
-            _run_labels(alpha, last, _chunk_keys(master_seed, span)), ms, acc.checkpoints
+        lambda span, cps: _cluster_sums(
+            _run_labels(alpha, cps[-1], _chunk_keys(master_seed, span)), ms, cps
         ),
-        acc.checkpoints,
-    ):
-        acc.add_chunk(sums, count)
-    return acc
-
-
-@dataclass(frozen=True)
-class ScaledMomentEstimate:
-    """Empirical n^{-p alpha} E(S~_n^p) with its standard error."""
-
-    n: int
-    p: int
-    estimate: float
-    stderr: float
-    n_replicates: int
-
-
-def sample_stderr(mean, mean_sq, count: int):
-    """Standard error of a sample mean over `count` samples, from the means
-    of the values and of their squares (scalars or arrays).
-
-    The sample variance is (mean_sq - mean^2) * count/(count - 1), floored
-    at 0.  Below two samples, or where an input is nan, the result is nan.
-    """
-    ratio = count / (count - 1.0) if count > 1 else math.nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        variance = np.maximum(0.0, (mean_sq - mean * mean) * ratio)
-    return np.sqrt(variance / count)
+        checkpoints,
+    )
 
 
 def layout_moments(sums, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The one reader of the layout: for (..., 8) sums over `count` walks,
     the (..., 4) means of the walks' estimates of E(.^p), p = 1..4, and
-    their `sample_stderr`s."""
+    their standard errors, the one stderr formula: sqrt(v / count) for the
+    sample variance v = (mean of squares - mean^2) * count/(count - 1),
+    floored at 0.  Below two walks, or where a sum is nan, it is nan."""
     means = np.divide(sums, count)
     mean = means[..., :4]
-    return mean, sample_stderr(mean, means[..., 4:], count)
+    ratio = count / (count - 1.0) if count > 1 else math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = np.maximum(0.0, (means[..., 4:] - mean * mean) * ratio)
+    return mean, np.sqrt(variance / count)
 
 
 def z_score(gap, stderr):
@@ -578,25 +547,27 @@ def z_score(gap, stderr):
         )
 
 
-def empirical_q_moments(acc: BatchAccumulator, alpha: float) -> list[ScaledMomentEstimate]:
-    """Scaled moment estimates for p = 1..4 at every checkpoint.
+def _q_scales(checkpoints: Sequence[int], alpha: float) -> np.ndarray:
+    """The (checkpoints x 4) scales n^{-p alpha}, p = 1..4, each a Python
+    float power."""
+    return np.array([[float(n) ** (-p * alpha) for p in (1, 2, 3, 4)] for n in checkpoints])
+
+
+def empirical_q_moments(
+    sums: np.ndarray, count: int, checkpoints: Sequence[int], alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scaled estimates of n^{-p alpha} E(S~_n^p) and their standard
+    errors, two (checkpoints x 4) arrays (row i for checkpoints[i], column
+    p-1 for p), from the (checkpoints x 8) sums of `count` walks.
 
     Estimates are unbiased sample means of the scaled per-walk estimate
     (n^{-p alpha} S~_n^p, or its conditional moment from `cluster_batch`);
     the standard error comes from the sample variance of that estimate.
-    With fewer than two replicates the standard error is nan.
+    With fewer than two walks the standard error is nan.
     """
-    alpha = check_alpha(alpha)
-    count = acc.n_replicates
-    if count < 1:
-        raise ValueError("accumulator is empty")
-    means, stderrs = layout_moments(acc._sums, count)
-    out = []
-    for n, mean, stderr in zip(acc.checkpoints, means.tolist(), stderrs.tolist()):
-        for p, m, se in zip((1, 2, 3, 4), mean, stderr):
-            scale = float(n) ** (-p * alpha)
-            out.append(ScaledMomentEstimate(n, p, scale * m, scale * se, count))
-    return out
+    scales = _q_scales(checkpoints, check_alpha(alpha))
+    mean, stderr = layout_moments(sums, count)
+    return scales * mean, scales * stderr
 
 
 def _martingale_differences(
@@ -638,7 +609,7 @@ def _step_sums(laws, alpha, n, replicates, master_seed) -> list[np.ndarray]:
     of one."""
     n = int(_check_n(n, "n"))
 
-    def chunk_sums(span):
+    def chunk_sums(span, _):
         uniforms = _run_uniforms(alpha, n, _chunk_keys(master_seed, span))
         sums = []
         for dist, values in laws:
@@ -646,7 +617,7 @@ def _step_sums(laws, alpha, n, replicates, master_seed) -> list[np.ndarray]:
             sums.append(np.vstack([_power_sums(v) for v in values(steps)]))
         return np.stack(sums)
 
-    return list(sum(chunk for chunk, _ in _run_batch(n, replicates, 1, chunk_sums)))
+    return list(_run_batch(n, replicates, 1, chunk_sums))
 
 
 def batch_epsilon_moments(
@@ -692,26 +663,16 @@ def marginal_moment_sums(
     return _step_sums(laws, check_alpha(alpha), n, replicates, master_seed)
 
 
-@dataclass(frozen=True)
-class ContinuationCheck:
-    """Empirical vs predicted conditional moment of the next step."""
-
-    name: str
-    predicted: float
-    observed: float
-    stderr: float
-    z: float
-
-
 def conditional_continuation_test(
     prefix: WalkState,
     dist: StepDistribution,
     alpha: float,
     n_continuations: int,
     master_seed: int,
-) -> list[ContinuationCheck]:
-    """Freeze a prefix, sample one-step continuations, compare all six
-    conditional moments against their predictions.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Freeze a prefix, sample one-step continuations, and return the six
+    conditional moments' predictions, their observed means and the means'
+    standard errors, three arrays in `ConditionalStepMoments` field order.
 
     Each continuation draws one word, at counter 0 of its own key, where
     step n+1 of a kernel walk reads counter n.  It repeats when the word is
@@ -721,12 +682,10 @@ def conditional_continuation_test(
     the kernel.  Otherwise it samples at `_fresh_uniforms(u, alpha)`.
     """
     alpha = check_alpha(alpha)
-    if _is_number(n_continuations) and n_continuations < 1:
-        raise ValueError("need at least one continuation")
-    n_continuations = int(_check_n(n_continuations, "n_continuations"))
+    n_continuations = _check_count(n_continuations, "n_continuations")
     ms = moment_set(dist)
     n = prefix.n
-    predicted: ConditionalStepMoments = conditional_step_moments(
+    predicted = conditional_step_moments(
         (prefix.s_tilde, prefix.t_tilde, prefix.u_tilde), n, ms, alpha
     )
     keys = replicate_keys(master_seed, 0, n_continuations)
@@ -739,19 +698,6 @@ def conditional_continuation_test(
 
     dx = x - ms.m1
     dt = x * x - ms.m2
-    observables = {
-        "dx": dx,
-        "dx2": dx * dx,
-        "dx3": dx ** 3,
-        "dt": dt,
-        "dt_dx": dt * dx,
-        "du": x ** 3 - ms.m3,
-    }
-    target = predicted.as_dict()
-    results = []
-    for name, values in observables.items():
-        observed = float(values.mean())
-        stderr = float(sample_stderr(observed, float((values * values).mean()), n_continuations))
-        z = float(z_score(observed - target[name], stderr))
-        results.append(ContinuationCheck(name, target[name], observed, stderr, z))
-    return results
+    observables = np.stack((dx, dx * dx, dx ** 3, dt, dt * dx, x ** 3 - ms.m3))
+    mean, stderr = layout_moments(_power_sums(observables), n_continuations)
+    return np.array(astuple(predicted)), mean[:, 0], stderr[:, 0]

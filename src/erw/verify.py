@@ -48,11 +48,11 @@ from .moments import (
 )
 from .rng import MASK64, replicate_keys, uniform_draws
 from .simulate import (
-    ScaledMomentEstimate,
     WalkState,
     _fresh_uniforms,
     _martingale_differences,
     _power_sums,
+    _q_scales,
     _row_blocks,
     _run_labels,
     _run_paths,
@@ -90,6 +90,12 @@ class CheckResult:
 def _result(name: str, worst: float, tol: float, detail: str = "") -> CheckResult:
     status = PASS if worst <= tol else FAIL
     return CheckResult(name, status, float(worst), detail or f"tolerance {tol:g}")
+
+
+def _worst_z(gap, stderr) -> float:
+    """The verdict of every Monte Carlo z-test: the largest |gap| / stderr,
+    by `z_score`'s rule where a stderr is not positive."""
+    return float(z_score(np.abs(gap), stderr).max())
 
 
 _STANDARD_DISTS = (
@@ -187,7 +193,7 @@ def check_sampling_moments(
     uniforms = uniform_draws(replicate_keys(seed, 0, n_samples), 0)
     for label, dist in dists:
         mean, stderr = layout_moments(_power_sums(inverse_cdf(dist, uniforms)), n_samples)
-        worst = float(z_score(np.abs(mean - raw_moments(dist)), stderr).max())
+        worst = _worst_z(mean - raw_moments(dist), stderr)
         out.append(_result(f"sampling_moments[{label}]", worst, z_max, "worst |z|"))
     return out
 
@@ -475,7 +481,7 @@ def check_marginal_moments(
     batch = marginal_moment_sums([dist for _, dist in laws], alpha, n, replicates, seed)
     for (label, dist), sums in zip(laws, batch):
         mean, stderr = layout_moments(sums, replicates)
-        worst = float(z_score(np.abs(mean - raw_moments(dist)), stderr).max())
+        worst = _worst_z(mean - raw_moments(dist), stderr)
         out.append(
             _result(f"marginal_moments[{label}]", worst, z_max, f"worst |z| over t<=({n}) p<=4")
         )
@@ -501,11 +507,10 @@ def check_martingale_property(
     (table,) = exact_moment_tables([(ms, alpha)], n - 1)
     coefficient = alpha / np.arange(1.0, n)  # alpha/(t-1) for t = 2..n
     second = np.concatenate(([ms.M2], ms.M2 - coefficient * coefficient * table.column("s2")))
-    z = z_score(np.abs(mean[:, 0]), stderr[:, 0])
-    z2 = z_score(np.abs(mean[:, 1] - second), stderr[:, 1])
     return [
-        _result("martingale_property", float(z.max()), z_max, "worst |z| over steps"),
-        _result("martingale_second_moment", float(z2.max()), z_max,
+        _result("martingale_property", _worst_z(mean[:, 0], stderr[:, 0]), z_max,
+                "worst |z| over steps"),
+        _result("martingale_second_moment", _worst_z(mean[:, 1] - second, stderr[:, 1]), z_max,
                 "worst |z| of E(eps_t^2) against the exact table over steps"),
     ]
 
@@ -573,8 +578,10 @@ def check_conditional_continuation(
     ]
     out = []
     for label, dist, alpha, prefix in cases:
-        checks = conditional_continuation_test(prefix, dist, alpha, n_continuations, seed)
-        worst = max(abs(c.z) for c in checks)
+        predicted, observed, stderr = conditional_continuation_test(
+            prefix, dist, alpha, n_continuations, seed
+        )
+        worst = _worst_z(observed - predicted, stderr)
         out.append(
             _result(f"conditional_continuation[{label}]", worst, z_max, "worst |z| over six moments")
         )
@@ -582,18 +589,21 @@ def check_conditional_continuation(
 
 
 def compare_with_exact(
-    est: ScaledMomentEstimate, table: ExactMomentTable, alpha: float
-) -> tuple[float, float]:
-    """The exact n^{-p alpha} E(S~_n^p) at the estimate's n and p, read from
-    `table` (the exact table of the estimate's law), and the z-score of the
-    estimate's gap to it.  E(S~) = 0, which the table has no column for.
+    estimate: np.ndarray,
+    stderr: np.ndarray,
+    table: ExactMomentTable,
+    checkpoints: Sequence[int],
+    alpha: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact n^{-p alpha} E(S~_n^p) on the (checkpoint, p) grid of
+    `empirical_q_moments`, read from `table` (the exact table of the
+    estimates' law), and the z-scores of the estimates' gaps to it, two
+    (checkpoints x 4) arrays.  E(S~) = 0, which the table has no column for.
     """
-    if est.p == 1:
-        exact = 0.0
-    else:
-        field = ("s2", "s3", "s4")[est.p - 2]
-        exact = getattr(table.row(est.n), field) * float(est.n) ** (-est.p * alpha)
-    return exact, float(z_score(est.estimate - exact, est.stderr))
+    rows = np.subtract(checkpoints, 1)
+    moments = [np.zeros(rows.size)] + [table.column(c)[rows] for c in ("s2", "s3", "s4")]
+    exact = np.column_stack(moments) * _q_scales(checkpoints, alpha)
+    return exact, z_score(estimate - exact, stderr)
 
 
 def cluster_label_mismatches(
@@ -635,11 +645,10 @@ def check_cluster_engine(
         keys = replicate_keys(seed + i, 0, 16)
         bad = cluster_label_mismatches(dist, alpha, n, keys)
         out.append(_result(f"cluster_engine_paths[{label}]", bad, 0, "steps that differ"))
-        acc = cluster_batch(dist, alpha, n, replicates, seed + i, cps)
-        worst = 0.0
-        for est in empirical_q_moments(acc, alpha):
-            if est.p > 1:
-                worst = max(worst, abs(compare_with_exact(est, table, alpha)[1]))
+        sums = cluster_batch(dist, alpha, n, replicates, seed + i, cps)
+        estimate, stderr = empirical_q_moments(sums, replicates, cps, alpha)
+        exact, _ = compare_with_exact(estimate, stderr, table, cps, alpha)
+        worst = _worst_z(estimate[:, 1:] - exact[:, 1:], stderr[:, 1:])
         out.append(
             _result(f"cluster_engine_moments[{label}]", worst, z_max, "worst |z| over p=2..4")
         )

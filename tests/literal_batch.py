@@ -14,7 +14,7 @@ import numpy as np
 
 from erw.distributions import StepDistribution, moment_set
 from erw.gammatools import check_alpha
-from erw.simulate import BatchAccumulator, _chunk_keys, _power_sums, _run_batch, _run_paths
+from erw.simulate import _chunk_keys, _power_sums, _run_batch, _run_paths
 
 
 def _centered_sums(steps: np.ndarray, m1: float):
@@ -41,8 +41,8 @@ def simulate_batch(
     replicates: int,
     master_seed: int,
     checkpoints: Sequence[int],
-) -> BatchAccumulator:
-    """Accumulate the sums of S~^p and S~^(2p) (p = 1..4) over many
+) -> np.ndarray:
+    """The (checkpoints x 8) sums of S~^p and S~^(2p) (p = 1..4) over many
     replicates at the checkpoints: the literal engine, the reference for
     `cluster_batch`.
 
@@ -50,16 +50,12 @@ def simulate_batch(
     into fixed-size chunks whose sums are added in span order.
     """
     alpha = check_alpha(alpha)
-    acc = BatchAccumulator(checkpoints)
     m1 = moment_set(dist).m1
-    cpi = {c: i for i, c in enumerate(acc.checkpoints)}
-    last = acc.checkpoints[-1]
-    for sums, count in _run_batch(
+    return _run_batch(
         n, replicates, 1,
-        lambda span: _checkpoint_sums(
-            _run_paths(dist, alpha, last, _chunk_keys(master_seed, span)), m1, cpi
+        lambda span, cps: _checkpoint_sums(
+            _run_paths(dist, alpha, cps[-1], _chunk_keys(master_seed, span)), m1,
+            {c: i for i, c in enumerate(cps)},
         ),
-        acc.checkpoints,
-    ):
-        acc.add_chunk(sums, count)
-    return acc
+        checkpoints,
+    )

@@ -28,7 +28,7 @@ from erw import (
 from erw.cli import main as cli_main
 from erw.moments import _solve_recursion_scan
 from erw.rng import replicate_keys, uniform_draws
-from erw.simulate import WalkState
+from erw.simulate import WalkState, z_score
 from erw.verify import (
     PASS,
     check_brute_force,
@@ -142,17 +142,17 @@ def test_criterion_4_rademacher_three_quarters():
     assert limits.q4 == 9.75
 
     n_mc, replicates = 3000, 100_000
-    acc = simulate_batch(RADEMACHER, alpha, n_mc, replicates, 0x5EED, [n_mc])
-    estimates = {e.p: e for e in empirical_q_moments(acc, alpha)}
+    sums = simulate_batch(RADEMACHER, alpha, n_mc, replicates, 0x5EED, [n_mc])
+    estimates, stderrs = empirical_q_moments(sums, replicates, [n_mc], alpha)
     table_mc = exact_moments_upto(ms, alpha, n_mc)
+    exacts, _ = compare_with_exact(estimates, stderrs, table_mc, [n_mc], alpha)
     mc_report = []
     for p in (2, 4):
-        est = estimates[p]
-        exact, _ = compare_with_exact(est, table_mc, alpha)
-        budget = max(3.0 * est.stderr, 0.03 * abs(exact))
-        gap = abs(est.estimate - exact)
+        est, stderr, exact = (float(a[0, p - 1]) for a in (estimates, stderrs, exacts))
+        budget = max(3.0 * stderr, 0.03 * abs(exact))
+        gap = abs(est - exact)
         assert gap <= budget, (p, gap, budget)
-        mc_report.append(f"p={p}: |{est.estimate:.4f}-{exact:.4f}| <= {budget:.4f}")
+        mc_report.append(f"p={p}: |{est:.4f}-{exact:.4f}| <= {budget:.4f}")
 
     n_big = 100_000
     row = exact_moments_upto(ms, alpha, n_big).row(n_big)
@@ -228,11 +228,16 @@ def test_criterion_6_stochastic_invariants():
         (TWO_POINT, 0.75, simulate_path(TWO_POINT, 0.75, 5, 3)),
     ]
     for dist, alpha, prefix in cases:
-        checks = conditional_continuation_test(prefix, dist, alpha, 100_000, 505)
-        assert all(abs(c.z) <= 3.0 for c in checks), (dist.kind, alpha)
-    spot = {c.name: c for c in conditional_continuation_test(cases[0][2], RADEMACHER, 0.6, 100_000, 505)}
-    assert spot["dx"].predicted == pytest.approx(0.6)
-    assert abs(spot["dx"].observed - 0.6) <= 3.0 * spot["dx"].stderr
+        predicted, observed, stderr = conditional_continuation_test(
+            prefix, dist, alpha, 100_000, 505
+        )
+        assert (np.abs(z_score(observed - predicted, stderr)) <= 3.0).all(), (dist.kind, alpha)
+    # E(X_4 - m1 | +1,+1,+1), the first of the six
+    predicted, observed, stderr = conditional_continuation_test(
+        cases[0][2], RADEMACHER, 0.6, 100_000, 505
+    )
+    assert predicted[0] == pytest.approx(0.6)
+    assert abs(observed[0] - 0.6) <= 3.0 * stderr[0]
 
     # martingale reconstruction to 1e-10 relative on every path
     recon_ok, recon_worst = _verdict(

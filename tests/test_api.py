@@ -204,16 +204,42 @@ def test_exact_table_reads_no_raw_moment():
     assert not {node.attr for node in attrs} & {"m1", "m2", "m3", "m4"}
 
 
+def _square_roots() -> list[str]:
+    """`file.function` of every function in the package that takes a
+    square root: a call of `sqrt`, or a power of 0.5."""
+    return sorted({
+        f"{path.stem}.{func.name}"
+        for path in SRC.glob("*.py")
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if _is_call_of(node, "sqrt")
+        or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and getattr(node.right, "value", None) == 0.5)
+    })
+
+
 def test_one_reader_of_the_layout():
     # only simulate knows that column p-1 of a Monte Carlo sum holds the
-    # estimate of E(.^p) and column p+3 its square: every other module
-    # reads the sums through layout_moments, which calls sample_stderr
-    calling = sorted({
-        path.name for path in SRC.glob("*.py")
+    # estimate of E(.^p) and column p+3 its square: every mean and stderr
+    # comes from layout_moments, which holds the one stderr formula, so the
+    # only other square root is the Gaussian sampler's
+    assert _square_roots() == ["distributions._norm_inv_cdf", "simulate.layout_moments"]
+
+
+def test_private_attributes_read_only_on_self():
+    # a record whose owner is the only one to read its private fields
+    # hides something; one read elsewhere means the record hides nothing
+    # and its fields should be the value passed around
+    reads = sorted(
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in SRC.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text()))
-        if _is_call_of(node, "sample_stderr")
-    })
-    assert calling == ["simulate.py"]
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and getattr(node.value, "id", None) != "self"
+    )
+    assert reads == []
 
 
 def test_fill_kernel_knows_no_law():

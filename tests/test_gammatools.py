@@ -1,5 +1,6 @@
 """Gamma-ratio machinery against high-precision and brute-force oracles."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -290,26 +291,21 @@ class TestWholeNumberRule:
             lambda n: exact_moments_upto(ms, 0.75, n).values,
             lambda n: brute_force_moments(dist, 0.75, n).values,
             lambda n: exact_law(dist, 0.75, n),
-            lambda n: list(
-                conditional_step_moments((1.0, 0.0, 1.0), n, ms, 0.5).as_dict().values()
-            ),
+            lambda n: dataclasses.astuple(conditional_step_moments((1.0, 0.0, 1.0), n, ms, 0.5)),
             lambda n: simulate_path(dist, 0.5, n, 7).steps,
-            lambda n: cluster_batch(dist, 0.5, n, 20, 7, [1])._sums,
+            lambda n: cluster_batch(dist, 0.5, n, 20, 7, [1]),
             lambda n: marginal_moment_sums([dist], 0.5, n, 20, 7),
         )
         not_whole = (10.5, True, False, math.nan, math.inf, "10")
         cases = [(call, not_whole + (0, -3)) for call in calls]
         # a count of 0 or less keeps "replicates must be >= 1"
-        # (TestBatch::test_empty_batches_refused) or "need at least one
-        # continuation"
+        # (TestBatch::test_empty_batches_refused) or "n_continuations must
+        # be >= 1"
         prefix = simulate_path(dist, 0.5, 10, 7)
         cases += [(call, not_whole) for call in (
             lambda replicates: marginal_moment_sums([dist], 0.5, 12, replicates, 7),
             lambda replicates: batch_epsilon_moments([dist], 0.5, 12, replicates, 7),
-            lambda count: [
-                (c.observed, c.stderr, c.z)
-                for c in conditional_continuation_test(prefix, dist, 0.5, count, 7)
-            ],
+            lambda count: conditional_continuation_test(prefix, dist, 0.5, count, 7),
         )]
         for call, refused in cases:
             for bad in refused:

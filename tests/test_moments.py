@@ -214,7 +214,7 @@ ALPHA_TAKERS = {
     "simulate_batch": lambda a: simulate_batch(_RAD, a, 3, 2, 1, [3]),
     "cluster_batch": lambda a: sim.cluster_batch(_RAD, a, 3, 2, 1, [3]),
     "empirical_q_moments": lambda a: sim.empirical_q_moments(
-        sim.cluster_batch(_RAD, 0.75, 3, 2, 1, [3]), a
+        sim.cluster_batch(_RAD, 0.75, 3, 2, 1, [3]), 2, [3], a
     ),
     "batch_epsilon_moments": lambda a: sim.batch_epsilon_moments([_RAD], a, 3, 2, 1),
     "marginal_moment_sums": lambda a: sim.marginal_moment_sums([_RAD], a, 3, 2, 1),

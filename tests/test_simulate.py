@@ -1,5 +1,6 @@
-"""Simulator: determinism, degenerate regimes, accumulators, diagnostics."""
+"""Simulator: determinism, degenerate regimes, batch sums, diagnostics."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 
 from erw import (
-    BatchAccumulator,
+    ConditionalStepMoments,
     StepDistribution,
     batch_epsilon_moments,
     check_checkpoints,
     cluster_batch,
     conditional_continuation_test,
+    conditional_step_moments,
     empirical_q_moments,
     exact_moments_upto,
     moment_set,
@@ -28,7 +30,7 @@ from erw.rng import (
     MASK64, mix64, mixed_words, parse_seed, replicate_key, replicate_keys, uniform_draw,
     uniform_draws, unit_floats, words_below,
 )
-from erw.simulate import WalkState, layout_moments, marginal_moment_sums, sample_stderr, z_score
+from erw.simulate import WalkState, layout_moments, marginal_moment_sums, z_score
 from erw.verify import cluster_label_mismatches, compare_with_exact
 from literal_batch import _checkpoint_sums, simulate_batch
 
@@ -275,8 +277,8 @@ class TestBlockedDraws:
             assert steps.tobytes() == ref_steps.tobytes(), where
             ref_sums = ref_sums[:, _LAYOUT]
             assert _checkpoint_sums(steps, ms.m1, cpi).tobytes() == ref_sums.tobytes(), where
-            acc = simulate_batch(dist, alpha, n, width, seed, cps)
-            assert acc._sums.tobytes() == ref_sums.tobytes(), where
+            sums = simulate_batch(dist, alpha, n, width, seed, cps)
+            assert sums.tobytes() == ref_sums.tobytes(), where
 
             for (got,), ref in (
                 (batch_epsilon_moments([dist], alpha, n, width, seed), eps),
@@ -529,27 +531,26 @@ class TestSharedUniforms:
 
 class TestBatch:
     def test_single_replicate_matches_path(self, bernoulli03):
-        acc = simulate_batch(bernoulli03, 0.6, 50, 1, 999, [25, 50])
+        sums = simulate_batch(bernoulli03, 0.6, 50, 1, 999, [25, 50])
         state = simulate_path(bernoulli03, 0.6, 50, replicate_key(999, 0))
         ms = moment_set(bernoulli03)
         prefix = WalkState.from_steps(state.steps[:25], ms)
-        mean, _ = layout_moments(acc._sums, acc.n_replicates)
+        mean, _ = layout_moments(sums, 1)
         for p in range(1, 5):
             for row, walk in ((1, state), (0, prefix)):
                 assert mean[row, p - 1] == pytest.approx(walk.s_tilde ** p, rel=1e-12)
                 # one walk: the sum of squares is its square
-                assert acc._sums[row, p + 3] == pytest.approx(walk.s_tilde ** (2 * p), rel=1e-12)
+                assert sums[row, p + 3] == pytest.approx(walk.s_tilde ** (2 * p), rel=1e-12)
 
     def test_chunks_added_in_span_order(self, bernoulli03, monkeypatch):
         monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 80 * 128)
-        acc = simulate_batch(bernoulli03, 0.7, 80, 700, 5, [40, 80])
+        sums = simulate_batch(bernoulli03, 0.7, 80, 700, 5, [40, 80])
         ms = moment_set(bernoulli03)
         total = np.zeros((2, 8))
         for span in sim._chunk_spans(80, 700):
             steps = sim._run_paths(bernoulli03, 0.7, 80, sim._chunk_keys(5, span))
             total += _checkpoint_sums(steps, ms.m1, {40: 0, 80: 1})
-        assert acc.n_replicates == 700
-        assert acc._sums.tobytes() == total.tobytes()
+        assert sums.tobytes() == total.tobytes()
 
     @pytest.mark.parametrize("dist,alpha,checkpoints,seed,digest", [
         (StepDistribution.rademacher(), 0.75, [100, 200], 0xFEED,
@@ -561,8 +562,8 @@ class TestBatch:
         # the literal engine's sums of S~^p and S~^(2p), pinned across
         # versions; the digests are of the same doubles as the eight power
         # sums pinned before the one layout (their columns 0,1,2,3,1,3,5,7)
-        acc = simulate_batch(dist, alpha, 200, 500, seed, checkpoints)
-        assert hashlib.sha256(acc._sums.tobytes()).hexdigest() == digest
+        sums = simulate_batch(dist, alpha, 200, 500, seed, checkpoints)
+        assert hashlib.sha256(sums.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("dist,alpha,seed,eps_digest,marginal_digest", [
         (StepDistribution.rademacher(), 0.75, 0xFEED,
@@ -587,7 +588,10 @@ class TestBatch:
         for bad in ([30, 20], [5, 5], [0, 5], [-3, 5], [], [1.7, 3], [1, 5.0], ["5"],
                     [True, 5]):
             with pytest.raises(ValueError, match=r"^checkpoints: must be distinct positive"):
-                BatchAccumulator(bad)
+                check_checkpoints(bad)
+            for engine in (simulate_batch, cluster_batch):
+                with pytest.raises(ValueError, match=r"^checkpoints: must be distinct positive"):
+                    engine(rademacher, 0.5, 10, 5, 1, bad)
         for engine in (simulate_batch, cluster_batch):
             with pytest.raises(ValueError,
                                match=r"^checkpoints: must lie in \[1, n\] = \[1, 10\], got 20$"):
@@ -616,8 +620,8 @@ class TestBatch:
     def test_memoryless_variance_linear(self, bernoulli03):
         # independent steps: Var(S_n) = n M2; 1e5 replicates at n = 1000
         ms = moment_set(bernoulli03)
-        acc = simulate_batch(bernoulli03, 0.0, 1000, 100_000, 31337, [1000])
-        mean, mean_sq = acc._sums[0, [0, 4]] / acc.n_replicates
+        sums = simulate_batch(bernoulli03, 0.0, 1000, 100_000, 31337, [1000])
+        mean, mean_sq = sums[0, [0, 4]] / 100_000
         var = mean_sq - mean * mean
         assert var / 1000 == pytest.approx(ms.M2, rel=0.03)
 
@@ -843,11 +847,10 @@ class TestClusterEngine:
         for span in sim._chunk_spans(300, 1000):
             labels = sim._run_labels(0.75, 300, sim._chunk_keys(11, span))
             total += sim._cluster_sums(labels, ms, (150, 300))
-        assert one.n_replicates == 1000
-        assert one._sums.tobytes() == total.tobytes()
+        assert one.tobytes() == total.tobytes()
         for workers in (2, 4):
             other = cluster_batch(skewed_two_point, 0.75, workers=workers, **kwargs)
-            assert other._sums.tobytes() == one._sums.tobytes(), workers
+            assert other.tobytes() == one.tobytes(), workers
 
     def test_checkpoints_independent(self, bernoulli03):
         # ten checkpoints in one batch give the bytes of each run alone
@@ -855,18 +858,19 @@ class TestClusterEngine:
         together = cluster_batch(bernoulli03, 0.7, 250, 300, 5, cps)
         for i, c in enumerate(cps):
             alone = cluster_batch(bernoulli03, 0.7, 250, 300, 5, [c])
-            assert alone._sums.tobytes() == together._sums[i].tobytes(), c
+            assert alone.tobytes() == together[i].tobytes(), c
 
     def test_accumulator_reads(self, uniform01):
         # layout_moments reads column p-1 as the estimate of E(S~^p) and
         # column p+3 as its square, for a row or a table of rows
-        acc = cluster_batch(uniform01, 0.6, 50, 40, 3, [20, 50])
-        mean, stderr = layout_moments(acc._sums, 40)
+        sums = cluster_batch(uniform01, 0.6, 50, 40, 3, [20, 50])
+        mean, stderr = layout_moments(sums, 40)
         assert mean.shape == stderr.shape == (2, 4)
         assert mean[1, 0] == 0.0 and stderr[1, 0] == 0.0
-        assert mean[1, 3] == acc._sums[1, 3] / 40
-        assert stderr[1, 3] == sample_stderr(mean[1, 3], acc._sums[1, 7] / 40, 40)
-        row_mean, row_stderr = layout_moments(acc._sums[1], 40)
+        assert mean[1, 3] == sums[1, 3] / 40
+        m = mean[1, 3]
+        assert stderr[1, 3] == math.sqrt((sums[1, 7] / 40 - m * m) * (40 / 39.0) / 40)
+        row_mean, row_stderr = layout_moments(sums[1], 40)
         assert row_mean.tobytes() == mean[1].tobytes()
         assert row_stderr.tobytes() == stderr[1].tobytes()
 
@@ -874,66 +878,82 @@ class TestClusterEngine:
         # the conditional moment of each walk has S~^p's mean and less variance
         dist = StepDistribution.gaussian(0.5, 2.0)
         args = (dist, 0.6, 400, 500, 17, [400])
-        literal = {e.p: e for e in empirical_q_moments(simulate_batch(*args), 0.6)}
-        cluster = {e.p: e for e in empirical_q_moments(cluster_batch(*args), 0.6)}
+        _, literal = empirical_q_moments(simulate_batch(*args), 500, [400], 0.6)
+        _, cluster = empirical_q_moments(cluster_batch(*args), 500, [400], 0.6)
         for p in (2, 4):
-            assert cluster[p].stderr < 0.5 * literal[p].stderr, p
+            assert cluster[0, p - 1] < 0.5 * literal[0, p - 1], p
 
 
 class TestEmpiricalMoments:
     def test_degenerate_walk_estimate_exact(self, rademacher):
         # alpha = 1: S~_n = +-n so the scaled second moment is exactly 1
-        acc = simulate_batch(rademacher, 1.0, 100, 50, 7, [100])
-        est = {e.p: e for e in empirical_q_moments(acc, 1.0)}
-        assert est[2].estimate == 1.0
-        assert est[2].stderr == 0.0
+        sums = simulate_batch(rademacher, 1.0, 100, 50, 7, [100])
+        estimate, stderr = empirical_q_moments(sums, 50, [100], 1.0)
+        assert estimate[0, 1] == 1.0
+        assert stderr[0, 1] == 0.0
 
     def test_centered_mean_near_zero(self, skewed_two_point):
-        acc = simulate_batch(skewed_two_point, 0.75, 400, 20_000, 99, [200, 400])
-        for e in empirical_q_moments(acc, 0.75):
-            if e.p == 1:
-                assert abs(e.estimate) <= 4.0 * e.stderr
+        sums = simulate_batch(skewed_two_point, 0.75, 400, 20_000, 99, [200, 400])
+        estimate, stderr = empirical_q_moments(sums, 20_000, [200, 400], 0.75)
+        assert (np.abs(estimate[:, 0]) <= 4.0 * stderr[:, 0]).all()
 
     def test_matches_exact_recursion(self, rademacher):
         from erw import exact_moments_upto
 
         alpha, n, reps = 0.75, 300, 20_000
-        acc = simulate_batch(rademacher, alpha, n, reps, 12345, [n])
+        sums = simulate_batch(rademacher, alpha, n, reps, 12345, [n])
         ms = moment_set(rademacher)
         table = exact_moments_upto(ms, alpha, n)
-        for e in empirical_q_moments(acc, alpha):
-            if e.p in (2, 3, 4):
-                exact, _ = compare_with_exact(e, table, alpha)
-                assert abs(e.estimate - exact) <= 4.0 * e.stderr, e
+        estimate, stderr = empirical_q_moments(sums, reps, [n], alpha)
+        exact, z = compare_with_exact(estimate, stderr, table, [n], alpha)
+        assert exact.shape == z.shape == (1, 4) and exact[0, 0] == 0.0
+        assert exact[0, 1] == table.row(n).s2 * float(n) ** (-2 * alpha)
+        gap = np.abs(estimate - exact)[:, 1:]
+        assert (gap <= 4.0 * stderr[:, 1:]).all(), (estimate, exact)
 
     def test_degenerate_flag(self, rademacher):
-        acc = simulate_batch(rademacher, 0.6, 10, 1, 3, [10])
-        est = empirical_q_moments(acc, 0.6)
+        sums = simulate_batch(rademacher, 0.6, 10, 1, 3, [10])
+        estimate, stderr = empirical_q_moments(sums, 1, [10], 0.6)
         # one replicate: the standard error is undefined, and nan says so
-        assert all(math.isnan(e.stderr) for e in est)
-        assert all(math.isfinite(e.estimate) for e in est)
+        assert np.isnan(stderr).all()
+        assert np.isfinite(estimate).all()
 
 
 class TestStatistics:
+    """The one stderr formula, read from the layout by `layout_moments`."""
+
+    @staticmethod
+    def _layout(mean, mean_sq, count):
+        """Sums in the layout whose means of values and of squares are
+        `mean` and `mean_sq` exactly (a count that is a power of two)."""
+        sums = np.zeros(np.shape(mean) + (8,))
+        sums[..., 0] = np.multiply(mean, count)
+        sums[..., 4] = np.multiply(mean_sq, count)
+        return sums
+
     def test_stderr_matches_ddof1(self):
         x = np.array([0.5, -1.25, 3.0, 2.0, 0.75])
-        got = sample_stderr(x.mean(), (x * x).mean(), x.size)
-        assert got == pytest.approx(x.std(ddof=1) / math.sqrt(x.size), rel=1e-14)
+        _, stderr = layout_moments(sim._power_sums(x), x.size)
+        assert stderr[0] == pytest.approx(x.std(ddof=1) / math.sqrt(x.size), rel=1e-14)
 
     def test_stderr_association_on_arrays(self):
         mean = np.array([1.0, 0.3, 2.0, 0.1])
         mean_sq = np.array([1.0, 0.2, 4.5, 0.7])
-        want = np.sqrt(np.maximum(0.0, (mean_sq - mean * mean) * (7 / 6.0)) / 7)
-        assert sample_stderr(mean, mean_sq, 7).tobytes() == want.tobytes()
+        want = np.sqrt(np.maximum(0.0, (mean_sq - mean * mean) * (8 / 7.0)) / 8)
+        _, stderr = layout_moments(self._layout(mean, mean_sq, 8), 8)
+        assert stderr[:, 0].tobytes() == want.tobytes()
 
     def test_stderr_nan_and_floor(self):
-        assert math.isnan(sample_stderr(2.0, 4.0, 1))  # one sample
-        assert np.isnan(sample_stderr(np.array([2.0, 1.0]), np.array([4.0, 2.0]), 1)).all()
+        def stderr(mean, mean_sq, count):
+            return layout_moments(self._layout(mean, mean_sq, count), count)[1][..., 0]
+
+        assert math.isnan(stderr(2.0, 4.0, 1))  # one sample
+        assert np.isnan(stderr(np.array([2.0, 1.0]), np.array([4.0, 2.0]), 1)).all()
         # nan propagates where max(0.0, nan) would have given 0.0
-        assert math.isnan(sample_stderr(math.nan, 1.0, 10))
-        assert math.isnan(sample_stderr(math.inf, math.inf, 10))
+        assert math.isnan(stderr(math.nan, 1.0, 8))
+        assert math.isnan(stderr(math.inf, math.inf, 8))
         # a variance that rounds below zero is floored at 0
-        assert sample_stderr(1.0, 1.0 - 1e-16, 10) == 0.0
+        assert stderr(1.0, 1.0 - 1e-16, 8) == 0.0
 
     def test_z_rule(self):
         assert z_score(1.0, 0.5) == 2.0 and z_score(-1.0, 0.5) == -2.0
@@ -992,6 +1012,21 @@ class TestMartingaleDifferences:
         assert np.isfinite(np.delete(block, 4, axis=0)).all()
         assert sim._power_sums(values[0]).shape == (8,)
 
+    @pytest.mark.parametrize("statistic", [batch_epsilon_moments, marginal_moment_sums],
+                             ids=["epsilon", "marginal"])
+    def test_total_that_overflows_gives_inf_silently(self, statistic, monkeypatch):
+        # step 1's X^4 and eps^4 are 1.0e305 on every walk: a chunk of 1000
+        # walks sums them to a finite 1.0e308, but three chunks leave the
+        # double range, which the one reducer makes inf without a warning
+        huge = StepDistribution.discrete((-1.778e76, 1.778e76), (0.5, 0.5))
+        monkeypatch.setattr(sim, "_CHUNK_TARGET_ELEMENTS", 4 * 1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (chunk,) = statistic([huge], 0.5, 4, 1000, 1)
+            (total,) = statistic([huge], 0.5, 4, 3000, 1)
+        assert np.isfinite(chunk[0, :4]).all()
+        assert np.isfinite(total[0, :2]).all() and total[0, 3] == math.inf
+
 
 class TestEpsilonMoments:
     """Means of eps_t^p (column p-1) and eps_t^(2p) (column p+3) over a batch."""
@@ -1016,6 +1051,11 @@ class TestEpsilonMoments:
         means, se = layout_moments(sums, 20_000)
         z = z_score(means[:, 0], se[:, 0])
         assert float(np.abs(z).max()) <= 4.0
+
+
+#: Rows of `conditional_continuation_test`'s arrays, in
+#: `ConditionalStepMoments` field order.
+_DX, _DX2 = 0, 1
 
 
 class TestConditionalContinuation:
@@ -1053,33 +1093,62 @@ class TestConditionalContinuation:
 
         repeat_at = 0
         prefix = WalkState.from_steps(np.arange(n), moment_set(rademacher))
-        checks = {c.name: c for c in conditional_continuation_test(prefix, rademacher, alpha, 1, 0)}
-        assert labels[n, 0] == checks["dx"].observed == expected
+        _, observed, _ = conditional_continuation_test(prefix, rademacher, alpha, 1, 0)
+        assert labels[n, 0] == observed[_DX] == expected
 
     def test_rademacher_prefix(self, rademacher):
         # prefix +1,+1,+1 at alpha = 0.6 predicts E(X_4) = 0.6
         ms = moment_set(rademacher)
         prefix = WalkState.from_steps([1.0, 1.0, 1.0], ms)
-        checks = {c.name: c for c in conditional_continuation_test(prefix, rademacher, 0.6, 100_000, 5)}
-        assert checks["dx"].predicted == pytest.approx(0.6, rel=1e-15)
-        assert abs(checks["dx"].observed - 0.6) <= 3.0 * checks["dx"].stderr
-        assert all(abs(c.z) <= 3.0 for c in checks.values())
+        predicted, observed, stderr = conditional_continuation_test(
+            prefix, rademacher, 0.6, 100_000, 5
+        )
+        assert predicted.shape == observed.shape == stderr.shape == (6,)
+        assert predicted[_DX] == pytest.approx(0.6, rel=1e-15)
+        assert abs(observed[_DX] - 0.6) <= 3.0 * stderr[_DX]
+        assert (np.abs(z_score(observed - predicted, stderr)) <= 3.0).all()
 
     def test_zero_prefix_centered(self, rademacher):
         ms = moment_set(rademacher)
         prefix = WalkState.from_steps([1.0, -1.0], ms)
-        checks = {c.name: c for c in conditional_continuation_test(prefix, rademacher, 0.7, 50_000, 6)}
-        assert checks["dx"].predicted == 0.0
-        assert abs(checks["dx"].observed) <= 3.0 * checks["dx"].stderr
+        predicted, observed, stderr = conditional_continuation_test(
+            prefix, rademacher, 0.7, 50_000, 6
+        )
+        assert predicted[_DX] == 0.0
+        assert abs(observed[_DX]) <= 3.0 * stderr[_DX]
 
     def test_memoryless_matches_unconditional(self, skewed_two_point):
         ms = moment_set(skewed_two_point)
         prefix = simulate_path(skewed_two_point, 0.0, 10, 77)
-        checks = conditional_continuation_test(prefix, skewed_two_point, 0.0, 50_000, 7)
-        by_name = {c.name: c for c in checks}
-        assert by_name["dx"].predicted == 0.0
-        assert by_name["dx2"].predicted == ms.M2
-        assert all(abs(c.z) <= 3.5 for c in checks)
+        predicted, observed, stderr = conditional_continuation_test(
+            prefix, skewed_two_point, 0.0, 50_000, 7
+        )
+        assert predicted[_DX] == 0.0
+        assert predicted[_DX2] == ms.M2
+        assert (np.abs(z_score(observed - predicted, stderr)) <= 3.5).all()
+
+    def test_reads_the_layout(self, skewed_two_point):
+        # the six observables go through _power_sums and layout_moments:
+        # each mean and stderr has the bytes of that observable's own row
+        prefix = simulate_path(skewed_two_point, 0.75, 5, 2024)
+        predicted, observed, stderr = conditional_continuation_test(
+            prefix, skewed_two_point, 0.75, 1000, 3
+        )
+        fields = [f.name for f in dataclasses.fields(ConditionalStepMoments)]
+        assert [fields[_DX], fields[_DX2]] == ["dx", "dx2"]
+        want = conditional_step_moments(
+            (prefix.s_tilde, prefix.t_tilde, prefix.u_tilde), 5, moment_set(skewed_two_point), 0.75
+        )
+        assert predicted.tolist() == [getattr(want, f) for f in fields]
+        # the continuations' steps, rebuilt from the same draws
+        u = uniform_draws(replicate_keys(3, 0, 1000), 0)
+        repeat = u < 0.75
+        idx = np.minimum(u * (5 / 0.75), 4.0).astype(np.int64)
+        fresh = inverse_cdf(skewed_two_point, sim._fresh_uniforms(u, 0.75))
+        dx = np.where(repeat, prefix.steps[idx], fresh) - moment_set(skewed_two_point).m1
+        mean, se = layout_moments(sim._power_sums(dx), dx.size)
+        assert observed[_DX] == mean[0] and stderr[_DX] == se[0]
+        assert observed[_DX] == dx.mean()
 
 
 #: Alphas at the edges of the fresh map: no memory, full memory, the double
@@ -1140,9 +1209,9 @@ class TestFreshUniforms:
             v = sim._fresh_uniforms(unit_floats(words(keys, np.arange(n))), alpha, step_one=True)
             fresh = inverse_cdf(dist, v)
             prefix = WalkState.from_steps(steps[:, 0], moment_set(dist))
-            checks = conditional_continuation_test(prefix, dist, alpha, 3, 1)
+            _, observed, _ = conditional_continuation_test(prefix, dist, alpha, 3, 1)
         assert fresh[labels, np.arange(keys.size)].tobytes() == steps.tobytes()
-        assert np.isfinite(steps).all() and all(math.isfinite(c.observed) for c in checks)
+        assert np.isfinite(steps).all() and np.isfinite(observed).all()
 
     def test_fresh_steps_keep_the_step_law_at_high_alpha(self):
         # at alpha = 0.999 a fresh step's u lies in [alpha, 1], 0.1% of the
