@@ -18,10 +18,13 @@ after the gather by the element-wise `inverse_cdf`, a block of
 law of a batch for the per-step statistics, so laws that share the draws
 share one fill.  The cluster engine (`_run_labels`,
 behind `cluster_batch`) keeps only which fresh step founded each step's
-cluster, in the narrowest unsigned type that holds n - 1 (one byte per
-walk-step to n = 256, two to 65,536), and draws no sample: given the
-cluster sizes the founders' values are i.i.d. draws of the step law, so
-the conditional moments E(S~^p | sizes) are exact and their average
+cluster, as the founder's ordinal among its walk's fresh steps, so the
+cluster sizes fill only the first rows of a walk's counts, one per
+founder, and the size pass sums powers over those rows alone.  The
+labels take the narrowest unsigned type that holds n - 1 (one byte per
+walk-step to n = 256, two to 65,536).  The engine draws no sample: given
+the cluster sizes the founders' values are i.i.d. draws of the step
+law, so the conditional moments E(S~^p | sizes) are exact and their average
 estimates E(S~^p) with less variance than S~^p itself.  Every Monte
 Carlo sum has one layout: for p = 1..4, column p-1 sums each walk's
 estimate of E(.^p) and column p+3 its square (S~^p, E(S~^p | sizes), or
@@ -67,6 +70,14 @@ _POOL_SPAN_BYTES = 2048
 #: so the look-ahead memory stays flat (128 kB per float array) for any
 #: chunk width up to _BLOCK_ELEMENTS; wider chunks take one step per block.
 _BLOCK_ELEMENTS = 16_384
+
+#: A label block of at most this many rows presets its running count of
+#: fresh steps by one add per row, a taller one by slabs of 255 rows
+#: (`_preset_ordinals`).  In ns per label of a 16,384-label block, the
+#: adds take 0.7 at 8 x 2048 and 1.2 at 16 x 1024, against the slabs' 2.5
+#: and 1.8, and break even near 24 rows; from there the slabs take 1.1-2.1
+#: to 1024 x 16, and 8-12 at one or two walks.
+_CHAIN_ROWS = 24
 
 #: Walks per tile of the cluster engine's size pass; a tile holds one
 #: (last checkpoint x walks) matrix of counts and blocks of about
@@ -154,6 +165,31 @@ def _repeat_reach(t_less_1, alpha: float):
     return np.full(np.shape(t_less_1), np.inf)
 
 
+def _preset_ordinals(block: np.ndarray, fresh: np.ndarray, first_block: bool) -> None:
+    """Set each row of a label block to its walk's count of fresh steps up
+    to and including that row, less one: a fresh step's 0-based ordinal
+    among its walk's fresh steps.  Outside the first block, `block[0]`
+    holds the count less one carried from the row before.  A block of up
+    to _CHAIN_ROWS rows adds row to row in the labels' type; a taller one
+    takes slabs of 255 rows, each the row before it plus the slab's
+    running count of `fresh`, made in place in `fresh`'s bytes (spending
+    it), since a byte counts to 255.  Neither makes a temporary."""
+    if first_block:
+        block[0] = 0  # step 1 is fresh, ordinal 0
+    else:
+        block[0] += fresh[0]
+    if block.shape[0] <= _CHAIN_ROWS:
+        block[1:] = fresh[1:]
+        for i in range(1, block.shape[0]):
+            np.add(block[i - 1], block[i], out=block[i])
+        return
+    counts = fresh.view(np.uint8)
+    for r in range(1, block.shape[0], 255):
+        count = counts[r : r + 255]
+        np.add.accumulate(count, axis=0, out=count)
+        np.add(block[r - 1], count, out=block[r : r + 255])
+
+
 def _fill_walks(out: np.ndarray, keys: np.ndarray, alpha: float) -> np.ndarray:
     """Fill `out`, an (n, len(keys)) matrix, with len(keys) walks by the step
     rule, vectorised across walks, and return it; both engines run it.  It
@@ -167,13 +203,17 @@ def _fill_walks(out: np.ndarray, keys: np.ndarray, alpha: float) -> np.ndarray:
     against `words_below(alpha)`.  Each block's rows are first set to the
     values of fresh steps: in a float64 `out` their uniforms
     `_fresh_uniforms(u, ...)`, written straight into the block, otherwise
-    each row's own 0-based index, a cluster label.  A repeat copies row
+    the walk's running count of fresh steps less one (`_preset_ordinals`,
+    which may spend `fresh`, so it runs once `fresh` has moved the
+    sources), so a fresh step's label is its ordinal among the walk's fresh
+    steps.  The count crosses into the next block in that block's first
+    row, which no step has written yet.  A repeat copies row
     floor((u/alpha)(t-1)), capped at t-2 before the cast into the words'
     buffer.  Every fresh step lands on t-2 there (`_repeat_reach`), so
     adding the bool `fresh` moves it to its own row, t-1: it reads its
-    value at its own position, and every step is one `take` from the walk's
-    own history.  The counters, and so the bytes, are the same as drawing
-    one step at a time.
+    value at its own position, and every step is one `take` from the
+    walk's own history.  The counters, and so the bytes, are the same as
+    drawing one step at a time.
     """
     n, width = out.shape
     flat = out.reshape(-1)
@@ -190,17 +230,20 @@ def _fill_walks(out: np.ndarray, keys: np.ndarray, alpha: float) -> np.ndarray:
             fresh[0] = True  # the first step is always fresh
         u = unit_floats(words)
         own = steps[:, None]
-        block = out[first : first + steps.size]
+        stop = first + steps.size
+        block = out[first:stop]
         if uniforms:
             _fresh_uniforms(u, alpha, step_one=first == 0, out=block)
-        else:
-            block[...] = own
         src = words.view(np.int64)
         u *= _repeat_reach(own, alpha)
         np.minimum(u, own - 1.0, out=u)  # t-2, where every fresh step lands
         np.copyto(src, u, casting="unsafe")  # truncates, as astype does
         del u, words
         src += fresh  # a fresh step reads its own row, t-1
+        if not uniforms:
+            _preset_ordinals(block, fresh, first == 0)
+            if stop < n:
+                out[stop] = block[-1]  # the count, carried before a take writes over it
         del fresh
         src *= width
         src += cols
@@ -241,11 +284,13 @@ def _label_dtype(n: int) -> np.dtype:
 def _run_labels(alpha: float, n: int, keys: np.ndarray) -> np.ndarray:
     """The (n, len(keys)) cluster labels of len(keys) walks, of `_label_dtype(n)`.
 
-    A step's label is the 0-based row of the fresh step that founded its
-    cluster: a fresh step founds its own, a repeat joins the cluster of the
-    step it copies.  The draws are `_run_paths`'s, so
-    `_run_paths(...)[labels, cols]` equals the fresh samples gathered at
-    the labels.  No sample is drawn.
+    A step's label is the 0-based ordinal, among its walk's fresh steps,
+    of the fresh step that founded its cluster: a fresh step founds its
+    own, a repeat joins the cluster of the step it copies.  So the labels
+    of a walk's first c steps are 0..F-1, F the fresh steps among them.
+    The draws are `_run_paths`'s, so the literal step matrix equals the
+    fresh samples gathered at the labels' founder rows
+    (`verify.founder_rows`).  No sample is drawn.
     """
     if n > 2**32:
         raise ValueError(f"cluster labels are at most uint32: n must be at most 2**32, got {n}")
@@ -279,12 +324,15 @@ def _cluster_size_sums(labels: np.ndarray, checkpoints: Sequence[int]):
     (column of `labels`): S_k = sum of N^k over the walk's clusters, where
     N counts the first c steps that carry the cluster's label.
 
-    The sizes are counted founder-major (walk j's founder r at r*width + j)
+    The sizes are counted label-major (walk j's label r at r*width + j)
     in the narrowest unsigned type that holds the last checkpoint, since
     one cluster can hold every step.  A label in the first c rows is below
     c, so a checkpoint counts only the rows added since the previous one,
-    O(new rows), and sums the powers of the first c rows of counts,
-    O(walks * c), a block of rows at a time.  While the counts fit 16 bits
+    O(new rows), keeping the largest label counted, and sums the powers of
+    the rows of counts up to it, a block of rows at a time.  Any labels
+    below c give the same sums; `_run_labels`' ordinals fill only the
+    first F rows, F the founders, so the powers cost O(walks * F), about
+    1 - alpha of O(walks * c).  While the counts fit 16 bits
     the sums are exact uint64 integers (S4 <= c^4 < 2^64), rounded once,
     when converted to float64; beyond, they are float64 sums added row by
     row (`_add_rows`), so a walk's sums do not depend on its tile's width.
@@ -300,17 +348,19 @@ def _cluster_size_sums(labels: np.ndarray, checkpoints: Sequence[int]):
     sum_type = np.uint64 if exact else np.float64
     sizes, squares = np.empty((2, rows, width), dtype=sum_type)
     sums = np.empty((3, width), dtype=sum_type)
-    start = 0
+    start = top = 0  # top: one more than the largest label counted
     for c in checkpoints:
         for r in range(start, c, rows):
-            index = np.multiply(labels[r : min(r + rows, c)], width, dtype=np.intp)
+            new = labels[r : min(r + rows, c)]
+            top = max(top, int(new.max()) + 1)
+            index = np.multiply(new, width, dtype=np.intp)
             index += cols
             np.add.at(flat, index.reshape(-1), one)
             del index  # before the next block's index is made
         start = c
         sums.fill(0)
-        for r in range(0, c, rows):
-            stop = min(r + rows, c)
+        for r in range(0, top, rows):
+            stop = min(r + rows, top)
             size, square = sizes[: stop - r], squares[: stop - r]
             np.copyto(size, counts[r:stop])
             np.multiply(size, size, out=square)
@@ -507,9 +557,9 @@ def cluster_batch(
     simulated (`_run_labels`) and no step is sampled.  Each walk's E_p has
     the mean of S~^p and a smaller variance.  Each checkpoint counts the
     cluster sizes of only the steps added since the previous one, O(new
-    rows), but sums their powers over all its rows, O(walks * checkpoint),
-    so many checkpoints on long walks still cost more than the walks
-    themselves.  Bit-identical for any `workers`.
+    rows), but sums their powers over every cluster founded so far,
+    O(walks * founders), so many checkpoints on long walks can still cost
+    more than the walks themselves.  Bit-identical for any `workers`.
     """
     alpha = check_alpha(alpha)
     ms = moment_set(dist)

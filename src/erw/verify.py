@@ -606,19 +606,38 @@ def compare_with_exact(
     return exact, z_score(estimate - exact, stderr)
 
 
+def founder_rows(labels: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
+    """The 0-based row of the fresh step that founded each step's cluster,
+    for the cluster engine's (n, walks) labels and the walks' (n, walks)
+    draws u.  A walk's fresh steps are read off its draws, as the literal
+    engine reads them: step 1, and every step whose u >= alpha.  A label
+    is its founder's ordinal among them, which a stable argsort of the
+    steps that are not fresh maps to a row."""
+    fresh = u >= alpha
+    fresh[0] = True
+    rows = np.argsort(~fresh, axis=0, kind="stable")
+    return np.take_along_axis(rows, labels.astype(np.intp), axis=0)
+
+
 def cluster_label_mismatches(
     dist: StepDistribution, alpha: float, n: int, keys: np.ndarray
 ) -> int:
     """Steps where the literal engine's step matrix differs, in any bit,
-    from the fresh samples of the same draws gathered at the cluster
-    engine's labels (0 when the engines agree).  Step t's fresh sample is
-    drawn here from its uniform at counter t-1, by the engines' fresh map."""
+    from the fresh samples of the same draws gathered at the founder rows
+    of the cluster engine's labels (0 when the engines agree).  Step t's
+    fresh sample is drawn here from its uniform at counter t-1, by the
+    engines' fresh map."""
     steps = _run_paths(dist, alpha, n, keys)
-    labels = _run_labels(alpha, n, keys)
     u = uniform_draws(keys, np.arange(n))
+    rows = founder_rows(_run_labels(alpha, n, keys), u, alpha)
     fresh = inverse_cdf(dist, _fresh_uniforms(u, alpha, step_one=True))
-    gathered = fresh[labels, np.arange(keys.size)]
+    gathered = np.take_along_axis(fresh, rows, axis=0)
     return int(np.count_nonzero(gathered.view(np.uint64) != steps.view(np.uint64)))
+
+
+#: Walks of `check_cluster_engine`'s path check: at n = 100 their labels
+#: take two blocks, of `simulate._block_rows(165)` = 99 steps and of 1.
+_PATH_WALKS = 165
 
 
 def check_cluster_engine(
@@ -628,9 +647,10 @@ def check_cluster_engine(
     for two laws at alpha = 0.75 and n = 100.
 
     Its labels, mapped through the literal engine's fresh samples, must
-    reproduce the literal step matrix byte for byte (16 walks), and its
-    estimates of n^{-p alpha} E(S~^p) (p = 2..4, at n/2 and n) must pass a
-    z-test against the exact recursion.  Each law has its own seed, so the
+    reproduce the literal step matrix byte for byte (_PATH_WALKS walks,
+    whose count of fresh steps crosses a block edge), and its estimates
+    of n^{-p alpha} E(S~^p) (p = 2..4, at n/2 and n) must pass a z-test
+    against the exact recursion.  Each law has its own seed, so the
     laws do not share cluster sizes.
     """
     dists = (
@@ -642,7 +662,7 @@ def check_cluster_engine(
     cps = (n // 2, n)
     tables = exact_moment_tables([(moment_set(dist), alpha) for _, dist in dists], n)
     for i, ((label, dist), table) in enumerate(zip(dists, tables)):
-        keys = replicate_keys(seed + i, 0, 16)
+        keys = replicate_keys(seed + i, 0, _PATH_WALKS)
         bad = cluster_label_mismatches(dist, alpha, n, keys)
         out.append(_result(f"cluster_engine_paths[{label}]", bad, 0, "steps that differ"))
         sums = cluster_batch(dist, alpha, n, replicates, seed + i, cps)

@@ -31,7 +31,7 @@ from erw.rng import (
     uniform_draws, unit_floats, words_below,
 )
 from erw.simulate import WalkState, layout_moments, marginal_moment_sums, z_score
-from erw.verify import cluster_label_mismatches, compare_with_exact
+from erw.verify import cluster_label_mismatches, compare_with_exact, founder_rows
 from literal_batch import _checkpoint_sums, simulate_batch
 
 LAWS = (
@@ -290,7 +290,8 @@ class TestBlockedDraws:
     def test_rounded_up_index_copies_the_step_before(self, alpha, t, monkeypatch):
         # the largest uniform below alpha repeats, and at these steps its
         # (u/alpha)(t-1) rounds up to t-1, the step itself; the cap makes
-        # it copy step t-1 (0-based t-2).  Every other step is fresh.
+        # it copy step t-1 (0-based t-2).  Every other step is fresh, so
+        # its label is its ordinal: its row up to t-2, one less beyond.
         word = ((words_below(alpha) >> 11) - 1) << 11
         u = unit_floats(np.array([word], dtype=np.uint64))[0]
         assert u < alpha and u * ((t - 1) / alpha) >= t - 1
@@ -302,7 +303,7 @@ class TestBlockedDraws:
 
         monkeypatch.setattr(sim, "mixed_words", words)
         labels = sim._run_labels(alpha, t + 1, replicate_keys(3, 0, 4))
-        assert (labels[:, 0] == [*range(t - 1), t - 2, t]).all()
+        assert (labels[:, 0] == [*range(t - 1), t - 2, t - 1]).all()
         assert (labels == labels[:, :1]).all()
 
     def test_chunk_spans_cover_replicates_in_order(self, monkeypatch):
@@ -746,6 +747,40 @@ class TestSizePass:
             alone = next(sim._cluster_size_sums(labels[:, j : j + 1], (n,)))
             assert np.stack(alone)[:, 0].tobytes() == np.stack(wide)[:, j].tobytes(), j
 
+    @pytest.mark.parametrize("alpha,n,width,checkpoints", [
+        (0.75, 3000, 130, (1000, 3000)),
+        (0.99, 70_000, 3, (20_000, 70_000)),
+        (0.3, 70_000, 2, (5, 70_000)),
+    ], ids=["uint16", "uint32-few-founders", "uint32-many-founders"])
+    def test_row_and_ordinal_labels_give_the_same_sums(self, alpha, n, width, checkpoints):
+        # the size pass reads any labels: the founder rows that the labels
+        # name give the bytes of the ordinals, in the labels' type and in int32
+        keys = replicate_keys(14, 0, width)
+        ordinals = sim._run_labels(alpha, n, keys)
+        rows = founder_rows(ordinals, uniform_draws(keys, np.arange(n)), alpha)
+        assert not np.array_equal(rows, ordinals)
+        for dtype in (ordinals.dtype, np.int32):
+            got = [np.stack(s) for s in sim._cluster_size_sums(ordinals.astype(dtype), checkpoints)]
+            want = [np.stack(s) for s in sim._cluster_size_sums(rows.astype(dtype), checkpoints)]
+            assert np.stack(got).tobytes() == np.stack(want).tobytes(), dtype
+
+    def test_powers_summed_over_founders_only(self, monkeypatch):
+        # at alpha = 1 every step joins the first cluster, so each float
+        # sum to n = 70,000 adds one row of counts, not one per step
+        n = 70_000
+        labels = sim._run_labels(1.0, n, replicate_keys(6, 0, 2))
+        heights = []
+        add_rows = sim._add_rows
+
+        def spy(total, block):
+            heights.append(block.shape[0])
+            add_rows(total, block)
+
+        monkeypatch.setattr(sim, "_add_rows", spy)
+        s2, _, s4 = next(sim._cluster_size_sums(labels, (n,)))
+        assert heights == [1, 1, 1]
+        assert (s2 == float(n) ** 2).all() and (s4 == float(n) ** 4).all()
+
     @pytest.mark.parametrize("last,dtype", [
         (255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32),
     ])
@@ -807,6 +842,32 @@ class TestClusterEngine:
         cps = (1, n // 2, n - 1, n)
         assert (sim._cluster_sums(narrow, ms, cps).tobytes()
                 == sim._cluster_sums(narrow.astype(np.int32), ms, cps).tobytes())
+
+    # _BLOCK_ELEMENTS = 600 gives blocks of 600 and 300 rows, made in
+    # slabs of 255 rows, of 85 and 25 rows, one slab, and of 24, 2 and 1
+    # rows, which add row to row; at alpha = 0 every step is fresh, so a
+    # slab counts to 255
+    @pytest.mark.parametrize("alpha", [0.0, 0.6])
+    @pytest.mark.parametrize("width", [1, 2, 7, 24, 25, 300, 700])
+    def test_labels_are_dense_ordinals(self, width, alpha, monkeypatch):
+        # in every walk the labels of the first c rows are 0..F(c)-1, F(c)
+        # the walk's fresh steps among them, at and around each block edge
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 600)
+        rows = sim._block_rows(width)
+        n = max(400, 2 * rows + 3)
+        keys = replicate_keys(13, 0, width)
+        labels = sim._run_labels(alpha, n, keys)
+        fresh = uniform_draws(keys, np.arange(n)) >= alpha
+        fresh[0] = True
+        count = np.cumsum(fresh, axis=0)
+        cols = np.arange(width)
+        edges = {1, 2, n} | {e + d for e in range(rows, n, rows) for d in (-1, 0, 1)}
+        for c in sorted(edges & set(range(1, n + 1))):
+            # F(c) distinct labels, all below F(c)
+            seen = np.zeros((n, width), dtype=bool)
+            seen[labels[:c], cols] = True
+            assert (seen.sum(axis=0) == count[c - 1]).all(), c
+            assert (labels[:c].max(axis=0) < count[c - 1]).all(), c
 
     def test_labels_refuse_more_than_uint32(self):
         with pytest.raises(ValueError, match="uint32"):
@@ -1190,8 +1251,8 @@ class TestFreshUniforms:
     def test_edge_words_warn_nothing(self, dist, alpha, monkeypatch):
         # every step of every walk reads one of the edge words, in turn;
         # no sampler, kernel or continuation warns, the literal steps are
-        # the fresh samples gathered at the labels, and fresh samples are
-        # finite values of the law
+        # the fresh samples gathered at the labels' founder rows, and fresh
+        # samples are finite values of the law
         edge = _edge_words(alpha)
 
         def words(keys, counter):
@@ -1206,23 +1267,26 @@ class TestFreshUniforms:
             warnings.simplefilter("error")
             steps = sim._run_paths(dist, alpha, n, keys)
             labels = sim._run_labels(alpha, n, keys)
-            v = sim._fresh_uniforms(unit_floats(words(keys, np.arange(n))), alpha, step_one=True)
-            fresh = inverse_cdf(dist, v)
+            u = unit_floats(words(keys, np.arange(n)))
+            fresh = inverse_cdf(dist, sim._fresh_uniforms(u, alpha, step_one=True))
             prefix = WalkState.from_steps(steps[:, 0], moment_set(dist))
             _, observed, _ = conditional_continuation_test(prefix, dist, alpha, 3, 1)
-        assert fresh[labels, np.arange(keys.size)].tobytes() == steps.tobytes()
+        rows = founder_rows(labels, u, alpha)
+        assert fresh[rows, np.arange(keys.size)].tobytes() == steps.tobytes()
         assert np.isfinite(steps).all() and np.isfinite(observed).all()
 
     def test_fresh_steps_keep_the_step_law_at_high_alpha(self):
         # at alpha = 0.999 a fresh step's u lies in [alpha, 1], 0.1% of the
         # draws: stretched to (0, 1] it must still give the law's mean and
-        # variance.  Fresh steps after the first are those labelled with
-        # their own row: 3932 of them here (|z| 0.68 and 0.81).
+        # variance.  Fresh steps after the first are those whose label's
+        # founder is their own row: 3932 of them here (|z| 0.68 and 0.81).
         dist, alpha, n = StepDistribution.gaussian(0.5, 2.0), 0.999, 500
         ms = moment_set(dist)
         keys = replicate_keys(12, 0, 8000)
         steps = sim._run_paths(dist, alpha, n, keys)[1:]
-        own = sim._run_labels(alpha, n, keys)[1:] == np.arange(1, n)[:, None]
+        u = uniform_draws(keys, np.arange(n))
+        rows = founder_rows(sim._run_labels(alpha, n, keys), u, alpha)
+        own = rows[1:] == np.arange(1, n)[:, None]
         centred = steps[own] - ms.m1
         assert centred.size > 3500
         mean, stderr = layout_moments(sim._power_sums(centred), centred.size)

@@ -387,3 +387,20 @@ def test_cluster_engine_passes_and_fails_e4_mutant(seed, monkeypatch):
         "cluster_engine_paths[discrete(-1,2)]": PASS,
         "cluster_engine_moments[discrete(-1,2)]": FAIL,
     }
+
+
+def test_cluster_engine_paths_fail_a_count_restarted_per_block(monkeypatch):
+    # a label kernel whose count of fresh steps starts again at each block
+    # of draws: the path check's walks take two blocks at n = 100, so it
+    # fails at --fast sizes, where the clean engine passes
+    fast = {"replicates": erw.verify._FULL_SIZES["check_cluster_engine"] // 10, "seed": 2024 + 9}
+    assert erw.simulate._block_rows(erw.verify._PATH_WALKS) < 100
+    assert [r.status for r in check_cluster_engine(**fast)] == [PASS] * 4
+    source = inspect.getsource(erw.simulate._fill_walks)
+    text = "_preset_ordinals(block, fresh, first == 0)"
+    assert source.count(text) == 1
+    namespace = dict(vars(erw.simulate))
+    exec(source.replace(text, "_preset_ordinals(block, fresh, True)"), namespace)
+    monkeypatch.setattr(erw.simulate, "_fill_walks", namespace["_fill_walks"])
+    paths = [r for r in check_cluster_engine(**fast) if r.name.startswith("cluster_engine_paths")]
+    assert [r.status for r in paths] == [FAIL, FAIL], paths
