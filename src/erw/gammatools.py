@@ -173,6 +173,11 @@ def scaled_gamma_sums(a, b, n, f_a, f_b1):
     b = 0, 1, and both values are finite for every a, b >= 0, b = a+1 and
     a+2 included.  `gamma_sum_linear`, `gamma_sum_weighted` and
     `moments.closed_form_s4` are built on it.
+
+    Its limit point, f_a = 0 and f_{b-1} = 1, gives the pair's limits over
+    f_{b-1} as n grows: b G = Gamma(a+1)/Gamma(b) and (b-1) b G =
+    Gamma(a+1)/Gamma(b-1).  These are exact where the ratio f_a/f_{b-1}
+    (times n for W) vanishes: for a < b - 1 for L and a < b - 2 for W.
     """
     lead = np.exp(log_gamma_ratio(b + 1.0, a - b))
     linear = b * lead * f_b1 - f_a

@@ -347,15 +347,27 @@ def closed_form_moments(ms: MomentSet, alpha: float, n) -> ClosedFormMoments:
     scaled by M3 and M112.  Gamma ratios are evaluated in log space, so the
     forms are safe up to n ~ 1e7.  Raises SingularParameterError when alpha
     is within 1e-8 of 1/2 or 1/3 (the respective denominators vanish).
+
+    The forms are `_closed_form_from_ratios` at the ratios
+    R_p = Gamma(n+pa)/Gamma(n).  For alpha > 1/2 the leading coefficient
+    lim s_p / R_p is that evaluator at n = 0 with R_p = 1 and the lower
+    ratio 0: M2 / ((2a-1) Gamma(2a)) for s2, 4 M3 / ((3a-1) Gamma(3a)) for
+    s3.
     """
     alpha = check_alpha(alpha)
     _guard(alpha, 2)
     _guard(alpha, 3)
 
-    d2 = 2.0 * alpha - 1.0
-    d3 = 3.0 * alpha - 1.0
     r2 = np.exp(log_gamma_ratio(n, 2.0 * alpha))
     r3 = np.exp(log_gamma_ratio(n, 3.0 * alpha))
+    return _closed_form_from_ratios(ms, alpha, n, r2, r3)
+
+
+def _closed_form_from_ratios(ms: MomentSet, alpha: float, n, r2, r3) -> ClosedFormMoments:
+    """The six forms of `closed_form_moments` from n and the ratios
+    r2 = Gamma(n+2a)/Gamma(n) and r3 = Gamma(n+3a)/Gamma(n), unguarded."""
+    d2 = 2.0 * alpha - 1.0
+    d3 = 3.0 * alpha - 1.0
     n_arr = np.asarray(n, dtype=np.float64)
 
     g2 = unit_constant_solution(2.0 * alpha, n_arr, r2)
@@ -396,20 +408,33 @@ def closed_form_s4(ms: MomentSet, alpha: float, n):
     alpha = 0 gives n M4 + 3 n(n-1) M2^2 without a special case.  Raises
     SingularParameterError when alpha is within 1e-8 of 1/2, 1/3 or 1/4
     (d2, d3 and 4a-1 vanish).
+
+    The form is the six-term sum `_s4_from_ratios` at the ratios R2, R3
+    and R4.  For alpha > 1/2 the leading coefficient lim s4 / R4 is that
+    sum at n = 0, R4 = 1 and R2 = R3 = 0, where each pair of
+    `scaled_gamma_sums` is its exact limit over R4, since every sum here
+    converges.
     """
     alpha = check_alpha(alpha)
     _guard(alpha, 2)
     _guard(alpha, 3)
     _guard(alpha, 4)
 
-    d2 = 2.0 * alpha - 1.0
-    d3 = 3.0 * alpha - 1.0
-    d4 = 4.0 * alpha - 1.0
     n_arr = np.asarray(n, dtype=np.float64)
     r4 = np.exp(log_gamma_ratio(n, 4.0 * alpha))
     r3 = np.exp(log_gamma_ratio(n, 3.0 * alpha))
     r2 = np.exp(log_gamma_ratio(n, 2.0 * alpha))
+    s4 = _s4_from_ratios(ms, alpha, n_arr, r2, r3, r4)
+    # at n = 1 the sums are empty and the terms cancel only to rounding
+    return np.where(n_arr == 1.0, ms.M4, s4)[()]
 
+
+def _s4_from_ratios(ms: MomentSet, alpha: float, n_arr, r2, r3, r4):
+    """The six-term sum of `closed_form_s4` from n (float64) and the ratios
+    r_p = Gamma(n+pa)/Gamma(n), p = 2, 3, 4, unguarded."""
+    d2 = 2.0 * alpha - 1.0
+    d3 = 3.0 * alpha - 1.0
+    d4 = 4.0 * alpha - 1.0
     b = 1.0 + 4.0 * alpha
     linear_3a, _ = scaled_gamma_sums(3.0 * alpha, b, n_arr, r3, r4)
     linear_2a, weighted_2a = scaled_gamma_sums(2.0 * alpha, b, n_arr, r2, r4)
@@ -424,7 +449,7 @@ def closed_form_s4(ms: MomentSet, alpha: float, n):
     # a L(3a) and a L(2a) carry the factors 1 and 1/2 of their denominators
     # a and 2a; A2 W(2a) carries 1/(2a Gamma(2a)) = 1/Gamma(1+2a); the
     # weighted sums carry b-x-2, which is d2 at x = 2a and 2 d2 at x = 1
-    s4 = (
+    return (
         ms.M4 * recip_gamma(1.0 + 4.0 * alpha) * r4
         + p * a3_coef * linear_3a
         + 0.5 * (qc - 3.0 * p) * a2_coef * linear_2a
@@ -432,8 +457,6 @@ def closed_form_s4(ms: MomentSet, alpha: float, n):
         + (alpha * (p * (alpha + 1.0) / (d2 * d3) - qc / d2) + ms.M4) * linear_1 / d4
         - 3.0 * m2_sq / (d2 * d2) * weighted_1 / d4
     )
-    # at n = 1 the sums are empty and the terms cancel only to rounding
-    return np.where(n_arr == 1.0, ms.M4, s4)[()]
 
 
 @dataclass(frozen=True)
@@ -454,7 +477,9 @@ def limit_q_moments(ms: MomentSet, alpha: float) -> LimitMoments:
         E(Q^3) = 4 M3 / ((3a-1) Gamma(3a))
         E(Q^4) = K4  (see fourth_moment_coefficient)
 
-    Raises RegimeError outside the superdiffusive regime.
+    `verify.check_limit_coefficients` holds q2, q3 and q4 to the leading
+    coefficients of `closed_form_moments` and `closed_form_s4`.  Raises
+    RegimeError outside the superdiffusive regime.
     """
     alpha = check_alpha(alpha)
     if alpha <= 0.5:

@@ -20,12 +20,10 @@ from erw.verify import (
     check_closed_form_vs_recursion,
     check_cluster_engine,
     check_constant_recursion,
-    check_fourth_moment_asymptote,
     check_gamma_sums,
-    check_limit_consistency,
+    check_limit_coefficients,
     check_martingale_property,
     check_martingale_scale_recurrence,
-    check_moment_convergence,
     check_moment_identities,
     check_rademacher_degeneracy,
     check_recursion_solver,
@@ -78,13 +76,10 @@ def test_run_all_call_plan(monkeypatch):
         ("check_recursion_solver", {"n_specs": 10, "seed": 11}),
         ("check_constant_recursion", {}),
         ("check_martingale_scale_recurrence", {"n_max": 10_000}),
-        ("check_gamma_tail", {}),
         ("check_closed_form_vs_recursion", {"n_max": 1000}),
         ("check_brute_force", {"n_max": 10}),
         ("check_rademacher_degeneracy", {"n_max": 1000}),
-        ("check_fourth_moment_asymptote", {}),
-        ("check_moment_convergence", {}),
-        ("check_limit_consistency", {}),
+        ("check_limit_coefficients", {}),
         ("check_marginal_moments", {"replicates": 10_000, "seed": 12, "z_max": 4.0}),
         ("check_martingale_property", {"replicates": 2000, "seed": 13, "z_max": 4.0}),
         ("check_epsilon_bound", {"replicates": 1000, "seed": 14}),
@@ -103,13 +98,10 @@ def test_run_all_call_plan(monkeypatch):
         ("check_recursion_solver", {"n_specs": 100, "seed": 11}),
         ("check_constant_recursion", {}),
         ("check_martingale_scale_recurrence", {"n_max": 100_000}),
-        ("check_gamma_tail", {}),
         ("check_closed_form_vs_recursion", {"n_max": 10_000}),
         ("check_brute_force", {"n_max": 100}),
         ("check_rademacher_degeneracy", {"n_max": 10_000}),
-        ("check_fourth_moment_asymptote", {}),
-        ("check_moment_convergence", {}),
-        ("check_limit_consistency", {}),
+        ("check_limit_coefficients", {}),
         ("check_marginal_moments", {"replicates": 100_000, "seed": 12, "z_max": 5.0}),
         ("check_martingale_property", {"replicates": 20_000, "seed": 13, "z_max": 5.0}),
         ("check_epsilon_bound", {"replicates": 10_000, "seed": 14}),
@@ -176,8 +168,7 @@ def test_individual_suites_small():
     assert all(r.status == PASS for r in check_recursion_solver(n_specs=20))
     assert all(r.status == PASS for r in check_brute_force(alphas=(0.0, 0.75, 1.0)))
     assert all(r.status == PASS for r in check_rademacher_degeneracy(n_max=500))
-    assert all(r.status == PASS for r in check_limit_consistency())
-    assert all(r.status == PASS for r in check_fourth_moment_asymptote())
+    assert all(r.status == PASS for r in check_limit_coefficients())
 
 
 def test_martingale_scale_recurrence_full_size():
@@ -294,26 +285,23 @@ def test_s4_term_mutant_fails(monkeypatch):
     assert results and all(r.status == FAIL for r in results), results
 
 
-def test_q4_mutant_fails(monkeypatch):
+@pytest.mark.parametrize("q", ["q2", "q3", "q4"])
+def test_limit_coefficients_mutant_fails(q, monkeypatch):
+    # a limit moment 1e-9 off fails every entry where it is not 0; q3 of
+    # the symmetric Rademacher law is exactly 0, so only there it passes
+    clean = check_limit_coefficients()
+    assert len(clean) == 24 and all(r.status == PASS for r in clean), clean
     real = erw.verify.limit_q_moments
-    monkeypatch.setattr(
-        erw.verify,
-        "limit_q_moments",
-        lambda ms, alpha: dataclasses.replace(real(ms, alpha), q4=1.02 * real(ms, alpha).q4),
-    )
-    results = check_moment_convergence()
-    assert results and all(r.status == FAIL for r in results), results
 
+    def mutant(ms, alpha):
+        limits = real(ms, alpha)
+        return dataclasses.replace(limits, **{q: getattr(limits, q) * (1.0 + 1e-9)})
 
-def test_k4_mutant_fails(monkeypatch):
-    real = erw.verify.fourth_moment_coefficient
-    monkeypatch.setattr(
-        erw.verify, "fourth_moment_coefficient", lambda ms, alpha: 1.05 * real(ms, alpha)
-    )
-    # at n = 1e12 the tolerance 3.5 n^(1-2a) is 1.4% at alpha = 0.6, so the
-    # 5% error fails at every alpha
-    results = check_fourth_moment_asymptote()
-    assert results and all(r.status == FAIL for r in results), results
+    monkeypatch.setattr(erw.verify, "limit_q_moments", mutant)
+    statuses = {r.name: r.status for r in check_limit_coefficients()}
+    spared = [name for name in statuses if q == "q3" and name.endswith(",rademacher]")]
+    assert len(spared) == (8 if q == "q3" else 0)
+    assert statuses == {name: PASS if name in spared else FAIL for name in statuses}
 
 
 def test_martingale_coefficient_mutant_fails(monkeypatch):
