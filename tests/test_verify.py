@@ -285,10 +285,20 @@ def test_s4_term_mutant_fails(monkeypatch):
     assert results and all(r.status == FAIL for r in results), results
 
 
-@pytest.mark.parametrize("q", ["q2", "q3", "q4"])
-def test_limit_coefficients_mutant_fails(q, monkeypatch):
-    # a limit moment 1e-9 off fails every entry where it is not 0; q3 of
-    # the symmetric Rademacher law is exactly 0, so only there it passes
+def _limit_coefficient_statuses():
+    return {r.name: r.status for r in check_limit_coefficients()}
+
+
+def _assert_fails_where_nonzero(statuses, q):
+    # every entry FAILs except where the mutated q is exactly 0: q3 of the
+    # symmetric Rademacher law
+    spared = [name for name in statuses if q == "q3" and name.endswith(",rademacher]")]
+    assert len(spared) == (8 if q == "q3" else 0)
+    assert statuses == {name: PASS if name in spared else FAIL for name in statuses}
+
+
+def _scale_limit_moment(monkeypatch, q):
+    # a limit moment of limit_q_moments 1e-9 off, as verify sees it
     clean = check_limit_coefficients()
     assert len(clean) == 24 and all(r.status == PASS for r in clean), clean
     real = erw.verify.limit_q_moments
@@ -298,10 +308,29 @@ def test_limit_coefficients_mutant_fails(q, monkeypatch):
         return dataclasses.replace(limits, **{q: getattr(limits, q) * (1.0 + 1e-9)})
 
     monkeypatch.setattr(erw.verify, "limit_q_moments", mutant)
-    statuses = {r.name: r.status for r in check_limit_coefficients()}
-    spared = [name for name in statuses if q == "q3" and name.endswith(",rademacher]")]
-    assert len(spared) == (8 if q == "q3" else 0)
-    assert statuses == {name: PASS if name in spared else FAIL for name in statuses}
+    _assert_fails_where_nonzero(_limit_coefficient_statuses(), q)
+
+
+@pytest.mark.parametrize("q", ["q2", "q3"])
+def test_limit_coefficients_mutant_fails(q, monkeypatch):
+    _scale_limit_moment(monkeypatch, q)
+
+
+def test_q4_mutant_fails(monkeypatch):
+    _scale_limit_moment(monkeypatch, "q4")
+
+
+def test_k4_mutant_fails(monkeypatch):
+    # K4 is the paper's formula, not the closed forms' limit point, so a K4
+    # 1e-9 off reaches verify through limit_q_moments' q4 and fails every entry
+    assert set(_limit_coefficient_statuses().values()) == {PASS}
+    real = erw.moments.fourth_moment_coefficient
+    monkeypatch.setattr(
+        erw.moments,
+        "fourth_moment_coefficient",
+        lambda ms, alpha: real(ms, alpha) * (1.0 + 1e-9),
+    )
+    _assert_fails_where_nonzero(_limit_coefficient_statuses(), "q4")
 
 
 def test_martingale_coefficient_mutant_fails(monkeypatch):
