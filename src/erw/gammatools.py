@@ -11,8 +11,9 @@ solver, the blocked scan of `moments`.
 
 Direct-summation twins of the closed forms, and the gamma-ratio sum that
 solves the recursion for any c_n, are provided as test oracles.  They are
-O(n): they evaluate every term in one array call and add the terms exactly
-with math.fsum.
+O(n): they evaluate every term in one array call (every case's, for the
+twins, which take arrays of cases) and add the terms exactly with
+math.fsum.
 """
 
 from __future__ import annotations
@@ -52,58 +53,76 @@ _STIRLING_COEFFS = (
 
 _STIRLING_MIN = 10.0
 
+#: Past this argument every Horner step of the tail rounds to its constant,
+#: so 1/x^2 is taken at it: the same bytes, with x*x kept finite.
+_STIRLING_FLAT = 1e100
 
-def _stirling_tail(x):
-    """Correction S(x) in ln Gamma(x) = (x-1/2) ln x - x + ln sqrt(2 pi) + S(x)."""
-    inv2 = 1.0 / (x * x)
-    acc = _STIRLING_COEFFS[-1]
-    for c in _STIRLING_COEFFS[-2::-1]:
-        acc = acc * inv2 + c
-    return acc / x
+
+def _stirling_tails(tot, n):
+    """Corrections S(x) in ln Gamma(x) = (x-1/2) ln x - x + ln sqrt(2 pi) + S(x)
+    of tot and of n, elementwise for x >= 10, as two new arrays of their
+    shapes: one pass of Horner steps, in place, over one buffer of both."""
+    size = tot.size
+    inv2 = np.empty(size + n.size)
+    np.minimum(tot, _STIRLING_FLAT, out=inv2[:size].reshape(tot.shape))
+    np.minimum(n, _STIRLING_FLAT, out=inv2[size:].reshape(n.shape))
+    inv2 *= inv2
+    np.divide(1.0, inv2, out=inv2)
+    acc = np.multiply(inv2, _STIRLING_COEFFS[-1])
+    for c in _STIRLING_COEFFS[-2:0:-1]:
+        acc += c
+        acc *= inv2
+    acc += _STIRLING_COEFFS[0]
+    tail_tot, tail_n = acc[:size].reshape(tot.shape), acc[size:].reshape(n.shape)
+    tail_tot /= tot
+    tail_n /= n
+    return tail_tot, tail_n
 
 
 def log_gamma_ratio(n, delta):
     """ln(Gamma(n + delta) / Gamma(n)) without overflow or cancellation.
 
-    Requires n >= 1 and n + delta > 0 elementwise; `n` and `delta` are
-    treated as exact reals.  The relative error of the exponentiated ratio
-    stays below 1e-12 for n <= 1e12 and |delta| <= 4 (measured ~6e-15 up
-    to n = 1e7 and ~2e-14 up to n = 1e12).
+    Requires finite n >= 1 and finite n + delta > 0 elementwise; `n` and
+    `delta` are treated as exact reals.  The relative error of the
+    exponentiated ratio stays below 1e-12 for n <= 1e12 and |delta| <= 4
+    (measured ~6e-15 up to n = 1e7 and ~2e-14 up to n = 1e12).
     Accepts scalars or broadcastable arrays, through one array path: a
     scalar gives a numpy float, the bytes of element 0 of the same call on
-    a one-element array.
+    a one-element array.  The Stirling tail of n is taken over n's own
+    shape, so a stack of deltas over one n costs one tail of n.
     """
-    n_arr, d_arr = np.broadcast_arrays(
-        np.asarray(n, dtype=np.float64), np.asarray(delta, dtype=np.float64)
-    )
-    # array methods, not np.any: a scalar's call costs mostly dispatch
-    if (n_arr < 1.0).any():
+    n = np.asarray(n, dtype=np.float64)
+    delta = np.asarray(delta, dtype=np.float64)
+    # a range by two reductions (a nan fails both): a scalar's call costs
+    # mostly dispatch
+    if not (1.0 <= n.min(initial=np.inf) and n.max(initial=1.0) < np.inf):
         raise ValueError("log_gamma_ratio requires n >= 1")
-    if (n_arr + d_arr <= 0.0).any():
+    shape = n.shape if n.shape == delta.shape else np.broadcast_shapes(n.shape, delta.shape)
+    out = np.empty(shape)
+    tot = np.add(n, delta, out=np.empty(shape))
+    if not (0.0 < tot.min(initial=np.inf) and tot.max(initial=1.0) < np.inf):
         raise ValueError("log_gamma_ratio requires n + delta > 0")
-    out = np.empty(n_arr.shape, dtype=np.float64)
-    small = (n_arr < _STIRLING_MIN) | (n_arr + d_arr < _STIRLING_MIN)
-    if small.any():
+    at = (np.minimum(n, tot) < _STIRLING_MIN).ravel().nonzero()[0]
+    if at.size < out.size:
+        if at.size:
+            # lgamma overwrites these below; clamped, nothing overflows
+            np.maximum(tot, _STIRLING_MIN, out=tot)
+        tail_tot, tail_n = _stirling_tails(tot, n)
+        np.divide(delta, n, out=out)
+        np.log1p(out, out=out)
+        out *= n - 0.5
+        np.log(tot, out=tot)
+        tot *= delta
+        out += tot
+        out -= delta
+        out += tail_tot
+        out -= tail_n
+    if at.size:
         # one argument is below 10 and the other below 14, so the lgamma
         # values are small and their difference does not cancel
-        out[small] = [
-            math.lgamma(a + b) - math.lgamma(a)
-            for a, b in zip(n_arr[small].ravel(), d_arr[small].ravel())
-        ]
-    big = ~small
-    if big.any():
-        nb = n_arr[big]
-        db = d_arr[big]
-        tot = nb + db
-        # one call for both tails: their +, * and / round alike either way
-        tail_tot, tail_n = _stirling_tail(np.stack((tot, nb)))
-        out[big] = (
-            (nb - 0.5) * np.log1p(db / nb)
-            + db * np.log(tot)
-            - db
-            + tail_tot
-            - tail_n
-        )
+        ns, ds = ((v if v.shape == shape else np.broadcast_to(v, shape)).flat[at].tolist()
+                  for v in (n, delta))
+        out.flat[at] = [math.lgamma(a + b) - math.lgamma(a) for a, b in zip(ns, ds)]
     return out[()]
 
 
@@ -185,11 +204,11 @@ def scaled_gamma_sums(a, b, n, f_a, f_b1):
 
 
 def _sum_args(a, b, n):
-    """(a, b, n) as float64 arrays of one shape, or ValueError unless
-    a, b >= 0 and n is a whole number >= 1."""
+    """(a, b, n) as float64 arrays of one shape, or ValueError unless a and
+    b are finite and >= 0 and n is a whole number >= 1."""
     n = _check_n(n, "n")
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    if (a < 0.0).any() or (b < 0.0).any():
+    if not (((a >= 0.0) & (a < np.inf)).all() and ((b >= 0.0) & (b < np.inf)).all()):
         raise ValueError(f"gamma sums are defined for a, b >= 0, got a={a}, b={b}")
     return np.broadcast_arrays(a, b, n)
 
@@ -226,18 +245,35 @@ def gamma_sum_weighted(a, b, n):
     return (weighted / (d1 * d2 * f_b1))[()]
 
 
-def gamma_sum_linear_direct(a: float, b: float, n: int) -> float:
-    """Term-by-term evaluation of the linear gamma sum (testing oracle)."""
+def _direct_sums(a, b, n, weighted: bool):
+    """The term-by-term sums of both oracles: every term
+    Gamma(j+a)/Gamma(j+b), times j if `weighted`, j = 1..n, of every case of
+    the broadcast (a, b, n) from one `log_gamma_ratio` call, and each case's
+    terms added exactly with math.fsum."""
     a, b, n = _sum_args(a, b, n)
-    j = np.arange(1.0, n + 1.0)
-    return math.fsum(np.exp(log_gamma_ratio(j + b, a - b)).tolist())
+    counts = n.ravel().astype(np.int64)
+    ends = np.cumsum(counts)
+    j = np.arange(1.0, counts.sum() + 1.0) - np.repeat(ends - counts, counts)
+    terms = log_gamma_ratio(j + np.repeat(b.ravel(), counts), np.repeat((a - b).ravel(), counts))
+    np.exp(terms, out=terms)
+    if weighted:
+        terms *= j
+    ends = ends.tolist()
+    sums = [math.fsum(terms[start:end].tolist()) for start, end in zip([0, *ends[:-1]], ends)]
+    return np.reshape(sums, a.shape)[()]
 
 
-def gamma_sum_weighted_direct(a: float, b: float, n: int) -> float:
-    """Term-by-term evaluation of the weighted gamma sum (testing oracle)."""
-    a, b, n = _sum_args(a, b, n)
-    j = np.arange(1.0, n + 1.0)
-    return math.fsum((j * np.exp(log_gamma_ratio(j + b, a - b))).tolist())
+def gamma_sum_linear_direct(a, b, n):
+    """Term-by-term evaluation of the linear gamma sum (testing oracle), over
+    the cases that `gamma_sum_linear` takes: a scalar gives a numpy float."""
+    return _direct_sums(a, b, n, weighted=False)
+
+
+def gamma_sum_weighted_direct(a, b, n):
+    """Term-by-term evaluation of the weighted gamma sum (testing oracle),
+    over the cases that `gamma_sum_weighted` takes: a scalar gives a numpy
+    float."""
+    return _direct_sums(a, b, n, weighted=True)
 
 
 def solve_recursion(beta: float, b1: float, c) -> float:

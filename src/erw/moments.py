@@ -160,44 +160,74 @@ def exact_moment_tables(
     """
     pairs = [(ms, check_alpha(alpha)) for ms, alpha in pairs]
     n_max = int(_check_n(n_max, "n_max"))
-    sizes = np.empty((len(pairs), n_max, 4), dtype=np.float64)  # E S2, E S3, E S4, D
-    sizes[:, 0] = (1.0, 1.0, 1.0, 0.0)
+    tables = len(pairs)
+    # E S2, E S3, E S4 and D are solved in the columns of s2, s3, s4 and
+    # s2t, which they scale; the table is then mapped in place
+    values = np.empty((tables, n_max, 7), dtype=np.float64)
+    values[:, 0, [0, 2, 6, 5]] = (1.0, 1.0, 1.0, 0.0)
     width, blocks = _block_shape(n_max)
-    a = np.array([alpha for _, alpha in pairs])[:, None] / np.arange(1, n_max)
-    a_blocked = _blocked(a, width, blocks)
+    # a and one forcing at a time in step order, zero past step n_max - 1,
+    # read by the level through `_by_block`; once spent, they take a
+    # level's rows
+    buffers = np.zeros((tables, 2, width * blocks))
+    a, forcing = buffers[:, 0], buffers[:, 1]
+    a_rows, f, a_blocks = a[:, : n_max - 1], forcing[:, : n_max - 1], _by_block(a, width)
+    np.divide(np.array([alpha for _, alpha in pairs])[:, None], np.arange(1, n_max), out=a_rows)
     # row n forces step n + 1: views of rows 1 .. n_max - 1, read once filled
-    s2, s3 = sizes[:, :-1, 0], sizes[:, :-1, 1]
-    _solve_level(sizes, [0], 2.0, a_blocked, np.broadcast_to(1.0, (len(pairs), 1, width, blocks)))
-    _solve_level(sizes, [1], 3.0, a_blocked, _blocked((3.0 * a * s2 + 1.0)[:, None], width, blocks))
-    forcing = np.stack((6.0 * a * s3 + 4.0 * a * s2 + 1.0, 2.0 * s2 - 2.0 * a * s3), axis=1)
-    _solve_level(sizes, [2, 3], 4.0, a_blocked, _blocked(forcing, width, blocks))
-    values = np.empty((len(pairs), n_max, 7), dtype=np.float64)
+    s2, s3 = values[:, :-1, 0], values[:, :-1, 2]
+
+    def product(c, sequence):
+        # c a sequence into the forcing, as the level reads it
+        forcing[:, n_max - 1 :] = 0.0  # what a level's rows left past the last step
+        np.multiply(a_rows, c, out=f)
+        np.multiply(f, sequence, out=f)
+        return _by_block(forcing, width)
+
+    level = np.empty((tables, 3, width, blocks))
+    np.multiply(a_blocks, 2.0, out=level[:, 0])
+    level[:, 1] = 1.0
+    _solve_level(values, [0], level[:, :2], buffers[:, 1:])
+    np.multiply(a_blocks, 3.0, out=level[:, 0])
+    np.add(product(3.0, s2), 1.0, out=level[:, 1])
+    _solve_level(values, [2], level[:, :2], buffers[:, 1:])
+    np.multiply(a_blocks, 4.0, out=level[:, 0])
+    level[:, 1] = product(4.0, s2)
+    np.add(product(6.0, s3), level[:, 1], out=level[:, 1])
+    level[:, 1] += 1.0
+    level[:, 2] = product(2.0, s3)
+    np.multiply(s2, 2.0, out=f)
+    np.subtract(_by_block(forcing, width), level[:, 2], out=level[:, 2])
+    _solve_level(values, [6, 5], level, buffers)
     # an overflow gives inf (inf times 0, nan), kept without a warning for callers to refuse
     with np.errstate(over="ignore", invalid="ignore"):
-        for (ms, _), table, (e2, e3, e4, d) in zip(pairs, values, sizes.transpose(0, 2, 1)):
-            columns = ((ms.M2, e2), (ms.M12, e2), (ms.M3, e3), (ms.M13, e2), (ms.M22, e2),
-                       (ms.M112, e3), (ms.M4, e4))
-            for k, (scale, sequence) in enumerate(columns):
+        for (ms, _), table in zip(pairs, values):
+            e2, e3, e4, d = (table[:, k] for k in (0, 2, 6, 5))
+            d *= 3.0 * ms.M2 * ms.M2
+            e4 *= ms.M4
+            e4 += d
+            # each column is written after the last read of what it held
+            columns = ((1, (ms.M12, e2)), (3, (ms.M13, e2)), (4, (ms.M22, e2)), (0, (ms.M2, e2)),
+                       (5, (ms.M112, e3)), (2, (ms.M3, e3)))
+            for k, (scale, sequence) in columns:
                 np.multiply(sequence, scale, out=table[:, k])
-            table[:, 6] += 3.0 * ms.M2 * ms.M2 * d
     return [ExactMomentTable(table) for table in values]
 
 
 def exact_moments_bytes(n_max: int) -> int:
     """Bytes `exact_moments_upto` holds at once for n_max rows, computed
     without allocating anything.  The scan peaks where `_solve_level`
-    builds the last level's rows (E S4 and D).  It then holds 7 columns over
-    the rows: the four sequences, a and the stacked forcing.  It holds 11
-    over the steps padded to whole blocks: a, the forcing and the level,
-    blocked (1 + 2 + 3), the two rows being built, and the correction
-    (1 + e) lost with its factor (2 + 1).  Two of numpy's ufunc buffers of
-    up to 8192 values, which that broadcast product fills, the block starts
-    and their compensations as Python floats (128 bytes a block) and 8 KiB
-    of small arrays come on top.  tracemalloc measures over 98% of it from
-    2^15 steps.  A batch of T tables holds at most T times as much."""
+    builds a level's rows.  It then holds the table, 7 columns over the
+    rows, in which the four sequences are solved, and 5 columns over the
+    steps padded to whole blocks: a and the forcing in step order, which
+    take the rows once spent, and the level (3).  Two of numpy's ufunc
+    buffers of up to 8192 values, which the rows' broadcast product fills,
+    the block starts and their compensations as Python floats (128 bytes a
+    block) and 8 KiB of small arrays come on top.  tracemalloc measures
+    over 98% of it from 2^15 steps.  A batch of T tables holds at most T
+    times as much."""
     width, blocks = _block_shape(n_max)
     steps = width * blocks
-    return 8 * (7 * n_max + 11 * steps + 2 * min(2 * steps, 8192) + 16 * blocks) + 8192
+    return 8 * (7 * n_max + 5 * steps + 2 * min(2 * steps, 8192) + 16 * blocks) + 8192
 
 
 def _block_shape(n_max: int) -> tuple[int, int]:
@@ -207,30 +237,32 @@ def _block_shape(n_max: int) -> tuple[int, int]:
     return width, -(-(n_max - 1) // width)
 
 
-def _blocked(v: np.ndarray, width: int, blocks: int) -> np.ndarray:
-    """v's last axis, steps 1 .. n_max - 1, as (..., width, blocks): [i, k]
-    is step k width + i + 1, and the padding past the end is 0."""
-    padded = np.zeros(v.shape[:-1] + (blocks * width,))
-    padded[..., : v.shape[-1]] = v
-    return padded.reshape(v.shape[:-1] + (blocks, width)).swapaxes(-1, -2).copy()
+def _by_block(steps: np.ndarray, width: int) -> np.ndarray:
+    """A (tables, blocks * width) array of steps 1 .. blocks * width as the
+    (tables, width, blocks) view the scan reads: [i, k] is step
+    k width + i + 1."""
+    return steps.reshape(steps.shape[0], -1, width).swapaxes(1, 2)
 
 
 def _solve_level(
-    values: np.ndarray, cols: list, c: float, a: np.ndarray, forcing: np.ndarray
+    values: np.ndarray, cols: list, level: np.ndarray, rows: np.ndarray
 ) -> None:
     """Fill rows 2 .. n_max of the columns `cols` of each table of `values`
     (tables, n_max, columns), which step as x <- x + (c a x + forcing), from
-    row 1; `a` is (tables, width, blocks) and `forcing` (tables, len(cols),
-    width, blocks), each table's a broadcast over its columns.
+    row 1.  `level` is (tables, 1 + len(cols), width, blocks): c a, then
+    each column's forcing, each step at `_by_block`'s place and finite past
+    the last step, whose rows are dropped; the scan overwrites it.  The rows
+    are built in `rows`, (tables, len(cols), width * blocks) in step order.
 
     Every block runs at once from 0, compensated, beside a first column e
     (forced by c a): the homogeneous solution less 1.  Then the block
     starts are chained in Python floats, x <- x + (e x + p) at each block's
     end, compensated, and each row is start + (e start + p), the start's
-    compensation (times 1 + e) added back.
+    compensation (times 1 + e) added back: 1 + e is formed once, in e's
+    place, and its product with a column's compensations in that column's
+    p, read by then.
     """
-    tables, width, blocks = a.shape
-    level = np.concatenate((c * a[:, None], forcing), axis=1)  # steps overwrite it
+    tables, _, width, blocks = level.shape
     x = comp = np.zeros(level[:, :, 0].shape)
     for i in range(width):
         step = level[:, :, i]  # its first column c a, read before the step
@@ -252,10 +284,13 @@ def _solve_level(
                 x = t
     # rows in step order, block by block: transposed as they are built
     starts, lost = (np.reshape(v, (tables, len(cols), blocks, 1)) for v in (starts, lost))
-    e_rows = e.swapaxes(1, 2)[:, None]
-    rows = np.multiply(e_rows, starts, out=np.empty((tables, len(cols), blocks, width)))
+    rows = rows.reshape(tables, len(cols), blocks, width)
+    np.multiply(e.swapaxes(1, 2)[:, None], starts, out=rows)
     rows += p.swapaxes(2, 3)
-    rows -= (e_rows + 1.0) * lost
+    e += 1.0
+    for j in range(len(cols)):
+        np.multiply(e, lost[:, j].swapaxes(1, 2), out=p[:, j])
+        rows[:, j] -= p[:, j].swapaxes(1, 2)
     rows += starts
     rows = rows.reshape(tables, len(cols), blocks * width)[:, :, : values.shape[1] - 1]
     values[:, 1:, cols] = rows.swapaxes(1, 2)
@@ -270,10 +305,14 @@ def _solve_recursion_scan(beta: float, b1: float, c) -> np.ndarray:
     width, blocks = _block_shape(n)
     values = np.empty((1, n, 1))
     values[0, 0] = b1
-    _solve_level(
-        values, [0], beta, _blocked(1.0 / np.arange(1, n)[None], width, blocks),
-        _blocked(c[None, None], width, blocks),
-    )
+    # 1/k, then the forcing, then the rows, in step order: zero past step n - 1
+    steps = np.zeros((1, width * blocks))
+    level = np.empty((1, 2, width, blocks))
+    np.divide(1.0, np.arange(1, n), out=steps[0, : n - 1])
+    np.multiply(_by_block(steps, width), beta, out=level[:, 0])
+    steps[0, : n - 1] = c
+    level[:, 1] = _by_block(steps, width)
+    _solve_level(values, [0], level, steps[:, None])
     return values[0, :, 0]
 
 
@@ -358,9 +397,17 @@ def closed_form_moments(ms: MomentSet, alpha: float, n) -> ClosedFormMoments:
     _guard(alpha, 2)
     _guard(alpha, 3)
 
-    r2 = np.exp(log_gamma_ratio(n, 2.0 * alpha))
-    r3 = np.exp(log_gamma_ratio(n, 3.0 * alpha))
+    r2, r3 = _gamma_ratios(n, alpha, (2.0, 3.0))
     return _closed_form_from_ratios(ms, alpha, n, r2, r3)
+
+
+def _gamma_ratios(n, alpha: float, powers):
+    """The ratios Gamma(n+pa)/Gamma(n) for each p of `powers`, stacked on a
+    leading axis, from one `log_gamma_ratio` call over n."""
+    n = np.asarray(n, dtype=np.float64)
+    deltas = np.multiply(powers, alpha).reshape((-1,) + (1,) * n.ndim)
+    ratios = log_gamma_ratio(n, deltas)
+    return np.exp(ratios, out=ratios)
 
 
 def _closed_form_from_ratios(ms: MomentSet, alpha: float, n, r2, r3) -> ClosedFormMoments:
@@ -421,9 +468,7 @@ def closed_form_s4(ms: MomentSet, alpha: float, n):
     _guard(alpha, 4)
 
     n_arr = np.asarray(n, dtype=np.float64)
-    r4 = np.exp(log_gamma_ratio(n, 4.0 * alpha))
-    r3 = np.exp(log_gamma_ratio(n, 3.0 * alpha))
-    r2 = np.exp(log_gamma_ratio(n, 2.0 * alpha))
+    r2, r3, r4 = _gamma_ratios(n_arr, alpha, (2.0, 3.0, 4.0))
     s4 = _s4_from_ratios(ms, alpha, n_arr, r2, r3, r4)
     # at n = 1 the sums are empty and the terms cancel only to rounding
     return np.where(n_arr == 1.0, ms.M4, s4)[()]

@@ -301,6 +301,14 @@ _ONE_PATH = {
         lambda n: [erw.gamma_sum_weighted(a, b, n) for a, b in _SUM_ARGS],
         (1, 2, 9, 10, 11, 1000, 100_000),
     ),
+    "gamma_sum_linear_direct": (
+        lambda n: [erw.gamma_sum_linear_direct(a, b, n) for a, b in _SUM_ARGS],
+        (1, 2, 9, 10, 11, 1000),
+    ),
+    "gamma_sum_weighted_direct": (
+        lambda n: [erw.gamma_sum_weighted_direct(a, b, n) for a, b in _SUM_ARGS],
+        (1, 2, 9, 10, 11, 1000),
+    ),
     "uniform_draws": (
         lambda c: [erw.rng.uniform_draws(erw.replicate_keys(977, 3, 5), c)],
         (0, 1, 11, 2**63 - 1, 2**63, 2**64 - 1),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -29,6 +30,7 @@ from erw import (
     simulate_path,
     solve_recursion,
 )
+from erw import gammatools
 from erw.gammatools import recip_gamma, unit_constant_solution
 from erw.moments import _solve_recursion_scan
 from erw.rng import replicate_keys, uniform_draws
@@ -97,6 +99,47 @@ class TestLogGammaRatio:
         with pytest.raises(ValueError):
             log_gamma_ratio(2.0, -2.0)
 
+    @pytest.mark.parametrize(("n", "delta", "message"), [
+        (math.nan, 1.0, "n >= 1"),
+        (math.inf, 1.0, "n >= 1"),
+        (5.0, math.nan, "n \\+ delta > 0"),
+        (5.0, math.inf, "n \\+ delta > 0"),
+        (5.0, -math.inf, "n \\+ delta > 0"),
+        (50.0, math.nan, "n \\+ delta > 0"),
+    ])
+    def test_non_finite_refused(self, n, delta, message):
+        # a nan gave nan, inf n gave nan with an "invalid value" warning and
+        # inf delta gave inf; each is refused as a scalar and in an array
+        with pytest.raises(ValueError, match=message):
+            log_gamma_ratio(n, delta)
+        with pytest.raises(ValueError, match=message):
+            log_gamma_ratio(np.array([20.0, n]), np.array([delta, 1.0]))
+
+    def test_huge_n_without_overflow(self):
+        # x * x in the Stirling tail overflowed from n ~ 1.3e154; from 1e100
+        # every Horner step rounds to its constant, so the tail is the
+        # c_0 / x it was, and ln Gamma(n + d)/Gamma(n) is d ln n to rounding
+        x = np.array([1e100, 1e154, 1.4e154, 1e300, 1.7e308])
+        for n in x.tolist():
+            for delta in (0.0, 1.0, -4.0, 3.6):
+                assert log_gamma_ratio(n, delta) == pytest.approx(delta * math.log(n), rel=1e-15)
+        for tail in gammatools._stirling_tails(x, x):
+            assert tail.tobytes() == (1.0 / 12.0 / x).tobytes()
+
+    def test_peak_within_eight_arrays(self):
+        # the output, n + delta and the tail's two buffers over both: about
+        # 6 arrays of 8n bytes at n = 2e5 (12.25 before the Horner steps ran
+        # in place and the masked gathers went)
+        n = np.arange(1.0, 200_001.0)
+        log_gamma_ratio(n[:100], 1.5)  # first-call allocations aside
+        tracemalloc.start()
+        try:
+            log_gamma_ratio(n, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n.nbytes
+
 
 class TestMartingaleScale:
     def test_first_value(self):
@@ -133,6 +176,11 @@ class TestMartingaleScale:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             martingale_scale(5, 1.5)
+
+    def test_rejects_non_finite_n(self):
+        for n in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="n >= 1"):
+                martingale_scale(n, 0.5)
 
 
 class TestGammaRatioHelpers:
@@ -221,6 +269,27 @@ class TestGammaSums:
             gamma_sum_weighted(1.0, 3.0, 5)
         with pytest.raises(ValueError):
             gamma_sum_linear(-0.5, 2.0, 5)
+
+    @pytest.mark.parametrize(("a", "b"), [
+        (0.3, math.nan), (math.nan, 2.0), (0.3, math.inf), (math.inf, 2.0),
+    ])
+    def test_non_finite_a_b_refused(self, a, b):
+        # a nan passed the test a < 0 and gave nan
+        for call in (gamma_sum_linear, gamma_sum_weighted, gamma_sum_linear_direct,
+                     gamma_sum_weighted_direct):
+            with pytest.raises(ValueError, match="defined for a, b >= 0"):
+                call(a, b, 10)
+
+    def test_direct_sums_over_cases(self):
+        # one call over arrays of cases gives each case's scalar sum
+        a = np.array([[0.0, 0.5], [2.25, 1.3]])
+        b = np.array([2.5, 3.2])
+        n = np.array([[1], [40]])
+        for oracle in (gamma_sum_linear_direct, gamma_sum_weighted_direct):
+            got = oracle(a, b, n)
+            assert got.shape == (2, 2)
+            for (i, j), value in np.ndenumerate(got):
+                assert value.tobytes() == oracle(a[i, j], b[j], n[i, 0]).tobytes()
 
 
 class TestRecursionSolver:

@@ -354,9 +354,9 @@ class TestExactRecursion:
     @pytest.mark.parametrize("n", [2, 1000, 4096, 2**15, 100_000])
     def test_peak_within_exact_moments_bytes(self, n):
         # the bound counts what the scan holds: from 2^15 steps, where
-        # numpy reuses temporaries, the peak fills it to over 98% (98.4% at
-        # 2^15, 99.4% at 1e5), so a loose formula or a memory regression
-        # fails here.  The closest below is 99.2% at 4096.
+        # numpy reuses temporaries, the peak fills it to over 98% (99.6% at
+        # 2^15, 99.7% at 1e5), so a loose formula or a memory regression
+        # fails here.  The closest below is 98.9% at 4096.
         ms = moment_set(ORACLE_LAWS["skewed"])
         exact_moments_upto(ms, 0.75, 10)  # first-call allocations aside
         tracemalloc.start()
@@ -512,6 +512,25 @@ class TestClosedFormS4:
     def test_singular_guards(self, alpha, denominator, standard_moment_sets):
         with pytest.raises(SingularParameterError, match=denominator):
             closed_form_s4(standard_moment_sets["bernoulli"], alpha, 10)
+
+
+@pytest.mark.parametrize(("form", "powers"), [(closed_form_moments, 2), (closed_form_s4, 3)])
+def test_closed_forms_take_their_ratios_in_one_call(form, powers, monkeypatch,
+                                                    standard_moment_sets):
+    # every R_p = Gamma(n+pa)/Gamma(n) from one call over a stack of deltas,
+    # so the Stirling tail of n is taken once; `scaled_gamma_sums` makes its
+    # own calls for its scalar lead ratios
+    calls = []
+
+    def counting(n, delta):
+        calls.append(np.shape(delta))
+        return log_gamma_ratio(n, delta)
+
+    monkeypatch.setattr(moments, "log_gamma_ratio", counting)
+    form(standard_moment_sets["bernoulli"], 0.75, np.arange(1.0, 101.0))
+    assert calls == [(powers, 1)]
+    form(standard_moment_sets["bernoulli"], 0.75, 7)
+    assert calls[1:] == [(powers,)]
 
 
 class TestLimitMoments:

@@ -374,7 +374,7 @@ def test_s4_sequence_forcing_mutant_fails(monkeypatch):
     # 6a E S2 in place of 6a E S3 in E S4's forcing: a law-free fault, so
     # every law's s4 moves, and all 18 closed-form entries and the
     # brute-force entries see it wherever a = alpha / n is not 0
-    _exact_table_mutant(monkeypatch, "6.0 * a * s3", "6.0 * a * s2")
+    _exact_table_mutant(monkeypatch, "product(6.0, s3)", "product(6.0, s2)")
     closed = [r.status for r in check_closed_form_vs_recursion(n_max=1000)]
     assert closed == [FAIL] * 18
     brute = {r.name: r.status for r in check_brute_force(n_max=10)}
