@@ -31,6 +31,7 @@ from .moments import (
     CSV_COLUMNS,
     RegimeError,
     closed_form_moments,
+    csv_block_bytes,
     exact_moments_bytes,
     exact_moments_upto,
     format_csv_rows,
@@ -290,13 +291,22 @@ def _refuse_nonfinite(command: str, blocks, columns) -> None:
             )
 
 
+def exact_request_bytes(n: int, compare: bool) -> int:
+    """Bytes `exact` holds at once to n rows, computed without allocating
+    anything: the recursion's scan; then its (n, 7) table and one block of
+    rows as text.  --compare adds the closed forms, n and six forms (56n,
+    88n while they are computed), and writes blocks of 19 columns.  128 KiB
+    of the command's own small objects come on top."""
+    if compare:
+        held = max(144 * n, 112 * n + csv_block_bytes(n, 19))
+    else:
+        held = 56 * n + csv_block_bytes(n, 7)
+    return max(exact_moments_bytes(n), held) + (1 << 17)
+
+
 def cmd_exact(config: ExperimentConfig) -> int:
     alpha = _require_alpha(config)
-    # the recursion's working set, its (n, 7) table included; --compare
-    # adds as many closed-form values
-    _check_request_bytes(
-        "exact", exact_moments_bytes(config.n) + (56 * config.n if config.compare else 0)
-    )
+    _check_request_bytes("exact", exact_request_bytes(config.n, config.compare))
     ms = moment_set(config.dist)
     table = exact_moments_upto(ms, alpha, config.n)
     if not config.compare:
@@ -306,7 +316,6 @@ def cmd_exact(config: ExperimentConfig) -> int:
         return 0
 
     cf = closed_form_moments(ms, alpha, np.arange(1, config.n + 1, dtype=np.float64))
-    closed = np.column_stack([getattr(cf, name) for name in _CF_FIELDS])
     columns = (
         CSV_COLUMNS[1:]
         + tuple(f"cf_{name}" for name in _CF_FIELDS)
@@ -316,8 +325,12 @@ def cmd_exact(config: ExperimentConfig) -> int:
     def blocks():
         # the closed forms cover the table's first six columns, in order
         for first, rec in table.row_blocks():
-            form = closed[first - 1 : first - 1 + len(rec)]
-            yield first, np.column_stack((rec, form, row_relerr(rec[:, :6], form)))
+            cells = np.empty((len(rec), len(columns)))
+            cells[:, :7] = rec
+            for k, name in enumerate(_CF_FIELDS, 7):
+                cells[:, k] = getattr(cf, name)[first - 1 : first - 1 + len(rec)]
+            cells[:, 13:] = row_relerr(rec[:, :6], cells[:, 7:13])
+            yield first, cells
 
     # one pass to check every cell, so a refused table writes nothing
     _refuse_nonfinite("exact", blocks(), columns)

@@ -105,25 +105,37 @@ def log_gamma_ratio(n, delta):
     at = (np.minimum(n, tot) < _STIRLING_MIN).ravel().nonzero()[0]
     if at.size < out.size:
         if at.size:
-            # lgamma overwrites these below; clamped, nothing overflows
+            # lgamma overwrites these below; clamped, the tails stay finite
             np.maximum(tot, _STIRLING_MIN, out=tot)
         tail_tot, tail_n = _stirling_tails(tot, n)
-        np.divide(delta, n, out=out)
-        np.log1p(out, out=out)
-        out *= n - 0.5
-        np.log(tot, out=tot)
-        tot *= delta
-        out += tot
+        # a ratio past the double range is inf, without a warning: both
+        # terms that can overflow have the sign of delta
+        with np.errstate(over="ignore"):
+            np.divide(delta, n, out=out)
+            np.log1p(out, out=out)
+            out *= n - 0.5
+            np.log(tot, out=tot)
+            tot *= delta
+            out += tot
         out -= delta
         out += tail_tot
         out -= tail_n
     if at.size:
-        # one argument is below 10 and the other below 14, so the lgamma
-        # values are small and their difference does not cancel
+        # one argument is below 10, where lgamma is small, so the
+        # difference does not cancel however large the other is
         ns, ds = ((v if v.shape == shape else np.broadcast_to(v, shape)).flat[at].tolist()
                   for v in (n, delta))
-        out.flat[at] = [math.lgamma(a + b) - math.lgamma(a) for a, b in zip(ns, ds)]
+        out.flat[at] = [_lgamma(a + b) - _lgamma(a) for a, b in zip(ns, ds)]
     return out[()]
+
+
+def _lgamma(x: float) -> float:
+    """math.lgamma, or inf where its value leaves the double range (x past
+    about 2.6e305), as the array path gives."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def recip_gamma(x: float) -> float:

@@ -52,15 +52,13 @@ _ROW_BLOCK = 4096
 
 
 def format_csv_rows(first: int, block: np.ndarray) -> str:
-    """CSV lines `n,v1,v2,...` of a float64 block, numbered from n = `first`.
+    """CSV lines `n,v1,v2,...` of a float64 block, numbered from n = `first`,
+    every float with the bytes of its repr: `ryu.format_csv_rows`.  Its
+    module is imported on the first call, so that importing erw, as every
+    CLI call does, does not compile it."""
+    from . import ryu
 
-    Every float is written as its repr, the shortest decimal that reads back
-    to the same double; these are the bytes `csv.writer` writes for the same
-    rows, since it writes a float as its repr and never quotes a number.
-    """
-    return "".join(
-        f"{n},{','.join(map(repr, row))}\n" for n, row in enumerate(block.tolist(), first)
-    )
+    return ryu.format_csv_rows(first, block)
 
 
 class RegimeError(ValueError):
@@ -228,6 +226,16 @@ def exact_moments_bytes(n_max: int) -> int:
     width, blocks = _block_shape(n_max)
     steps = width * blocks
     return 8 * (7 * n_max + 5 * steps + 2 * min(2 * steps, 8192) + 16 * blocks) + 8192
+
+
+def csv_block_bytes(n_max: int, cols: int) -> int:
+    """Bytes one block of rows holds while a table of n_max rows is written
+    as CSV, computed without allocating anything: the block of `cols`
+    float columns (8 bytes a cell) and `format_csv_bytes` of it."""
+    from . import ryu
+
+    rows = min(n_max, _ROW_BLOCK)
+    return 8 * rows * cols + ryu.format_csv_bytes(rows, cols)
 
 
 def _block_shape(n_max: int) -> tuple[int, int]:

@@ -749,5 +749,11 @@ def conditional_continuation_test(
     dx = x - ms.m1
     dt = x * x - ms.m2
     observables = np.stack((dx, dx * dx, dx ** 3, dt, dt * dx, x ** 3 - ms.m3))
-    mean, stderr = layout_moments(_power_sums(observables), n_continuations)
+    # only the first power and its square are read: the layout's columns 0
+    # and 4, with the bytes (and the silent overflow) `_power_sums` gives them
+    sums = np.zeros((len(observables), 8))
+    sums[:, 0] = observables.sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums[:, 4] = (observables * observables).sum(axis=-1)
+    mean, stderr = layout_moments(sums, n_continuations)
     return np.array(astuple(predicted)), mean[:, 0], stderr[:, 0]

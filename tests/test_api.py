@@ -279,7 +279,7 @@ _ONE_PATH = {
     "log_gamma_ratio": (
         lambda n: [
             erw.log_gamma_ratio(n, d)
-            for d in (-4.0, -0.7, 0.0, 1e-9, 0.3, 1.0, 2.2, 3.6, 4.0)
+            for d in (-4.0, -0.7, 0.0, 1e-9, 0.3, 1.0, 2.2, 3.6, 4.0, 1e308)
             if np.all(n + d > 0.0)
         ],
         _NS,

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -772,12 +773,45 @@ class TestRequestSizeCap:
         assert_one_error_line(capsys, (*argv, "--replicates", str(replicates + 1)), "cap")
 
     def test_below_cap_runs(self, capsys, monkeypatch):
+        # a cap of exactly the estimate runs, and one byte less exits 2,
+        # plain and with --compare
         monkeypatch.undo()
-        monkeypatch.setattr(cli, "MAX_REQUEST_BYTES", exact_moments_bytes(1000))
-        code, out, _ = run_cli(
-            capsys, "exact", "--dist", "rademacher", "--alpha", "0.75", "--n", "1000",
-        )
-        assert code == 0 and len(out.splitlines()) == 1001
+        for compare in (False, True):
+            argv = ("exact", "--dist", "rademacher", "--alpha", "0.75", "--n", "1000")
+            argv += ("--compare",) * compare
+            monkeypatch.setattr(cli, "MAX_REQUEST_BYTES", cli.exact_request_bytes(1000, compare))
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and len(out.splitlines()) == 1001
+            monkeypatch.setattr(cli, "MAX_REQUEST_BYTES", cli.exact_request_bytes(1000, compare) - 1)
+            assert_one_error_line(capsys, argv, "cap")
+
+    @pytest.mark.parametrize(("n", "compare"), [
+        (10, False), (1000, False), (100_000, False),
+        (10, True), (1000, True), (100_000, True),
+        pytest.param(300_000, True, marks=pytest.mark.slow),
+    ])
+    def test_peak_within_exact_request_bytes(self, n, compare, tmp_path, monkeypatch):
+        # what `exact` holds, its parser, closed forms and CSV text included,
+        # stays within what its cap counts (a whole-table stack of the
+        # closed forms once held 21.2 MB at n = 1e5 against an estimate of
+        # 15.4).  The skewed law's cells take 17 digits, so at n = 1e5
+        # --compare fills it to over 90% (93%): its last block of text and
+        # the closed forms are counted with little to spare.  At 3e5 the
+        # closed forms' 88n peak is what it reads.
+        monkeypatch.undo()
+        argv = ["exact", "--dist", '{"kind":"discrete","points":[-1,2],"weights":[0.6,0.4]}',
+                "--alpha", "0.75", "--out", str(tmp_path / "table.csv")]
+        argv += ["--compare"] if compare else []
+        assert main([*argv, "--n", "10"]) == 0  # first-call allocations aside
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--n", str(n)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli.exact_request_bytes(n, compare)
+        if compare and n == 100_000:
+            assert peak >= 0.9 * cli.exact_request_bytes(n, compare)
 
 
 _VALUE_FLAGS = ("--config", "--dist", "--alpha", "--n", "--replicates", "--seed",

@@ -126,6 +126,19 @@ class TestLogGammaRatio:
         for tail in gammatools._stirling_tails(x, x):
             assert tail.tobytes() == (1.0 / 12.0 / x).tobytes()
 
+    @pytest.mark.parametrize(("n", "delta", "value"), [
+        (2.0, 1e308, math.inf), (20.0, 1e308, math.inf), (1e306, -9.9e305, -math.inf),
+    ])
+    def test_ratio_past_double_range_is_infinite(self, n, delta, value):
+        # math.lgamma raised OverflowError below n = 10 and the array path
+        # warned of an overflow from there; both give the infinite log
+        # ratio, as a scalar, in an array on either side of 10, and in a
+        # broadcast (warnings are errors here)
+        assert log_gamma_ratio(n, delta) == value
+        out = log_gamma_ratio(np.array([n, 5.0, 50.0]), np.array([delta, 1.0, 1.0]))
+        assert out[0] == value and np.isfinite(out[1:]).all()
+        assert (log_gamma_ratio(np.full(12, n), delta) == value).all()
+
     def test_peak_within_eight_arrays(self):
         # the output, n + delta and the tail's two buffers over both: about
         # 6 arrays of 8n bytes at n = 2e5 (12.25 before the Horner steps ran
