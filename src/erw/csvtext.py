@@ -5,15 +5,16 @@ double, the closest such when there are several (ties to even digits).
 It is written in fixed notation when its decimal point position decpt
 (value = 0.d1d2... x 10^decpt) has -4 < decpt <= 16, as `0.0001` or
 `1234.5`, and in scientific notation otherwise, as `1e-05` or `1.5e+300`.
-Ryu (Adams, "Ryu: fast float-to-string conversion", PLDI 2018) finds those
-digits with integer arithmetic alone: 4m, for the significand m, times a
-125-bit power of 5 chosen by the binary exponent and shifted gives the
-value scaled to about 17 digits and both ends of its rounding interval,
-and digits are removed while the ends still differ above them.  Here every
-step runs on uint64 arrays, a chunk of cells at a time: the 64 x 128-bit
-product in 32-bit halves, the tables indexed by biased exponent, and Ryu's
-exact cases (a value that is a multiple of the power of 10 it is scaled
-by) under masks.  The text is assembled in fixed-width slots, every part a
+Schubfach (Giulietti, "The Schubfach way to render doubles", 2020) finds
+those digits with integer arithmetic alone: a power of 10 to 126 bits,
+chosen by the binary exponent, scales the value and both ends of its
+rounding interval to units of 10^k, in which the interval is 1 to 10 units
+wide, each product rounded to odd below two fractional bits.  The digits
+are then a multiple of 10 when just one lies in the interval, else the one
+of floor and floor + 1 in it, or the closer of the two when both are.  Here
+every step runs on uint64 arrays, a chunk of cells at a time: the 64 x
+126-bit products in 32-bit halves and the tables indexed by biased
+exponent.  The text is assembled in fixed-width slots, every part a
 cell might need at a fixed place, and one boolean mask per cell, looked up
 by its format code, keeps the bytes it uses.
 
@@ -35,12 +36,8 @@ _CHUNK_CELLS = 8192
 _U64 = np.uint64
 _M32 = _U64(0xFFFFFFFF)
 _POW10 = np.array([10**t for t in range(20)], dtype=np.uint64)
-_POW5 = np.array([5**t for t in range(22)], dtype=np.uint64)
 #: Significant digits of a double's shortest decimal, at most
 _DIGITS = 17
-#: Ryu's multipliers: 2^(k - 1) / 5^q rounded up for q < 342 (the values
-#: from 2^52 up) and 5^i for i < 326 (the values below), each to 125 bits
-_INVERSES, _POWERS, _TABLE_BITS = 342, 326, 125
 
 # A cell's slot of _SLOT bytes: sign, a leading 0, the significand's 17
 # digits (A), a point, three zeros, the 17 digits again (B), the exponent
@@ -65,49 +62,42 @@ _EXP_OFFSET = 323
 #: and a separator
 _CELL_TEXT = 25
 #: Bytes a chunk holds per slot while it is formatted, at most: its slot
-#: and mask (56 each) and the kernel's arrays (about 120 per cell)
+#: (56) and either the kernel's arrays (114 per cell) or the mask (56), the
+#: text it gathers and the cells' codes.  tracemalloc reads 180 and 190 for
+#: the two at 19 columns of 24-character cells, that text counted again in
+#: `format_csv_bytes`' text
 _SLOT_BYTES = 190
 _ONE_BITS = np.float64(1.0).view(np.uint64)
 _INF_BITS = np.float64(np.inf).view(np.uint64)
 
 
-def _pow5bits(e):
-    """Bits of 5^e (1 at e = 0), as Ryu scales its multipliers."""
-    return ((e * 1217359) >> 19) + 1
-
-
 @functools.cache
 def _tables() -> dict:
     """The kernel's read-only tables, built on first use (a few
-    milliseconds).  By biased exponent: Ryu's decimal exponent e10, its
-    shift less 64, the multiplier c in 32-bit pieces and in two limbs, 2c
-    in two limbs, the mask of the bits of 4m that must be clear for the
-    scaled value to be exact (all ones where it cannot be), the q of a
-    multiple-of-5^q check (-2 for q <= 1 below 2^52, -1 for none) and the
-    digits of 2^(biased - 1023).  Then the format codes, their slot masks,
-    the exponent texts and the 4-digit groups as uint32."""
+    milliseconds).  By row, the biased exponent, plus 2048 where the
+    significand is 2^52 from biased exponent 2 on (the double below is half
+    as close): Schubfach's decimal exponent k, the shift h and the
+    multiplier g = floor(10^-k 2^-r) + 1 = g1 2^63 + g0, r = floor(-k
+    log2 10) - 125.  By biased exponent, the digits of 2^(biased - 1023).
+    Then the format codes, their slot masks, the exponent texts and the
+    4-digit groups as uint32."""
     biased = np.arange(2048)
-    e2 = np.maximum(biased, 1) - 1077  # of the value 4m 2^e2
-    up = e2 >= 0
-    # log10(2^e2) - 1 or log10(5^-e2) - 1, at least 0
-    q = np.maximum(np.where(up, (e2 * 78913) >> 18, (-e2 * 732923) >> 20) - 1, 0)
-    i = np.where(up, 0, -e2 - q)
-    shift = np.where(up, q + _TABLE_BITS + _pow5bits(q) - 1 - e2, q - _pow5bits(i) + _TABLE_BITS)
-    # the multipliers from Python ints, as little-endian 32-bit pieces
-    multipliers = [(1 << (_TABLE_BITS + _pow5bits(j) - 1)) // 5**j + 1 for j in range(_INVERSES)]
-    multipliers += [5**j << _TABLE_BITS >> _pow5bits(j) for j in range(_POWERS)]
-    pieces = [np.frombuffer(b"".join(v.to_bytes(16, "little") for v in values), dtype="<u4")
-              .reshape(-1, 4)[np.where(up, q, _INVERSES + i)].T.astype(np.uint64, order="C")
-              for values in (multipliers, [2 * v for v in multipliers])]
-    bit_mask = (_U64(1) << np.minimum(q, 63).astype(np.uint64)) - _U64(1)
+    q = np.maximum(biased, 1) - 1075  # of the value c 2^q
+    # floor(q log10 2), and floor(q log10 2 + log10 3/4) where the interval's
+    # lower half is half as wide, as Giulietti's integer forms
+    log10 = q * 661_971_961_083
+    k = np.concatenate([log10, np.where(biased >= 2, log10 - 274_743_187_321, log10)]) >> 41
+    powers, at = np.unique(k, return_inverse=True)
+    log2 = -powers * 913_124_641_741 >> 38  # floor(-k log2 10)
+    # g = floor(10^-k 2^(125 - floor(-k log2 10))) + 1 from Python ints, once per k
+    g = [(10 ** max(-e, 0) << max(125 - b, 0)) // (10 ** max(e, 0) << max(b - 125, 0)) + 1
+         for e, b in zip(powers.tolist(), log2.tolist())]
+    limbs = np.array([[v >> 63, v & (2**63 - 1)] for v in g], dtype=np.uint64)[at]
     tables = {
-        "e10": np.where(up, q, q + e2),
-        "shift": shift.astype(np.uint64) - _U64(64),
-        "pieces": list(pieces[0]),
-        "c": [pieces[0][j] | pieces[0][j + 1] << _U64(32) for j in (0, 2)],
-        "twice_c": [pieces[1][j] | pieces[1][j + 1] << _U64(32) for j in (0, 2)],
-        "low": np.where(up | (q >= 63), _U64(2**64 - 1), bit_mask),
-        "pow5_check": np.where(up, np.where(q <= 21, q, -1), np.where(q <= 1, -2, -1)),
+        "k": k,
+        "h": (np.tile(q, 2) + log2[at] + 2).astype(np.uint64),
+        "g1": limbs[:, 0].copy(),
+        "g0": limbs[:, 1].copy(),
         "digit_estimate": np.minimum(19, ((np.maximum(biased - 1023, 0) * 1233) >> 12) + 1),
         "codes": _format_codes(),
         "masks": _slot_masks(),
@@ -116,9 +106,8 @@ def _tables() -> dict:
         "groups": (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0"))
         .astype(np.uint8).view(np.uint32)[:, 0],
     }
-    for value in tables.values():
-        for array in value if isinstance(value, list) else [value]:
-            array.flags.writeable = False
+    for array in tables.values():
+        array.flags.writeable = False
     return tables
 
 
@@ -175,138 +164,110 @@ def _slot_masks() -> np.ndarray:
     return masks.reshape(2 * _CODES, _SLOT)
 
 
-def _umul128(x0, x1, y0, y1):
-    """(low, high) 64-bit limbs of x y, for x and y given as 32-bit halves,
-    x below 2^55."""
+def _umul128(x0, x1, y):
+    """(low, high) 64-bit limbs of x y, for x given as 32-bit halves."""
+    y0, y1 = y & _M32, y >> _U64(32)
     p00 = x0 * y0
     p10 = x1 * y0
+    del y0
     mid = p00 >> _U64(32)
     mid += p10 & _M32
     mid += x0 * y1  # at most 2^64 - 1 in all
     low = mid << _U64(32)
     low |= p00 & _M32
+    del p00
     high = x1 * y1
     high += p10 >> _U64(32)
     high += mid >> _U64(32)
     return low, high
 
 
+def _add_shifted(low, high, g, shift) -> None:
+    """(high:low) += g 2^shift in place, for 0 < shift < 64."""
+    part = g << shift
+    low += part
+    high += low < part
+    np.right_shift(g, _U64(64) - shift, out=part)
+    high += part
+
+
+def _rop(x1, y0, y1) -> np.ndarray:
+    """Schubfach's point g x / 2^127 rounded to odd, for x1 the high limb
+    of g0 x and (y1:y0) = g1 x, as Java's rop: the low limb of g0 x and
+    the low bit of g1 x are dropped, the 63 bits below the point kept as a
+    sticky bit."""
+    z = y0 >> _U64(1)
+    z += x1
+    point = z >> _U64(63)
+    point += y1
+    z &= _U64(2**63 - 1)
+    point |= z != 0
+    return point
+
+
 def shortest_digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(digits, exponent) of positive finite doubles given as uint64 bits,
-    with value = digits 10^exponent: Ryu's shortest, closest decimal, as
-    `repr` writes it.  Zero is not positive here.  Each step runs in place
-    where it can, so about a dozen cell-sized arrays are held at once."""
+    with value = digits 10^exponent and no trailing zero in digits:
+    Schubfach's shortest, closest decimal, as `repr` writes it.  Zero is
+    not positive here.  `bits` is left as it is; each step runs in place
+    where it can."""
     t = _tables()
-    biased = (bits >> _U64(52)).astype(np.intp)
-    exponent = t["e10"].take(biased)
-    mv = bits & _U64((1 << 52) - 1)
-    # the rounding interval is (mv - 2, mv + 2) in units of 2^e2, its lower
-    # end mv - 1 at a power of 2, whose double below is closer
-    mm_shift = (mv != 0) | (biased <= 1)
-    mv |= (biased != 0).astype(np.uint64) << _U64(52)
-    even = (mv & _U64(1)) == 0  # the interval's ends are doubles' halfway points
-    mv <<= _U64(2)
-    # mv c in three limbs: low0, p1, p2
-    x0, x1 = mv & _M32, mv >> _U64(32)
-    low0, p1 = _umul128(x0, x1, *(p.take(biased) for p in t["pieces"][:2]))
-    low1, p2 = _umul128(x0, x1, *(p.take(biased) for p in t["pieces"][2:]))
+    biased = bits >> _U64(52)
+    c = bits & _U64((1 << 52) - 1)
+    irregular = (c == 0) & (biased >= _U64(2))
+    row = biased.astype(np.intp)
+    np.add(row, 2048, out=row, where=irregular)
+    c |= np.minimum(biased, _U64(1)) << _U64(52)
+    del biased
+    odd = (c & _U64(1)).astype(bool)  # ties to even: the interval's ends are out
+    exponent, h, g0, g1 = (t[name].take(row) for name in ("k", "h", "g0", "g1"))
+    del row
+    # the interval's lower end 4c - 2 (4c - 1 where irregular) times 2^h,
+    # then times g; its middle 4c and upper end 4c + 2 by adding to that
+    c <<= _U64(2)
+    c -= _U64(2)
+    c += irregular
+    c <<= h
+    x0, x1 = c & _M32, c >> _U64(32)
+    del c
+    a, b = _umul128(x0, x1, g0), _umul128(x0, x1, g1)
     del x0, x1
-    p1 += low1
-    p2 += p1 < low1
-    del low1
-    shift = t["shift"].take(biased)
-    rest = _U64(64) - shift
-
-    def shifted(l1, l2):
-        # (l2:l1) >> (64 + shift), in l1; l2 is spent
-        l1 >>= shift
-        l2 <<= rest
-        l1 |= l2
-        return l1
-
-    vr = shifted(p1.copy(), p2.copy())
-    # (mv + 2) c and (mv - 1 - mm_shift) c from the product, with carries
-    d0, d1 = (limb.take(biased) for limb in t["twice_c"])
-    carry0 = d0 > ~low0
-    s1 = p1 + d1
-    carry = s1 < p1
-    s1 += carry0
-    carry |= (s1 == 0) & carry0
-    vp = shifted(s1, p2 + carry)
-    if not mm_shift.all():
-        d0, d1 = (np.where(mm_shift, d, limb.take(biased)) for d, limb in zip((d0, d1), t["c"]))
-    borrow0 = low0 < d0
-    s1 = p1 - d1
-    borrow = (p1 < d1) | ((s1 == 0) & borrow0)
-    s1 -= borrow0
-    p2 -= borrow
-    vm = shifted(s1, p2)
-    del low0, p1, p2, d0, d1, s1, shift, rest, carry0, carry, borrow0, borrow
-
-    # whether the digits removed from vr (vm) are exactly zero; Ryu's
-    # interval of a value that is a multiple of 10^e10 handled apart
-    vr_zeros = (mv & t["low"].take(biased)) == 0
-    vm_zeros = np.zeros_like(vr_zeros)
-    check = t["pow5_check"].take(biased)
-    small = np.flatnonzero(check == -2)
-    if small.size:
-        vm_zeros[small] = even[small] & mm_shift[small]
-        vp[small] -= ~even[small]
-    at = np.flatnonzero(check >= 0)
-    if at.size:
-        p5 = _POW5.take(check[at])
-        mvs, ev = mv[at], even[at]
-        by5 = mvs % _U64(5) == 0
-        vr_zeros[at] = by5 & (mvs % p5 == 0)
-        vm_zeros[at] = ~by5 & ev & ((mvs - _U64(1) - mm_shift[at]) % p5 == 0)
-        vp[at] -= ~by5 & ~ev & ((mvs + _U64(2)) % p5 == 0)
-    del biased, mv, mm_shift, check
-
-    # digits removed while vp and vm differ above them: every t with 10^t
-    # at most vp - vm, then while a multiple of 10^t lies in (vm, vp]
-    vp -= vm
-    removed = _digit_count(vp) - 1
-    vp += vm
-    power = _POW10.take(removed + 1)
-    at = np.flatnonzero(vp // power > vm // power)
-    qp, qm = vp[at] // power[at], vm[at] // power[at]
-    del vp, power
+    vbl = _rop(a[1], *b)
+    h += ~irregular
+    _add_shifted(*a, g0, h)
+    _add_shifted(*b, g1, h)
+    vb = _rop(a[1], *b)
+    h += irregular
+    _add_shifted(*a, g0, h)
+    _add_shifted(*b, g1, h)
+    vbr = _rop(a[1], *b)
+    del a, b, g0, g1, h, irregular
+    vbl += odd
+    vbr -= odd
+    s = vb >> _U64(2)
+    # the closer of s and s + 1, ties to even, unless just one is in the interval
+    up = (vb & _U64(3)) + (s & _U64(1)) > _U64(2)
+    del vb
+    point = s << _U64(2)
+    lower = vbl <= point
+    point += _U64(4)
+    upper = point <= vbr
+    up = np.where(lower == upper, up, upper)
+    # one digit fewer where just one multiple of 10 is in the interval
+    tens = s // _U64(10)
+    np.multiply(tens, _U64(40), out=point)
+    lower = vbl <= point
+    point += _U64(40)
+    upper = point <= vbr
+    fewer = lower != upper
+    del vbl, vbr, point, lower
+    digits = np.where(fewer, tens + upper, s + up)
+    exponent += fewer
+    at = np.flatnonzero(digits % _U64(10) == 0)
     while at.size:
-        removed[at] += 1
-        qp //= _U64(10)
-        qm //= _U64(10)
-        more = qp > qm
-        at, qp, qm = at[more], qp[more], qm[more]
-    at = np.flatnonzero(vm_zeros)
-    if at.size:
-        # where vm's removed digits are zero, its trailing zeros go too
-        vm_zeros[at] = vm[at] % _POW10.take(removed[at]) == 0
-        at = at[vm_zeros[at]]
-        rest_m = vm[at] // _POW10.take(removed[at])
-        while at.size:
-            more = (rest_m % _U64(10) == 0) & (rest_m != 0)
-            at, rest_m = at[more], rest_m[more] // _U64(10)
-            removed[at] += 1
-    some = removed > 0
-    last = vr // _POW10.take(removed - some)  # vr less all but its last removed digit
-    digits = last // _U64(10)
-    last -= digits * _U64(10)
-    none = np.flatnonzero(~some)
-    if none.size:
-        digits[none], last[none] = vr[none], 0
-    at = np.flatnonzero(vr_zeros)
-    if at.size:
-        # an exact ...50..0 rounds to even
-        exact = vr[at] % _POW10.take(np.maximum(removed[at] - 1, 0)) == 0
-        tie = exact & (last[at] == 5) & (digits[at] % _U64(2) == 0)
-        last[at[tie]] = 4
-    del vr
-    # round up past vm's prefix, outside the interval, or from a last digit of 5 or more
-    up = vm >= digits * _POW10.take(removed)
-    up &= ~(even & vm_zeros)
-    up |= last >= 5
-    digits += up
-    exponent += removed
+        digits[at] //= _U64(10)
+        exponent[at] += 1
+        at = at[digits[at] % _U64(10) == 0]
     return digits, exponent
 
 
@@ -324,7 +285,8 @@ def format_csv_bytes(rows: int, cols: int) -> int:
     at most, computed without allocating anything: the text gathered so far
     (with a bytearray's eighth to spare), then either one chunk's slots and
     arrays or, at the end, the text once more as a str.  tracemalloc reads
-    86% of it for 4096 x 19 cells of 17 significant digits."""
+    93% of it for 4096 x 19 cells of 24 characters (-1.2345678901234567e-300)
+    and 72% for cells of 18 (1.2345678901234567)."""
     slots = (cols + 1) * min(rows, _chunk_rows(cols))
     text = _CELL_TEXT * (cols + 1) * rows
     return text + text // 8 + 64 + max(text, _SLOT_BYTES * slots)

@@ -47,18 +47,19 @@ from .gammatools import (
 ALPHA_TOL = 1e-8
 
 #: Rows per block when a table is written as CSV.  Only one block of rows
-#: is ever held as Python floats and text, so memory stays flat in n.
+#: is ever held, as a float64 array and its text (`csv_block_bytes`), so
+#: memory stays flat in n.
 _ROW_BLOCK = 4096
 
 
 def format_csv_rows(first: int, block: np.ndarray) -> str:
     """CSV lines `n,v1,v2,...` of a float64 block, numbered from n = `first`,
-    every float with the bytes of its repr: `ryu.format_csv_rows`.  Its
+    every float with the bytes of its repr: `csvtext.format_csv_rows`.  Its
     module is imported on the first call, so that importing erw, as every
     CLI call does, does not compile it."""
-    from . import ryu
+    from . import csvtext
 
-    return ryu.format_csv_rows(first, block)
+    return csvtext.format_csv_rows(first, block)
 
 
 class RegimeError(ValueError):
@@ -232,10 +233,10 @@ def csv_block_bytes(n_max: int, cols: int) -> int:
     """Bytes one block of rows holds while a table of n_max rows is written
     as CSV, computed without allocating anything: the block of `cols`
     float columns (8 bytes a cell) and `format_csv_bytes` of it."""
-    from . import ryu
+    from . import csvtext
 
     rows = min(n_max, _ROW_BLOCK)
-    return 8 * rows * cols + ryu.format_csv_bytes(rows, cols)
+    return 8 * rows * cols + csvtext.format_csv_bytes(rows, cols)
 
 
 def _block_shape(n_max: int) -> tuple[int, int]:

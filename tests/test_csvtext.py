@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from erw import ryu
+from erw import csvtext
 from erw.moments import format_csv_rows
 
 #: 9999 -> 10000 falls inside the first chunk at every width tried
@@ -76,9 +76,24 @@ def test_non_contiguous_and_empty_blocks():
 def test_shortest_digits_keep_no_trailing_zero():
     values = np.abs(_families())
     values = values[np.isfinite(values) & (values > 0.0)]
-    digits, exponent = ryu.shortest_digits(values.view(np.uint64))
+    digits, exponent = csvtext.shortest_digits(values.view(np.uint64))
     assert (digits % 10 != 0).all()
     assert [float(f"{d}e{e}") for d, e in zip(digits.tolist(), exponent.tolist())] == values.tolist()
+
+
+def test_tables_keep_the_products_in_range():
+    # rop takes g as two 63-bit limbs of a 126-bit multiplier, and the
+    # interval's scaled upper end (4c + 2) 2^h, h in [2, 5], stays below
+    # 2^61; rows of 2^52 whose double below is half as close (from 2048)
+    # differ from the regular ones only from biased exponent 2
+    t = csvtext._tables()
+    g = [(g1 << 63) + g0 for g1, g0 in zip(t["g1"].tolist(), t["g0"].tolist())]
+    assert len(g) == 4096 and all(2**125 < v <= 2**126 for v in g)
+    assert (t["g1"] < 2**63).all() and (t["g0"] < 2**63).all()
+    assert ((2 <= t["h"]) & (t["h"] <= 5)).all()
+    for name in ("k", "h", "g1", "g0"):
+        assert (t[name][2048:2050] == t[name][:2]).all(), name
+    assert (t["k"][2050:] != t["k"][2:2048]).any()
 
 
 def test_row_numbers_below_the_limit():
