@@ -30,7 +30,6 @@ from .moments import (
     ClosedFormMoments,
     ConditionalStepMoments,
     EnumerationSizeError,
-    ExactMomentRow,
     ExactMomentTable,
     LimitMoments,
     RegimeError,

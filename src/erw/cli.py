@@ -31,10 +31,8 @@ from .moments import (
     CSV_COLUMNS,
     RegimeError,
     closed_form_moments,
-    csv_block_bytes,
     exact_moments_bytes,
     exact_moments_upto,
-    format_csv_rows,
     limit_q_moments,
 )
 from .rng import parse_seed
@@ -147,7 +145,10 @@ def _parse_alphas(value) -> list[float]:
     if isinstance(value, str):
         text = value.strip()
         if ":" in text:
-            lo, hi, step = (float(part) for part in text.split(":"))
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise ConfigError(f"alpha range {text!r} is not of the form lo:hi:step")
+            lo, hi, step = (float(part) for part in parts)
             if not (step > 0 and lo <= hi):
                 raise ConfigError(f"bad alpha range {text!r}")
             span = (hi - lo) / step
@@ -278,66 +279,63 @@ def cmd_limits(config: ExperimentConfig) -> int:
     return 0
 
 
-def _refuse_nonfinite(command: str, blocks, columns) -> None:
-    """Raise ConfigError (exit 2) at the first inf or nan cell of the
-    (first n, block) pairs, naming its n and column."""
-    for first, block in blocks:
-        bad = np.argwhere(~np.isfinite(block))
-        if bad.size:
-            row, col = bad[0]
-            raise ConfigError(
-                f"{command}: {columns[col]} at n = {first + row} is {float(block[row, col])}, "
-                f"not finite in double precision"
-            )
+def _refuse_nonfinite(command: str, columns, first: int, block: np.ndarray) -> None:
+    """Raise ConfigError (exit 2) at the first inf or nan cell of `block`,
+    whose first row is n = `first`, naming its n and column."""
+    bad = np.argwhere(~np.isfinite(block))
+    if bad.size:
+        row, col = bad[0]
+        raise ConfigError(
+            f"{command}: {columns[col]} at n = {first + row} is {float(block[row, col])}, "
+            f"not finite in double precision"
+        )
 
 
 def exact_request_bytes(n: int, compare: bool) -> int:
     """Bytes `exact` holds at once to n rows, computed without allocating
-    anything: the recursion's scan; then its (n, 7) table and one block of
-    rows as text.  --compare adds the closed forms, n and six forms (56n,
-    88n while they are computed), and writes blocks of 19 columns.  128 KiB
-    of the command's own small objects come on top."""
-    if compare:
-        held = max(144 * n, 112 * n + csv_block_bytes(n, 19))
-    else:
-        held = 56 * n + csv_block_bytes(n, 7)
+    anything: the recursion's scan, or its (n, 7) table (56n) and, with
+    --compare, the closed forms, n and six forms (56n, 88n while they are
+    computed), then the CSV writer's chunk of 7 or 19 columns
+    (`format_csv_bytes`).  128 KiB of the command's own small objects come
+    on top."""
+    from . import csvtext
+
+    writer = csvtext.format_csv_bytes(n, 19 if compare else 7)
+    held = max(112 * n + writer, 144 * n) if compare else 56 * n + writer
     return max(exact_moments_bytes(n), held) + (1 << 17)
 
 
 def cmd_exact(config: ExperimentConfig) -> int:
     alpha = _require_alpha(config)
     _check_request_bytes("exact", exact_request_bytes(config.n, config.compare))
+    from . import csvtext
+
     ms = moment_set(config.dist)
     table = exact_moments_upto(ms, alpha, config.n)
-    if not config.compare:
-        _refuse_nonfinite("exact", table.row_blocks(), CSV_COLUMNS[1:])
-        with _open_out(config.out) as handle:
-            table.write_csv(handle)
-        return 0
+    columns = CSV_COLUMNS[1:]
+    if config.compare:
+        cf = closed_form_moments(ms, alpha, np.arange(1, config.n + 1, dtype=np.float64))
+        forms = [getattr(cf, name) for name in _CF_FIELDS]
+        columns += tuple(f"cf_{name}" for name in _CF_FIELDS)
+        columns += tuple(f"relerr_{name}" for name in _CF_FIELDS)
 
-    cf = closed_form_moments(ms, alpha, np.arange(1, config.n + 1, dtype=np.float64))
-    columns = (
-        CSV_COLUMNS[1:]
-        + tuple(f"cf_{name}" for name in _CF_FIELDS)
-        + tuple(f"relerr_{name}" for name in _CF_FIELDS)
-    )
-
-    def blocks():
+    def cells(start, stop):
+        rec = table.values[start:stop]
+        if not config.compare:
+            return rec
         # the closed forms cover the table's first six columns, in order
-        for first, rec in table.row_blocks():
-            cells = np.empty((len(rec), len(columns)))
-            cells[:, :7] = rec
-            for k, name in enumerate(_CF_FIELDS, 7):
-                cells[:, k] = getattr(cf, name)[first - 1 : first - 1 + len(rec)]
-            cells[:, 13:] = row_relerr(rec[:, :6], cells[:, 7:13])
-            yield first, cells
+        block = np.empty((stop - start, len(columns)))
+        block[:, :7] = rec
+        for k, form in enumerate(forms, 7):
+            block[:, k] = form[start:stop]
+        block[:, 13:] = row_relerr(rec[:, :6], block[:, 7:13])
+        return block
 
     # one pass to check every cell, so a refused table writes nothing
-    _refuse_nonfinite("exact", blocks(), columns)
+    for start, stop in csvtext.chunk_spans(config.n, len(columns)):
+        _refuse_nonfinite("exact", columns, start + 1, cells(start, stop))
     with _open_out(config.out) as handle:
-        handle.write(",".join(("n",) + columns) + "\n")
-        for first, cells in blocks():
-            handle.write(format_csv_rows(first, cells))
+        csvtext.write_csv(handle, ("n", *columns), cells, config.n)
     return 0
 
 
@@ -357,7 +355,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         )
     ms = moment_set(config.dist)
     table = exact_moments_upto(ms, alpha, checkpoints[-1])
-    _refuse_nonfinite("simulate", table.row_blocks(), CSV_COLUMNS[1:])
+    _refuse_nonfinite("simulate", CSV_COLUMNS[1:], 1, table.values)
     sums = cluster_batch(
         config.dist, alpha, config.n, config.replicates, config.seed,
         checkpoints, workers=config.workers,

@@ -18,19 +18,20 @@ exponent.  The text is assembled in fixed-width slots, every part a
 cell might need at a fixed place, and one boolean mask per cell, looked up
 by its format code, keeps the bytes it uses.
 
-`format_csv_rows` writes every float this way: `inf`, `-inf`, `nan` and
-signed zeros are cells of the kernel too, and `repr` is only the tests'
-oracle.
+`write_csv` writes every float of a table this way, a chunk of rows at a
+time: `inf`, `-inf`, `nan` and signed zeros are cells of the kernel too,
+and `repr` is only the tests' oracle.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 #: Cells per chunk: the kernel's arrays stay in cache, and its buffers have
-#: a fixed size whatever the block.
+#: a fixed size whatever the table.
 _CHUNK_CELLS = 8192
 
 _U64 = np.uint64
@@ -58,14 +59,11 @@ _CODES = _ROW_NUMBER + _DIGITS
 _INF = 324 + 309
 #: A cell's decimal point position plus this is its exponent text's row
 _EXP_OFFSET = 323
-#: Bytes of text a cell can take: 24 characters (-1.2345678901234567e-308)
-#: and a separator
-_CELL_TEXT = 25
 #: Bytes a chunk holds per slot while it is formatted, at most: its slot
-#: (56) and either the kernel's arrays (114 per cell) or the mask (56), the
-#: text it gathers and the cells' codes.  tracemalloc reads 180 and 190 for
-#: the two at 19 columns of 24-character cells, that text counted again in
-#: `format_csv_bytes`' text
+#: (56), its float cells and, while the digits run, the kernel's arrays (114
+#: per cell); the gather after them holds the slot, the mask (56) and the
+#: text.  tracemalloc reads 180.8 at 19 columns of finite cells, 189.3 where
+#: every cell is inf or nan, and 143 once the digits are found
 _SLOT_BYTES = 190
 _ONE_BITS = np.float64(1.0).view(np.uint64)
 _INF_BITS = np.float64(np.inf).view(np.uint64)
@@ -281,91 +279,115 @@ def _digit_count(values: np.ndarray) -> np.ndarray:
 
 
 def format_csv_bytes(rows: int, cols: int) -> int:
-    """Bytes `format_csv_rows` holds at once for a block of `rows` x `cols`,
-    at most, computed without allocating anything: the text gathered so far
-    (with a bytearray's eighth to spare), then either one chunk's slots and
-    arrays or, at the end, the text once more as a str.  tracemalloc reads
-    93% of it for 4096 x 19 cells of 24 characters (-1.2345678901234567e-300)
-    and 72% for cells of 18 (1.2345678901234567)."""
-    slots = (cols + 1) * min(rows, _chunk_rows(cols))
-    text = _CELL_TEXT * (cols + 1) * rows
-    return text + text // 8 + 64 + max(text, _SLOT_BYTES * slots)
+    """Bytes `write_csv` holds at once for a table of `rows` x `cols`
+    float cells, at most, computed without allocating anything: one
+    chunk's slots and what its formatting holds, `_SLOT_BYTES` a slot.
+    tracemalloc reads 95% of it for a chunk of 19 columns of finite cells,
+    whatever their length, and 90% for 7 columns."""
+    return _SLOT_BYTES * (cols + 1) * min(rows, _chunk_rows(cols)) + 64
 
 
 def _chunk_rows(cols: int) -> int:
     return max(1, _CHUNK_CELLS // max(cols, 1))
 
 
-def format_csv_rows(first: int, block: np.ndarray) -> str:
-    """CSV lines `n,v1,v2,...` of a float64 block, numbered from n = `first`.
+def chunk_spans(rows: int, cols: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each chunk of rows start + 1 .. stop in which
+    `write_csv` writes `rows` rows of `cols` float cells: _CHUNK_CELLS
+    cells, or one row, at most."""
+    step = _chunk_rows(cols)
+    return ((start, min(start + step, rows)) for start in range(0, rows, step))
+
+
+def write_csv(
+    handle, header: Sequence[str], cells: Callable[[int, int], np.ndarray], rows: int
+) -> None:
+    """Write the CSV line of `header`, then the lines `n,v1,v2,...` of rows
+    n = 1 .. `rows` to an open text handle, a chunk of `chunk_spans` at a
+    time: cells(start, stop) gives the float64 (stop - start, len(header)
+    - 1) cells of rows start + 1 .. stop.
 
     Every float is written with the bytes of its repr, the shortest decimal
     that reads back to the same double; these are the bytes `csv.writer`
     writes for the same rows, since it writes a float as its repr and never
-    quotes a number.  Row numbers must stay below 10^17.
+    quotes a number.  Each chunk's text is written as soon as it is made,
+    so one chunk's text is all that is ever held.
     """
-    block = np.ascontiguousarray(block, dtype=np.float64)
-    rows, cols = block.shape
-    if not (0 <= first and first + rows <= 10**_DIGITS):
-        raise ValueError(f"row numbers must be in 0 .. 10^{_DIGITS} - 1")
-    step = _chunk_rows(cols)
-    slots = np.zeros((min(step, rows), cols + 1, _SLOT), dtype=np.uint8)
+    cols = len(header) - 1
+    buffers = _slots(rows, cols)
+    handle.write(",".join(header) + "\n")
+    for start, stop in chunk_spans(rows, cols):
+        handle.write(_format_chunk(start + 1, cells(start, stop), *buffers))
+
+
+def _slots(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slots of one chunk of a table of `rows` x `cols` cells, their
+    fixed bytes written, and the separators of a row's slots as the uint64
+    that holds them with the exponent text."""
+    slots = np.zeros((min(rows, _chunk_rows(cols)), cols + 1, _SLOT), dtype=np.uint8)
     slots[..., _SIGN], slots[..., _LEAD], slots[..., _POINT] = ord("-"), ord("0"), ord(".")
     slots[..., _ZEROS : _ZEROS + 3] = ord("0")
     separators = np.zeros((cols + 1, 8), dtype=np.uint8)
     separators[:, _SEP - _EXP] = ord(",")
     separators[-1, _SEP - _EXP] = ord("\n")
-    separators = separators.view(np.uint64)[:, 0]
-    text = bytearray()
-    for start in range(0, rows, step):
-        chunk = block[start : start + step]
-        text += _format_chunk(first + start, chunk, slots[: len(chunk)], separators).data
-    del slots
-    return text.decode("ascii")
+    return slots, separators.view(np.uint64)[:, 0]
 
 
-def _format_chunk(first, chunk, slots, separators) -> np.ndarray:
-    """The text of one chunk of rows, numbered from `first`, as uint8:
-    written into `slots` (rows, cols + 1, _SLOT) and gathered by mask."""
-    t = _tables()
+def _format_chunk(first, chunk, slots, separators) -> str:
+    """The CSV lines of one chunk of float rows, numbered from `first`
+    (below 10^17): written into the first rows of `slots` (`_slots`) and
+    gathered by mask."""
+    chunk = np.ascontiguousarray(chunk, dtype=np.float64)
     n, cols = chunk.shape
-    bits = chunk.view(np.uint64).reshape(-1)
-    sign = (bits >> _U64(63)).astype(np.intp)
-    bits = bits & _U64(2**63 - 1)
+    if not (0 <= first and first + n <= 10**_DIGITS):
+        raise ValueError(f"row numbers must be in 0 .. 10^{_DIGITS} - 1")
+    t = _tables()
+    slots = slots[:n]
+    sign = np.signbit(chunk).reshape(-1)
+    bits = chunk.view(np.uint64).reshape(-1) & _U64(2**63 - 1)
     # zeros, infinities and nans go through the digits as 1.0
     special = np.flatnonzero(bits - _U64(1) >= _INF_BITS - _U64(1))
     kinds = bits[special]
     bits[special] = _ONE_BITS
+    zeros, nonfinite, nan = special[kinds == 0], special[kinds != 0], kinds[kinds != 0] > _INF_BITS
+    del special, kinds
     digits, exponent = shortest_digits(bits)
     del bits
     count = _digit_count(digits)
-    exp_row = exponent + count + _EXP_OFFSET  # the exponent text's row
-    code = t["codes"].take(exp_row * (_DIGITS + 1) + count)
-    if special.size:
-        digits[special[kinds == 0]] = 0
-        nonfinite = special[kinds != 0]
-        nan = kinds[kinds != 0] > _INF_BITS
-        code[nonfinite] = _NONFINITE
-        exp_row[nonfinite] = _INF + nan
-        sign[nonfinite[nan]] = 0
+    exponent += count
+    exponent += _EXP_OFFSET  # the exponent text's row
+    code = t["codes"].take(exponent * (_DIGITS + 1) + count)
+    digits[zeros] = 0
+    code[nonfinite] = _NONFINITE
+    exponent[nonfinite] = _INF + nan
+    sign[nonfinite[nan]] = False
+    del zeros, nonfinite, nan
     code += sign * _CODES
+    del sign
     numbers = np.arange(first, first + n, dtype=np.uint64)
     number_count = _digit_count(numbers)
-    # every slot's 17-digit significand, then its codes and exponent text
+    # every slot's 17-digit significand, then its exponent text and codes
     padded = np.empty((n, cols + 1), dtype=np.uint64)
     padded[:, 0] = numbers * _POW10.take(_DIGITS - number_count)
     padded[:, 1:] = (digits * _POW10.take(_DIGITS - count)).reshape(n, cols)
+    del numbers, digits, count
     _write_digits(slots, padded, t["groups"])
-    del padded, digits
-    exp_rows = np.zeros((n, cols + 1), dtype=np.intp)
-    exp_rows[:, 1:] = exp_row.reshape(n, cols)
+    del padded
+    rows = np.zeros((n, cols + 1), dtype=np.intp)
+    rows[:, 1:] = exponent.reshape(n, cols)
+    del exponent
     np.bitwise_or(
-        t["exponents"].take(exp_rows), separators, out=slots.view(np.uint64)[:, :, _EXP // 8]
+        t["exponents"].take(rows), separators, out=slots.view(np.uint64)[:, :, _EXP // 8]
     )
-    codes = np.empty((n, cols + 1), dtype=np.intp)
-    codes[:, 0] = _ROW_NUMBER + number_count - 1
-    codes[:, 1:] = code.reshape(n, cols)
-    return slots[t["masks"].take(codes, axis=0)]
+    rows[:, 0] = _ROW_NUMBER - 1
+    rows[:, 0] += number_count
+    rows[:, 1:] = code.reshape(n, cols)
+    del code, number_count
+    mask = t["masks"].take(rows, axis=0)
+    del rows
+    text = slots[mask]
+    del mask
+    return str(text.data, "ascii")
 
 
 def _write_digits(slots, padded, groups) -> None:

@@ -46,21 +46,6 @@ from .gammatools import (
 #: the respective formulas) are rejected; the recursion path covers them.
 ALPHA_TOL = 1e-8
 
-#: Rows per block when a table is written as CSV.  Only one block of rows
-#: is ever held, as a float64 array and its text (`csv_block_bytes`), so
-#: memory stays flat in n.
-_ROW_BLOCK = 4096
-
-
-def format_csv_rows(first: int, block: np.ndarray) -> str:
-    """CSV lines `n,v1,v2,...` of a float64 block, numbered from n = `first`,
-    every float with the bytes of its repr: `csvtext.format_csv_rows`.  Its
-    module is imported on the first call, so that importing erw, as every
-    CLI call does, does not compile it."""
-    from . import csvtext
-
-    return csvtext.format_csv_rows(first, block)
-
 
 class RegimeError(ValueError):
     """An operation that requires the superdiffusive regime got alpha <= 1/2."""
@@ -68,18 +53,6 @@ class RegimeError(ValueError):
 
 class EnumerationSizeError(ValueError):
     """The count chain was given a law with more than two positive-weight atoms."""
-
-
-@dataclass(frozen=True)
-class ExactMomentRow:
-    n: int
-    s2: float
-    st: float
-    s3: float
-    su: float
-    t2: float
-    s2t: float
-    s4: float
 
 
 CSV_COLUMNS = ("n", "s2", "st", "s3", "su", "t2", "s2t", "s4")
@@ -98,33 +71,11 @@ class ExactMomentTable:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def row(self, n: int) -> ExactMomentRow:
-        if not 1 <= n <= len(self):
-            raise IndexError(f"n must be in 1..{len(self)}, got {n}")
-        return ExactMomentRow(n, *(float(v) for v in self.values[n - 1]))
-
     def column(self, name: str) -> np.ndarray:
         idx = CSV_COLUMNS.index(name) - 1
         if idx < 0:
             return np.arange(1, len(self) + 1)
         return self.values[:, idx]
-
-    def row_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (n of the first row, a read-only (rows, 7) float64 view), a
-        block of rows at a time."""
-        for start in range(0, len(self), _ROW_BLOCK):
-            yield start + 1, self.values[start : start + _ROW_BLOCK]
-
-    def write_csv(self, handle) -> None:
-        """Write the table as CSV with shortest round-trip decimals to an
-        open text handle.
-
-        Each block of rows is formatted by `format_csv_rows` into one string
-        and written with one call.
-        """
-        handle.write(",".join(CSV_COLUMNS) + "\n")
-        for first, block in self.row_blocks():
-            handle.write(format_csv_rows(first, block))
 
 
 def exact_moments_upto(ms: MomentSet, alpha: float, n_max: int) -> ExactMomentTable:
@@ -227,16 +178,6 @@ def exact_moments_bytes(n_max: int) -> int:
     width, blocks = _block_shape(n_max)
     steps = width * blocks
     return 8 * (7 * n_max + 5 * steps + 2 * min(2 * steps, 8192) + 16 * blocks) + 8192
-
-
-def csv_block_bytes(n_max: int, cols: int) -> int:
-    """Bytes one block of rows holds while a table of n_max rows is written
-    as CSV, computed without allocating anything: the block of `cols`
-    float columns (8 bytes a cell) and `format_csv_bytes` of it."""
-    from . import csvtext
-
-    rows = min(n_max, _ROW_BLOCK)
-    return 8 * rows * cols + csvtext.format_csv_bytes(rows, cols)
 
 
 def _block_shape(n_max: int) -> tuple[int, int]:

@@ -265,6 +265,36 @@ def test_no_math_exp():
     assert _functions_reading("math", ("exp",)) == []
 
 
+def _importers(module: str) -> list[str]:
+    """Files of the package that import its module `module`, at any depth
+    of their code."""
+    def imports(node) -> bool:
+        if isinstance(node, ast.ImportFrom):
+            return node.module == module or (
+                node.module in (None, "erw") and any(a.name == module for a in node.names)
+            )
+        return isinstance(node, ast.Import) and any(a.name == f"erw.{module}" for a in node.names)
+
+    return sorted(
+        path.name for path in SRC.glob("*.py")
+        if any(imports(node) for node in ast.walk(ast.parse(path.read_text())))
+    )
+
+
+def test_one_writer_of_table_text():
+    # csvtext writes every table's text: only the CLI, which decides what a
+    # table's rows are, imports it, and moments computes tables without
+    # knowing how they are written
+    assert _importers("csvtext") == ["cli.py"]
+    functions = [
+        node.name for node in ast.walk(ast.parse((SRC / "moments.py").read_text()))
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert [name for name in functions if any(
+        word in name.lower() for word in ("csv", "text", "format", "write")
+    )] == []
+
+
 _UNIFORM = erw.moment_set(erw.StepDistribution.uniform(0.0, 1.0))
 _ALPHAS = (0.0, 0.26, 0.75, 1.0)
 #: n below 10, n + delta below 10 and both above, out to 1e12

@@ -104,8 +104,9 @@ class TestExact:
         '{"kind":"discrete","points":[-1,2],"weights":[0.6,0.4]}',
     ], ids=["rademacher", "skewed"])
     def test_relerr_matches_row_loop(self, dist, capsys):
-        # 1, 4095 .. 4097 and 8193 rows end before, at and after row blocks
-        for n in (1, 4095, 4096, 4097, 8193):
+        # 1, 430 .. 432 and 863 rows end before, at and after the writer's
+        # chunks of 431 rows of 19 columns
+        for n in (1, 430, 431, 432, 863):
             code, out, _ = run_cli(
                 capsys, "exact", "--dist", dist, "--alpha", "0.75", "--n", str(n), "--compare",
             )
@@ -117,6 +118,17 @@ class TestExact:
                 form = [float(row[f"cf_{name}"]) for name in cli._CF_FIELDS]
                 got = [float(row[f"relerr_{name}"]) for name in cli._CF_FIELDS]
                 assert got == _relerr_row_loop(rec, form), (n, row["n"])
+
+    @pytest.mark.parametrize("n", [1, 430, 431, 432, 1169, 1170, 1171, 8193])
+    def test_plain_is_compare_prefix(self, n, capsys):
+        # the sizes straddle the writer's chunks of 431 rows (19 columns)
+        # and 1170 rows (7 columns)
+        argv = ("exact", "--dist", '{"kind":"discrete","points":[-1,2],"weights":[0.6,0.4]}',
+                "--alpha", "0.75", "--n", str(n))
+        _, plain, _ = run_cli(capsys, *argv)
+        _, compare, _ = run_cli(capsys, *argv, "--compare")
+        prefix = "".join(",".join(line.split(",")[:8]) + "\n" for line in compare.splitlines())
+        assert len(plain.splitlines()) == n + 1 and plain == prefix
 
     def test_relerr_floor_on_zero_row(self):
         rec = np.array([[0.0, -0.0, 0.0], [1.0, 0.0, -2.0]])
@@ -462,6 +474,12 @@ class TestSweep:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert "alpha grid" in err or "alpha range" in err
 
+    @pytest.mark.parametrize("grid", ["0.6:0.9", "0.6:0.9:0.1:0.2"], ids=["two-parts", "four-parts"])
+    def test_range_needs_three_parts(self, grid, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--dist", "rademacher", "--alphas", grid)
+        assert code == 2 and out == ""
+        assert err == f"error: alphas: alpha range {grid!r} is not of the form lo:hi:step\n"
+
     def test_grid_at_cap_runs(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_ALPHA_GRID", 11)
         code, out, _ = run_cli(capsys, "sweep", "--dist", "rademacher", "--alphas", "0:1:0.1")
@@ -794,10 +812,9 @@ class TestRequestSizeCap:
         # what `exact` holds, its parser, closed forms and CSV text included,
         # stays within what its cap counts (a whole-table stack of the
         # closed forms once held 21.2 MB at n = 1e5 against an estimate of
-        # 15.4).  The skewed law's cells take 17 digits, so at n = 1e5
-        # --compare fills it to over 90% (93%): its last block of text and
-        # the closed forms are counted with little to spare.  At 3e5 the
-        # closed forms' 88n peak is what it reads.
+        # 15.4).  At n = 1e5 and 3e5 --compare the closed forms' 88n peak
+        # beside the 56n table is what it reads, over 99% of the estimate,
+        # so the closed forms are counted with little to spare.
         monkeypatch.undo()
         argv = ["exact", "--dist", '{"kind":"discrete","points":[-1,2],"weights":[0.6,0.4]}',
                 "--alpha", "0.75", "--out", str(tmp_path / "table.csv")]

@@ -1,13 +1,16 @@
 """The CSV kernel against `repr`, its oracle: every cell must have the bytes
-`repr` gives the same double, and every row those `csv.writer` writes."""
+`repr` gives the same double, and every row those `csv.writer` writes.  The
+rows go through the writer's chunk formatter, numbered from any n
+(`table_csv.kernel_rows`), or through the writer itself."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
 from erw import csvtext
-from erw.moments import format_csv_rows
+from table_csv import kernel_rows
 
 #: 9999 -> 10000 falls inside the first chunk at every width tried
 _FIRST = 9990
@@ -53,7 +56,7 @@ def _blocks(values, cols):
 @pytest.mark.parametrize("cols", [1, 7, 19])
 def test_families_match_repr(cols):
     block = _blocks(_families(), cols)
-    assert format_csv_rows(_FIRST, block) == _repr_rows(_FIRST, block)
+    assert kernel_rows(_FIRST, block) == _repr_rows(_FIRST, block)
 
 
 @pytest.mark.slow
@@ -64,13 +67,20 @@ def test_random_bit_patterns_match_repr():
     values = np.concatenate([bits.view(np.float64), _families()])
     for cols in (1, 7, 19):
         block = _blocks(values, cols)
-        assert format_csv_rows(_FIRST, block) == _repr_rows(_FIRST, block), cols
+        assert kernel_rows(_FIRST, block) == _repr_rows(_FIRST, block), cols
 
 
 def test_non_contiguous_and_empty_blocks():
     values = _families()[:700].reshape(100, 7)
-    assert format_csv_rows(1, values[::2, ::-1]) == _repr_rows(1, values[::2, ::-1])
-    assert format_csv_rows(1, values[:0]) == ""
+    assert kernel_rows(1, values[::2, ::-1]) == _repr_rows(1, values[::2, ::-1])
+    assert kernel_rows(1, values[:0]) == ""
+    # the writer, from a source of strided blocks, and of none
+    buf = io.StringIO()
+    csvtext.write_csv(buf, ("n", *"abcdefg"), lambda start, stop: values[::-2][start:stop], 50)
+    assert buf.getvalue() == "n,a,b,c,d,e,f,g\n" + _repr_rows(1, values[::-2])
+    buf = io.StringIO()
+    csvtext.write_csv(buf, ("n", "a", "b"), lambda start, stop: values[:0], 0)
+    assert buf.getvalue() == "n,a,b\n"
 
 
 def test_shortest_digits_keep_no_trailing_zero():
@@ -99,8 +109,8 @@ def test_tables_keep_the_products_in_range():
 def test_row_numbers_below_the_limit():
     block = np.zeros((2, 1))
     last = 10**17 - 2
-    assert format_csv_rows(last, block) == f"{last},0.0\n{last + 1},0.0\n"
+    assert kernel_rows(last, block) == f"{last},0.0\n{last + 1},0.0\n"
     with pytest.raises(ValueError, match="row numbers"):
-        format_csv_rows(last + 1, block)
+        kernel_rows(last + 1, block)
     with pytest.raises(ValueError, match="row numbers"):
-        format_csv_rows(-1, block)
+        kernel_rows(-1, block)

@@ -34,15 +34,13 @@ from erw import gammatools, moments
 from erw import simulate as sim
 from erw.gammatools import check_alpha, martingale_scale
 from erw.moments import (
-    _ROW_BLOCK,
     exact_moments_bytes,
-    format_csv_rows,
     second_moment_coefficient,
     third_moment_coefficient,
 )
 from erw.verify import row_relerr
 from literal_batch import simulate_batch
-from table_csv import read_table_csv, table_csv_string
+from table_csv import kernel_rows, read_table_csv, table_csv_string
 
 ROW_FIELDS = ("s2", "st", "s3", "su", "t2", "s2t", "s4")
 
@@ -255,15 +253,13 @@ class TestAlphaRule:
 class TestExactRecursion:
     def test_initial_row(self, standard_moment_sets):
         for ms in standard_moment_sets.values():
-            row = exact_moments_upto(ms, 0.7, 1).row(1)
-            assert (row.s2, row.st, row.s3, row.su, row.t2, row.s2t, row.s4) == (
-                ms.M2, ms.M12, ms.M3, ms.M13, ms.M22, ms.M112, ms.M4,
-            )
+            row = exact_moments_upto(ms, 0.7, 1).values[0]
+            assert tuple(row.tolist()) == (ms.M2, ms.M12, ms.M3, ms.M13, ms.M22, ms.M112, ms.M4)
 
     def test_hand_iteration_rademacher(self, standard_moment_sets):
         # s2 steps: 1 -> (1+1)*1+1 = 3 -> (1+0.5)*3+1 = 5.5
         table = exact_moments_upto(standard_moment_sets["rademacher"], 0.5, 3)
-        assert [table.row(i).s2 for i in (1, 2, 3)] == [1.0, 3.0, 5.5]
+        assert table.column("s2").tolist() == [1.0, 3.0, 5.5]
 
     def test_valid_for_all_alpha(self, standard_moment_sets):
         for alpha in (0.0, 1.0 / 3.0, 0.5, 1.0):
@@ -318,7 +314,7 @@ class TestExactRecursion:
         # holds exactly (row 1 and the exact zeros) keep its bytes, and
         # every other cell is within 1e-15 of its row
         ms = moment_set(ORACLE_LAWS[law])
-        sizes = (1, 2, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3)
+        sizes = (1, 2, 4095, 4096, 4097, 8195)
         oracle = _reference_exact_moments(ms, alpha, sizes[-1])
         for n in sizes:
             values = exact_moments_upto(ms, alpha, n).values
@@ -437,12 +433,13 @@ class TestClosedForms:
         alpha = 0.9
         n = 20_000
         table = exact_moments_upto(ms, alpha, n)
-        r = table.row(n).s4 * math.exp(-log_gamma_ratio(float(n), 4 * alpha))
+        s4 = float(table.column("s4")[n - 1])
+        r = s4 * math.exp(-log_gamma_ratio(float(n), 4 * alpha))
         k4 = fourth_moment_coefficient(ms, alpha)
         assert r == pytest.approx(k4, rel=0.02)
         # test oracle: K4 Gamma(n+4a)/Gamma(n), the large-n equivalent of s4
         asymptote = k4 * math.exp(log_gamma_ratio(float(n), 4 * alpha))
-        assert asymptote == pytest.approx(table.row(n).s4, rel=0.02)
+        assert asymptote == pytest.approx(s4, rel=0.02)
 
     # the six forms divide by 2a-1 and 3a-1 only, so 1/4 is regular
     @pytest.mark.parametrize("alpha", [0.25, 0.26, 0.4, 0.6, 0.75, 0.9, 1.0])
@@ -598,17 +595,12 @@ class TestConditionalStepMoments:
 class TestBruteForce:
     def test_single_step_is_initial_row(self, skewed_two_point):
         ms = moment_set(skewed_two_point)
-        row = brute_force_moments(skewed_two_point, 0.37, 1).row(1)
-        assert row.s2 == pytest.approx(ms.M2, abs=1e-15)
-        assert row.st == pytest.approx(ms.M12, abs=1e-15)
-        assert row.s3 == pytest.approx(ms.M3, abs=1e-15)
-        assert row.su == pytest.approx(ms.M13, abs=1e-15)
-        assert row.t2 == pytest.approx(ms.M22, abs=1e-15)
-        assert row.s2t == pytest.approx(ms.M112, abs=1e-15)
-        assert row.s4 == pytest.approx(ms.M4, abs=1e-15)
+        row = brute_force_moments(skewed_two_point, 0.37, 1).values[0]
+        want = [ms.M2, ms.M12, ms.M3, ms.M13, ms.M22, ms.M112, ms.M4]
+        assert row.tolist() == pytest.approx(want, abs=1e-15)
 
     def test_hand_value(self, rademacher):
-        assert brute_force_moments(rademacher, 0.5, 3).row(3).s2 == pytest.approx(5.5, abs=1e-14)
+        assert brute_force_moments(rademacher, 0.5, 3).column("s2")[2] == pytest.approx(5.5, abs=1e-14)
 
     def test_agrees_with_recursion(self, bernoulli03):
         ms = moment_set(bernoulli03)
@@ -617,8 +609,8 @@ class TestBruteForce:
             brute = brute_force_moments(bernoulli03, alpha, 6)
             for n in range(1, 7):
                 for name in ROW_FIELDS:
-                    assert getattr(brute.row(n), name) == pytest.approx(
-                        getattr(table.row(n), name), abs=1e-12
+                    assert brute.column(name)[n - 1] == pytest.approx(
+                        table.column(name)[n - 1], abs=1e-12
                     ), (alpha, n, name)
 
     @pytest.mark.parametrize(
@@ -697,7 +689,7 @@ class TestTableCsv:
     @example(first=1, rows=[_EDGE_FLOATS[:-2] + [-1e-5, 1e15]])
     def test_rows_match_csv_writer(self, first, rows):
         block = np.array(rows, dtype=np.float64)
-        assert format_csv_rows(first, block) == _csv_writer_rows(first, rows)
+        assert kernel_rows(first, block) == _csv_writer_rows(first, rows)
 
     def test_round_trip(self, standard_moment_sets):
         table = exact_moments_upto(standard_moment_sets["bernoulli"], 0.75, 37)
@@ -706,15 +698,8 @@ class TestTableCsv:
         assert len(parsed) == len(table)
         for n in (1, 17, 37):
             for name in ROW_FIELDS:
-                assert getattr(parsed.row(n), name) == getattr(table.row(n), name)
+                assert parsed.column(name)[n - 1] == table.column(name)[n - 1]
 
     def test_header(self, standard_moment_sets):
         text = table_csv_string(exact_moments_upto(standard_moment_sets["rademacher"], 0.5, 2))
         assert text.splitlines()[0] == "n,s2,st,s3,su,t2,s2t,s4"
-
-    def test_row_access_bounds(self, standard_moment_sets):
-        table = exact_moments_upto(standard_moment_sets["rademacher"], 0.5, 5)
-        with pytest.raises(IndexError):
-            table.row(0)
-        with pytest.raises(IndexError):
-            table.row(6)

@@ -892,8 +892,7 @@ class TestClusterEngine:
         sizes = sim._cluster_size_sums(labels, range(1, n + 1))
         for c, size_sums in zip(range(1, n + 1), sizes):
             e = sim._conditional_moments(ms, *size_sums) @ weights
-            row = table.row(c)
-            want = np.array([0.0, row.s2, row.s3, row.s4])
+            want = np.array([0.0, *(table.column(name)[c - 1] for name in ("s2", "s3", "s4"))])
             scale = np.abs(want).max()
             assert np.abs(e - want).max() <= 1e-12 * scale, (c, e, want)
 
@@ -968,7 +967,7 @@ class TestEmpiricalMoments:
         estimate, stderr = empirical_q_moments(sums, reps, [n], alpha)
         exact, z = compare_with_exact(estimate, stderr, table, [n], alpha)
         assert exact.shape == z.shape == (1, 4) and exact[0, 0] == 0.0
-        assert exact[0, 1] == table.row(n).s2 * float(n) ** (-2 * alpha)
+        assert exact[0, 1] == table.column("s2")[n - 1] * float(n) ** (-2 * alpha)
         gap = np.abs(estimate - exact)[:, 1:]
         assert (gap <= 4.0 * stderr[:, 1:]).all(), (estimate, exact)
 
